@@ -1,5 +1,8 @@
 """The auxiliary three-tensor F, its squared-norm expansion, and the
-rational functions Q1/Q2 with their global maximization.
+rational functions Q1/Q2.  The global maximum of Q2 is computed exactly, not
+searched: after the exact inner solve over b, Q2 is a Rayleigh quotient of
+a 3x3 matrix of the form alpha I + beta J, whose maximum is read off in
+closed form.
 
 The gradient data (S, w) modelling (grad of traceless Ricci, grad of scalar
 curvature) is free pointwise data subject only to three linear constraints:
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .curvature import FLOAT, RATIONAL, check_mode, zeros
 from .scalars import exact_div, scalar_to_json
@@ -175,7 +177,7 @@ def f_norm_expansion(m: GradientModel, c: FCoefficients):
 
 
 # ---------------------------------------------------------------------------
-# Q1, Q2 and their maximization
+# Q1, Q2 and the exact maximum of Q2
 # ---------------------------------------------------------------------------
 
 def q1(c: FCoefficients):
@@ -228,30 +230,34 @@ def optimal_b(a1, a2):
     return tuple(exact_div(r, 12) - exact_div(total, 72) for r in rhs)
 
 
-def grad_q2(c: FCoefficients, eps, h=1e-5):
-    """Central finite-difference gradient of q2 in all five coefficients."""
-    x = np.array([float(v) for v in c.astuple()])
-    g = np.zeros(5)
-    for k in range(5):
-        xp, xm = x.copy(), x.copy()
-        xp[k] += h
-        xm[k] -= h
-        g[k] = (q2(FCoefficients(*xp), float(eps))
-                - q2(FCoefficients(*xm), float(eps))) / (2 * h)
-    return g
+def grad_q2(c: FCoefficients, eps):
+    """Gradient of q2 in (a1, a2, b1, b2, b3), exact for rational input.
+
+    With den = 1 + a1^2 + a2^2 and P = den * q2 (a polynomial), the quotient
+    rule gives dq2/dx = (dP/dx - q2 * dden/dx) / den.
+    """
+    a1, a2, b1, b2, b3 = c.astuple()
+    den = 1 + a1 * a1 + a2 * a2
+    value = q2(c, eps)
+    damp = 1 - 16 * eps
+    dP = (exact_div(1 + a2, 4) - (b1 + b3) - exact_div(damp * (2 * a1 + 1 + a2), 2),
+          exact_div(1 + a1, 4) - (b1 + b2) - exact_div(damp * (2 * a2 + 1 + a1), 2),
+          -(a1 + a2 + 16 * b1 + 4 * (b2 + b3)),
+          -(a2 + 1 + 16 * b2 + 4 * (b1 + b3)),
+          -(a1 + 1 + 16 * b3 + 4 * (b1 + b2)))
+    dden = (2 * a1, 2 * a2, 0, 0, 0)
+    return tuple((p - value * d) / den for p, d in zip(dP, dden))
 
 
-def eps_factor_gradient(a1, a2, h=1e-5):
-    """Finite-difference gradient of the eps-multiplied factor
-    (1+a1^2+a2^2+a1+a2+a1a2)/(1+a1^2+a2^2); vanishes at (1, 1), which is why
-    the reference point stays stationary for every eps."""
-    def fac(x, y):
-        den = 1 + x * x + y * y
-        return (den + x + y + x * y) / den
-    return np.array([
-        (fac(a1 + h, a2) - fac(a1 - h, a2)) / (2 * h),
-        (fac(a1, a2 + h) - fac(a1, a2 - h)) / (2 * h),
-    ])
+def eps_factor_gradient(a1, a2):
+    """Gradient of the eps-multiplied factor
+    (1+a1^2+a2^2+a1+a2+a1a2)/(1+a1^2+a2^2), exact for rational input; it
+    vanishes at (1, 1), which is why the reference point stays stationary for
+    every eps."""
+    den = 1 + a1 * a1 + a2 * a2
+    fac = (den + a1 + a2 + a1 * a2) / den
+    return ((2 * a1 + 1 + a2 - fac * 2 * a1) / den,
+            (2 * a2 + 1 + a1 - fac * 2 * a2) / den)
 
 
 def random_coefficients(count, seed, den=12):
@@ -320,52 +326,53 @@ def expansion_campaign(model_count, coeff_count, seed):
     }
 
 
-class OptimizeError(RuntimeError):
-    """Q2 maximization did not converge; message carries grid diagnostics."""
+Q2_CROSSOVER = Fraction(1, 36)   # where beta(eps) of q2_form changes sign
 
 
-def _reduced_q2(a, eps):
-    b = optimal_b(a[0], a[1])
-    return float(q2(FCoefficients(a[0], a[1], *b), eps))
+def q2_form(eps):
+    """Exact (alpha, beta) with (1 + a1^2 + a2^2) Q2(a1, a2, optimal_b(a1, a2))
+    = z^T (alpha I + beta J) z, z = (1, a1, a2), J the all-ones matrix.
+
+    The left side is a polynomial of degree <= 2 (optimal_b is affine), so it
+    is z^T N z for one symmetric N, read off by polarization at six points.
+    Raises ValueError unless N = alpha I + beta J (alpha = 4 eps - 1/3,
+    beta = 4 eps - 1/9)."""
+    eps = Fraction(eps)
+
+    def f(a1, a2):
+        return (1 + a1 * a1 + a2 * a2) * q2(FCoefficients(a1, a2, *optimal_b(a1, a2)), eps)
+
+    n00 = f(0, 0)
+    n01, n11 = (f(1, 0) - f(-1, 0)) / 4, (f(1, 0) + f(-1, 0)) / 2 - n00
+    n02, n22 = (f(0, 1) - f(0, -1)) / 4, (f(0, 1) + f(0, -1)) / 2 - n00
+    n12 = (f(1, 1) - n00 - 2 * n01 - 2 * n02 - n11 - n22) / 2
+    if n01 != n02 or n01 != n12 or n00 != n11 or n00 != n22:
+        raise ValueError(f"N({eps}) is not of the form alpha I + beta J")
+    return n00 - n01, n01
 
 
-def optimize_q2(eps, grid=41, box=10.0, tol=1e-12, starts=16, max_widen=3):
-    """Global maximization of Q2: exact inner solve over b, grid plus local
-    ascent over (a1, a2); returns (FCoefficients argmax, value).
+class Q2Maximum(tuple):
+    """(argmax, value), with `branch` naming where the maximum is attained:
+    "point", "line" or "constant" (at eps = Q2_CROSSOVER)."""
 
-    The box is widened (x10) if the maximizer lands within 5% of its
-    boundary.  The returned value is sanity-floored against the value at the
-    stationary reference point; falling below it raises OptimizeError.  The
-    value is exceeded for eps < 1/36, where the maximum 4 eps - 1/3 lies on
-    the line a1 + a2 = -1.
+    def __new__(cls, argmax, value, branch):
+        self = super().__new__(cls, (argmax, value))
+        self.branch = branch
+        return self
+
+
+def optimize_q2(eps) -> Q2Maximum:
+    """Exact global maximum of Q2: Q2Maximum(FCoefficients argmax, value).
+
+    Over b the maximum is at optimal_b; then Q2 = z^T N z / |z|^2 (q2_form),
+    and z^T N z = alpha |z|^2 + beta (1.z)^2 <= (alpha + 3 max(beta, 0)) |z|^2.
+    The bound is attained at z ~ (1, 1, 1), the reference point, if beta > 0;
+    on 1.z = 0, the line a1 + a2 = -1 (represented by a1 = a2 = -1/2), if
+    beta < 0; and everywhere if beta = 0 (represented by the reference point).
     """
-    eps = float(eps)
-    for attempt in range(max_widen):
-        axis = np.linspace(-box, box, grid)
-        best = []
-        for ia, a1 in enumerate(axis):
-            for ib, a2 in enumerate(axis):
-                best.append((-_reduced_q2((a1, a2), eps), ia, ib, a1, a2))
-        best.sort()
-        top, top_x = np.inf, None
-        for negv, _, _, a1, a2 in best[:starts]:
-            res = minimize(lambda a: -_reduced_q2(a, eps), np.array([a1, a2]),
-                           method="Nelder-Mead",
-                           options={"xatol": tol, "fatol": tol, "maxiter": 2000})
-            if res.fun < top:   # ties broken by grid order (list already sorted)
-                top, top_x = res.fun, res.x
-        if top_x is None:
-            raise OptimizeError(
-                f"no local ascent converged; best grid value {-best[0][0]}")
-        if np.abs(top_x).max() <= 0.95 * box:
-            break
-        box *= 10.0
-    a1, a2 = top_x
-    b = optimal_b(a1, a2)
-    arg = FCoefficients(a1, a2, *b)
-    value = -top
-    floor = float(q2_claimed_value(eps))
-    if value < floor - 1e-9:
-        raise OptimizeError(
-            f"optimizer value {value} fell below the claimed maximum {floor}")
-    return arg, value
+    alpha, beta = q2_form(eps)
+    value = alpha + 3 * max(beta, 0)
+    if beta < 0:
+        half = Fraction(-1, 2)
+        return Q2Maximum(FCoefficients(half, half, *optimal_b(half, half)), value, "line")
+    return Q2Maximum(CLAIMED_POINT, value, "point" if beta > 0 else "constant")

@@ -48,6 +48,16 @@ def test_optimize_q2_default_eps(capsys):
     assert abs(payload["results"][0]["delta"]) < 1e-9
 
 
+def test_optimize_q2_names_branches(capsys):
+    code, out = run(capsys, ["optimize-q2", "--eps", "0", "--eps", "1/36",
+                             "--eps", "1/24"])
+    assert code == EXIT_VIOLATION
+    results = json.loads(out)["results"]
+    assert [r["branch"] for r in results] == ["line", "constant", "point"]
+    assert all(r["crossover"] == "1/36" for r in results)
+    assert [r["delta"] for r in results[1:]] == [0, 0]
+
+
 def test_expand_fsq(capsys):
     code, out = run(capsys, ["expand-fsq", "--models", "5", "--coeffs", "5"])
     assert code == EXIT_OK
@@ -102,6 +112,10 @@ def test_config_file_mirrors_flags(capsys, tmp_path):
     _, out = run(capsys, ["verify-estimates", "--config", str(cfg),
                           "--count", "50"])
     assert json.loads(out)["config"]["count"] == 50
+    # ... also when the flag's value equals its default
+    _, out = run(capsys, ["verify-estimates", "--config", str(cfg),
+                          "--count", "1000"])
+    assert json.loads(out)["config"]["count"] == 1000
 
 
 def test_repeat_runs_share_digest(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pinchlab import ftensor
 from pinchlab.curvature import FLOAT, RATIONAL
 from pinchlab.ftensor import (
     FCoefficients,
@@ -141,15 +142,21 @@ def test_sign_condition():
 def test_gradient_vanishes_at_reference_point():
     for eps in (0.0, 1.0 / 24.0, 1.0 / 16.0):
         assert np.abs(grad_q2(CLAIMED_POINT, eps)).max() < 1e-8
+    assert grad_q2(CLAIMED_POINT, Fraction(1, 24)) == (0,) * 5
     assert np.abs(eps_factor_gradient(1.0, 1.0)).max() < 1e-10
 
 
 def test_optimize_q2_supercritical_eps_returns_reference_point():
-    # for eps >= 1/36 the interior stationary point (1,1) is the global max
-    for eps in (Fraction(1, 24), Fraction(1, 16)):
-        arg, value = optimize_q2(eps)
+    # for eps >= 1/36 the interior stationary point (1,1) is the global max;
+    # at eps = 1/36 Q2 is constant at -2/9
+    assert optimize_q2(Fraction(1, 24)) == (CLAIMED_POINT, 0)
+    for eps in (Fraction(1, 36), Fraction(1, 24), Fraction(1, 16)):
+        found = optimize_q2(eps)
+        arg, value = found
         assert abs(arg.a1 - 1) < 1e-6 and abs(arg.a2 - 1) < 1e-6
         assert value == pytest.approx(float(q2_claimed_value(eps)), abs=1e-9)
+        assert found.branch == ("constant" if eps == Fraction(1, 36) else "point")
+    assert optimize_q2(Fraction(1, 36))[1] == Fraction(-2, 9)
 
 
 def test_optimize_q2_subcritical_eps_finds_critical_line():
@@ -162,7 +169,11 @@ def test_optimize_q2_subcritical_eps_finds_critical_line():
         assert value > float(q2_claimed_value(eps)) + 1e-3
 
 
-def test_optimize_q2_never_below_reference_value():
+def test_optimize_q2_never_below_reference_value(monkeypatch):
     for eps in (Fraction(-1, 50), Fraction(0), Fraction(1, 30), Fraction(1, 10)):
         _, value = optimize_q2(eps)
         assert value >= float(q2_claimed_value(eps)) - 1e-9
+    # a Q2 whose 3x3 form is not alpha I + beta J is refused, not maximized
+    monkeypatch.setattr(ftensor, "q2", lambda c, eps: q2(c, eps) + c.a1)
+    with pytest.raises(ValueError, match="alpha I"):
+        optimize_q2(Fraction(1, 24))
