@@ -41,7 +41,9 @@ from .minsec import (  # noqa: F401
     DegenerateEpsError,
     MinSectionalError,
     SearchOptions,
+    dual_min_sectional,
     min_sectional,
+    min_sectional_bracket,
     sample_sectionals,
     shift_to_pinching,
 )

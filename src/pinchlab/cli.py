@@ -39,6 +39,13 @@ from .scalars import RATIONAL, FLOAT, parse_scalar, scalar_to_json
 
 EXIT_OK, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
 
+# The flags a subcommand takes repeatedly, with the type of one value; a
+# config file may give each as a list or as a single scalar.
+REPEATABLE = {
+    "verify-estimates": {"n": int, "eps": parse_scalar, "s": parse_scalar},
+    "optimize-q2": {"eps": parse_scalar},
+}
+
 
 def build_parser(explicit_only=False):
     """The argument parser.  With explicit_only every default is SUPPRESS, so
@@ -62,9 +69,8 @@ def build_parser(explicit_only=False):
 
     ve = sub.add_parser("verify-estimates", parents=[common],
                         help="Monte Carlo verification of both estimates")
-    ve.add_argument("--n", type=int, action="append", default=default(None))
-    ve.add_argument("--eps", type=parse_scalar, action="append", default=default(None))
-    ve.add_argument("--s", type=parse_scalar, action="append", default=default(None))
+    for name, kind in REPEATABLE["verify-estimates"].items():
+        ve.add_argument(f"--{name}", type=kind, action="append", default=default(None))
     ve.add_argument("--count", type=int, default=default(1000))
     ve.add_argument("--kind", choices=["profile", "tensor"], default=default("profile"))
     ve.add_argument("--distribution",
@@ -75,7 +81,8 @@ def build_parser(explicit_only=False):
 
     oq = sub.add_parser("optimize-q2", parents=[common],
                         help="exact global maximum of the Q2 functional")
-    oq.add_argument("--eps", type=parse_scalar, action="append", default=default(None))
+    for name, kind in REPEATABLE["optimize-q2"].items():
+        oq.add_argument(f"--{name}", type=kind, action="append", default=default(None))
     # inert: the maximum is exact, no grid is searched; still parsed because
     # the benchmark's tiny cli-exact command list passes --grid
     oq.add_argument("--grid", type=int, default=default(None), help=argparse.SUPPRESS)
@@ -108,16 +115,29 @@ def _apply_config_file(args, argv):
     with open(args.config) as fh:
         data = json.load(fh)
     explicit = vars(build_parser(explicit_only=True).parse_args(argv))
+    repeatable = REPEATABLE.get(args.command, {})
     for key, value in data.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr) or attr in explicit:
             continue
-        if attr in ("eps", "s") and isinstance(value, list):
-            value = [parse_scalar(v) for v in value]
-        elif attr == "eps" and not isinstance(value, list):
-            value = parse_scalar(value)
+        if attr in repeatable:
+            values = value if isinstance(value, list) else [value]
+            value = [_config_scalar(key, repeatable[attr], v) for v in values]
+        elif attr == "eps":
+            value = _config_scalar(key, parse_scalar, value)
         setattr(args, attr, value)
     return args
+
+
+def _config_scalar(key, kind, value):
+    """One config-file value of a flag, converted like its command-line text."""
+    if isinstance(value, (bool, dict, list)) or value is None:
+        raise ValueError(f"config {key!r}: expected a number or a string, "
+                         f"got {json.dumps(value)}")
+    try:
+        return kind(str(value))
+    except ValueError as exc:
+        raise ValueError(f"config {key!r}: {exc}") from exc
 
 
 def _finish(report, args, stem):

@@ -29,7 +29,13 @@ from .curvature import (
     traceless_ricci,
     zeros,
 )
-from .minsec import DegenerateEpsError, SearchOptions, min_sectional, shift_to_pinching
+from .minsec import (
+    DegenerateEpsError,
+    SearchOptions,
+    min_sectional,  # noqa: F401  bench/test_bench.py checks that the tracer rebinds it here
+    min_sectional_bracket,
+    shift_to_pinching,
+)
 from .scalars import exact_div, is_rational, scalar_to_json
 
 GAP_RTOL = 1e-10   # float-mode inequality slack, relative to max(1,|lhs|,|rhs|)
@@ -300,45 +306,47 @@ def check_estimates(source, params: PinchingParams,
     """Evaluate both estimates and the convex combination on one source.
 
     The hypothesis Sec >= eps*R is a precondition: profiles are checked
-    directly on their sigma entries, tensors through min_sectional unless
+    directly on their sigma entries, tensors through the lower end of
+    min_sectional_bracket (the searched value where it has none), unless
     the caller certifies construction (e.g. shift_to_pinching output).
     """
     eps = params.eps
     if isinstance(source, SigmaProfile):
         inv = _profile_invariants(source)
-        exact = source.mode == RATIONAL
-        tol = 0 if exact else GAP_RTOL * max(1.0, abs(float(inv.R)))
+        tol = 0 if source.mode == RATIONAL else GAP_RTOL * max(1.0, abs(float(inv.R)))
         if not certified and source.min_sigma() - eps * source.R < -tol:
             raise UncertifiedSourceError(
                 f"profile violates Sec >= eps*R: min sigma {source.min_sigma()}, "
                 f"eps*R = {eps * source.R}")
         l, r = equno_identity(source, eps)
-        equno_res = l - r
-        slack_res = None  # filled below from gap1
-    elif isinstance(source, AlgCurvTensor):
+        return _estimate_report(source.n, params, inv, l - r, profile=source)
+    if isinstance(source, AlgCurvTensor):
         inv = invariants(source)
-        exact = False
         if not certified:
-            min_sec, _ = min_sectional(source, opts)
+            lower, upper, _ = min_sectional_bracket(source, opts)
+            min_sec = upper if lower is None else lower
             bound = float(eps) * float(inv.R)
             if min_sec < bound - GAP_RTOL * max(1.0, abs(bound)):
                 raise UncertifiedSourceError(
                     f"tensor violates Sec >= eps*R: min Sec {min_sec} < {bound}")
-        equno_res = _tensor_equno_residual(source, eps)
-        slack_res = None
-    else:
-        raise TypeError(f"unsupported source {type(source)!r}")
+        return _estimate_report(source.n, params, inv,
+                                _tensor_equno_residual(source, eps))
+    raise TypeError(f"unsupported source {type(source)!r}")
 
-    rhs1 = rhs_estimate1(source.n, params, inv)
-    rhs2 = rhs_estimate2(source.n, params, inv)
-    rhsc = rhs_convex(source.n, params, inv)
+
+def _estimate_report(n, params, inv, equno_res, profile=None):
+    """Gaps of both estimates and the convex combination from the source's
+    invariants; profile (exact or float) adds the estimate-1 slack check."""
+    exact = profile is not None and profile.mode == RATIONAL
+    rhs1 = rhs_estimate1(n, params, inv)
+    rhs2 = rhs_estimate2(n, params, inv)
+    rhsc = rhs_convex(n, params, inv)
     gap1, gap2, gapc = rhs1 - inv.lhs, rhs2 - inv.lhs, rhsc - inv.lhs
-    if isinstance(source, SigmaProfile):
-        slack_res = gap1 - slack_term(source, eps)
+    slack_res = None if profile is None else gap1 - slack_term(profile, params.eps)
     scale = max(1.0, abs(float(inv.lhs)), abs(float(rhs1)), abs(float(rhs2)))
     tol = 0 if exact else GAP_RTOL * scale
     passed = all(float(g) >= -tol for g in (gap1, gap2, gapc))
-    if isinstance(source, SigmaProfile) and exact and slack_res != 0:
+    if exact and slack_res != 0:
         passed = False
     return EstimateReport(inv.lhs, rhs1, rhs2, rhsc, gap1, gap2, gapc,
                           equno_res, slack_res, passed)
@@ -574,17 +582,24 @@ def _tensor_combo(n, eps, config: CampaignConfig):
     min_gaps = {"gap1": np.inf, "gap2": np.inf, "gapConvex": np.inf}
     dumps = []
     recheck_ok = 0
+    method, width_max = None, None
     for idx in range(config.count):
         rng_seed = [int(config.seed), n, idx]
         Rm = random_curvature(n, rng_seed, FLOAT)
         shifted = shift_to_pinching(Rm, float(eps), config.margin, config.search)
-        min_sec, _ = min_sectional(shifted, config.search)
-        R = float(scalar(shifted))
+        inv = invariants(shifted)
+        lower, upper, _ = min_sectional_bracket(shifted, config.search)
+        if lower is None:
+            method, min_sec = "search", upper
+        else:
+            method, min_sec = "dual", lower
+            width_max = max(upper - lower, width_max or 0.0)
+        R = float(inv.R)
         if min_sec >= float(eps) * R - GAP_RTOL * max(1.0, abs(R)):
             recheck_ok += 1
-        rep = None
+        equno_res = _tensor_equno_residual(shifted, float(eps))
         for params in params_by_s:
-            rep = check_estimates(shifted, params, config.search, certified=True)
+            rep = _estimate_report(n, params, inv, equno_res)
             min_gaps["gap1"] = min(min_gaps["gap1"], float(rep.gap1))
             min_gaps["gap2"] = min(min_gaps["gap2"], float(rep.gap2))
             min_gaps["gapConvex"] = min(min_gaps["gapConvex"], float(rep.gapConvex))
@@ -599,6 +614,8 @@ def _tensor_combo(n, eps, config: CampaignConfig):
         "minGap2": None if config.count == 0 else min_gaps["gap2"],
         "minGapConvex": None if config.count == 0 else min_gaps["gapConvex"],
         "minSecRecheckPassed": recheck_ok,
+        "minSecMethod": method,
+        "minSecBracketWidthMax": width_max,
         "violations": [d["index"] for d in dumps],
         "violationDumps": dumps,
     }

@@ -123,3 +123,31 @@ def test_repeat_runs_share_digest(capsys):
     _, out1 = run(capsys, argv)
     _, out2 = run(capsys, argv)
     assert json.loads(out1)["digest"] == json.loads(out2)["digest"]
+
+
+def test_config_scalar_for_repeatable_flags(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": "1/24"}))
+    code, out = run(capsys, ["optimize-q2", "--config", str(cfg)])
+    assert code == EXIT_OK
+    assert [r["eps"] for r in json.loads(out)["results"]] == ["1/24"]
+    cfg.write_text(json.dumps({"n": 4, "eps": "1/48", "s": 1, "count": 50}))
+    code, out = run(capsys, ["verify-estimates", "--config", str(cfg)])
+    assert code == EXIT_OK
+    config = json.loads(out)["config"]
+    assert (config["dims"], config["epsList"], config["sList"]) == ([4], ["1/48"], ["1"])
+
+
+@pytest.mark.parametrize("command, data", [
+    ("verify-estimates", {"n": {"four": 4}}),
+    ("verify-estimates", {"n": 4.5}),
+    ("verify-estimates", {"s": [[1]]}),
+    ("optimize-q2", {"eps": {"p": 1, "q": 24}}),
+    ("model", {"eps": [1]}),
+])
+def test_config_value_of_wrong_type_is_usage_error(capsys, tmp_path, command, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    argv = [command, "sphere"] if command == "model" else [command]
+    code, _ = run(capsys, [*argv, "--config", str(cfg)])
+    assert code == EXIT_USAGE

@@ -75,6 +75,10 @@ def test_threshold_ratios_closed_form():
 def test_threshold_search_agrees_with_closed_form():
     rep = pinching_threshold(fubini_study_cp2(), use_search=True)
     assert float(rep.ratio) == pytest.approx(1.0 / 24.0, abs=1e-7)
+    # n = 4 is solved exactly by the dual, so the models match to roundoff
+    for m in (fubini_study_cp2(), product_spheres(1, 1), round_cylinder_s3xr()):
+        rep = pinching_threshold(m, use_search=True)
+        assert abs(float(rep.ratio) - float(pinching_threshold(m).ratio)) <= 1e-12
 
 
 def test_oracle_upper_bounds_closed_form():

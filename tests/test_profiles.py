@@ -192,3 +192,54 @@ def test_mc_campaign_tensor_kind():
     assert entry["minSecRecheckPassed"] == 3
     assert not report["violations"]
     assert entry["minGap1"] >= -1e-9
+    assert entry["minSecMethod"] == "dual"
+    assert 0 <= entry["minSecBracketWidthMax"] <= 1e-12
+
+
+def test_mc_campaign_tensor_kind_searches_n5():
+    config = CampaignConfig(kind="tensor", dims=(5,), eps_list=(Fraction(0),),
+                            s_list=(0, 1), count=1, seed=5, mode=FLOAT,
+                            search=FAST)
+    entry = mc_campaign(config)["checks"][0]
+    assert entry["minSecRecheckPassed"] == 1
+    assert entry["minSecMethod"] == "search"
+    assert entry["minSecBracketWidthMax"] is None
+
+
+def test_tensor_combo_matches_check_estimates():
+    from pinchlab.curvature import random_curvature
+    from pinchlab.minsec import shift_to_pinching
+    eps, s_list = Fraction(1, 24), (0, Fraction(1, 2), 1)
+    config = CampaignConfig(kind="tensor", dims=(4,), eps_list=(eps,),
+                            s_list=s_list, count=3, seed=9, mode=FLOAT)
+    entry = mc_campaign(config)["checks"][0]
+    reports = []
+    for idx in range(3):
+        Rm = random_curvature(4, [9, 4, idx], FLOAT)
+        shifted = shift_to_pinching(Rm, float(eps), config.margin)
+        reports += [check_estimates(shifted, PinchingParams(float(eps), float(s)),
+                                    certified=True) for s in s_list]
+    assert entry["minGap1"] == min(float(r.gap1) for r in reports)
+    assert entry["minGap2"] == min(float(r.gap2) for r in reports)
+    assert entry["minGapConvex"] == min(float(r.gapConvex) for r in reports)
+
+
+def test_tensor_certification_uses_the_dual_lower_bound(monkeypatch):
+    from pinchlab import minsec
+    from pinchlab.curvature import random_curvature
+    from pinchlab.minsec import shift_to_pinching
+    exact = minsec.dual_min_sectional
+
+    def loose(Rm):   # a bracket whose lower end is far below the true minimum
+        lower, upper, plane = exact(Rm)
+        return lower - 1.0, upper, plane
+
+    monkeypatch.setattr(minsec, "dual_min_sectional", loose)
+    Rm = shift_to_pinching(random_curvature(4, 0, FLOAT), 0.0, margin=0.1)
+    with pytest.raises(UncertifiedSourceError):
+        check_estimates(Rm, PinchingParams(0.0, 1.0))
+    config = CampaignConfig(kind="tensor", dims=(4,), eps_list=(Fraction(0),),
+                            s_list=(1,), count=2, seed=5, mode=FLOAT)
+    entry = mc_campaign(config)["checks"][0]
+    assert entry["minSecRecheckPassed"] == 0
+    assert entry["minSecBracketWidthMax"] >= 1.0
