@@ -65,6 +65,7 @@ from .profiles import (  # noqa: F401
     check_estimates,
     eigen_gap_lemma,
     equno_identity,
+    estimate_coefficients,
     lhs_contraction,
     mc_campaign,
     profile_to_tensor,

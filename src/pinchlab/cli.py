@@ -24,7 +24,7 @@ from .ftensor import (
     optimize_q2,
     q2_claimed_value,
 )
-from .minsec import DegenerateEpsError
+from .minsec import DegenerateEpsError, require_subcritical
 from .models import (
     default_models,
     literature_table,
@@ -159,11 +159,7 @@ def cmd_verify_estimates(args):
                    [Fraction(0), Fraction(1, 2), Fraction(1)])
     for n in dims:
         for eps in eps_list:
-            if float(eps) * n * (n - 1) >= 1:
-                raise DegenerateEpsError(
-                    f"eps = {eps} at or beyond the degenerate bound 1/{n*(n-1)} "
-                    f"for n = {n}: the modified scalar curvature "
-                    "(1 - n(n-1)*eps)*R vanishes there")
+            require_subcritical(n, eps)
     config = CampaignConfig(
         kind=args.kind, dims=dims, eps_list=eps_list, s_list=s_list,
         count=args.count, seed=args.seed, mode=args.arithmetic,

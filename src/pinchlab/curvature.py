@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import combinations
 
@@ -121,6 +122,7 @@ class SymTensor2:
         return np.einsum("ij,ij", self.comp, self.comp)
 
 
+@cache   # immutable (frozen, read-only comp), so one instance serves every caller
 def identity_metric(n, mode):
     return SymTensor2.identity(n, mode)
 

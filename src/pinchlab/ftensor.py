@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curvature import FLOAT, RATIONAL, check_mode, zeros
+from .curvature import FLOAT, RATIONAL, check_mode, identity_metric
 from .scalars import exact_div, scalar_to_json
 
 
@@ -108,10 +108,7 @@ def sample_gradient_model(n, seed, mode=FLOAT) -> GradientModel:
         half, inv_n = 0.5, 1.0 / n
     S = (S + S.transpose(1, 0, 2)) * half
     tr = np.einsum("iik->k", S)
-    eye = zeros((n, n), mode)
-    one = Fraction(1) if mode == RATIONAL else 1.0
-    for i in range(n):
-        eye[i, i] = one
+    eye = identity_metric(n, mode).comp
     S = S - inv_n * np.einsum("ij,k->ijk", eye, tr)
     c = bianchi_constant(n) if mode == RATIONAL else float(bianchi_constant(n))
     u = c * w - np.einsum("iji->j", S)
@@ -131,11 +128,7 @@ def sample_gradient_model(n, seed, mode=FLOAT) -> GradientModel:
 
 def f_tensor(m: GradientModel, c: FCoefficients):
     """F_ijk = S_ijk + a1 S_ikj + a2 S_jki + b1 w_k d_ij + b2 w_j d_ik + b3 w_i d_jk."""
-    n = m.n
-    eye = zeros((n, n), m.mode)
-    one = Fraction(1) if m.mode == RATIONAL else 1.0
-    for i in range(n):
-        eye[i, i] = one
+    eye = identity_metric(m.n, m.mode).comp
     return (m.S + c.a1 * m.S.transpose(0, 2, 1) + c.a2 * m.S.transpose(2, 0, 1)
             + c.b1 * np.einsum("ij,k->ijk", eye, m.w)
             + c.b2 * np.einsum("ik,j->ijk", eye, m.w)

@@ -50,6 +50,15 @@ class DegenerateEpsError(ValueError):
     (1 - n(n-1)*eps) * R degenerates and the shift equation has no solution."""
 
 
+def require_subcritical(n, eps):
+    """Raise DegenerateEpsError unless eps * n(n-1) < 1, the domain of the
+    pinching shift, the profile samplers and the campaigns."""
+    if float(eps) * n * (n - 1) >= 1:
+        raise DegenerateEpsError(
+            f"eps = {eps} >= 1/(n(n-1)) = 1/{n * (n - 1)} for n = {n}: the "
+            "modified scalar curvature (1 - n(n-1)*eps)*R degenerates")
+
+
 @dataclass(frozen=True)
 class SearchOptions:
     grid_points: int | None = None   # default: min(20**(2(n-2)), 160000)
@@ -71,6 +80,15 @@ def pair_operator(Rm: AlgCurvTensor) -> np.ndarray:
     return comp[idx[:, 0][:, None], idx[:, 1][:, None], idx[:, 0][None, :], idx[:, 1][None, :]]
 
 
+def _orthonormal_pairs(z, n):
+    """Gram-Schmidt on the rows (u, v) = (z[:, :n], z[:, n:]): orthonormal
+    (x, y) spanning the same planes."""
+    u, v = z[:, :n], z[:, n:]
+    x = u / np.linalg.norm(u, axis=1, keepdims=True)
+    v = v - (v * x).sum(axis=1, keepdims=True) * x
+    return x, v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
 _GRID_CACHE = {}
 
 
@@ -81,12 +99,7 @@ def _plane_grid(n, count):
     if key not in _GRID_CACHE:
         h = qmc.Halton(d=2 * n, scramble=False)
         h.fast_forward(1)  # skip the origin
-        z = norm.ppf(h.random(count))
-        u, v = z[:, :n], z[:, n:]
-        x = u / np.linalg.norm(u, axis=1, keepdims=True)
-        v = v - (v * x).sum(axis=1, keepdims=True) * x
-        y = v / np.linalg.norm(v, axis=1, keepdims=True)
-        _GRID_CACHE[key] = (x, y)
+        _GRID_CACHE[key] = _orthonormal_pairs(norm.ppf(h.random(count)), n)
     return _GRID_CACHE[key]
 
 
@@ -105,13 +118,8 @@ def grid_sectionals(Rm: AlgCurvTensor, count):
 def sample_sectionals(Rm: AlgCurvTensor, count, seed):
     """Independent dense-sampling oracle: seeded random planes, raw values."""
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, 2 * Rm.n))
-    n = Rm.n
-    u, v = z[:, :n], z[:, n:]
-    x = u / np.linalg.norm(u, axis=1, keepdims=True)
-    v = v - (v * x).sum(axis=1, keepdims=True) * x
-    y = v / np.linalg.norm(v, axis=1, keepdims=True)
-    w = _bivector(x, y, pair_index(n))
+    x, y = _orthonormal_pairs(rng.standard_normal((count, 2 * Rm.n)), Rm.n)
+    w = _bivector(x, y, pair_index(Rm.n))
     rhat = pair_operator(Rm)
     return np.einsum("pa,ab,pb->p", w, rhat, w)
 
@@ -179,12 +187,9 @@ def search_min_sectional(Rm: AlgCurvTensor, opts: SearchOptions = SearchOptions(
         raise MinSectionalError(
             f"no refinement start converged ({opts.refine_starts} starts, "
             f"max_iters={opts.max_iters}); grid min {values.min()} over {count} planes")
-    u, v = best_z[: Rm.n], best_z[Rm.n:]
-    x = u / np.linalg.norm(u)
-    v = v - (v @ x) * x
-    y = v / np.linalg.norm(v)
-    plane = Plane(x, y)
-    w = _bivector(x[None, :], y[None, :], pair_index(Rm.n))[0]
+    x, y = _orthonormal_pairs(best_z[None, :], Rm.n)
+    plane = Plane(x[0], y[0])
+    w = _bivector(x, y, pair_index(Rm.n))[0]
     rhat = pair_operator(Rm)
     return float(w @ rhat @ w), plane
 
@@ -301,10 +306,7 @@ def shift_to_pinching(Rm: AlgCurvTensor, eps, margin=0,
     move with c:  sigma -> sigma + c  and  R -> R + n(n-1) c.
     """
     n = Rm.n
-    if float(eps) * n * (n - 1) >= 1:
-        raise DegenerateEpsError(
-            f"eps = {eps} >= 1/(n(n-1)) = 1/{n * (n - 1)}: the modified scalar "
-            "curvature (1 - n(n-1)*eps)*R degenerates; shift equation unsolvable")
+    require_subcritical(n, eps)
     min_sec, _ = min_sectional(Rm, opts)
     R = float(scalar(Rm))
     c = (float(eps) * R - min_sec) / (1 - float(eps) * n * (n - 1)) + float(margin)

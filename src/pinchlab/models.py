@@ -18,6 +18,7 @@ from .curvature import (
     AlgCurvTensor,
     RATIONAL,
     SymTensor2,
+    _symmetry_orbit,
     constant_curvature,
     identity_metric,
     invariants,
@@ -51,10 +52,8 @@ class ModelGeometry:
 
 
 def _symmetrize_into(comp, i, j, k, l, v):
-    for (a, b, c, d), s in {(i, j, k, l): 1, (j, i, k, l): -1,
-                            (i, j, l, k): -1, (j, i, l, k): 1}.items():
+    for a, b, c, d, s in _symmetry_orbit(i, j, k, l):
         comp[a, b, c, d] = s * v
-        comp[c, d, a, b] = s * v
 
 
 def sphere(n=4, kappa=Fraction(1)):

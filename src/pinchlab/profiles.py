@@ -34,6 +34,7 @@ from .minsec import (
     SearchOptions,
     min_sectional,  # noqa: F401  bench/test_bench.py checks that the tracer rebinds it here
     min_sectional_bracket,
+    require_subcritical,
     shift_to_pinching,
 )
 from .scalars import exact_div, is_rational, scalar_to_json
@@ -43,13 +44,6 @@ GAP_RTOL = 1e-10   # float-mode inequality slack, relative to max(1,|lhs|,|rhs|)
 
 class UncertifiedSourceError(ValueError):
     """Source does not (verifiably) satisfy Sec >= eps*R."""
-
-
-def _require_subcritical(n, eps):
-    if float(eps) * n * (n - 1) >= 1:
-        raise DegenerateEpsError(
-            f"eps = {eps} >= 1/(n(n-1)) = 1/{n * (n - 1)}: modified scalar "
-            "curvature (1 - n(n-1)*eps)*R degenerates; sampler scale unsolvable")
 
 
 @dataclass(frozen=True)
@@ -95,13 +89,7 @@ class SigmaProfile:
 
     def sigma_bar(self, eps):
         """sigma_ij - eps * R off the diagonal (the shifted plane curvatures)."""
-        shift = eps * self.R
-        out = self.sigma.copy()
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j:
-                    out[i, j] = out[i, j] - shift
-        return out
+        return np.where(np.eye(self.n, dtype=bool), self.sigma, self.sigma - eps * self.R)
 
     def min_sigma(self):
         return min(self.sigma[i, j] for i in range(self.n)
@@ -124,7 +112,7 @@ def profile_from_sigma_bar(n, sb_pairs, eps, mode):
     sigma = sb + eps R on each pair and lambda_k = sum_{i != k} sigma_ik - R/n.
     The pinching condition sigma >= eps R holds by construction.
     """
-    _require_subcritical(n, eps)
+    require_subcritical(n, eps)
     pairs = list(combinations(range(n), 2))
     total = sum(sb_pairs)
     R = exact_div(2 * total, 1) / (1 - n * (n - 1) * eps) if is_rational(total) \
@@ -148,7 +136,7 @@ def sample_sigma_profile(n, eps, seed, mode=FLOAT, distribution="half-normal"):
     1/2 to reach the equality cases of the cross-term identity; "uniform"
     draws from [0, 1) (floats) as an alternative shape.
     """
-    _require_subcritical(n, eps)
+    require_subcritical(n, eps)
     rng = np.random.default_rng(seed)
     m = n * (n - 1) // 2
     if mode == RATIONAL:
@@ -194,29 +182,50 @@ def lhs_contraction(source):
                for i in range(p.n) for j in range(p.n) if i != j)
 
 
+def estimate_coefficients(n, eps):
+    """((quadratic1, cubic1), (quadratic2, cubic2)): estimate k has the right
+    side quadratic_k R |oRic|^2 + cubic_k tr(oRic^3).  Mode-agnostic: a
+    Fraction eps gives Fractions, a float eps floats."""
+    one = eps ** 0   # 1 in the arithmetic of eps
+    return ((exact_div(1 - n * n * eps, n), one),
+            (exact_div(n * n - 4 * n + 2 - n * n * (n - 2) * (n - 3) * eps, 2 * n),
+             -(n - 1) * one))
+
+
+def _evaluate(coefficients, R, ric_norm_sq, ric_cubic):
+    quadratic, cubic = coefficients
+    return quadratic * R * ric_norm_sq + cubic * ric_cubic
+
+
+def _blend(s, first, second):
+    """s * first + (1 - s) * second: s = 1 gives estimate 1, s = 0 estimate 2."""
+    return s * first + (1 - s) * second
+
+
 def rhs_estimate1(n, params: PinchingParams, inv):
-    """((1 - n^2 eps)/n) R |oRic|^2 + tr(oRic^3)."""
-    return exact_div(1 - n * n * params.eps, n) * inv.R * inv.ricNormSq + inv.ricCubic
+    """Right side of estimate 1 (see estimate_coefficients)."""
+    return _evaluate(estimate_coefficients(n, params.eps)[0],
+                     inv.R, inv.ricNormSq, inv.ricCubic)
 
 
 def rhs_estimate2(n, params: PinchingParams, inv):
-    """((n^2-4n+2 - n^2(n-2)(n-3) eps)/(2n)) R |oRic|^2 - (n-1) tr(oRic^3)."""
-    coef = exact_div(n * n - 4 * n + 2 - n * n * (n - 2) * (n - 3) * params.eps,
-                     2 * n)
-    return coef * inv.R * inv.ricNormSq - (n - 1) * inv.ricCubic
+    """Right side of estimate 2 (see estimate_coefficients)."""
+    return _evaluate(estimate_coefficients(n, params.eps)[1],
+                     inv.R, inv.ricNormSq, inv.ricCubic)
 
 
 def rhs_convex(n, params: PinchingParams, inv):
-    """Convex combination: s=1 gives estimate 1, s=0 gives estimate 2.
+    """The convex combination s * rhs1 + (1 - s) * rhs2."""
+    return _blend(params.s, rhs_estimate1(n, params, inv), rhs_estimate2(n, params, inv))
 
-    Quadratic coefficient
-        (n^2-4n+2 - n^2(n-2)(n-3) eps)/(2n) - ((n-4)/2)(1 - n(n-1) eps) s,
-    cubic coefficient -(n-1-ns).
-    """
-    eps, s = params.eps, params.s
-    coef = (exact_div(n * n - 4 * n + 2 - n * n * (n - 2) * (n - 3) * eps, 2 * n)
-            - exact_div((n - 4) * (1 - n * (n - 1) * eps), 2) * s)
-    return coef * inv.R * inv.ricNormSq - (n - 1 - n * s) * inv.ricCubic
+
+def _cross_terms(lam, sb):
+    """(sum_{ij} l_i l_j sb_ij - sum_k mub_k l_k^2, sum_{i<j} (l_i - l_j)^2 sb_ij)
+    with mub_k = sum_{i != k} sb_ik, for a zero-diagonal sb; the cross-term
+    identity says the first is minus the second."""
+    i, j = np.triu_indices(len(lam), 1)
+    cross = (np.outer(lam, lam) * sb).sum() - (sb.sum(axis=0) * lam ** 2).sum()
+    return cross, ((lam[i] - lam[j]) ** 2 * sb[i, j]).sum()
 
 
 def equno_identity(p: SigmaProfile, eps):
@@ -227,20 +236,13 @@ def equno_identity(p: SigmaProfile, eps):
 
     with sb = sigma - eps R and mub_k = sum_{i != k} sb_ik.
     """
-    sb = p.sigma_bar(eps)
-    lhs_side = sum(p.lam[i] * p.lam[j] * sb[i, j]
-                   for i in range(p.n) for j in range(p.n))
-    lhs_side -= sum(sb[:, k].sum() * p.lam[k] ** 2 for k in range(p.n))
-    rhs_side = -sum((p.lam[i] - p.lam[j]) ** 2 * sb[i, j]
-                    for i, j in combinations(range(p.n), 2))
-    return lhs_side, rhs_side
+    cross, slack = _cross_terms(p.lam, p.sigma_bar(eps))
+    return cross, -slack
 
 
 def slack_term(p: SigmaProfile, eps):
     """sum_{i<j} (l_i - l_j)^2 (sigma_ij - eps R): the exact estimate-1 slack."""
-    sb = p.sigma_bar(eps)
-    return sum((p.lam[i] - p.lam[j]) ** 2 * sb[i, j]
-               for i, j in combinations(range(p.n), 2))
+    return _cross_terms(p.lam, p.sigma_bar(eps))[1]
 
 
 def eigen_gap_lemma(lam, i, j):
@@ -340,8 +342,9 @@ def _estimate_report(n, params, inv, equno_res, profile=None):
     exact = profile is not None and profile.mode == RATIONAL
     rhs1 = rhs_estimate1(n, params, inv)
     rhs2 = rhs_estimate2(n, params, inv)
-    rhsc = rhs_convex(n, params, inv)
-    gap1, gap2, gapc = rhs1 - inv.lhs, rhs2 - inv.lhs, rhsc - inv.lhs
+    rhsc = _blend(params.s, rhs1, rhs2)
+    gap1, gap2 = rhs1 - inv.lhs, rhs2 - inv.lhs
+    gapc = _blend(params.s, gap1, gap2)
     slack_res = None if profile is None else gap1 - slack_term(profile, params.eps)
     scale = max(1.0, abs(float(inv.lhs)), abs(float(rhs1)), abs(float(rhs2)))
     tol = 0 if exact else GAP_RTOL * scale
@@ -362,10 +365,8 @@ def _tensor_equno_residual(Rm: AlgCurvTensor, eps):
     rot = np.einsum("ia,jb,kc,ld,ijkl->abcd", vecs, vecs, vecs, vecs, comp)
     sb = np.array([[rot[i, j, i, j] - float(eps) * R if i != j else 0.0
                     for j in range(n)] for i in range(n)])
-    lhs_side = (np.outer(lam, lam) * sb).sum() - (sb.sum(axis=0) * lam ** 2).sum()
-    rhs_side = -sum((lam[i] - lam[j]) ** 2 * sb[i, j]
-                    for i, j in combinations(range(n), 2))
-    return lhs_side - rhs_side
+    cross, slack = _cross_terms(lam, sb)
+    return cross + slack
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +374,11 @@ def _tensor_equno_residual(Rm: AlgCurvTensor, eps):
 # ---------------------------------------------------------------------------
 
 def _incidence(n):
-    pairs = list(combinations(range(n), 2))
-    inc = np.zeros((len(pairs), n))
-    for a, (i, j) in enumerate(pairs):
-        inc[a, i] = inc[a, j] = 1.0
-    return pairs, inc
+    """(i, j, inc): the pairs i < j and their pairs x n incidence matrix."""
+    i, j = np.triu_indices(n, 1)
+    inc = np.zeros((len(i), n))
+    inc[np.arange(len(i)), i] = inc[np.arange(len(i)), j] = 1.0
+    return i, j, inc
 
 
 def _combo_rng(seed, n, eps):
@@ -393,11 +394,11 @@ def profile_batch_float(n, eps, s_list, count, seed, distribution="half-normal",
     coeff_delta perturbs the estimate-1 quadratic coefficient; nonzero values
     exist only as a corrupted fixture for the exit-code contract tests.
     """
-    _require_subcritical(n, eps)
+    require_subcritical(n, eps)
     eps = float(eps)
     rng = _combo_rng(seed, n, eps)
-    pairs, inc = _incidence(n)
-    m = len(pairs)
+    i_idx, j_idx, inc = _incidence(n)
+    m = len(i_idx)
     if distribution == "uniform":
         sb = rng.uniform(0.0, 1.0, size=(count, m))
     else:
@@ -407,15 +408,13 @@ def profile_batch_float(n, eps, s_list, count, seed, distribution="half-normal",
     R = 2.0 * sb.sum(axis=1) / (1 - n * (n - 1) * eps)
     sig = sb + eps * R[:, None]
     lam = sig @ inc - R[:, None] / n
-    i_idx = np.array([i for i, _ in pairs])
-    j_idx = np.array([j for _, j in pairs])
     lprod = lam[:, i_idx] * lam[:, j_idx]
     lhs = 2.0 * (lprod * sig).sum(axis=1)
     P2 = (lam ** 2).sum(axis=1)
     P3 = (lam ** 3).sum(axis=1)
-    rhs1 = ((1 - n * n * eps) / n + coeff_delta) * R * P2 + P3
-    rhs2 = (n * n - 4 * n + 2 - n * n * (n - 2) * (n - 3) * eps) / (2 * n) * R * P2 \
-        - (n - 1) * P3
+    (quadratic1, cubic1), estimate2 = estimate_coefficients(n, eps)
+    rhs1 = _evaluate((quadratic1 + coeff_delta, cubic1), R, P2, P3)
+    rhs2 = _evaluate(estimate2, R, P2, P3)
     slack = ((lam[:, i_idx] - lam[:, j_idx]) ** 2 * sb).sum(axis=1)
     gap1, gap2 = rhs1 - lhs, rhs2 - lhs
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.maximum(np.abs(rhs1), np.abs(rhs2))))
@@ -431,9 +430,7 @@ def profile_batch_float(n, eps, s_list, count, seed, distribution="half-normal",
     }
     for s in s_list:
         s = float(s)
-        coef = ((n * n - 4 * n + 2 - n * n * (n - 2) * (n - 3) * eps) / (2 * n)
-                - (n - 4) / 2 * (1 - n * (n - 1) * eps) * s)
-        gapc = coef * R * P2 - (n - 1 - n * s) * P3 - lhs
+        gapc = _blend(s, gap1, gap2)
         bad |= gapc < -tol
         result["minGapConvex"][repr(s)] = float(gapc.min()) if count else None
     for idx in np.nonzero(bad)[0][:10]:
@@ -457,31 +454,36 @@ def profile_batch_exact(n, eps, count, seed):
 
     With eps = p/q and integer shifted curvatures sb, every profile quantity
     is an integer over a fixed positive denominator, so inequality signs and
-    the identity residual are exact.  Overflow is excluded by the small draw
-    range and a float-shadowed magnitude guard.
+    the identity residual are exact unless int64 wraps.  Draws are at most
+    _EXACT_SB_MAX; OverflowError is raised when a gap or slack numerator
+    reaches _INT64_GUARD in magnitude, a check made on the int64 results
+    after the fact, which cannot see a product that already wrapped.
     """
-    _require_subcritical(n, eps)
+    require_subcritical(n, eps)
     f = Fraction(eps) if not isinstance(eps, Fraction) else eps
     p, q = f.numerator, f.denominator
     d = q - n * (n - 1) * p            # positive by the subcritical check
     rng = _combo_rng(seed, n, f)
-    pairs, inc = _incidence(n)
-    m = len(pairs)
+    i_idx, j_idx, inc = _incidence(n)
+    m = len(i_idx)
     sb = rng.integers(0, _EXACT_SB_MAX + 1, size=(count, m)).astype(np.int64)
     S = sb.sum(axis=1)
     R_num = 2 * S * q                  # R = R_num / d
     sig = sb * d + 2 * S[:, None] * p  # sigma = sig / d
     lam = n * (sig @ inc.astype(np.int64)) - R_num[:, None]   # lambda = lam/(n d)
-    i_idx = np.array([i for i, _ in pairs])
-    j_idx = np.array([j for _, j in pairs])
     L3 = 2 * (lam[:, i_idx] * lam[:, j_idx] * sig).sum(axis=1)
     P2 = (lam ** 2).sum(axis=1)
     P3 = (lam ** 3).sum(axis=1)
-    # common denominator n^3 q d^3 > 0 for gap1; 2 n^3 q d^3 for gap2
-    gap1 = (q - n * n * p) * R_num * P2 + q * P3 - n * q * L3
+    # gap_k scaled by k n q: integer coefficients, common denominator
+    # n^3 q d^3 > 0 for gap1 and 2 n^3 q d^3 for gap2
+    gaps = []
+    for k, (quadratic, cubic) in enumerate(estimate_coefficients(n, f), 1):
+        scale = k * n * q
+        scaled = (scale * quadratic, scale * cubic / n)
+        assert all(c.denominator == 1 for c in scaled), scaled
+        gaps.append(_evaluate([c.numerator for c in scaled], R_num, P2, P3) - scale * L3)
+    gap1, gap2 = gaps
     slack = n * q * d * ((lam[:, i_idx] - lam[:, j_idx]) ** 2 * sb).sum(axis=1)
-    c2 = q * (n * n - 4 * n + 2) - n * n * (n - 2) * (n - 3) * p
-    gap2 = c2 * R_num * P2 - 2 * q * (n - 1) * P3 - 2 * n * q * L3
     worst = max((np.abs(a).max(initial=0) for a in (gap1, slack, gap2)), default=0)
     if worst >= _INT64_GUARD:
         raise OverflowError("exact kernel magnitude guard tripped")
@@ -547,7 +549,9 @@ def mc_campaign(config: CampaignConfig):
     violations = []
     for n in config.dims:
         for eps in config.eps_list:
-            if float(eps) * n * (n - 1) >= 1:
+            try:
+                require_subcritical(n, eps)
+            except DegenerateEpsError:
                 continue    # combo outside the sampler domain, skipped by contract
             if config.kind == "profile":
                 entry = {"n": n, "eps": scalar_to_json(Fraction(eps)), "kind": "profile"}

@@ -25,6 +25,9 @@ from pinchlab.profiles import (
     rhs_estimate2,
     sample_sigma_profile,
     slack_term,
+    _EXACT_SB_MAX,
+    _combo_rng,
+    _estimate_report,
 )
 from pinchlab.curvature import CurvatureInvariants
 
@@ -158,6 +161,48 @@ def test_batch_float_clean_and_corrupted():
     corrupt = profile_batch_float(4, Fraction(1, 24), [1.0], 2000, 42,
                                   coeff_delta=-1.0)
     assert corrupt["violations"]
+
+
+CRITERION_COMBOS = [(n, eps) for n in (3, 4, 5, 6)
+                    for eps in (Fraction(-1, 10), Fraction(0), Fraction(1, 48),
+                                Fraction(1, 24))
+                    if eps * n * (n - 1) < 1]
+
+
+def test_float_convex_endpoints_are_the_estimates_bit_for_bit():
+    assert len(CRITERION_COMBOS) == 15
+    for n, eps in CRITERION_COMBOS:
+        out = profile_batch_float(n, eps, [0.0, 0.5, 1.0], 20_000, 1)
+        assert out["minGapConvex"]["1.0"] == out["minGap1"], (n, eps)
+        assert out["minGapConvex"]["0.0"] == out["minGap2"], (n, eps)
+    rng = np.random.default_rng(3)
+    for n in (3, 4, 5, 6):
+        for _ in range(50):
+            inv = CurvatureInvariants(*rng.standard_normal(4))
+            eps = float(rng.uniform(-0.1, 0.03))
+            one = _estimate_report(n, PinchingParams(eps, 1.0), inv, 0.0)
+            zero = _estimate_report(n, PinchingParams(eps, 0.0), inv, 0.0)
+            assert one.gapConvex == one.gap1 and one.rhsConvex == one.rhs1
+            assert zero.gapConvex == zero.gap2 and zero.rhsConvex == zero.rhs2
+
+
+def test_batch_exact_numerators_match_rational_profiles():
+    """The int64 lane's minimum gaps, rebuilt from the same draws as exact
+    profiles: minGap1Num = min(gap1) n^3 q d^3, minGap2Num = min(gap2)
+    2 n^3 q d^3 with d = q - n(n-1)p."""
+    count, seed = 40, 11
+    for n, eps in ((3, Fraction(-1, 10)), (4, Fraction(1, 24)),
+                   (5, Fraction(1, 48)), (6, Fraction(0))):
+        p, q = eps.numerator, eps.denominator
+        d = q - n * (n - 1) * p
+        m = n * (n - 1) // 2
+        draws = _combo_rng(seed, n, eps).integers(0, _EXACT_SB_MAX + 1, size=(count, m))
+        reports = [check_estimates(
+            profile_from_sigma_bar(n, [Fraction(int(v)) for v in row], eps, RATIONAL),
+            PinchingParams(eps, 1)) for row in draws]
+        out = profile_batch_exact(n, eps, count, seed)
+        assert out["minGap1Num"] == min(r.gap1 for r in reports) * n ** 3 * q * d ** 3
+        assert out["minGap2Num"] == min(r.gap2 for r in reports) * 2 * n ** 3 * q * d ** 3
 
 
 def test_batch_exact_identity_and_signs():
