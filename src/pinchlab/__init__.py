@@ -41,11 +41,13 @@ from .minsec import (  # noqa: F401
     DegenerateEpsError,
     MinSectionalError,
     SearchOptions,
+    dual_bracket,
     dual_min_sectional,
     min_sectional,
     min_sectional_bracket,
     sample_sectionals,
     shift_to_pinching,
+    solve_dual,
 )
 from .models import (  # noqa: F401
     ModelGeometry,

@@ -1,30 +1,33 @@
 """Minimal sectional curvature over the Grassmannian of 2-planes.
 
-Dimension four is solved exactly by Thorpe duality.  Sectional curvature is
-the quadratic form Rhat (pair_operator) on unit bivectors, and a bivector is
-a plane exactly when it satisfies the single Plucker quadric <w, *w> = 0, so
-Finsler's lemma gives
+Sectional curvature is the quadratic form Rhat (pair_operator) on unit
+bivectors, and a bivector w is a plane exactly when w ^ w = 0.  Every 4-form
+omega acts on bivectors as a symmetric matrix with <w, omega w> a multiple of
+<w ^ w, omega>, which vanishes on planes, so
 
-    min Sec = max_t lambda_min(Rhat + t *),
+    lambda_min(Rhat + omega) <= min Sec    for every omega in Lambda^4,
 
-a concave problem in one variable on a 6x6 matrix (J. A. Thorpe, J.
-Differential Geom. 5, 1971; R. G. Bettiol and R. A. E. Mendes,
-arXiv:1708.09033).  Every t gives a lower bound, and a plane in the bottom
-eigenspace at the optimum gives the matching upper bound: dual_min_sectional
-returns both.
+a weak-duality bound whose best omega is the "strongly nonnegative" bound
+(J. A. Thorpe, J. Differential Geom. 5, 1971; R. G. Bettiol and
+R. A. E. Mendes, arXiv:1708.09033).  In dimension four Lambda^4 is spanned
+by the Hodge star and the bound is exact (Finsler's lemma): a bisection in
+one variable solves it.  For 5 <= n <= 8 a log-barrier Newton path maximizes
+it over C(n, 4) multipliers; there it is not always exact (Zoltek's
+examples), so the bracket it closes may stay open.  For n <= 3 there are no
+4-forms and every bivector is a plane, so min Sec = lambda_min(Rhat).
 
-Other dimensions are searched: a deterministic low-discrepancy sweep of
-orthonormal pairs scored through the bivector form of the tensor, followed
-by local descent (L-BFGS with the analytic gradient of the GL(2)-invariant
-Rayleigh-type quotient R(u,v,u,v) / (|u|^2 |v|^2 - <u,v>^2)) from the best
-cells.  The search gives only an upper bound; the tests also run it at n = 4
-as an independent oracle for the dual.
+dual_min_sectional returns the bracket (lower, upper, plane): lower from the
+multiplier, upper the curvature of a plane taken from the bottom eigenvectors
+at that multiplier.  The grid + L-BFGS search (search_min_sectional) is kept
+as the tests' independent oracle; nothing on the runtime path calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import minimize
@@ -61,6 +64,13 @@ def require_subcritical(n, eps):
 
 @dataclass(frozen=True)
 class SearchOptions:
+    """Options of search_min_sectional, the grid + L-BFGS oracle.
+
+    min_sectional, shift_to_pinching, check_estimates and the campaigns
+    solve the dual instead; they accept these options for compatibility and
+    do not use them.
+    """
+
     grid_points: int | None = None   # default: min(20**(2(n-2)), 160000)
     refine_starts: int = 32
     max_iters: int = 400
@@ -107,21 +117,24 @@ def _bivector(x, y, pairs):
     return np.stack([x[:, i] * y[:, j] - x[:, j] * y[:, i] for i, j in pairs], axis=1)
 
 
+def plane_sectionals(Rm: AlgCurvTensor, x, y):
+    """Sectional curvatures w^T Rhat w of the planes spanned by the
+    orthonormal rows of x and y, w = x ^ y in the pair basis."""
+    w = _bivector(x, y, pair_index(Rm.n))
+    return np.einsum("pa,ab,pb->p", w, pair_operator(Rm), w)
+
+
 def grid_sectionals(Rm: AlgCurvTensor, count):
     """Sectional curvature on the deterministic grid; (values, x, y)."""
     x, y = _plane_grid(Rm.n, count)
-    w = _bivector(x, y, pair_index(Rm.n))
-    rhat = pair_operator(Rm)
-    return np.einsum("pa,ab,pb->p", w, rhat, w), x, y
+    return plane_sectionals(Rm, x, y), x, y
 
 
 def sample_sectionals(Rm: AlgCurvTensor, count, seed):
     """Independent dense-sampling oracle: seeded random planes, raw values."""
     rng = np.random.default_rng(seed)
     x, y = _orthonormal_pairs(rng.standard_normal((count, 2 * Rm.n)), Rm.n)
-    w = _bivector(x, y, pair_index(Rm.n))
-    rhat = pair_operator(Rm)
-    return np.einsum("pa,ab,pb->p", w, rhat, w)
+    return plane_sectionals(Rm, x, y)
 
 
 def _quotient_and_grad(comp, z):
@@ -139,23 +152,20 @@ def _quotient_and_grad(comp, z):
     return f, grad
 
 
+def _descend(comp, z0, opts: SearchOptions = SearchOptions()):
+    """One L-BFGS descent of the sectional-curvature quotient from
+    z0 = (u, v); returns scipy's result."""
+    return minimize(lambda z: _quotient_and_grad(comp, z), z0, jac=True,
+                    method="L-BFGS-B",
+                    options={"maxiter": opts.max_iters, "gtol": opts.tol * 1e-2,
+                             "ftol": 1e-17})
+
+
 def min_sectional(Rm: AlgCurvTensor, opts: SearchOptions = SearchOptions()):
     """Minimal sectional curvature over all 2-planes; returns (value, Plane),
-    the upper end of min_sectional_bracket."""
-    _, upper, plane = min_sectional_bracket(Rm, opts)
+    the upper end of min_sectional_bracket.  opts is not used."""
+    _, upper, plane = dual_min_sectional(Rm)
     return upper, plane
-
-
-def min_sectional_bracket(Rm: AlgCurvTensor, opts: SearchOptions = SearchOptions()):
-    """(lower, upper, plane) with upper the sectional curvature of plane.
-
-    Exact at n = 4: dual_min_sectional's bracket, and opts is not used.
-    Other dimensions run search_min_sectional with opts; lower is None there,
-    because a search gives only an upper bound.
-    """
-    if Rm.n == 4:
-        return dual_min_sectional(Rm)
-    return (None, *search_min_sectional(Rm, opts))
 
 
 def search_min_sectional(Rm: AlgCurvTensor, opts: SearchOptions = SearchOptions()):
@@ -174,11 +184,7 @@ def search_min_sectional(Rm: AlgCurvTensor, opts: SearchOptions = SearchOptions(
     comp = np.asarray(Rm.comp, dtype=float) if Rm.mode == RATIONAL else Rm.comp
     best_val, best_z, converged = np.inf, None, 0
     for p in order:
-        z0 = np.concatenate([gx[p], gy[p]])
-        res = minimize(lambda z: _quotient_and_grad(comp, z), z0, jac=True,
-                       method="L-BFGS-B",
-                       options={"maxiter": opts.max_iters, "gtol": opts.tol * 1e-2,
-                                "ftol": 1e-17})
+        res = _descend(comp, np.concatenate([gx[p], gy[p]]), opts)
         if res.success or res.fun <= values[p] + opts.tol:
             converged += 1
             if res.fun < best_val:
@@ -194,50 +200,150 @@ def search_min_sectional(Rm: AlgCurvTensor, opts: SearchOptions = SearchOptions(
     return float(w @ rhat @ w), plane
 
 
+# ---------------------------------------------------------------------------
+# The 4-form dual
+# ---------------------------------------------------------------------------
+
+MAX_DUAL_N = 8
+
+
+@cache
+def four_form_basis(n):
+    """Lambda^4 acting on bivectors, one read-only (m, m) matrix per 4-subset
+    i < j < k < l of the pair_index basis: M[pq, rs] = sign of the
+    permutation (p, q, r, s) of (i, j, k, l).  <w, M w> is twice the
+    Pluecker quadric w_ij w_kl - w_ik w_jl + w_il w_jk, which vanishes on
+    planes.  Shape (C(n, 4), m, m); no matrices for n <= 3."""
+    position = {pair: a for a, pair in enumerate(pair_index(n))}
+    quads = list(combinations(range(n), 4))
+    basis = np.zeros((len(quads), len(position), len(position)))
+    for q, (i, j, k, l) in enumerate(quads):
+        for first, second, sign in (((i, j), (k, l), 1), ((i, k), (j, l), -1),
+                                    ((i, l), (j, k), 1)):
+            a, b = position[first], position[second]
+            basis[q, a, b] = basis[q, b, a] = sign
+    basis.setflags(write=False)
+    return basis
+
+
 # Hodge star on bivectors of R^4 in the pair_index basis (01, 02, 03, 12, 13,
 # 23): *e01 = e23, *e02 = -e13, *e03 = e12.  <w, *w> = 2 (w01 w23 - w02 w13
-# + w03 w12) is the Plucker quadric, which vanishes exactly on planes.
+# + w03 w12) is the Plucker quadric, which vanishes exactly on planes; it
+# spans four_form_basis(4).
 HODGE_STAR = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]))
 HODGE_STAR.setflags(write=False)
 
-# Padding that turns the computed lambda_min(A), A = Rhat + t *, into a lower
-# bound on the exact one.  With u the unit roundoff and Weyl's inequality
-# |lambda_min(A + E) - lambda_min(A)| <= ||E||_2 <= ||E||_F, the errors are:
+# Padding that turns the computed lambda_min(A), A = Rhat + sum_j w_j M_j,
+# into a lower bound on the exact one.  With u the unit roundoff and Weyl's
+# inequality |lambda_min(A + E) - lambda_min(A)| <= ||E||_2 <= ||E||_F, the
+# errors are:
 #   - a rational tensor's entries rounded to floats: u ||Rhat||_F;
-#   - forming A (the entries of * are 0 and +-1, so t * is exact and each
-#     entry of A takes one rounded addition): u ||A||_F;
+#   - forming A (each entry of sum_j w_j M_j is 0 or a single +-w_j, so that
+#     sum is exact and each entry of A takes one rounded addition): u ||A||_F;
 #   - the symmetric eigensolver: the computed eigenvalues are exact for
-#     A + E with ||E||_2 <= p(n) u ||A||_2 (LAPACK Users' Guide, 3rd ed.,
-#     section 4.7), where p(n) is a modestly growing function of n;
+#     A + E with ||E||_2 <= p(m) u ||A||_2 (LAPACK Users' Guide, 3rd ed.,
+#     section 4.7), where p(m) is a modestly growing function of the order m;
 #   - the two norms and the final subtraction: about 2 u ||A||_F.
-# Their sum stays below ROUNDING_FACTOR u (||A||_F + ||Rhat||_F) as long as
-# p(6) <= 33.  LAPACK states no value for p(n), so the bound is
-# rounding-padded rather than proven.
-ROUNDING_FACTOR = 36
+# Their sum stays below rounding_factor(m) u (||A||_F + ||Rhat||_F) as long
+# as p(m) <= m + 27 (33 at n = 4, where m = 6).  LAPACK states no value for
+# p(m), so the bound is rounding-padded rather than proven.
+def rounding_factor(m):
+    return m + 30
+
+
+def dual_bracket(Rm: AlgCurvTensor, multiplier, plane: Plane):
+    """(lower, upper) <= min Sec <= curvature of plane, from one 4-form.
+
+    lower is lambda_min(Rhat + sum_j multiplier_j M_j) over four_form_basis
+    less the rounding padding, a weak-duality bound for any multiplier;
+    upper is the sectional curvature of plane.  A shift Rhat + c I moves
+    both ends by c and leaves the best multiplier unchanged.
+    """
+    rhat = pair_operator(Rm)
+    if not np.isfinite(rhat).all():
+        raise ValueError("curvature tensor has non-finite components")
+    A = rhat + np.tensordot(multiplier, four_form_basis(Rm.n), 1)
+    unit = np.finfo(float).eps / 2
+    lower = np.linalg.eigvalsh(A)[0] - rounding_factor(len(A)) * unit * (
+        np.linalg.norm(A) + np.linalg.norm(rhat))
+    upper = plane_sectionals(Rm, plane.x[None, :], plane.y[None, :])[0]
+    return float(lower), float(upper)
+
+
+def dual_min_sectional(Rm: AlgCurvTensor):
+    """The bracket (lower, upper, plane) with lower <= min Sec <= upper and
+    upper the sectional curvature of plane, for every n <= 8: solve_dual's
+    multiplier and plane, bounded by dual_bracket.  Closed to roundoff for
+    n <= 4; for n >= 5 it may stay open where the 4-form relaxation is
+    inexact."""
+    multiplier, plane = solve_dual(Rm)
+    return (*dual_bracket(Rm, multiplier, plane), plane)
+
+
+# the same bracket under its dimension-neutral name
+min_sectional_bracket = dual_min_sectional
+
+
+def solve_dual(Rm: AlgCurvTensor):
+    """(multiplier, plane): a 4-form over four_form_basis(n) that maximizes
+    lambda_min(Rhat + omega), and a plane from the bottom eigenvectors there.
+
+    n = 4 bisects on the Hodge star (exact).  5 <= n <= 8 follows a
+    log-barrier path, then polishes best rank-2 approximations of bottom
+    eigenvectors by L-BFGS on the sectional-curvature quotient
+    (_bottom_plane).  For n <= 3 the multiplier is empty and the bottom
+    eigenvector is already a plane, so nothing is polished.
+    """
+    n = Rm.n
+    if not 2 <= n <= MAX_DUAL_N:
+        raise ValueError(f"the dual solve needs 2 <= n <= {MAX_DUAL_N}, got n = {n}")
+    rhat = pair_operator(Rm)
+    if not np.isfinite(rhat).all():
+        raise ValueError("curvature tensor has non-finite components")
+    if n == 4:
+        t, vecs = _bisect_star(rhat)
+        w = min(_null_bivectors(vecs), key=lambda b: b @ rhat @ b)
+        return np.array([t]), _plane_of(w, 4)
+    basis = four_form_basis(n)
+    multiplier = _barrier_path(rhat, basis)
+    lam, vecs = np.linalg.eigh(rhat + np.tensordot(multiplier, basis, 1))
+    if n <= 3:   # every bivector is a plane
+        return multiplier, _plane_of(vecs[:, 0], n)
+    bottom = lam <= lam[0] + np.sqrt(np.finfo(float).eps) * max(1.0, lam[-1] - lam[0])
+    return multiplier, _bottom_plane(Rm, vecs[:, bottom])
+
+
+def _bottom_plane(Rm: AlgCurvTensor, V):
+    """The least-curvature plane polished from starts in span(V), V an
+    orthonormal basis (columns) of the bottom eigenspace.
+
+    Where the relaxation is inexact the bottom eigenvalue is multiple, V is
+    an arbitrary basis of its eigenspace, and no single basis vector need
+    lie near the best plane: from the basis vectors alone the polish missed
+    the global minimum for 7 and 8 of 60 random bases of two such tensors
+    (n = 7 and 5).  So the starts are each basis vector and each pair's sum
+    and difference.
+    """
+    a, b = np.triu_indices(V.shape[1], 1)
+    starts = np.concatenate([V, V[:, a] + V[:, b], V[:, a] - V[:, b]], axis=1)
+    planes = [_polish(Rm, _plane_of(w, Rm.n)) for w in starts.T]
+    values = [plane_sectionals(Rm, p.x[None, :], p.y[None, :])[0] for p in planes]
+    return planes[int(np.argmin(values))]
+
 
 # 2 * spread / 2**53 = eps * spread: the bisection's final width
 BISECTIONS = 53
 
 
-def dual_min_sectional(Rm: AlgCurvTensor):
-    """Exact minimal sectional curvature in dimension four; returns the
-    bracket (lower, upper, plane) with lower <= min Sec <= upper.
+def _bisect_star(rhat):
+    """Maximize the concave f(t) = lambda_min(Rhat + t *) by bisection on the
+    sign of its supergradient v^T * v (v a bottom eigenvector); returns the
+    best t and the eigenvectors there.
 
-    Bisects the concave f(t) = lambda_min(Rhat + t *) on the sign of its
-    supergradient v^T * v (v a bottom eigenvector).  The maximizer lies in
-    |t| <= spread of Rhat's spectrum, because f(t) <= lambda_max - |t| and
-    f(0) = lambda_min; BISECTIONS halvings leave an interval of width
-    eps * spread, and f is 1-Lipschitz.  Every f(t) is a lower bound on min
-    Sec; lower is the best computed f(t) less the rounding padding of
-    ROUNDING_FACTOR.  plane is a
-    unit decomposable bivector in the bottom eigenspace at that t, and upper
-    is its sectional curvature.
+    The maximizer lies in |t| <= spread of Rhat's spectrum, because
+    f(t) <= lambda_max - |t| and f(0) = lambda_min; BISECTIONS halvings
+    leave an interval of width eps * spread, and f is 1-Lipschitz.
     """
-    if Rm.n != 4:
-        raise ValueError(f"the dual solve needs n = 4, got n = {Rm.n}")
-    rhat = pair_operator(Rm)
-    if not np.isfinite(rhat).all():
-        raise ValueError("curvature tensor has non-finite components")
     spectrum = np.linalg.eigvalsh(rhat)
     hi = spectrum[-1] - spectrum[0]
     lo = -hi
@@ -254,14 +360,7 @@ def dual_min_sectional(Rm: AlgCurvTensor):
             hi = t
         if slope == 0 or lo == hi:
             break
-    t, lam, vecs = best
-    unit = np.finfo(float).eps / 2
-    lower = lam[0] - ROUNDING_FACTOR * unit * (
-        np.linalg.norm(rhat + t * HODGE_STAR) + np.linalg.norm(rhat))
-    w = min(_null_bivectors(vecs), key=lambda b: b @ rhat @ b)
-    plane = _plane_of(w)
-    w = _bivector(plane.x[None, :], plane.y[None, :], pair_index(4))[0]
-    return float(lower), float(w @ rhat @ w), plane
+    return best[0], best[2]
 
 
 def _null_bivectors(vecs):
@@ -287,27 +386,107 @@ def _null_bivectors(vecs):
             yield w / np.linalg.norm(w)
 
 
-def _plane_of(w):
-    """Orthonormal x, y with x ^ y = +-w for a (numerically) decomposable
-    bivector w of R^4: they span the range of its antisymmetric matrix W,
-    the top eigenspace of W^T W."""
-    W = np.zeros((4, 4))
-    for a, (i, j) in enumerate(pair_index(4)):
+# Log-barrier path: the barrier weight shrinks by BARRIER_SHRINK until the
+# duality gap m * mu of a central point is BARRIER_GAP of the spectrum's
+# spread; NEWTON_STEPS caps the centring steps per weight.
+BARRIER_SHRINK = 0.05
+BARRIER_GAP = 1e-15
+NEWTON_STEPS = 30
+
+
+def _barrier_path(rhat, basis):
+    """A multiplier omega maximizing lambda_min(rhat + sum_j omega_j basis_j).
+
+    Maximizes t subject to X(y) = rhat + sum_j omega_j basis_j - t I >= 0,
+    y = (omega, t), along the central path of t / mu + log det X(y): damped
+    Newton steps (Hessian entries tr(S B_k S B_l), S = X^-1, B = (basis, -I)),
+    backtracked to stay positive definite.  Stops early if a Newton system
+    is singular; any omega gives a valid lower bound.
+    """
+    d, m = len(basis), len(rhat)
+    if d == 0:
+        return np.zeros(0)
+    B = np.concatenate([basis, -np.eye(m)[None]])
+    flat = B.reshape(d + 1, m * m)
+    spectrum = np.linalg.eigvalsh(rhat)
+    scale = max(1.0, spectrum[-1] - spectrum[0])
+    y = np.zeros(d + 1)
+    y[d] = spectrum[0] - scale
+    mu = 1.0 / np.trace(np.linalg.inv(rhat - y[d] * np.eye(m)))
+
+    def log_det(y):
+        try:
+            L = np.linalg.cholesky(rhat + (y @ flat).reshape(m, m))
+        except np.linalg.LinAlgError:
+            return None
+        return 2.0 * np.log(np.diag(L)).sum()
+
+    phi = log_det(y)
+    while m * mu > BARRIER_GAP * scale:
+        for _ in range(NEWTON_STEPS):
+            P = np.linalg.inv(rhat + (y @ flat).reshape(m, m)) @ B
+            grad = np.einsum("kaa->k", P)
+            grad[d] += 1.0 / mu
+            hess = P.reshape(d + 1, -1) @ P.transpose(0, 2, 1).reshape(d + 1, -1).T
+            try:
+                step = np.linalg.solve(hess, grad)
+            except np.linalg.LinAlgError:
+                return y[:d]
+            decrement = grad @ step
+            if not decrement > 0:
+                break
+            size = 1.0 if decrement < 1 / 16 else 1.0 / (1.0 + np.sqrt(decrement))
+            before = y[d] / mu + phi
+            while True:
+                trial = log_det(y + size * step)
+                if trial is not None and (y[d] + size * step[d]) / mu + trial >= before:
+                    break
+                size /= 2
+                if size < 1e-8:
+                    return y[:d]
+            y, phi = y + size * step, trial
+            if decrement < 1e-4:
+                break
+        mu *= BARRIER_SHRINK
+    return y[:d]
+
+
+def _plane_of(w, n):
+    """Orthonormal x, y spanning the best plane approximation of the
+    bivector w of R^n: the top eigenspace of W^T W, W its antisymmetric
+    matrix (exactly x ^ y = +-w/|w| when w is decomposable)."""
+    W = np.zeros((n, n))
+    for a, (i, j) in enumerate(pair_index(n)):
         W[i, j], W[j, i] = w[a], -w[a]
     _, vecs = np.linalg.eigh(W.T @ W)
-    return Plane(vecs[:, 3].copy(), vecs[:, 2].copy())
+    return Plane(vecs[:, -1].copy(), vecs[:, -2].copy())
 
+
+def _polish(Rm: AlgCurvTensor, plane):
+    """One L-BFGS descent of the sectional-curvature quotient from plane."""
+    res = _descend(np.asarray(Rm.comp, dtype=float), np.concatenate([plane.x, plane.y]))
+    x, y = _orthonormal_pairs(res.x[None, :], Rm.n)
+    return Plane(x[0], y[0])
+
+
+# ---------------------------------------------------------------------------
+# The pinching shift
+# ---------------------------------------------------------------------------
 
 def shift_to_pinching(Rm: AlgCurvTensor, eps, margin=0,
                       opts: SearchOptions = SearchOptions()) -> AlgCurvTensor:
-    """Shift by a multiple of g^g so that Sec >= eps*R (+ margin slack).
+    """Shift by a multiple of g^g so that Sec >= eps*R (+ margin slack),
+    taking min Sec from min_sectional (the upper end of the bracket; opts
+    is not used).  See shift_by."""
+    return shift_by(Rm, eps, min_sectional(Rm)[0], margin)
 
-    Solves min Sec(Rm') = eps R' for Rm' = Rm + (c/2) g^g, where both sides
-    move with c:  sigma -> sigma + c  and  R -> R + n(n-1) c.
-    """
+
+def shift_by(Rm: AlgCurvTensor, eps, min_sec, margin=0) -> AlgCurvTensor:
+    """Rm' = Rm + (c/2) g^g solving min Sec(Rm') = eps R' (+ margin slack)
+    for a tensor whose min Sec is min_sec.  Both sides move with c:
+    sigma -> sigma + c and R -> R + n(n-1) c, and Rhat -> Rhat + c I."""
     n = Rm.n
     require_subcritical(n, eps)
-    min_sec, _ = min_sectional(Rm, opts)
     R = float(scalar(Rm))
     c = (float(eps) * R - min_sec) / (1 - float(eps) * n * (n - 1)) + float(margin)
     gg = kulkarni_nomizu(identity_metric(n, Rm.mode), identity_metric(n, Rm.mode))

@@ -60,8 +60,9 @@ def exact_div(num, den):
 
 
 def scalar_to_json(x):
-    """Render a scalar for report emission: rationals as "p/q" strings."""
-    if isinstance(x, bool):
+    """Render a scalar for report emission: rationals as "p/q" strings, and
+    None (a value the source has no use for) as null."""
+    if x is None or isinstance(x, bool):
         return x
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)

@@ -17,7 +17,9 @@ from pinchlab.minsec import (
     HODGE_STAR,
     DegenerateEpsError,
     SearchOptions,
+    dual_bracket,
     dual_min_sectional,
+    four_form_basis,
     grid_sectionals,
     min_sectional,
     min_sectional_bracket,
@@ -25,6 +27,7 @@ from pinchlab.minsec import (
     sample_sectionals,
     search_min_sectional,
     shift_to_pinching,
+    solve_dual,
 )
 from pinchlab.models import (
     default_models,
@@ -179,16 +182,19 @@ def test_dual_on_rational_tensor():
 def test_bracket_dispatches_on_dimension():
     Rm = random_curvature(4, 8, FLOAT)
     lower, upper, plane = dual_min_sectional(Rm)
-    assert min_sectional_bracket(Rm, FAST)[:2] == (lower, upper)
+    assert min_sectional_bracket(Rm)[:2] == (lower, upper)
     val, found = min_sectional(Rm, SearchOptions(grid_points=1, refine_starts=1))
     assert val == upper
     assert np.array_equal(found.x, plane.x) and np.array_equal(found.y, plane.y)
     Rm = random_curvature(5, 2, FLOAT)
-    lower, upper, _ = min_sectional_bracket(Rm, FAST)
-    assert lower is None and upper == search_min_sectional(Rm, FAST)[0]
+    lower, upper, _ = min_sectional_bracket(Rm)
+    searched = search_min_sectional(Rm, FAST)[0]
+    assert (lower, upper) == dual_min_sectional(Rm)[:2]
+    assert lower <= searched
+    assert upper == pytest.approx(searched, abs=1e-12 * _scale(Rm))
 
 
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [9, 10])
 def test_dual_rejects_other_dimensions(n):
     with pytest.raises(ValueError):
         dual_min_sectional(random_curvature(n, 0, FLOAT))
@@ -200,3 +206,142 @@ def test_dual_rejects_non_finite_components():
     comp[0, 1, 1, 0] = comp[1, 0, 0, 1] = np.nan
     with pytest.raises(ValueError):
         dual_min_sectional(AlgCurvTensor(4, FLOAT, comp))
+
+
+# ---------------------------------------------------------------------------
+# The 4-form dual in other dimensions
+# ---------------------------------------------------------------------------
+
+def _relative_width(lower, upper):
+    return (upper - lower) / max(1.0, abs(upper))
+
+
+def _relaxation_is_inexact(Rm, multiplier, upper):
+    """A primal certificate that no 4-form closes the bracket: a density
+    Z = V C V^T on the bottom eigenvectors V at the multiplier, C >= 0,
+    tr Z = 1 and <Z, M_j> = 0 for every basis 4-form, so that every
+    multiplier's lambda_min is at most <Rhat, Z> = lambda_min here, which
+    lies below upper."""
+    basis = four_form_basis(Rm.n)
+    lam, vecs = np.linalg.eigh(pair_operator(Rm) + np.tensordot(multiplier, basis, 1))
+    V = vecs[:, lam <= lam[0] + 1e-8 * max(1.0, abs(lam[0]))]
+    r = V.shape[1]
+    iu = np.triu_indices(r)
+    units = []
+    for a, b in zip(*iu):
+        C = np.zeros((r, r))
+        C[a, b] = C[b, a] = 1.0
+        units.append(C)
+    rows = [[np.sum(V.T @ M @ V * C) for C in units] for M in basis]
+    rows.append([np.trace(C) for C in units])
+    rhs = np.zeros(len(rows))
+    rhs[-1] = 1.0
+    coef = np.linalg.lstsq(np.array(rows), rhs, rcond=None)[0]
+    C = sum(c * U for c, U in zip(coef, units))
+    Z = V @ C @ V.T
+    residual = max([abs(np.sum(Z * M)) for M in basis] + [abs(np.trace(Z) - 1)])
+    return (residual <= 1e-9 and np.linalg.eigvalsh(C)[0] >= -1e-9
+            and lam[0] + 1e-9 * max(1.0, abs(upper)) < upper)
+
+
+def test_four_form_basis_vanishes_on_planes():
+    assert np.array_equal(four_form_basis(4), HODGE_STAR[None])
+    assert four_form_basis(3).shape == (0, 3, 3)
+    rng = np.random.default_rng(4)
+    for n in range(4, 9):
+        basis = four_form_basis(n)
+        m = n * (n - 1) // 2
+        assert basis.shape == (n * (n - 1) * (n - 2) * (n - 3) // 24, m, m)
+        assert not basis.flags.writeable
+        assert np.array_equal(basis, basis.transpose(0, 2, 1))
+        x, y = rng.standard_normal((2, 20, n))
+        w = np.stack([x[:, i] * y[:, j] - x[:, j] * y[:, i] for i, j in pair_index(n)], axis=1)
+        assert np.abs(np.einsum("pa,kab,pb->pk", w, basis, w)).max() <= 1e-12 * n
+
+
+def test_dual_in_dimension_three_is_the_bottom_eigenvalue():
+    for seed in range(20):
+        Rm = random_curvature(3, [31, seed], FLOAT)
+        lower, upper, plane = dual_min_sectional(Rm)
+        closed = np.linalg.eigvalsh(pair_operator(Rm))[0]
+        tol = 1e-12 * _scale(Rm)
+        assert lower <= closed <= lower + tol, seed
+        assert upper == pytest.approx(closed, abs=tol), seed
+        assert sectional(Rm, plane) == pytest.approx(upper, abs=tol), seed
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_dual_bracket_below_sampling_oracle(n):
+    open_brackets = 0
+    for seed in range(200):
+        Rm = random_curvature(n, [37, n, seed], FLOAT)
+        multiplier, plane = solve_dual(Rm)
+        lower, upper = dual_bracket(Rm, multiplier, plane)
+        assert lower <= upper, seed
+        assert lower <= sample_sectionals(Rm, 2_000, seed).min(), seed
+        assert sectional(Rm, plane) == pytest.approx(upper, abs=1e-12 * _scale(Rm))
+        if _relative_width(lower, upper) > 1e-8:
+            open_brackets += 1
+            assert _relaxation_is_inexact(Rm, multiplier, upper), seed
+    assert open_brackets <= 4
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_dual_matches_search(n):
+    # the upper end is a polish from the bottom eigenspace; one stuck in a
+    # local minimum would show as upper above the multi-start search
+    count, opts = {5: (40, FAST), 6: (20, FAST),
+                   7: (8, SearchOptions(grid_points=10_000, refine_starts=8))}[n]
+    for seed in range(count):
+        Rm = random_curvature(n, [41, seed] if n == 5 else [41, n, seed], FLOAT)
+        multiplier, plane = solve_dual(Rm)
+        lower, upper = dual_bracket(Rm, multiplier, plane)
+        searched, _ = search_min_sectional(Rm, opts)
+        assert upper <= searched + 1e-9, seed
+        assert lower <= searched, seed
+        assert (_relative_width(lower, upper) <= 1e-8
+                or _relaxation_is_inexact(Rm, multiplier, upper)), seed
+
+
+def test_bottom_plane_does_not_depend_on_the_eigenbasis():
+    # Where the relaxation is inexact the bottom eigenspace is multiple and
+    # LAPACK's basis of it depends on roundoff (BLAS threads, say).  Polished
+    # from the basis vectors alone, both tensors missed the search's minimum
+    # for some of these rotated bases.
+    from pinchlab.minsec import _bottom_plane
+    for seed in ([97, 7, 9], [66, 5, 0]):
+        Rm = random_curvature(seed[1], seed, FLOAT)
+        multiplier, _ = solve_dual(Rm)
+        A = pair_operator(Rm) + np.tensordot(multiplier, four_form_basis(Rm.n), 1)
+        lam, vecs = np.linalg.eigh(A)
+        V = vecs[:, lam <= lam[0] + 1e-8 * max(1.0, lam[-1] - lam[0])]
+        assert V.shape[1] == 3
+        searched, _ = search_min_sectional(Rm, FAST)
+        rng = np.random.default_rng(53)
+        for _ in range(12):
+            Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            assert sectional(Rm, _bottom_plane(Rm, V @ Q)) <= searched + 1e-9, seed
+
+
+def test_inexact_relaxation_leaves_the_bracket_open():
+    # one of the n = 5 tensors where no 4-form reaches min Sec
+    Rm = random_curvature(5, [116, 5, 3], FLOAT)
+    multiplier, plane = solve_dual(Rm)
+    lower, upper = dual_bracket(Rm, multiplier, plane)
+    searched, _ = search_min_sectional(Rm, FAST)
+    assert upper == pytest.approx(searched, abs=1e-9)
+    assert _relative_width(lower, upper) > 1e-2
+    assert _relaxation_is_inexact(Rm, multiplier, upper)
+
+
+def test_dual_bracket_moves_with_a_shift():
+    for n in (4, 5):
+        Rm = random_curvature(n, [43, n], FLOAT)
+        multiplier, plane = solve_dual(Rm)
+        lower, upper = dual_bracket(Rm, multiplier, plane)
+        shifted = shift_to_pinching(Rm, 0.0, margin=0.5)
+        c = 0.5 - upper
+        assert np.allclose(pair_operator(shifted), pair_operator(Rm) + c * np.eye(len(pair_operator(Rm))))
+        assert dual_bracket(shifted, multiplier, plane) == pytest.approx(
+            (lower + c, upper + c), abs=1e-12 * _scale(Rm))
+        assert dual_min_sectional(shifted)[0] == pytest.approx(lower + c, abs=1e-12 * _scale(Rm))

@@ -241,14 +241,14 @@ def test_mc_campaign_tensor_kind():
     assert 0 <= entry["minSecBracketWidthMax"] <= 1e-12
 
 
-def test_mc_campaign_tensor_kind_searches_n5():
+def test_mc_campaign_tensor_kind_n5_uses_the_dual():
     config = CampaignConfig(kind="tensor", dims=(5,), eps_list=(Fraction(0),),
                             s_list=(0, 1), count=1, seed=5, mode=FLOAT,
                             search=FAST)
     entry = mc_campaign(config)["checks"][0]
     assert entry["minSecRecheckPassed"] == 1
-    assert entry["minSecMethod"] == "search"
-    assert entry["minSecBracketWidthMax"] is None
+    assert entry["minSecMethod"] == "dual"
+    assert 0 <= entry["minSecBracketWidthMax"] <= 1e-12
 
 
 def test_tensor_combo_matches_check_estimates():
@@ -270,21 +270,112 @@ def test_tensor_combo_matches_check_estimates():
 
 
 def test_tensor_certification_uses_the_dual_lower_bound(monkeypatch):
-    from pinchlab import minsec
+    from pinchlab import minsec, profiles
     from pinchlab.curvature import random_curvature
     from pinchlab.minsec import shift_to_pinching
-    exact = minsec.dual_min_sectional
+    exact_bracket, exact_shift = minsec.dual_bracket, profiles.shift_by
+    shifts = []
 
-    def loose(Rm):   # a bracket whose lower end is far below the true minimum
-        lower, upper, plane = exact(Rm)
-        return lower - 1.0, upper, plane
+    def loose(Rm, multiplier, plane):   # a lower end far below the true minimum
+        lower, upper = exact_bracket(Rm, multiplier, plane)
+        return lower - 1.0, upper
 
-    monkeypatch.setattr(minsec, "dual_min_sectional", loose)
-    Rm = shift_to_pinching(random_curvature(4, 0, FLOAT), 0.0, margin=0.1)
-    with pytest.raises(UncertifiedSourceError):
-        check_estimates(Rm, PinchingParams(0.0, 1.0))
-    config = CampaignConfig(kind="tensor", dims=(4,), eps_list=(Fraction(0),),
+    def counted(*args):
+        shifts.append(args)
+        return exact_shift(*args)
+
+    for module in (minsec, profiles):
+        monkeypatch.setattr(module, "dual_bracket", loose)
+    monkeypatch.setattr(profiles, "shift_by", counted)
+    for n in (4, 5):
+        Rm = shift_to_pinching(random_curvature(n, 0, FLOAT), 0.0, margin=0.1)
+        with pytest.raises(UncertifiedSourceError, match="not certified"):
+            check_estimates(Rm, PinchingParams(0.0, 1.0))
+        # the recheck reads the loose lower end: it cannot certify the shift
+        # by the plane's curvature, so each tensor is shifted on from the
+        # lower end, which then certifies it
+        shifts.clear()
+        config = CampaignConfig(kind="tensor", dims=(n,), eps_list=(Fraction(0),),
+                                s_list=(1,), count=2, seed=5, mode=FLOAT)
+        entry = mc_campaign(config)["checks"][0]
+        assert len(shifts) == 4
+        assert entry["minSecRecheckPassed"] == 2
+        assert entry["minSecBracketWidthMax"] >= 1.0
+
+
+def test_tensor_recheck_rejects_a_violating_plane(monkeypatch):
+    from pinchlab import profiles
+    from pinchlab.curvature import random_curvature
+    with pytest.raises(UncertifiedSourceError, match="violates"):
+        check_estimates(random_curvature(4, 0, FLOAT), PinchingParams(0.0, 1.0))
+    monkeypatch.setattr(profiles, "shift_by", lambda Rm, eps, min_sec, margin=0: Rm)
+    config = CampaignConfig(kind="tensor", dims=(4, 5), eps_list=(Fraction(0),),
                             s_list=(1,), count=2, seed=5, mode=FLOAT)
-    entry = mc_campaign(config)["checks"][0]
-    assert entry["minSecRecheckPassed"] == 0
-    assert entry["minSecBracketWidthMax"] >= 1.0
+    report = mc_campaign(config)
+    assert [entry["minSecRecheckPassed"] for entry in report["checks"]] == [0, 0]
+    # an unpinched tensor can fail an estimate; its dump renders the slack
+    # residual, which tensors do not have, as null
+    assert report["violations"]
+    assert all(d["report"]["slackResidual"] is None for d in report["violations"])
+
+
+def test_tensor_campaign_certifies_an_open_bracket():
+    # [66, 5, idx], idx < 5, holds a tensor whose 4-form bracket (width 0.114)
+    # is wider than the slack a shift by its plane's curvature leaves:
+    # margin (1 - n(n-1) eps) = 0.1 at eps = 0 and 0.0167 at eps = 1/24
+    config = CampaignConfig(kind="tensor", dims=(5,), eps_list=(Fraction(0), Fraction(1, 24)),
+                            s_list=(0, Fraction(1, 2), 1), count=5, seed=66, mode=FLOAT)
+    for entry in mc_campaign(config)["checks"]:
+        assert entry["minSecBracketWidthMax"] > 0.1, entry["eps"]
+        assert entry["minSecRecheckPassed"] == 5, entry["eps"]
+        assert not entry["violations"]
+
+
+def test_runtime_min_sec_never_searches(monkeypatch):
+    from pinchlab import minsec, profiles
+    from pinchlab.curvature import random_curvature
+    from pinchlab.minsec import shift_to_pinching
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the runtime path ran the grid + L-BFGS search")
+
+    for name in ("search_min_sectional", "grid_sectionals"):
+        monkeypatch.setattr(minsec, name, forbidden)
+    solves = []
+
+    def counted(Rm):
+        solves.append(Rm.n)
+        return exact(Rm)
+
+    exact = minsec.solve_dual
+    for module in (minsec, profiles):
+        monkeypatch.setattr(module, "solve_dual", counted)
+    config = CampaignConfig(kind="tensor", dims=(3, 4, 5), eps_list=(Fraction(0),),
+                            s_list=(0, 1), count=3, seed=11, mode=FLOAT)
+    report = mc_campaign(config)
+    assert solves == [3] * 3 + [4] * 3 + [5] * 3
+    assert not report["violations"]
+    for entry in report["checks"]:
+        assert entry["minSecRecheckPassed"] == 3, entry["n"]
+        assert entry["minSecMethod"] == "dual"
+        assert 0 <= entry["minSecBracketWidthMax"] <= 1e-12, entry["n"]
+    for n in (3, 4, 5):
+        Rm = shift_to_pinching(random_curvature(n, 1, FLOAT), 1 / 48, margin=0.1)
+        assert check_estimates(Rm, PinchingParams(1 / 48, 0.5)).passed
+
+
+def test_eigenframe_curvatures_match_the_rotated_tensor():
+    from pinchlab.curvature import random_curvature, traceless_ricci
+    from pinchlab.profiles import _eigenframe
+    for n in range(3, 7):
+        for seed in range(5):
+            Rm = random_curvature(n, [47, n, seed], FLOAT)
+            lam, sigma = _eigenframe(Rm)
+            t = np.asarray(traceless_ricci(Rm).comp, dtype=float)
+            ref_lam, vecs = np.linalg.eigh(t)
+            rot = np.einsum("ia,jb,kc,ld,ijkl->abcd", vecs, vecs, vecs, vecs, Rm.comp)
+            ref = np.array([[rot[i, j, i, j] if i != j else 0.0 for j in range(n)]
+                            for i in range(n)])
+            tol = 1e-12 * max(1.0, np.linalg.norm(Rm.comp))
+            assert np.array_equal(lam, ref_lam)
+            assert np.abs(sigma - ref).max() <= tol, (n, seed)
