@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all checks passed, 1 at least one mathematical violation
-(report still written), 2 usage or internal error.  Reports are appended to
+(report still written), 2 usage or internal error (any exception other
+than argparse's own exit, reported as one "error:" line).  Reports are appended to
 the output directory as timestamped JSON and never overwritten.  The default
 seed comes from PINCHLAB_SEED; a JSON config file can mirror any flag, with
 flags taking precedence.
@@ -288,6 +289,9 @@ def main(argv=None):
         raise
     except (DegenerateEpsError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:   # a fault of pinchlab itself: never the violation code
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

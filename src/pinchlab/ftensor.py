@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .curvature import FLOAT, RATIONAL, check_mode, identity_metric
-from .scalars import exact_div, scalar_to_json
+from .scalars import exact_div, exact_lane, lane_array, scalar_to_json
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,20 @@ def bianchi_constant(n):
     return Fraction(n - 2, 2 * n)
 
 
+def check_gradient_constraints(S, w, tol=0):
+    """Raise ValueError unless S is symmetric and traceless in (i, j) and
+    satisfies the contracted Bianchi relation, written without a fraction as
+    2n sum_i S_iji = (n-2) w_j, up to tol.  Leading axes are a batch of
+    models; integer or Fraction input is checked exactly with tol = 0."""
+    n = S.shape[-1]
+    if (abs(S - S.swapaxes(-3, -2)) > tol).any():
+        raise ValueError("S must be symmetric in (i, j)")
+    if (abs(np.einsum("...iik->...k", S)) > tol).any():
+        raise ValueError("S must be (i, j)-traceless")
+    if (abs(2 * n * np.einsum("...iji->...j", S) - (n - 2) * w) > 2 * n * tol).any():
+        raise ValueError("S violates the contracted Bianchi relation")
+
+
 @dataclass(frozen=True)
 class GradientModel:
     """Synthetic (S, w) pair: S_ijk models grad_k oRic_ij, w models grad R."""
@@ -68,19 +82,75 @@ class GradientModel:
 
     def __post_init__(self):
         check_mode(self.mode)
-        c = bianchi_constant(self.n)
         tol = 0 if self.mode == RATIONAL else 1e-12 * max(
             1.0, float(np.abs(np.asarray(self.S, dtype=float)).max()))
-        if (abs(self.S - self.S.transpose(1, 0, 2)) > tol).any():
-            raise ValueError("S must be symmetric in (i, j)")
-        if (abs(np.einsum("iik->k", self.S)) > tol).any():
-            raise ValueError("S must be (i, j)-traceless")
-        contr = np.einsum("iji->j", self.S)
-        target = self.w * (c if self.mode == RATIONAL else float(c))
-        if (abs(contr - target) > tol).any():
-            raise ValueError("S violates the contracted Bianchi relation")
+        check_gradient_constraints(self.S, self.w, tol)
         self.S.setflags(write=False)
         self.w.setflags(write=False)
+
+
+_MODEL_BLOCK = 128   # models projected at a time by integer_gradient_models
+
+
+def integer_gradient_models(n, seeds):
+    """Integer models (S, w), one per seed, as int64 stacks of shapes
+    (len(seeds), n, n, n) and (len(seeds), n).
+
+    Each seed draws S, then w, as integers in [-9, 9]; _project_integer
+    projects them, a block of models at a time, so that its temporaries
+    stay small however many models there are.
+    """
+    S = np.empty((len(seeds), n, n, n), dtype=np.int64)
+    w = np.empty((len(seeds), n), dtype=np.int64)
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        S[k] = rng.integers(-9, 10, size=n ** 3).reshape(n, n, n)
+        w[k] = rng.integers(-9, 10, size=n)
+    for lo in range(0, len(seeds), _MODEL_BLOCK):
+        rows = slice(lo, lo + _MODEL_BLOCK)
+        S[rows], w[rows] = _project_integer(S[rows], w[rows])
+    return S, w
+
+
+def _project_integer(S0, w0):
+    """The rational projection of integer draws (S0, w0), a stack of models,
+    with its denominators cleared.
+
+    The projection runs in integers over the fixed common denominator
+    X = 2n (n^2 + n - 2)^2: it forms X times each step of symmetrizing in
+    (i, j), removing the (i, j)-trace and adding the unique correction
+    d_ik v_j + d_jk v_i - (2/n) d_ij v_k that fixes the Bianchi contraction,
+    and every division on the way is exact.  Each model is then divided by
+    the gcd of X and its entries, the least factor that clears the
+    denominators of the rational projection (the constraints are
+    homogeneous in (S, w), so scaling preserves them).  Entries stay below
+    70 X in magnitude, far inside int64; the constraints are checked
+    exactly afterwards.
+    """
+    count, n = len(S0), S0.shape[-1]
+    h = n * n + n - 2
+    X = 2 * n * h * h
+    eye = np.eye(n, dtype=np.int64)
+    # X times the symmetrized S less its trace part; X/2 = n h^2, X/n = 2 h^2
+    S = (n * h * h * (S0 + S0.swapaxes(1, 2))
+         - 2 * h * h * np.einsum("ij,mk->mijk", eye, np.einsum("miik->mk", S0)))
+    # X u = X (c w - sum_i S_iji) with c = (n-2)/(2n) is a multiple of h^2,
+    # and v = n u / h, so t = X u / h = X v / n is an integer
+    t = ((n - 2) * h * h * w0 - np.einsum("miji->mj", S)) // h
+    S += (n * (np.einsum("ik,mj->mijk", eye, t) + np.einsum("jk,mi->mijk", eye, t))
+          - 2 * np.einsum("ij,mk->mijk", eye, t))
+    w = X * w0
+    g = np.gcd.reduce(np.concatenate(
+        [S.reshape(count, -1), w, np.full((count, 1), X)], axis=1), axis=1)
+    S //= g[:, None, None, None]
+    w //= g[:, None]
+    check_gradient_constraints(S, w)
+    return S, w
+
+
+def _as_fractions(values):
+    return np.array([Fraction(v) for v in values.reshape(-1).tolist()],
+                    dtype=object).reshape(values.shape)
 
 
 def sample_gradient_model(n, seed, mode=FLOAT) -> GradientModel:
@@ -88,42 +158,29 @@ def sample_gradient_model(n, seed, mode=FLOAT) -> GradientModel:
 
     Projection order: symmetrize in (i, j), remove the (i, j)-trace, then add
     the unique correction of the form  d_ik v_j + d_jk v_i - (2/n) d_ij v_k
-    fixing the Bianchi contraction.  Rational mode clears denominators so the
-    entries come out integer-valued (the constraints are homogeneous in the
-    pair (S, w), so scaling preserves them).
+    fixing the Bianchi contraction.  Rational mode is the integer model of
+    integer_gradient_models (exact over the common denominator
+    2n (n^2 + n - 2)^2, then scaled to clear it) with Fraction entries; float
+    mode projects standard-normal draws in float64.
     """
-    rng = np.random.default_rng(seed)
     if mode == RATIONAL:
-        S = np.empty((n, n, n), dtype=object)
-        for idx, v in zip(np.ndindex(n, n, n),
-                          rng.integers(-9, 10, size=n ** 3).tolist()):
-            S[idx] = Fraction(v)
-        w = np.empty(n, dtype=object)
-        for j, v in enumerate(rng.integers(-9, 10, size=n).tolist()):
-            w[j] = Fraction(v)
-        half, inv_n = Fraction(1, 2), Fraction(1, n)
-    else:
-        S = rng.standard_normal((n, n, n))
-        w = rng.standard_normal(n)
-        half, inv_n = 0.5, 1.0 / n
-    S = (S + S.transpose(1, 0, 2)) * half
+        S, w = integer_gradient_models(n, [seed])
+        return GradientModel(n, mode, _as_fractions(S[0]), _as_fractions(w[0]))
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((n, n, n))
+    w = rng.standard_normal(n)
+    inv_n = 1.0 / n
+    S = (S + S.transpose(1, 0, 2)) * 0.5
     tr = np.einsum("iik->k", S)
     eye = identity_metric(n, mode).comp
     S = S - inv_n * np.einsum("ij,k->ijk", eye, tr)
-    c = bianchi_constant(n) if mode == RATIONAL else float(bianchi_constant(n))
-    u = c * w - np.einsum("iji->j", S)
+    u = float(bianchi_constant(n)) * w - np.einsum("iji->j", S)
     # correction family B_ijk = d_ik v_j + d_jk v_i - (2/n) d_ij v_k has
     # sum_i B_iji = (n + 1 - 2/n) v_j
-    denom = Fraction(n * n + n - 2, n) if mode == RATIONAL else (n + 1 - 2.0 / n)
-    v = u / denom
+    v = u / (n + 1 - 2.0 / n)
     B = (np.einsum("ik,j->ijk", eye, v) + np.einsum("jk,i->ijk", eye, v)
          - (2 * inv_n) * np.einsum("ij,k->ijk", eye, v))
-    S = S + B
-    if mode == RATIONAL:
-        denoms = [x.denominator for x in S.reshape(-1)] + [x.denominator for x in w]
-        scale = Fraction(int(np.lcm.reduce(denoms)))
-        S, w = S * scale, w * scale
-    return GradientModel(n, mode, S, w)
+    return GradientModel(n, mode, S + B, w)
 
 
 def f_tensor(m: GradientModel, c: FCoefficients):
@@ -264,51 +321,75 @@ def random_coefficients(count, seed, den=12):
     return out
 
 
+_EXPANSION_DEN = 12   # denominator of the campaign's coefficients
+
+
+def expansion_bound(max_s, max_w, numerators):
+    """Largest magnitude any intermediate of expansion_campaign's kernel can
+    reach, in Python ints, from max|S|, max|w| and the coefficient
+    numerators (a1, a2, b1, b2, b3) * _EXPANSION_DEN: each sum and product is
+    bounded by the sum and product of its terms' bounds."""
+    n, den = 4, _EXPANSION_DEN
+    cells, worst = n ** 3, 0
+    for a1, a2, b1, b2, b3 in (map(abs, c) for c in numerators):
+        f = (den + a1 + a2) * max_s + (b1 + b2 + b3) * max_w     # |den F|
+        bquad = (a1 * (b1 + b3) + a2 * (b1 + b2) + den * (b2 + b3)
+                 + 8 * (b1 * b1 + b2 * b2 + b3 * b3) + 4 * (b1 * b2 + b1 * b3 + b2 * b3))
+        formula = ((2 * (den * den + a1 * a1 + a2 * a2) + 4 * (den * a1 + den * a2 + a1 * a2))
+                   * cells * max_s * max_s + bquad * n * max_w * max_w)
+        worst = max(worst, 2 * cells * f * f + formula)   # bounds direct - formula
+    return worst
+
+
 def expansion_campaign(model_count, coeff_count, seed):
     """Exact |F|^2 direct-vs-formula check over a rational campaign.
 
-    Integer-valued models (sample_gradient_model clears denominators) and
-    denominator-12 coefficients make both sides integers after multiplying by
-    2 * 144, so the whole campaign runs vectorized in int64 with zero
-    residual demanded; a Fraction-path spot check lives in the test suite.
+    The models are the integer (S, w) of integer_gradient_models (n = 4; the
+    rational projection's common denominator 2n (n^2 + n - 2)^2 is already
+    cleared) and the coefficients have denominator 12, so both sides times
+    2 * 144 are integers, and zero residual is demanded.  The check runs
+    vectorized over coefficients and blocks of models, in the exact lane
+    that expansion_bound picks before computing: int64 when no intermediate
+    can leave it, else Python ints.  A Fraction-path spot check lives in
+    the test suite.
     """
-    coeffs = random_coefficients(coeff_count, [seed, 999_331])
-    den = 12
-    a1n = np.array([int(c.a1 * den) for c in coeffs], dtype=np.int64)
-    a2n = np.array([int(c.a2 * den) for c in coeffs], dtype=np.int64)
-    b1n = np.array([int(c.b1 * den) for c in coeffs], dtype=np.int64)
-    b2n = np.array([int(c.b2 * den) for c in coeffs], dtype=np.int64)
-    b3n = np.array([int(c.b3 * den) for c in coeffs], dtype=np.int64)
-    bquad = (a1n * (b1n + b3n) + a2n * (b1n + b2n) + den * (b2n + b3n)
-             + 8 * (b1n ** 2 + b2n ** 2 + b3n ** 2)
-             + 4 * (b1n * b2n + b1n * b3n + b2n * b3n))
-    worst = 0
-    failures = []
-    eye = np.eye(4, dtype=np.int64)
-    for idx in range(model_count):
-        m = sample_gradient_model(4, [seed, idx], RATIONAL)
-        S = np.array([[[int(v) for v in row] for row in plane]
-                      for plane in m.S.tolist()], dtype=np.int64)
-        w = np.array([int(v) for v in m.w.tolist()], dtype=np.int64)
-        # F scaled by den: broadcast over the coefficient axis
-        F = (den * S[None] + a1n[:, None, None, None] * S.transpose(0, 2, 1)[None]
-             + a2n[:, None, None, None] * S.transpose(2, 0, 1)[None]
-             + b1n[:, None, None, None] * np.einsum("ij,k->ijk", eye, w)[None]
-             + b2n[:, None, None, None] * np.einsum("ik,j->ijk", eye, w)[None]
-             + b3n[:, None, None, None] * np.einsum("jk,i->ijk", eye, w)[None])
-        direct2 = 2 * (F ** 2).sum(axis=(1, 2, 3))      # 2 * den^2 * |F|^2
-        s_sq = int((S ** 2).sum())
-        mixed = int(np.einsum("ijk,ikj", S, S))
-        w_sq = int(w @ w)
-        formula2 = (2 * (den * den + a1n ** 2 + a2n ** 2) * s_sq
-                    + 4 * (den * a1n + den * a2n + a1n * a2n) * mixed
-                    + bquad * w_sq)
-        if max(int(np.abs(direct2).max()), int(np.abs(formula2).max())) >= 2 ** 61:
-            raise OverflowError("expansion kernel magnitude guard tripped")
-        worst = max(worst, int(np.abs(direct2 - formula2).max()))
-        bad = np.nonzero(direct2 != formula2)[0]
-        for b in bad[:5]:
-            failures.append({"model": idx, "coeff": coeffs[b].as_dict()})
+    den = _EXPANSION_DEN
+    coeffs = random_coefficients(coeff_count, [seed, 999_331], den)
+    numerators = [[int(v * den) for v in c.astuple()] for c in coeffs]
+    S, w = integer_gradient_models(4, [[seed, idx] for idx in range(model_count)])
+    lane = exact_lane(expansion_bound(int(max(S.max(initial=0), -S.min(initial=0))),
+                                      int(max(w.max(initial=0), -w.min(initial=0))),
+                                      numerators))
+    S, w = lane_array(S, lane), lane_array(w, lane)
+    a1, a2, b1, b2, b3 = lane_array(np.reshape(numerators, (-1, 5)).T, lane)
+    eye = lane_array(np.eye(4), lane)
+    coeff_matrix = np.stack([np.full_like(a1, den), a1, a2, b1, b2, b3], axis=1)
+    quadratic = 2 * (den * den + a1 ** 2 + a2 ** 2)
+    mixing = 4 * (den * a1 + den * a2 + a1 * a2)
+    bquad = (a1 * (b1 + b3) + a2 * (b1 + b2) + den * (b2 + b3)
+             + 8 * (b1 ** 2 + b2 ** 2 + b3 ** 2)
+             + 4 * (b1 * b2 + b1 * b3 + b2 * b3))
+    worst, failures = 0, []
+    block = max(1, 1024 // len(coeffs))     # models per block: den F stays <= 512 kB
+    for lo in range(0, model_count, block):
+        Sb, wb = S[lo:lo + block], w[lo:lo + block]
+        # den F = coeff_matrix @ basis, the six tensors F combines, flattened
+        basis = np.stack([Sb, Sb.transpose(0, 1, 3, 2), Sb.transpose(0, 3, 1, 2),
+                          eye[None, :, :, None] * wb[:, None, None, :],
+                          eye[None, :, None, :] * wb[:, None, :, None],
+                          eye[None, None, :, :] * wb[:, :, None, None]],
+                         axis=1).reshape(len(Sb), 6, 64)
+        F = coeff_matrix @ basis
+        direct2 = 2 * np.einsum("mcx,mcx->mc", F, F)       # 2 den^2 |F|^2
+        formula2 = ((Sb * Sb).sum(axis=(1, 2, 3))[:, None] * quadratic
+                    + (Sb * Sb.transpose(0, 1, 3, 2)).sum(axis=(1, 2, 3))[:, None] * mixing
+                    + (wb * wb).sum(axis=1)[:, None] * bquad)
+        residual = direct2 - formula2
+        worst = max(worst, int(np.abs(residual).max(initial=0)))
+        bad = residual != 0
+        failures += [{"model": lo + int(idx), "coeff": coeffs[b].as_dict()}
+                     for idx in np.nonzero(bad.any(axis=1))[0]
+                     for b in np.nonzero(bad[idx])[0][:5]]
     return {
         "modelCount": model_count,
         "coeffCount": coeff_count,
@@ -316,6 +397,7 @@ def expansion_campaign(model_count, coeff_count, seed):
         "maxResidualNumerator": worst,
         "violations": failures,
         "exact": not failures,
+        "exactLane": lane,
     }
 
 

@@ -30,8 +30,6 @@ from functools import cache
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import norm, qmc
 
 from .curvature import (
     AlgCurvTensor,
@@ -99,6 +97,14 @@ def _orthonormal_pairs(z, n):
     return x, v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def minimize(fun, x0, **options):
+    """scipy.optimize.minimize, imported on first use: scipy.optimize and
+    scipy.stats take most of pinchlab's import time and memory, and only the
+    plane polish at n >= 5 and the search oracle need them."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(fun, x0, **options)
+
+
 _GRID_CACHE = {}
 
 
@@ -107,6 +113,7 @@ def _plane_grid(n, count):
     pushed to Gaussians, then Gram-Schmidt.  Cached per (n, count)."""
     key = (n, count)
     if key not in _GRID_CACHE:
+        from scipy.stats import norm, qmc
         h = qmc.Halton(d=2 * n, scramble=False)
         h.fast_forward(1)  # skip the origin
         _GRID_CACHE[key] = _orthonormal_pairs(norm.ppf(h.random(count)), n)

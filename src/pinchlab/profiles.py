@@ -40,7 +40,7 @@ from .minsec import (
     shift_by,
     solve_dual,
 )
-from .scalars import exact_div, is_rational, scalar_to_json
+from .scalars import exact_div, exact_lane, is_rational, lane_array, scalar_to_json
 
 GAP_RTOL = 1e-10   # float-mode inequality slack, relative to max(1,|lhs|,|rhs|)
 
@@ -460,50 +460,81 @@ def profile_batch_float(n, eps, s_list, count, seed, distribution="half-normal",
     return result
 
 
-# bound constants for the exact integer kernel (see profile_batch_exact)
-_EXACT_SB_MAX = 9
-_INT64_GUARD = 2 ** 61
+_EXACT_SB_MAX = 9   # the exact lane draws shifted curvatures sb in [0, _EXACT_SB_MAX]
+_EXACT_BLOCK = 1024   # profiles per block: keeps temporaries, above all Python ints, few
+
+
+def _integer_coefficients(n, f):
+    """(scale, quadratic, cubic) per estimate, k = 1, 2: scale = k n q makes
+    scale times its quadratic coefficient and scale/n times its cubic one
+    integers, so that the estimate's gap is an integer over n^3 q d^3
+    (gap1) or 2 n^3 q d^3 (gap2)."""
+    out = []
+    for k, coefficients in enumerate(estimate_coefficients(n, f), 1):
+        scale = k * n * f.denominator
+        quadratic, cubic = scale * coefficients[0], scale * coefficients[1] / n
+        assert quadratic.denominator == cubic.denominator == 1, (quadratic, cubic)
+        out.append((scale, quadratic.numerator, cubic.numerator))
+    return out
+
+
+def exact_profile_bound(n, eps):
+    """Largest magnitude any intermediate of profile_batch_exact can reach at
+    (n, eps), in Python ints: each sum and product is bounded by the sum and
+    product of its terms' bounds, starting from draws sb <= _EXACT_SB_MAX."""
+    f = Fraction(eps)
+    p, q = f.numerator, f.denominator
+    d = q - n * (n - 1) * p
+    pairs = n * (n - 1) // 2
+    total = pairs * _EXACT_SB_MAX            # sum of sb
+    r = 2 * total * q                        # R_num
+    sig = _EXACT_SB_MAX * d + 2 * total * abs(p)
+    lam = n * (n - 1) * sig + r
+    l3 = 2 * pairs * lam * lam * sig
+    bounds = [n * q * d * pairs * 4 * lam * lam * _EXACT_SB_MAX]    # slack
+    for scale, quadratic, cubic in _integer_coefficients(n, f):
+        bounds.append(abs(quadratic) * r * n * lam ** 2 + abs(cubic) * n * lam ** 3
+                      + scale * l3)
+    return max(bounds)
 
 
 def profile_batch_exact(n, eps, count, seed):
     """Rational-mode batch over integer common denominators: exact gap signs
-    and the exact estimate-1 slack identity, vectorized in int64.
+    and the exact estimate-1 slack identity, vectorized.
 
-    With eps = p/q and integer shifted curvatures sb, every profile quantity
-    is an integer over a fixed positive denominator, so inequality signs and
-    the identity residual are exact unless int64 wraps.  Draws are at most
-    _EXACT_SB_MAX; OverflowError is raised when a gap or slack numerator
-    reaches _INT64_GUARD in magnitude, a check made on the int64 results
-    after the fact, which cannot see a product that already wrapped.
+    With eps = p/q, d = q - n(n-1)p and integer shifted curvatures sb in
+    [0, _EXACT_SB_MAX], sigma and R are integers over d, lambda over n d,
+    and both gaps and the slack integers over n^3 q d^3 (2 n^3 q d^3 for
+    gap2), so inequality signs and the identity are decided exactly.
+    exact_profile_bound bounds every intermediate before anything is
+    computed; the kernel runs in int64 when the bound fits and in Python
+    ints otherwise, block by block, and the report's exactLane names the
+    lane that ran.
     """
     require_subcritical(n, eps)
     f = Fraction(eps) if not isinstance(eps, Fraction) else eps
     p, q = f.numerator, f.denominator
     d = q - n * (n - 1) * p            # positive by the subcritical check
+    lane = exact_lane(exact_profile_bound(n, f))
     rng = _combo_rng(seed, n, f)
     i_idx, j_idx, inc = _incidence(n)
     m = len(i_idx)
-    sb = rng.integers(0, _EXACT_SB_MAX + 1, size=(count, m)).astype(np.int64)
-    S = sb.sum(axis=1)
-    R_num = 2 * S * q                  # R = R_num / d
-    sig = sb * d + 2 * S[:, None] * p  # sigma = sig / d
-    lam = n * (sig @ inc.astype(np.int64)) - R_num[:, None]   # lambda = lam/(n d)
-    L3 = 2 * (lam[:, i_idx] * lam[:, j_idx] * sig).sum(axis=1)
-    P2 = (lam ** 2).sum(axis=1)
-    P3 = (lam ** 3).sum(axis=1)
-    # gap_k scaled by k n q: integer coefficients, common denominator
-    # n^3 q d^3 > 0 for gap1 and 2 n^3 q d^3 for gap2
-    gaps = []
-    for k, (quadratic, cubic) in enumerate(estimate_coefficients(n, f), 1):
-        scale = k * n * q
-        scaled = (scale * quadratic, scale * cubic / n)
-        assert all(c.denominator == 1 for c in scaled), scaled
-        gaps.append(_evaluate([c.numerator for c in scaled], R_num, P2, P3) - scale * L3)
-    gap1, gap2 = gaps
-    slack = n * q * d * ((lam[:, i_idx] - lam[:, j_idx]) ** 2 * sb).sum(axis=1)
-    worst = max((np.abs(a).max(initial=0) for a in (gap1, slack, gap2)), default=0)
-    if worst >= _INT64_GUARD:
-        raise OverflowError("exact kernel magnitude guard tripped")
+    sb = lane_array(rng.integers(0, _EXACT_SB_MAX + 1, size=(count, m)), lane)
+    inc = lane_array(inc, lane)
+    coefficients = _integer_coefficients(n, f)
+    gap1, gap2, slack = (np.empty(count, dtype=sb.dtype) for _ in range(3))
+    for lo in range(0, count, _EXACT_BLOCK):
+        rows = slice(lo, lo + _EXACT_BLOCK)
+        S = sb[rows].sum(axis=1)
+        R_num = 2 * S * q                       # R = R_num / d
+        sig = sb[rows] * d + 2 * S[:, None] * p  # sigma = sig / d
+        lam = n * (sig @ inc) - R_num[:, None]  # lambda = lam / (n d)
+        L3 = 2 * (lam[:, i_idx] * lam[:, j_idx] * sig).sum(axis=1)
+        P2 = (lam ** 2).sum(axis=1)
+        P3 = (lam ** 3).sum(axis=1)
+        gap1[rows], gap2[rows] = (_evaluate((quadratic, cubic), R_num, P2, P3) - scale * L3
+                                  for scale, quadratic, cubic in coefficients)
+        slack[rows] = n * q * d * ((lam[:, i_idx] - lam[:, j_idx]) ** 2 * sb[rows]).sum(axis=1)
     bad = (gap1 < 0) | (gap2 < 0) | (gap1 != slack)
     result = {
         "count": count,
@@ -511,6 +542,7 @@ def profile_batch_exact(n, eps, count, seed):
         "violations": [],
         "minGap1Num": int(gap1.min()) if count else None,
         "minGap2Num": int(gap2.min()) if count else None,
+        "exactLane": lane,
     }
     for idx in np.nonzero(bad)[0][:10]:
         result["violations"].append({

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 RATIONAL = "rational"
 FLOAT = "float"
 
@@ -69,3 +71,25 @@ def scalar_to_json(x):
     if isinstance(x, int):
         return str(x)
     return float(x)
+
+
+# The exact integer lanes.  A kernel bounds the magnitude of every
+# intermediate it will form before computing anything, then runs in int64
+# when the bound fits and in Python ints (object arrays, exact at any size,
+# still vectorized) when it does not.
+INT64_LANE, PYTHON_INT_LANE = "int64", "python-int"
+INT64_MAX = 2 ** 63 - 1
+
+
+def exact_lane(bound):
+    """The lane for a kernel whose intermediates never exceed bound in
+    magnitude: INT64_LANE when bound fits in int64, else PYTHON_INT_LANE."""
+    return INT64_LANE if bound <= INT64_MAX else PYTHON_INT_LANE
+
+
+def lane_array(values, lane):
+    """Integer values as an array of the lane.  Every input goes through
+    int64 first, so that no float (say, a 0/1 matrix built in float64)
+    reaches the Python-int lane, where it would make the arithmetic inexact."""
+    values = np.asarray(values).astype(np.int64, copy=False)
+    return values if lane == INT64_LANE else values.astype(object)

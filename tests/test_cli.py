@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pinchlab import cli
 from pinchlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 
@@ -28,6 +29,31 @@ def test_verify_estimates_corrupted_coefficient_exits_1(capsys):
                              "--corrupt-rhs1", "-1.0"])
     assert code == EXIT_VIOLATION
     assert json.loads(out)["violations"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "6", "--eps", "1/1000", "--count", "5000"],
+    ["--n", "4", "--eps", "1/100000000000000000000", "--count", "10"],
+])
+def test_verify_estimates_beyond_int64_exits_0(capsys, argv):
+    code, out = run(capsys, ["verify-estimates", *argv])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["violations"] == []
+    (check,) = payload["checks"]
+    assert check["exact"]["slackIdentityExact"] is True
+    assert check["exact"]["exactLane"] == "python-int"
+
+
+def test_internal_error_exits_2(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("something inside broke")
+
+    monkeypatch.setitem(cli.COMMANDS, "identities", broken)
+    assert main(["identities"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: RuntimeError: something inside broke\n"
 
 
 def test_degenerate_eps_is_usage_error(capsys):

@@ -3,19 +3,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pinchlab import ftensor
-from pinchlab.curvature import FLOAT, RATIONAL
+from pinchlab import ftensor, scalars
+from pinchlab.curvature import FLOAT, RATIONAL, identity_metric
 from pinchlab.ftensor import (
     FCoefficients,
     GradientModel,
     CLAIMED_POINT,
     b_quadratic,
     bianchi_constant,
+    check_gradient_constraints,
     eps_factor_gradient,
+    expansion_bound,
     expansion_campaign,
     f_norm_expansion,
     f_tensor,
     grad_q2,
+    integer_gradient_models,
     optimal_b,
     optimize_q2,
     q1,
@@ -25,6 +28,7 @@ from pinchlab.ftensor import (
     s_coefficient,
     sample_gradient_model,
 )
+from pinchlab.reports import report_digest
 
 
 def test_bianchi_constant():
@@ -84,6 +88,102 @@ def test_norm_expansion_rejects_other_dims():
 def test_expansion_campaign_exact():
     out = expansion_campaign(20, 10, 0)
     assert out["exact"] and out["maxResidualNumerator"] == 0
+
+
+def fraction_projection(n, seed):
+    """The rational sampler as it was first written, in Fractions: project
+    the integer draws, then scale by the lcm of the denominators."""
+    rng = np.random.default_rng(seed)
+    S = np.empty((n, n, n), dtype=object)
+    for idx, v in zip(np.ndindex(n, n, n), rng.integers(-9, 10, size=n ** 3).tolist()):
+        S[idx] = Fraction(v)
+    w = np.empty(n, dtype=object)
+    for j, v in enumerate(rng.integers(-9, 10, size=n).tolist()):
+        w[j] = Fraction(v)
+    half, inv_n = Fraction(1, 2), Fraction(1, n)
+    S = (S + S.transpose(1, 0, 2)) * half
+    tr = np.einsum("iik->k", S)
+    eye = identity_metric(n, RATIONAL).comp
+    S = S - inv_n * np.einsum("ij,k->ijk", eye, tr)
+    u = bianchi_constant(n) * w - np.einsum("iji->j", S)
+    v = u / Fraction(n * n + n - 2, n)
+    S = S + (np.einsum("ik,j->ijk", eye, v) + np.einsum("jk,i->ijk", eye, v)
+             - (2 * inv_n) * np.einsum("ij,k->ijk", eye, v))
+    denoms = [x.denominator for x in S.reshape(-1)] + [x.denominator for x in w]
+    scale = Fraction(int(np.lcm.reduce(denoms)))
+    return S * scale, w * scale
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_rational_sampler_matches_the_fraction_projection(n):
+    for seed in [*range(50), *([7, idx] for idx in range(10))]:
+        S, w = fraction_projection(n, seed)
+        m = sample_gradient_model(n, seed, RATIONAL)
+        assert m.S.shape == S.shape and (m.S == S).all() and (m.w == w).all()
+        assert all(type(v) is Fraction for v in [*m.S.reshape(-1), *m.w])
+
+
+def test_integer_models_are_the_rational_models():
+    seeds = [[3, idx] for idx in range(20)]
+    S, w = integer_gradient_models(4, seeds)
+    assert S.dtype == w.dtype == np.int64 and S.shape == (20, 4, 4, 4)
+    for k, seed in enumerate(seeds):
+        m = sample_gradient_model(4, seed, RATIONAL)
+        assert (m.S == S[k]).all() and (m.w == w[k]).all()
+    check_gradient_constraints(S, w)
+    with pytest.raises(ValueError, match="Bianchi"):
+        check_gradient_constraints(S, w + 1)
+    with pytest.raises(ValueError, match="symmetric"):
+        check_gradient_constraints(S + np.arange(64).reshape(4, 4, 4), w)
+
+
+# report_digest of expansion_campaign(100, 20, seed), before the integer
+# sampler and without the exactLane key, which it added
+PINNED_EXPANSION_DIGESTS = {
+    0: "592a2cd91a5baa8e6af1b33dd7bac9be1ae08e093c8ec3980d62fc3ab379f615",
+    1: "20e43659e95e7ccc4d20b0743701280d4538d680549f150977168f9856024772",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_EXPANSION_DIGESTS))
+def test_expansion_campaign_report_is_unchanged(seed):
+    out = expansion_campaign(100, 20, seed)
+    assert out.pop("exactLane") == "int64"
+    assert report_digest(out) == PINNED_EXPANSION_DIGESTS[seed]
+
+
+def test_expansion_lanes_agree(monkeypatch):
+    int64 = expansion_campaign(30, 7, 5)
+    monkeypatch.setattr(scalars, "INT64_MAX", 0)
+    python_int = expansion_campaign(30, 7, 5)
+    assert (int64.pop("exactLane"), python_int.pop("exactLane")) == ("int64", "python-int")
+    assert python_int == int64
+    # models that break the Bianchi relation fail the check alike in both lanes
+    real = ftensor.integer_gradient_models
+
+    def broken(n, seeds):
+        S, w = real(n, seeds)
+        return S, 2 * w
+
+    monkeypatch.setattr(ftensor, "integer_gradient_models", broken)
+    wrong = {}
+    for limit in (2 ** 63 - 1, 0):
+        monkeypatch.setattr(scalars, "INT64_MAX", limit)
+        out = expansion_campaign(6, 3, 5)
+        wrong[out.pop("exactLane")] = out
+    assert wrong["int64"] == wrong["python-int"]
+    assert wrong["int64"]["violations"] and wrong["int64"]["maxResidualNumerator"] > 0
+
+
+def test_expansion_bound_picks_int64():
+    numerators = [[int(v * 12) for v in c.astuple()]
+                  for c in random_coefficients(100, [0, 999_331])]
+    S, w = integer_gradient_models(4, [[0, idx] for idx in range(1000)])
+    bound = expansion_bound(int(np.abs(S).max()), int(np.abs(w).max()), numerators)
+    assert scalars.exact_lane(bound) == "int64"
+    # every seed: entries are below 70 X (X = 2592 at n = 4), w below 9 X,
+    # and the coefficient numerators lie in [-24, 24]
+    assert scalars.exact_lane(expansion_bound(70 * 2592, 9 * 2592, [[24] * 5])) == "int64"
 
 
 def test_q_values_at_reference_point():

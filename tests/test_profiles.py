@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pinchlab import profiles, scalars
 from pinchlab.curvature import FLOAT, RATIONAL, invariants
 from pinchlab.minsec import DegenerateEpsError, SearchOptions
 from pinchlab.profiles import (
@@ -14,6 +15,7 @@ from pinchlab.profiles import (
     check_estimates,
     eigen_gap_lemma,
     equno_identity,
+    exact_profile_bound,
     lhs_contraction,
     mc_campaign,
     profile_batch_exact,
@@ -215,6 +217,62 @@ def test_batch_exact_identity_and_signs():
 def test_batch_exact_negative_eps():
     out = profile_batch_exact(4, Fraction(-1, 10), 500, 3)
     assert out["slackIdentityExact"] and not out["violations"]
+
+
+SUBCRITICAL = [(n, eps) for n in (3, 4, 5, 6)
+               for eps in (Fraction(-1, 10), Fraction(0), Fraction(1, 48), Fraction(1, 24))
+               if eps * n * (n - 1) < 1]
+
+
+def test_exact_bound_picks_int64_on_every_subcritical_combo():
+    assert len(SUBCRITICAL) == 15
+    bounds = {combo: exact_profile_bound(*combo) for combo in SUBCRITICAL}
+    assert all(scalars.exact_lane(b) == "int64" for b in bounds.values())
+    worst = max(bounds, key=bounds.get)
+    assert worst == (6, Fraction(1, 48)) and 6e16 < bounds[worst] < 7e16
+
+
+@pytest.mark.parametrize("n, eps, count", [
+    (6, Fraction(1, 1000), 5000),                 # products beyond int64
+    (4, Fraction(1, 10 ** 20), 10),               # a denominator beyond int64
+])
+def test_batch_exact_runs_python_ints_beyond_int64(n, eps, count):
+    assert scalars.exact_lane(exact_profile_bound(n, eps)) == "python-int"
+    out = profile_batch_exact(n, eps, count, 0)
+    assert out["exactLane"] == "python-int"
+    assert out["slackIdentityExact"] and not out["violations"]
+    assert out["minGap1Num"] >= 0 and out["minGap2Num"] >= 0
+
+
+def _wrong_estimate1(monkeypatch):
+    """Add one to estimate 1's integer quadratic coefficient."""
+    real = profiles._integer_coefficients
+
+    def wrong(n, f):
+        (scale, quadratic, cubic), second = real(n, f)
+        return [(scale, quadratic + 1, cubic), second]
+
+    monkeypatch.setattr(profiles, "_integer_coefficients", wrong)
+
+
+@pytest.mark.parametrize("wrong", [False, True])
+def test_batch_exact_lanes_agree(monkeypatch, wrong):
+    if wrong:
+        _wrong_estimate1(monkeypatch)
+    for n, eps in ((3, Fraction(-1, 10)), (4, Fraction(1, 24)), (6, Fraction(1, 48))):
+        monkeypatch.setattr(scalars, "INT64_MAX", 2 ** 63 - 1)
+        int64 = profile_batch_exact(n, eps, 300, 4)
+        monkeypatch.setattr(scalars, "INT64_MAX", 0)
+        python_int = profile_batch_exact(n, eps, 300, 4)
+        assert (int64.pop("exactLane"), python_int.pop("exactLane")) == ("int64", "python-int")
+        assert python_int == int64
+        assert bool(int64["violations"]) == wrong
+
+
+def test_python_int_lane_gets_no_floats():
+    values = scalars.lane_array(np.eye(3), "python-int")
+    assert values.dtype == object and all(type(v) is int for v in values.reshape(-1))
+    assert scalars.lane_array(np.eye(3), "int64").dtype == np.int64
 
 
 def test_mc_campaign_profile_skips_supercritical():
