@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .curvature import FLOAT, RATIONAL, check_mode, identity_metric
-from .scalars import exact_div, exact_lane, lane_array, scalar_to_json
+from .scalars import exact_div, scalar_to_json
 
 
 @dataclass(frozen=True)
@@ -89,32 +89,10 @@ class GradientModel:
         self.w.setflags(write=False)
 
 
-_MODEL_BLOCK = 128   # models projected at a time by integer_gradient_models
-
-
 def integer_gradient_models(n, seeds):
     """Integer models (S, w), one per seed, as int64 stacks of shapes
-    (len(seeds), n, n, n) and (len(seeds), n).
-
-    Each seed draws S, then w, as integers in [-9, 9]; _project_integer
-    projects them, a block of models at a time, so that its temporaries
-    stay small however many models there are.
-    """
-    S = np.empty((len(seeds), n, n, n), dtype=np.int64)
-    w = np.empty((len(seeds), n), dtype=np.int64)
-    for k, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        S[k] = rng.integers(-9, 10, size=n ** 3).reshape(n, n, n)
-        w[k] = rng.integers(-9, 10, size=n)
-    for lo in range(0, len(seeds), _MODEL_BLOCK):
-        rows = slice(lo, lo + _MODEL_BLOCK)
-        S[rows], w[rows] = _project_integer(S[rows], w[rows])
-    return S, w
-
-
-def _project_integer(S0, w0):
-    """The rational projection of integer draws (S0, w0), a stack of models,
-    with its denominators cleared.
+    (len(seeds), n, n, n) and (len(seeds), n): the rational projection of
+    integer draws in [-9, 9] (S first, then w), with its denominators cleared.
 
     The projection runs in integers over the fixed common denominator
     X = 2n (n^2 + n - 2)^2: it forms X times each step of symmetrizing in
@@ -123,11 +101,17 @@ def _project_integer(S0, w0):
     and every division on the way is exact.  Each model is then divided by
     the gcd of X and its entries, the least factor that clears the
     denominators of the rational projection (the constraints are
-    homogeneous in (S, w), so scaling preserves them).  Entries stay below
-    70 X in magnitude, far inside int64; the constraints are checked
-    exactly afterwards.
+    homogeneous in (S, w), so scaling preserves them).  Entries of S stay
+    below 70 X and those of w at most 9 X in magnitude, far inside int64;
+    the constraints are checked exactly afterwards.
     """
-    count, n = len(S0), S0.shape[-1]
+    count = len(seeds)
+    S0 = np.empty((count, n, n, n), dtype=np.int64)
+    w0 = np.empty((count, n), dtype=np.int64)
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        S0[k] = rng.integers(-9, 10, size=n ** 3).reshape(n, n, n)
+        w0[k] = rng.integers(-9, 10, size=n)
     h = n * n + n - 2
     X = 2 * n * h * h
     eye = np.eye(n, dtype=np.int64)
@@ -141,7 +125,7 @@ def _project_integer(S0, w0):
           - 2 * np.einsum("ij,mk->mijk", eye, t))
     w = X * w0
     g = np.gcd.reduce(np.concatenate(
-        [S.reshape(count, -1), w, np.full((count, 1), X)], axis=1), axis=1)
+        [S.reshape(count, n ** 3), w, np.full((count, 1), X)], axis=1), axis=1)
     S //= g[:, None, None, None]
     w //= g[:, None]
     check_gradient_constraints(S, w)
@@ -321,48 +305,25 @@ def random_coefficients(count, seed, den=12):
     return out
 
 
-_EXPANSION_DEN = 12   # denominator of the campaign's coefficients
-
-
-def expansion_bound(max_s, max_w, numerators):
-    """Largest magnitude any intermediate of expansion_campaign's kernel can
-    reach, in Python ints, from max|S|, max|w| and the coefficient
-    numerators (a1, a2, b1, b2, b3) * _EXPANSION_DEN: each sum and product is
-    bounded by the sum and product of its terms' bounds."""
-    n, den = 4, _EXPANSION_DEN
-    cells, worst = n ** 3, 0
-    for a1, a2, b1, b2, b3 in (map(abs, c) for c in numerators):
-        f = (den + a1 + a2) * max_s + (b1 + b2 + b3) * max_w     # |den F|
-        bquad = (a1 * (b1 + b3) + a2 * (b1 + b2) + den * (b2 + b3)
-                 + 8 * (b1 * b1 + b2 * b2 + b3 * b3) + 4 * (b1 * b2 + b1 * b3 + b2 * b3))
-        formula = ((2 * (den * den + a1 * a1 + a2 * a2) + 4 * (den * a1 + den * a2 + a1 * a2))
-                   * cells * max_s * max_s + bquad * n * max_w * max_w)
-        worst = max(worst, 2 * cells * f * f + formula)   # bounds direct - formula
-    return worst
-
-
 def expansion_campaign(model_count, coeff_count, seed):
     """Exact |F|^2 direct-vs-formula check over a rational campaign.
 
     The models are the integer (S, w) of integer_gradient_models (n = 4; the
-    rational projection's common denominator 2n (n^2 + n - 2)^2 is already
-    cleared) and the coefficients have denominator 12, so both sides times
-    2 * 144 are integers, and zero residual is demanded.  The check runs
-    vectorized over coefficients and blocks of models, in the exact lane
-    that expansion_bound picks before computing: int64 when no intermediate
-    can leave it, else Python ints.  A Fraction-path spot check lives in
-    the test suite.
+    rational projection's common denominator 2n (n^2 + n - 2)^2 = 2592 is
+    already cleared) and the coefficients have denominator 12, so both
+    sides times 2 * 144 are integers, and zero residual is demanded.  The
+    check runs vectorized in int64 over coefficients and blocks of models.
+    No input can overflow it: entries below 70 * 2592 in S and 9 * 2592 in
+    w and coefficient numerators in [-24, 24] keep every intermediate below
+    4e16, whatever the seed and counts.  A Fraction-path spot check lives
+    in the test suite.
     """
-    den = _EXPANSION_DEN
+    den = 12
     coeffs = random_coefficients(coeff_count, [seed, 999_331], den)
-    numerators = [[int(v * den) for v in c.astuple()] for c in coeffs]
+    a1, a2, b1, b2, b3 = np.array([[int(v * den) for v in c.astuple()] for c in coeffs],
+                                  dtype=np.int64).reshape(-1, 5).T
     S, w = integer_gradient_models(4, [[seed, idx] for idx in range(model_count)])
-    lane = exact_lane(expansion_bound(int(max(S.max(initial=0), -S.min(initial=0))),
-                                      int(max(w.max(initial=0), -w.min(initial=0))),
-                                      numerators))
-    S, w = lane_array(S, lane), lane_array(w, lane)
-    a1, a2, b1, b2, b3 = lane_array(np.reshape(numerators, (-1, 5)).T, lane)
-    eye = lane_array(np.eye(4), lane)
+    eye = np.eye(4, dtype=np.int64)
     coeff_matrix = np.stack([np.full_like(a1, den), a1, a2, b1, b2, b3], axis=1)
     quadratic = 2 * (den * den + a1 ** 2 + a2 ** 2)
     mixing = 4 * (den * a1 + den * a2 + a1 * a2)
@@ -397,7 +358,6 @@ def expansion_campaign(model_count, coeff_count, seed):
         "maxResidualNumerator": worst,
         "violations": failures,
         "exact": not failures,
-        "exactLane": lane,
     }
 
 

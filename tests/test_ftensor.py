@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pinchlab import ftensor, scalars
+from pinchlab import ftensor
 from pinchlab.curvature import FLOAT, RATIONAL, identity_metric
 from pinchlab.ftensor import (
     FCoefficients,
@@ -13,7 +13,6 @@ from pinchlab.ftensor import (
     bianchi_constant,
     check_gradient_constraints,
     eps_factor_gradient,
-    expansion_bound,
     expansion_campaign,
     f_norm_expansion,
     f_tensor,
@@ -127,6 +126,7 @@ def test_integer_models_are_the_rational_models():
     seeds = [[3, idx] for idx in range(20)]
     S, w = integer_gradient_models(4, seeds)
     assert S.dtype == w.dtype == np.int64 and S.shape == (20, 4, 4, 4)
+    assert integer_gradient_models(4, [])[0].shape == (0, 4, 4, 4)
     for k, seed in enumerate(seeds):
         m = sample_gradient_model(4, seed, RATIONAL)
         assert (m.S == S[k]).all() and (m.w == w[k]).all()
@@ -137,8 +137,7 @@ def test_integer_models_are_the_rational_models():
         check_gradient_constraints(S + np.arange(64).reshape(4, 4, 4), w)
 
 
-# report_digest of expansion_campaign(100, 20, seed), before the integer
-# sampler and without the exactLane key, which it added
+# report_digest of expansion_campaign(100, 20, seed) before the integer sampler
 PINNED_EXPANSION_DIGESTS = {
     0: "592a2cd91a5baa8e6af1b33dd7bac9be1ae08e093c8ec3980d62fc3ab379f615",
     1: "20e43659e95e7ccc4d20b0743701280d4538d680549f150977168f9856024772",
@@ -147,43 +146,54 @@ PINNED_EXPANSION_DIGESTS = {
 
 @pytest.mark.parametrize("seed", sorted(PINNED_EXPANSION_DIGESTS))
 def test_expansion_campaign_report_is_unchanged(seed):
-    out = expansion_campaign(100, 20, seed)
-    assert out.pop("exactLane") == "int64"
-    assert report_digest(out) == PINNED_EXPANSION_DIGESTS[seed]
+    assert report_digest(expansion_campaign(100, 20, seed)) == PINNED_EXPANSION_DIGESTS[seed]
 
 
-def test_expansion_lanes_agree(monkeypatch):
-    int64 = expansion_campaign(30, 7, 5)
-    monkeypatch.setattr(scalars, "INT64_MAX", 0)
-    python_int = expansion_campaign(30, 7, 5)
-    assert (int64.pop("exactLane"), python_int.pop("exactLane")) == ("int64", "python-int")
-    assert python_int == int64
-    # models that break the Bianchi relation fail the check alike in both lanes
+def expansion_worst_case(n=4, den=12, draw=9, numerator=24):
+    """(max|S|, max|w|, max intermediate) of expansion_campaign's int64
+    kernel, each sum and product bounded by the sum and product of its
+    terms' bounds: first through integer_gradient_models from draws in
+    [-draw, draw], then through the kernel with coefficient numerators in
+    [-numerator, numerator]."""
+    h = n * n + n - 2
+    X = 2 * n * h * h
+    symmetric = n * h * h * 2 * draw + 2 * h * h * n * draw      # X (sym S - trace part)
+    t = -(-((n - 2) * h * h * draw + n * symmetric) // h)
+    max_s, max_w = symmetric + (2 * n + 2) * t, X * draw
+    a = b = numerator
+    cells = n ** 3
+    f = (den + 2 * a) * max_s + 3 * b * max_w                     # |den F|
+    bquad = 4 * a * b + 2 * den * b + 12 * b * b + 12 * b * b
+    formula = ((2 * (den * den + 2 * a * a) + 4 * (2 * den * a + a * a)) * cells * max_s ** 2
+               + bquad * n * max_w ** 2)
+    return max_s, max_w, 2 * cells * f * f + formula
+
+
+def test_expansion_kernel_cannot_leave_int64():
+    max_s, max_w, worst = expansion_worst_case()
+    X = 2592    # 2n (n^2 + n - 2)^2 at n = 4
+    assert max_s < 70 * X and max_w == 9 * X and worst < 4e16 < 2 ** 63 - 1
+    # the premises hold for the campaign's draws
+    coeffs = random_coefficients(2000, [0, 999_331])
+    assert max(abs(v * 12) for c in coeffs for v in c.astuple()) == 24
+    S, w = integer_gradient_models(4, [[0, idx] for idx in range(2000)])
+    assert np.abs(S).max() <= max_s and np.abs(w).max() <= max_w
+
+
+def test_expansion_worst_case_covers_the_kernel(monkeypatch, recorded):
+    max_s, max_w, worst = expansion_worst_case()
     real = ftensor.integer_gradient_models
 
-    def broken(n, seeds):
+    def models(n, seeds):
         S, w = real(n, seeds)
-        return S, 2 * w
+        # the last model has every entry at its bound (not a gradient model)
+        S[-1], w[-1] = max_s, max_w
+        return recorded.array(S), recorded.array(w)
 
-    monkeypatch.setattr(ftensor, "integer_gradient_models", broken)
-    wrong = {}
-    for limit in (2 ** 63 - 1, 0):
-        monkeypatch.setattr(scalars, "INT64_MAX", limit)
-        out = expansion_campaign(6, 3, 5)
-        wrong[out.pop("exactLane")] = out
-    assert wrong["int64"] == wrong["python-int"]
-    assert wrong["int64"]["violations"] and wrong["int64"]["maxResidualNumerator"] > 0
-
-
-def test_expansion_bound_picks_int64():
-    numerators = [[int(v * 12) for v in c.astuple()]
-                  for c in random_coefficients(100, [0, 999_331])]
-    S, w = integer_gradient_models(4, [[0, idx] for idx in range(1000)])
-    bound = expansion_bound(int(np.abs(S).max()), int(np.abs(w).max()), numerators)
-    assert scalars.exact_lane(bound) == "int64"
-    # every seed: entries are below 70 X (X = 2592 at n = 4), w below 9 X,
-    # and the coefficient numerators lie in [-24, 24]
-    assert scalars.exact_lane(expansion_bound(70 * 2592, 9 * 2592, [[24] * 5])) == "int64"
+    monkeypatch.setattr(ftensor, "integer_gradient_models", models)
+    out = expansion_campaign(10, 40, 3)
+    assert {v["model"] for v in out["violations"]} == {9}
+    assert worst / 10 < recorded.peak <= worst
 
 
 def test_q_values_at_reference_point():

@@ -269,6 +269,28 @@ def test_batch_exact_lanes_agree(monkeypatch, wrong):
         assert bool(int64["violations"]) == wrong
 
 
+class _ExtremeDraws:
+    """Stands in for a combo's generator in profile_batch_exact: first every
+    shifted curvature at the largest draw, then each alone at it, then
+    uniform draws."""
+
+    def integers(self, low, high, size):
+        count, m = size
+        return np.concatenate([np.full((1, m), high - 1), (high - 1) * np.eye(m, dtype=int),
+                               np.random.default_rng(0).integers(low, high, size=(count, m))])[:count]
+
+
+@pytest.mark.parametrize("n, eps", [(3, Fraction(-1, 10)), (6, Fraction(1, 48)),
+                                    (6, Fraction(1, 1000)), (4, Fraction(1, 10 ** 20))])
+def test_exact_bound_covers_the_kernel(monkeypatch, recorded, n, eps):
+    monkeypatch.setattr(profiles, "_combo_rng", lambda *args: _ExtremeDraws())
+    monkeypatch.setattr(profiles, "lane_array", lambda values, lane: recorded.array(values))
+    out = profile_batch_exact(n, eps, 100, 0)
+    assert out["slackIdentityExact"] and not out["violations"]
+    bound = exact_profile_bound(n, eps)
+    assert recorded.peak <= bound
+
+
 def test_python_int_lane_gets_no_floats():
     values = scalars.lane_array(np.eye(3), "python-int")
     assert values.dtype == object and all(type(v) is int for v in values.reshape(-1))
