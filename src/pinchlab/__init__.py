@@ -44,7 +44,6 @@ from .minsec import (  # noqa: F401
     dual_bracket,
     dual_min_sectional,
     min_sectional,
-    min_sectional_bracket,
     sample_sectionals,
     shift_to_pinching,
     solve_dual,

@@ -176,23 +176,34 @@ def f_tensor(m: GradientModel, c: FCoefficients):
             + c.b3 * np.einsum("jk,i->ijk", eye, m.w))
 
 
-def b_quadratic(c: FCoefficients):
-    """The |grad R|^2 coefficient block of the expansion (dimension four):
+def expansion_weights(a1, a2, b1, b2, b3, one=1):
+    """(quadratic, mixing, bquad), the weights of the |F|^2 expansion
+    (dimension four)
 
-        a1 (b1 + b3) + a2 (b1 + b2) + b2 + b3
-        + 8 (b1^2 + b2^2 + b3^2) + 4 (b1 b2 + b1 b3 + b2 b3).
+        |F|^2 = quadratic |S|^2 + mixing sum S_ijk S_ikj + (bquad / 2) |w|^2,
+
+    each homogeneous of degree two in (one, a1, a2, b1, b2, b3): one = 1
+    evaluates them on values (Fractions or floats), one = den on integer
+    numerators over den (int64 vectors), which scales each by den^2.
     """
-    a1, a2, b1, b2, b3 = c.astuple()
-    return (a1 * (b1 + b3) + a2 * (b1 + b2) + b2 + b3
-            + 8 * (b1 * b1 + b2 * b2 + b3 * b3)
-            + 4 * (b1 * b2 + b1 * b3 + b2 * b3))
+    quadratic = one * one + a1 * a1 + a2 * a2
+    mixing = 2 * (one * a1 + one * a2 + a1 * a2)
+    bquad = (a1 * (b1 + b3) + a2 * (b1 + b2) + one * (b2 + b3)
+             + 8 * (b1 * b1 + b2 * b2 + b3 * b3)
+             + 4 * (b1 * b2 + b1 * b3 + b2 * b3))
+    return quadratic, mixing, bquad
+
+
+def b_quadratic(c: FCoefficients):
+    """bquad of expansion_weights, the |grad R|^2 coefficient block."""
+    return expansion_weights(*c.astuple())[2]
 
 
 def f_norm_expansion(m: GradientModel, c: FCoefficients):
     """(direct, formula) for |F|^2; they agree exactly in rational mode.
 
     direct is the brute-force contraction sum F_ijk^2; formula is the
-    three-term expansion
+    three-term expansion of expansion_weights,
         (1 + a1^2 + a2^2) |S|^2 + 2 (a1 + a2 + a1 a2) sum S_ijk S_ikj
         + (1/2) * b_quadratic * |w|^2.
     """
@@ -203,10 +214,8 @@ def f_norm_expansion(m: GradientModel, c: FCoefficients):
     s_sq = np.einsum("ijk,ijk", m.S, m.S)
     mixed = np.einsum("ijk,ikj", m.S, m.S)
     w_sq = np.einsum("j,j", m.w, m.w)
-    a1, a2 = c.a1, c.a2
-    formula = ((1 + a1 * a1 + a2 * a2) * s_sq
-               + 2 * (a1 + a2 + a1 * a2) * mixed
-               + exact_div(b_quadratic(c), 2) * w_sq)
+    quadratic, mixing, bquad = expansion_weights(*c.astuple())
+    formula = quadratic * s_sq + mixing * mixed + exact_div(bquad, 2) * w_sq
     return direct, formula
 
 
@@ -316,8 +325,14 @@ def expansion_campaign(model_count, coeff_count, seed):
     No input can overflow it: entries below 70 * 2592 in S and 9 * 2592 in
     w and coefficient numerators in [-24, 24] keep every intermediate below
     4e16, whatever the seed and counts.  A Fraction-path spot check lives
-    in the test suite.
+    in the test suite.  model_count may be 0; coeff_count must be >= 1, the
+    reference point CLAIMED_POINT being always the first coefficient vector.
     """
+    if model_count < 0:
+        raise ValueError(f"model_count = {model_count} must be >= 0")
+    if coeff_count < 1:
+        raise ValueError(f"coeff_count = {coeff_count} must be >= 1: the reference "
+                         "point is always the first coefficient vector")
     den = 12
     coeffs = random_coefficients(coeff_count, [seed, 999_331], den)
     a1, a2, b1, b2, b3 = np.array([[int(v * den) for v in c.astuple()] for c in coeffs],
@@ -325,11 +340,8 @@ def expansion_campaign(model_count, coeff_count, seed):
     S, w = integer_gradient_models(4, [[seed, idx] for idx in range(model_count)])
     eye = np.eye(4, dtype=np.int64)
     coeff_matrix = np.stack([np.full_like(a1, den), a1, a2, b1, b2, b3], axis=1)
-    quadratic = 2 * (den * den + a1 ** 2 + a2 ** 2)
-    mixing = 4 * (den * a1 + den * a2 + a1 * a2)
-    bquad = (a1 * (b1 + b3) + a2 * (b1 + b2) + den * (b2 + b3)
-             + 8 * (b1 ** 2 + b2 ** 2 + b3 ** 2)
-             + 4 * (b1 * b2 + b1 * b3 + b2 * b3))
+    # den^2 times each weight
+    quadratic, mixing, bquad = expansion_weights(a1, a2, b1, b2, b3, one=den)
     worst, failures = 0, []
     block = max(1, 1024 // len(coeffs))     # models per block: den F stays <= 512 kB
     for lo in range(0, model_count, block):
@@ -342,8 +354,8 @@ def expansion_campaign(model_count, coeff_count, seed):
                          axis=1).reshape(len(Sb), 6, 64)
         F = coeff_matrix @ basis
         direct2 = 2 * np.einsum("mcx,mcx->mc", F, F)       # 2 den^2 |F|^2
-        formula2 = ((Sb * Sb).sum(axis=(1, 2, 3))[:, None] * quadratic
-                    + (Sb * Sb.transpose(0, 1, 3, 2)).sum(axis=(1, 2, 3))[:, None] * mixing
+        formula2 = (2 * ((Sb * Sb).sum(axis=(1, 2, 3))[:, None] * quadratic
+                         + (Sb * Sb.transpose(0, 1, 3, 2)).sum(axis=(1, 2, 3))[:, None] * mixing)
                     + (wb * wb).sum(axis=1)[:, None] * bquad)
         residual = direct2 - formula2
         worst = max(worst, int(np.abs(residual).max(initial=0)))

@@ -18,8 +18,9 @@ examples), so the bracket it closes may stay open.  For n <= 3 there are no
 
 dual_min_sectional returns the bracket (lower, upper, plane): lower from the
 multiplier, upper the curvature of a plane taken from the bottom eigenvectors
-at that multiplier.  The grid + L-BFGS search (search_min_sectional) is kept
-as the tests' independent oracle; nothing on the runtime path calls it.
+at that multiplier.  shift_to_pinching returns tensors certified by that
+bracket; pinched is the one test of Sec >= eps*R.  The grid + L-BFGS search
+(search_min_sectional) is the tests' independent oracle only.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .curvature import (
     pair_index,
     scalar,
 )
+from .scalars import GAP_RTOL, is_rational
 
 
 class MinSectionalError(RuntimeError):
@@ -64,9 +66,9 @@ def require_subcritical(n, eps):
 class SearchOptions:
     """Options of search_min_sectional, the grid + L-BFGS oracle.
 
-    min_sectional, shift_to_pinching, check_estimates and the campaigns
-    solve the dual instead; they accept these options for compatibility and
-    do not use them.
+    The runtime path solves the dual and takes no options.  min_sectional's
+    opts and CampaignConfig.search still accept them, unused, because the
+    benchmark's workloads pass them.
     """
 
     grid_points: int | None = None   # default: min(20**(2(n-2)), 160000)
@@ -170,7 +172,7 @@ def _descend(comp, z0, opts: SearchOptions = SearchOptions()):
 
 def min_sectional(Rm: AlgCurvTensor, opts: SearchOptions = SearchOptions()):
     """Minimal sectional curvature over all 2-planes; returns (value, Plane),
-    the upper end of min_sectional_bracket.  opts is not used."""
+    the upper end of dual_min_sectional.  opts is not used."""
     _, upper, plane = dual_min_sectional(Rm)
     return upper, plane
 
@@ -285,10 +287,6 @@ def dual_min_sectional(Rm: AlgCurvTensor):
     inexact."""
     multiplier, plane = solve_dual(Rm)
     return (*dual_bracket(Rm, multiplier, plane), plane)
-
-
-# the same bracket under its dimension-neutral name
-min_sectional_bracket = dual_min_sectional
 
 
 def solve_dual(Rm: AlgCurvTensor):
@@ -480,12 +478,34 @@ def _polish(Rm: AlgCurvTensor, plane):
 # The pinching shift
 # ---------------------------------------------------------------------------
 
-def shift_to_pinching(Rm: AlgCurvTensor, eps, margin=0,
-                      opts: SearchOptions = SearchOptions()) -> AlgCurvTensor:
-    """Shift by a multiple of g^g so that Sec >= eps*R (+ margin slack),
-    taking min Sec from min_sectional (the upper end of the bracket; opts
-    is not used).  See shift_by."""
-    return shift_by(Rm, eps, min_sectional(Rm)[0], margin)
+def pinched(value, eps, R):
+    """value >= eps*R, the pinching hypothesis for a curvature value: exact
+    when value and R are rational, else up to GAP_RTOL * max(1, |eps*R|)."""
+    if is_rational(value) and is_rational(R):
+        return value >= eps * R
+    bound = float(eps) * float(R)
+    return value >= bound - GAP_RTOL * max(1.0, abs(bound))
+
+
+def shift_to_pinching(Rm: AlgCurvTensor, eps, margin=0):
+    """(shifted, lower, upper): Rm + (c/2) g^g with Sec >= eps*R (+ margin
+    slack), certified when pinched(lower, eps, R) for its bracket [lower, upper].
+
+    One solve_dual on Rm, then shift_by the curvature of its plane: that
+    adds c I to Rhat and keeps the multiplier optimal, so dual_bracket at it
+    rechecks.  An open bracket wider than the slack, its plane still pinched,
+    is shifted on from lower and rechecked; one whose plane violates the
+    hypothesis is returned uncertified.
+    """
+    multiplier, plane = solve_dual(Rm)
+    upper = plane_sectionals(Rm, plane.x[None, :], plane.y[None, :])[0]
+    shifted = shift_by(Rm, eps, upper, margin)
+    lower, upper = dual_bracket(shifted, multiplier, plane)
+    R = scalar(shifted)
+    if not pinched(lower, eps, R) and pinched(upper, eps, R):
+        shifted = shift_by(shifted, eps, lower, margin)
+        lower, upper = dual_bracket(shifted, multiplier, plane)
+    return shifted, lower, upper
 
 
 def shift_by(Rm: AlgCurvTensor, eps, min_sec, margin=0) -> AlgCurvTensor:

@@ -27,7 +27,7 @@ from .curvature import (
     traceless_ricci,
     zeros,
 )
-from .minsec import SearchOptions, min_sectional, sample_sectionals
+from .minsec import min_sectional, sample_sectionals
 from .scalars import scalar_to_json
 
 CONSTANT = "constant"
@@ -180,13 +180,12 @@ class ThresholdReport:
                 "passes124": self.passes124}
 
 
-def pinching_threshold(m: ModelGeometry, use_search=False,
-                       opts: SearchOptions = SearchOptions()) -> ThresholdReport:
+def pinching_threshold(m: ModelGeometry, use_search=False) -> ThresholdReport:
     """minSec / R for the model; exact via the stored closed form by default,
     numerically via min_sectional when use_search is set."""
     R = scalar(m.Rm)
     if use_search:
-        min_sec = min_sectional(m.Rm, opts)[0]
+        min_sec = min_sectional(m.Rm)[0]
     else:
         min_sec = m.minSecClosedForm
     if R == 0:

@@ -32,17 +32,14 @@ from .curvature import (
 from .minsec import (
     DegenerateEpsError,
     SearchOptions,
-    dual_bracket,
+    dual_min_sectional,
     min_sectional,  # noqa: F401  bench/test_bench.py checks that the tracer rebinds it here
-    min_sectional_bracket,
+    pinched,
     plane_sectionals,
     require_subcritical,
-    shift_by,
-    solve_dual,
+    shift_to_pinching,
 )
-from .scalars import exact_div, exact_lane, is_rational, lane_array, scalar_to_json
-
-GAP_RTOL = 1e-10   # float-mode inequality slack, relative to max(1,|lhs|,|rhs|)
+from .scalars import GAP_RTOL, exact_div, exact_lane, is_rational, lane_array, scalar_to_json
 
 
 class UncertifiedSourceError(ValueError):
@@ -305,24 +302,20 @@ def _profile_invariants(p: SigmaProfile):
     )
 
 
-def check_estimates(source, params: PinchingParams,
-                    opts: SearchOptions = SearchOptions(),
-                    certified=False) -> EstimateReport:
+def check_estimates(source, params: PinchingParams, certified=False) -> EstimateReport:
     """Evaluate both estimates and the convex combination on one source.
 
-    The hypothesis Sec >= eps*R is a precondition: profiles are checked
-    directly on their sigma entries, tensors through min_sectional_bracket,
-    unless the caller certifies construction (e.g. shift_to_pinching
-    output).  A tensor passes when the bracket's lower end certifies the
-    hypothesis; the error says whether the bracket's plane violates it or
-    the 4-form dual cannot decide (an open bracket straddling eps*R).
-    opts is not used.
+    The hypothesis Sec >= eps*R (decided by pinched) is a precondition:
+    profiles are checked directly on their sigma entries, tensors through
+    dual_min_sectional, unless the caller certifies construction.  A tensor
+    passes when the bracket's lower end certifies the hypothesis; the error
+    says whether the bracket's plane violates it or the 4-form dual cannot
+    decide (an open bracket straddling eps*R).
     """
     eps = params.eps
     if isinstance(source, SigmaProfile):
         inv = _profile_invariants(source)
-        tol = 0 if source.mode == RATIONAL else GAP_RTOL * max(1.0, abs(float(inv.R)))
-        if not certified and source.min_sigma() - eps * source.R < -tol:
+        if not certified and not pinched(source.min_sigma(), eps, source.R):
             raise UncertifiedSourceError(
                 f"profile violates Sec >= eps*R: min sigma {source.min_sigma()}, "
                 f"eps*R = {eps * source.R}")
@@ -331,14 +324,13 @@ def check_estimates(source, params: PinchingParams,
     if isinstance(source, AlgCurvTensor):
         inv = invariants(source)
         if not certified:
-            lower, upper, _ = min_sectional_bracket(source)
+            lower, upper, _ = dual_min_sectional(source)
             bound = float(eps) * float(inv.R)
-            tol = GAP_RTOL * max(1.0, abs(bound))
-            if upper < bound - tol:
+            if not pinched(upper, eps, inv.R):
                 raise UncertifiedSourceError(
                     f"tensor violates Sec >= eps*R: a plane has Sec {upper}, "
                     f"eps*R = {bound}")
-            if lower < bound - tol:
+            if not pinched(lower, eps, inv.R):
                 raise UncertifiedSourceError(
                     f"tensor not certified: min Sec lies in [{lower}, {upper}], "
                     f"which the 4-form dual cannot close above eps*R = {bound}")
@@ -571,10 +563,18 @@ class CampaignConfig:
     distribution: str = "half-normal"
     margin: float = 0.1              # tensor kind: pinching slack after shift
     coeff_delta: float = 0.0         # corrupted-coefficient test fixture
-    # accepted and kept in the config, not used: the tensor kind solves the
-    # min-Sec dual (see _tensor_combo), which takes no search options
+    # not used: the tensor kind solves the min-Sec dual (shift_to_pinching),
+    # which takes no search options; kept because the benchmark passes it
     search: SearchOptions = field(default_factory=lambda: SearchOptions(
         grid_points=20_000, refine_starts=8))
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise ValueError(f"count = {self.count} must be >= 0")
+        if min(self.dims, default=3) < 3:
+            raise ValueError(f"n = {min(self.dims)}: dimension must be >= 3")
+        for s in self.s_list:
+            PinchingParams(s=s)   # rejects s outside [0, 1]
 
     def as_dict(self):
         return {
@@ -632,23 +632,9 @@ def mc_campaign(config: CampaignConfig):
     }
 
 
-def _pinched(min_sec, eps, R):
-    """min_sec >= eps*R up to the campaign's gap tolerance."""
-    return min_sec >= float(eps) * R - GAP_RTOL * max(1.0, abs(R))
-
-
 def _tensor_combo(n, eps, config: CampaignConfig):
-    """Shifted random tensors at (n, eps), one dual solve each.
-
-    The dual is solved once on the raw tensor, which is shifted by the
-    curvature of the dual's plane (the bracket's upper end).  The shift adds
-    c I to Rhat and leaves the multiplier optimal, so the recheck is
-    dual_bracket of the shifted tensor at that multiplier: a weak-duality
-    certificate of Sec >= eps*R.  Where the 4-form relaxation is inexact the
-    bracket can be wider than the slack the shift leaves; if the plane still
-    satisfies the hypothesis, the tensor is shifted on from the certified
-    lower end and rechecked.  A plane that violates it fails the recheck.
-    """
+    """Random tensors at (n, eps), each shifted and certified by
+    shift_to_pinching, then checked against both estimates."""
     params_by_s = [PinchingParams(float(eps), float(s)) for s in config.s_list]
     min_gaps = {"gap1": np.inf, "gap2": np.inf, "gapConvex": np.inf}
     dumps = []
@@ -657,17 +643,10 @@ def _tensor_combo(n, eps, config: CampaignConfig):
     for idx in range(config.count):
         rng_seed = [int(config.seed), n, idx]
         Rm = random_curvature(n, rng_seed, FLOAT)
-        multiplier, plane = solve_dual(Rm)
-        upper = plane_sectionals(Rm, plane.x[None, :], plane.y[None, :])[0]
-        shifted = shift_by(Rm, float(eps), upper, config.margin)
-        lower, upper = dual_bracket(shifted, multiplier, plane)
+        shifted, lower, upper = shift_to_pinching(Rm, float(eps), config.margin)
         inv = invariants(shifted)
-        if not _pinched(lower, eps, float(inv.R)) and _pinched(upper, eps, float(inv.R)):
-            shifted = shift_by(shifted, float(eps), lower, config.margin)
-            lower, upper = dual_bracket(shifted, multiplier, plane)
-            inv = invariants(shifted)
         width_max = max(upper - lower, width_max or 0.0)
-        if _pinched(lower, eps, float(inv.R)):
+        if pinched(lower, float(eps), inv.R):
             recheck_ok += 1
         equno_res = _tensor_equno_residual(shifted, float(eps))
         for params in params_by_s:

@@ -17,6 +17,8 @@ FLOAT = "float"
 
 MODES = (RATIONAL, FLOAT)
 
+GAP_RTOL = 1e-10   # float-mode inequality slack, relative to max(1, |sides|)
+
 
 class ArithmeticModeError(TypeError):
     """Raised on mixed rational/float tensor operations or unknown modes."""

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -59,6 +60,25 @@ def test_internal_error_exits_2(capsys, monkeypatch):
 def test_degenerate_eps_is_usage_error(capsys):
     code, _ = run(capsys, ["verify-estimates", "--n", "4", "--eps", "1/12"])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["verify-estimates", "--s", "2", "--count", "10"], "s"),
+    (["verify-estimates", "--n", "2", "--count", "10"], "n"),
+    (["verify-estimates", "--n", "1", "--count", "10"], "n"),
+    (["verify-estimates", "--count", "-3"], "count"),
+    (["verify-estimates", "--kind", "tensor", "--count", "-3"], "count"),
+    (["expand-fsq", "--models", "-2"], "model_count"),
+    (["expand-fsq", "--coeffs", "0"], "coeff_count"),
+])
+def test_out_of_domain_value_is_usage_error(capsys, tmp_path, argv, name):
+    out = tmp_path / "reports"
+    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and re.search(rf"\b{name} = ", line), line
+    assert not out.exists()
 
 
 def test_bad_scalar_is_usage_error():

@@ -22,8 +22,8 @@ from pinchlab.minsec import (
     four_form_basis,
     grid_sectionals,
     min_sectional,
-    min_sectional_bracket,
     pair_operator,
+    pinched,
     sample_sectionals,
     search_min_sectional,
     shift_to_pinching,
@@ -100,8 +100,9 @@ def test_grid_is_deterministic():
 def test_shift_to_pinching_certifies(eps):
     for seed in range(3):
         Rm = random_curvature(4, seed, FLOAT)
-        shifted = shift_to_pinching(Rm, eps, margin=0.05, opts=FAST)
+        shifted, lower, _ = shift_to_pinching(Rm, eps, margin=0.05)
         R = scalar(shifted)
+        assert pinched(lower, eps, R), seed
         for find in FINDERS:
             val, _ = find(shifted, FAST)
             assert val >= eps * R - 1e-9 * max(1.0, abs(R)), (find.__name__, seed)
@@ -115,7 +116,7 @@ def test_shift_rejects_degenerate_eps():
 
 def test_shift_rational_mode_stays_rational():
     Rm = random_curvature(4, 2, RATIONAL, scale=3)
-    shifted = shift_to_pinching(Rm, Fraction(0), margin=0, opts=FAST)
+    shifted, _, _ = shift_to_pinching(Rm, Fraction(0), margin=0)
     assert shifted.mode == RATIONAL
     assert shifted.bianchi_residual() == 0
 
@@ -182,14 +183,12 @@ def test_dual_on_rational_tensor():
 def test_bracket_dispatches_on_dimension():
     Rm = random_curvature(4, 8, FLOAT)
     lower, upper, plane = dual_min_sectional(Rm)
-    assert min_sectional_bracket(Rm)[:2] == (lower, upper)
     val, found = min_sectional(Rm, SearchOptions(grid_points=1, refine_starts=1))
     assert val == upper
     assert np.array_equal(found.x, plane.x) and np.array_equal(found.y, plane.y)
     Rm = random_curvature(5, 2, FLOAT)
-    lower, upper, _ = min_sectional_bracket(Rm)
+    lower, upper, _ = dual_min_sectional(Rm)
     searched = search_min_sectional(Rm, FAST)[0]
-    assert (lower, upper) == dual_min_sectional(Rm)[:2]
     assert lower <= searched
     assert upper == pytest.approx(searched, abs=1e-12 * _scale(Rm))
 
@@ -339,7 +338,7 @@ def test_dual_bracket_moves_with_a_shift():
         Rm = random_curvature(n, [43, n], FLOAT)
         multiplier, plane = solve_dual(Rm)
         lower, upper = dual_bracket(Rm, multiplier, plane)
-        shifted = shift_to_pinching(Rm, 0.0, margin=0.5)
+        shifted, _, _ = shift_to_pinching(Rm, 0.0, margin=0.5)
         c = 0.5 - upper
         assert np.allclose(pair_operator(shifted), pair_operator(Rm) + c * np.eye(len(pair_operator(Rm))))
         assert dual_bracket(shifted, multiplier, plane) == pytest.approx(

@@ -139,8 +139,8 @@ def test_uncertified_profile_raises():
 def test_tensor_source_certification_path():
     from pinchlab.curvature import random_curvature
     from pinchlab.minsec import shift_to_pinching
-    Rm = shift_to_pinching(random_curvature(4, 0, FLOAT), 0.0, margin=0.1, opts=FAST)
-    rep = check_estimates(Rm, PinchingParams(0.0, 1.0), FAST)
+    Rm, _, _ = shift_to_pinching(random_curvature(4, 0, FLOAT), 0.0, margin=0.1)
+    rep = check_estimates(Rm, PinchingParams(0.0, 1.0))
     assert rep.passed
     assert abs(rep.equnoResidual) < 1e-8 * max(1.0, abs(float(rep.lhs)))
 
@@ -341,19 +341,18 @@ def test_tensor_combo_matches_check_estimates():
     reports = []
     for idx in range(3):
         Rm = random_curvature(4, [9, 4, idx], FLOAT)
-        shifted = shift_to_pinching(Rm, float(eps), config.margin)
-        reports += [check_estimates(shifted, PinchingParams(float(eps), float(s)),
-                                    certified=True) for s in s_list]
+        shifted, _, _ = shift_to_pinching(Rm, float(eps), config.margin)
+        reports += [check_estimates(shifted, PinchingParams(float(eps), float(s)))
+                    for s in s_list]
     assert entry["minGap1"] == min(float(r.gap1) for r in reports)
     assert entry["minGap2"] == min(float(r.gap2) for r in reports)
     assert entry["minGapConvex"] == min(float(r.gapConvex) for r in reports)
 
 
 def test_tensor_certification_uses_the_dual_lower_bound(monkeypatch):
-    from pinchlab import minsec, profiles
+    from pinchlab import minsec
     from pinchlab.curvature import random_curvature
-    from pinchlab.minsec import shift_to_pinching
-    exact_bracket, exact_shift = minsec.dual_bracket, profiles.shift_by
+    exact_bracket, exact_shift = minsec.dual_bracket, minsec.shift_by
     shifts = []
 
     def loose(Rm, multiplier, plane):   # a lower end far below the true minimum
@@ -364,11 +363,13 @@ def test_tensor_certification_uses_the_dual_lower_bound(monkeypatch):
         shifts.append(args)
         return exact_shift(*args)
 
-    for module in (minsec, profiles):
-        monkeypatch.setattr(module, "dual_bracket", loose)
-    monkeypatch.setattr(profiles, "shift_by", counted)
+    monkeypatch.setattr(minsec, "dual_bracket", loose)
+    monkeypatch.setattr(minsec, "shift_by", counted)
     for n in (4, 5):
-        Rm = shift_to_pinching(random_curvature(n, 0, FLOAT), 0.0, margin=0.1)
+        # shifted by its plane's curvature only, which the loose lower end
+        # cannot certify
+        Rm = random_curvature(n, 0, FLOAT)
+        Rm = exact_shift(Rm, 0.0, minsec.min_sectional(Rm)[0], 0.1)
         with pytest.raises(UncertifiedSourceError, match="not certified"):
             check_estimates(Rm, PinchingParams(0.0, 1.0))
         # the recheck reads the loose lower end: it cannot certify the shift
@@ -384,11 +385,11 @@ def test_tensor_certification_uses_the_dual_lower_bound(monkeypatch):
 
 
 def test_tensor_recheck_rejects_a_violating_plane(monkeypatch):
-    from pinchlab import profiles
+    from pinchlab import minsec
     from pinchlab.curvature import random_curvature
     with pytest.raises(UncertifiedSourceError, match="violates"):
         check_estimates(random_curvature(4, 0, FLOAT), PinchingParams(0.0, 1.0))
-    monkeypatch.setattr(profiles, "shift_by", lambda Rm, eps, min_sec, margin=0: Rm)
+    monkeypatch.setattr(minsec, "shift_by", lambda Rm, eps, min_sec, margin=0: Rm)
     config = CampaignConfig(kind="tensor", dims=(4, 5), eps_list=(Fraction(0),),
                             s_list=(1,), count=2, seed=5, mode=FLOAT)
     report = mc_campaign(config)
@@ -411,8 +412,23 @@ def test_tensor_campaign_certifies_an_open_bracket():
         assert not entry["violations"]
 
 
+@pytest.mark.parametrize("eps", [0.0, 1 / 24])
+def test_shift_to_pinching_certifies_open_brackets(eps):
+    # [66, 5, 0] at both eps and [116, 5, 3] at 1/24 have 4-form brackets
+    # wider than the slack a shift by their plane's curvature leaves
+    from pinchlab.curvature import random_curvature, scalar
+    from pinchlab.minsec import pinched, shift_to_pinching
+    for seed in (66, 116):
+        for idx in range(5):
+            Rm = random_curvature(5, [seed, 5, idx], FLOAT)
+            shifted, lower, _ = shift_to_pinching(Rm, eps, margin=0.1)
+            assert pinched(lower, eps, scalar(shifted)), (seed, idx)
+            for s in (0, 0.5, 1):
+                assert check_estimates(shifted, PinchingParams(eps, s)).passed, (seed, idx, s)
+
+
 def test_runtime_min_sec_never_searches(monkeypatch):
-    from pinchlab import minsec, profiles
+    from pinchlab import minsec
     from pinchlab.curvature import random_curvature
     from pinchlab.minsec import shift_to_pinching
 
@@ -428,8 +444,7 @@ def test_runtime_min_sec_never_searches(monkeypatch):
         return exact(Rm)
 
     exact = minsec.solve_dual
-    for module in (minsec, profiles):
-        monkeypatch.setattr(module, "solve_dual", counted)
+    monkeypatch.setattr(minsec, "solve_dual", counted)
     config = CampaignConfig(kind="tensor", dims=(3, 4, 5), eps_list=(Fraction(0),),
                             s_list=(0, 1), count=3, seed=11, mode=FLOAT)
     report = mc_campaign(config)
@@ -440,7 +455,7 @@ def test_runtime_min_sec_never_searches(monkeypatch):
         assert entry["minSecMethod"] == "dual"
         assert 0 <= entry["minSecBracketWidthMax"] <= 1e-12, entry["n"]
     for n in (3, 4, 5):
-        Rm = shift_to_pinching(random_curvature(n, 1, FLOAT), 1 / 48, margin=0.1)
+        Rm, _, _ = shift_to_pinching(random_curvature(n, 1, FLOAT), 1 / 48, margin=0.1)
         assert check_estimates(Rm, PinchingParams(1 / 48, 0.5)).passed
 
 
