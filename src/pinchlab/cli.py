@@ -25,7 +25,7 @@ from .ftensor import (
     optimize_q2,
     q2_claimed_value,
 )
-from .minsec import DegenerateEpsError, require_subcritical
+from .minsec import DegenerateEpsError, pinched, require_subcritical
 from .models import (
     default_models,
     literature_table,
@@ -208,8 +208,7 @@ def cmd_model(args):
     payload = {
         "threshold": rep.as_dict(),
         "epsQueried": scalar_to_json(Fraction(args.eps)),
-        "meetsQueriedEps": (rep.ratio is None
-                            or Fraction(rep.ratio) >= Fraction(args.eps)),
+        "meetsQueriedEps": pinched(rep.minSec, Fraction(args.eps), rep.R),
         "einstein": m.einstein,
         "violations": [],
     }

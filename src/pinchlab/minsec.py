@@ -479,12 +479,13 @@ def _polish(Rm: AlgCurvTensor, plane):
 # ---------------------------------------------------------------------------
 
 def pinched(value, eps, R):
-    """value >= eps*R, the pinching hypothesis for a curvature value: exact
-    when value and R are rational, else up to GAP_RTOL * max(1, |eps*R|)."""
-    if is_rational(value) and is_rational(R):
+    """value >= eps*R, the pinching hypothesis for a curvature value, as a
+    bool: exact when value, eps and R are rational, else up to
+    GAP_RTOL * max(1, |eps*R|)."""
+    if is_rational(value) and is_rational(eps) and is_rational(R):
         return value >= eps * R
     bound = float(eps) * float(R)
-    return value >= bound - GAP_RTOL * max(1.0, abs(bound))
+    return bool(value >= bound - GAP_RTOL * max(1.0, abs(bound)))
 
 
 def shift_to_pinching(Rm: AlgCurvTensor, eps, margin=0):

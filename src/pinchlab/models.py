@@ -27,7 +27,7 @@ from .curvature import (
     traceless_ricci,
     zeros,
 )
-from .minsec import min_sectional, sample_sectionals
+from .minsec import min_sectional, pinched, sample_sectionals
 from .scalars import scalar_to_json
 
 CONSTANT = "constant"
@@ -170,8 +170,8 @@ class ThresholdReport:
     name: str
     minSec: object
     R: object
-    ratio: object        # minSec / R, None when R = 0 (flat branch)
-    passes124: bool      # ratio >= 1/24, vacuously true on the flat branch
+    ratio: object        # minSec / R, None when R = 0 (flat branch); reported only
+    passes124: bool      # minSec >= R/24, decided by pinched
 
     def as_dict(self):
         return {"name": self.name, "minSec": scalar_to_json(self.minSec),
@@ -188,10 +188,10 @@ def pinching_threshold(m: ModelGeometry, use_search=False) -> ThresholdReport:
         min_sec = min_sectional(m.Rm)[0]
     else:
         min_sec = m.minSecClosedForm
-    if R == 0:
-        return ThresholdReport(m.name, min_sec, R, None, True)
-    ratio = Fraction(min_sec) / R if isinstance(min_sec, Fraction) else float(min_sec) / float(R)
-    return ThresholdReport(m.name, min_sec, R, ratio, ratio >= Fraction(1, 24))
+    ratio = None
+    if R != 0:
+        ratio = Fraction(min_sec) / R if isinstance(min_sec, Fraction) else float(min_sec) / float(R)
+    return ThresholdReport(m.name, min_sec, R, ratio, pinched(min_sec, Fraction(1, 24), R))
 
 
 def oracle_min_sectional(m: ModelGeometry, count=10 ** 6, seed=0):
@@ -283,7 +283,6 @@ def literature_table(models=None):
         row = {"model": m.name, "ratio": None if rep.ratio is None
                else scalar_to_json(rep.ratio), "einstein": m.einstein}
         for cname, c in consts.items():
-            row[f"meets[{cname}]"] = (rep.ratio is None
-                                      or float(rep.ratio) >= c["value"] - 1e-15)
+            row[f"meets[{cname}]"] = pinched(rep.minSec, c["value"], rep.R)
         rows.append(row)
     return {"constants": {k: dict(v) for k, v in consts.items()}, "models": rows}

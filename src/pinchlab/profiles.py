@@ -4,8 +4,10 @@ A sigma-profile is the data the eigenbasis proof of the estimates actually
 manipulates: traceless-Ricci eigenvalues lambda_i and sectional curvatures
 sigma_ij of the coordinate 2-planes of that eigenbasis.  Both estimates, the
 convex combination, the exact cross-term identity and the eigenvalue-gap
-inequality live here, together with seeded Monte Carlo campaigns over
-profiles and over full Bianchi-projected tensors.
+inequality live here, with seeded Monte Carlo campaigns over profiles and
+over full Bianchi-projected tensors.  estimate_gaps evaluates the gaps for
+the scalar, float and tensor lanes; a tensor is checked, in float, as the
+profile of its eigenframe.  The exact integer lane is written separately.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,13 +25,13 @@ from .curvature import (
     RATIONAL,
     as_mode_array,
     check_mode,
-    invariants,
     random_curvature,
     scalar,
     traceless_ricci,
     zeros,
 )
 from .minsec import (
+    MAX_DUAL_N,
     DegenerateEpsError,
     SearchOptions,
     dual_min_sectional,
@@ -113,19 +115,21 @@ def profile_from_sigma_bar(n, sb_pairs, eps, mode):
     The pinching condition sigma >= eps R holds by construction.
     """
     require_subcritical(n, eps)
-    pairs = list(combinations(range(n), 2))
-    total = sum(sb_pairs)
-    R = exact_div(2 * total, 1) / (1 - n * (n - 1) * eps) if is_rational(total) \
-        else 2.0 * total / (1 - n * (n - 1) * float(eps))
+    eps = float(eps) if mode == FLOAT else eps
+    R, sig, lam = _assemble(n, as_mode_array([sb_pairs], mode), eps)
     sigma = zeros((n, n), mode)
-    for (i, j), sb in zip(pairs, sb_pairs):
-        v = sb + eps * R
-        sigma[i, j] = v
-        sigma[j, i] = v
-    lam = zeros(n, mode)
-    for k in range(n):
-        lam[k] = sigma[:, k].sum() - exact_div(R, n)
-    return SigmaProfile(n, mode, sigma, lam, R)
+    i, j = np.triu_indices(n, 1)
+    sigma[i, j] = sigma[j, i] = sig[0]
+    return SigmaProfile(n, mode, sigma, lam[0], R[0])
+
+
+def _assemble(n, sb, eps):
+    """(R, sigma, lambda) rows from rows of shifted curvatures sb >= 0 over
+    the pairs i < j, in the arithmetic of sb and eps; see
+    profile_from_sigma_bar."""
+    R = 2 * sb.sum(axis=1) / (1 - n * (n - 1) * eps)
+    sig = sb + eps * R[:, None]
+    return R, sig, sig @ _incidence(n)[2] - R[:, None] / n
 
 
 def sample_sigma_profile(n, eps, seed, mode=FLOAT, distribution="half-normal"):
@@ -282,100 +286,129 @@ class EstimateReport:
     gap1: object
     gap2: object
     gapConvex: object
-    equnoResidual: object
-    slackResidual: object   # gap1 - slack_term (profiles; exact zero in rational mode)
+    slackResidual: object   # gap1 - slack_term (exact zero in rational mode)
     passed: bool
 
     def as_dict(self):
         return {k: scalar_to_json(getattr(self, k)) for k in
                 ("lhs", "rhs1", "rhs2", "rhsConvex", "gap1", "gap2",
-                 "gapConvex", "equnoResidual", "slackResidual", "passed")}
+                 "gapConvex", "slackResidual", "passed")}
 
 
-def _profile_invariants(p: SigmaProfile):
-    from .curvature import CurvatureInvariants
-    return CurvatureInvariants(
-        R=p.R,
-        ricNormSq=sum(v * v for v in p.lam),
-        ricCubic=sum(v ** 3 for v in p.lam),
-        lhs=lhs_contraction(p),
-    )
-
-
-def check_estimates(source, params: PinchingParams, certified=False) -> EstimateReport:
+def check_estimates(source, params: PinchingParams) -> EstimateReport:
     """Evaluate both estimates and the convex combination on one source.
 
     The hypothesis Sec >= eps*R (decided by pinched) is a precondition:
     profiles are checked directly on their sigma entries, tensors through
-    dual_min_sectional, unless the caller certifies construction.  A tensor
-    passes when the bracket's lower end certifies the hypothesis; the error
-    says whether the bracket's plane violates it or the 4-form dual cannot
-    decide (an open bracket straddling eps*R).
+    dual_min_sectional.  A tensor passes when the bracket's lower end
+    certifies the hypothesis; the error says whether the bracket's plane
+    violates it or the 4-form dual cannot decide (an open bracket straddling
+    eps*R).  A certified tensor is then checked, in float, as the profile of
+    its eigenframe (_eigenframe): its gaps are that profile's gaps, and the
+    slack residual also tests that the eigenframe is consistent.  Both kinds
+    of source go through estimate_gaps as one row.
     """
-    eps = params.eps
+    eps, s = params.eps, params.s
     if isinstance(source, SigmaProfile):
-        inv = _profile_invariants(source)
-        if not certified and not pinched(source.min_sigma(), eps, source.R):
+        R, lam = source.R, source.lam
+        sig = source.sigma[np.triu_indices(source.n, 1)]
+        if not pinched(source.min_sigma(), eps, R):
             raise UncertifiedSourceError(
                 f"profile violates Sec >= eps*R: min sigma {source.min_sigma()}, "
-                f"eps*R = {eps * source.R}")
-        l, r = equno_identity(source, eps)
-        return _estimate_report(source.n, params, inv, l - r, profile=source)
-    if isinstance(source, AlgCurvTensor):
-        inv = invariants(source)
-        if not certified:
-            lower, upper, _ = dual_min_sectional(source)
-            bound = float(eps) * float(inv.R)
-            if not pinched(upper, eps, inv.R):
-                raise UncertifiedSourceError(
-                    f"tensor violates Sec >= eps*R: a plane has Sec {upper}, "
-                    f"eps*R = {bound}")
-            if not pinched(lower, eps, inv.R):
-                raise UncertifiedSourceError(
-                    f"tensor not certified: min Sec lies in [{lower}, {upper}], "
-                    f"which the 4-form dual cannot close above eps*R = {bound}")
-        return _estimate_report(source.n, params, inv,
-                                _tensor_equno_residual(source, eps))
-    raise TypeError(f"unsupported source {type(source)!r}")
-
-
-def _estimate_report(n, params, inv, equno_res, profile=None):
-    """Gaps of both estimates and the convex combination from the source's
-    invariants; profile (exact or float) adds the estimate-1 slack check."""
-    exact = profile is not None and profile.mode == RATIONAL
-    rhs1 = rhs_estimate1(n, params, inv)
-    rhs2 = rhs_estimate2(n, params, inv)
-    rhsc = _blend(params.s, rhs1, rhs2)
-    gap1, gap2 = rhs1 - inv.lhs, rhs2 - inv.lhs
-    gapc = _blend(params.s, gap1, gap2)
-    slack_res = None if profile is None else gap1 - slack_term(profile, params.eps)
-    scale = max(1.0, abs(float(inv.lhs)), abs(float(rhs1)), abs(float(rhs2)))
-    tol = 0 if exact else GAP_RTOL * scale
-    passed = all(float(g) >= -tol for g in (gap1, gap2, gapc))
-    if exact and slack_res != 0:
-        passed = False
-    return EstimateReport(inv.lhs, rhs1, rhs2, rhsc, gap1, gap2, gapc,
-                          equno_res, slack_res, passed)
+                f"eps*R = {eps * R}")
+    elif isinstance(source, AlgCurvTensor):
+        eps, s, R = float(eps), float(s), float(scalar(source))
+        lower, upper, _ = dual_min_sectional(source)
+        if not pinched(upper, eps, R):
+            raise UncertifiedSourceError(
+                f"tensor violates Sec >= eps*R: a plane has Sec {upper}, "
+                f"eps*R = {eps * R}")
+        if not pinched(lower, eps, R):
+            raise UncertifiedSourceError(
+                f"tensor not certified: min Sec lies in [{lower}, {upper}], "
+                f"which the 4-form dual cannot close above eps*R = {eps * R}")
+        lam, sig = _eigenframe(source)
+    else:
+        raise TypeError(f"unsupported source {type(source)!r}")
+    rows = estimate_gaps(lam[None], sig[None], (sig - eps * R)[None], np.array([R]),
+                         estimate_coefficients(source.n, eps), [s])
+    rhs1, rhs2 = rows.rhs1[0], rows.rhs2[0]
+    return EstimateReport(rows.lhs[0], rhs1, rhs2, _blend(s, rhs1, rhs2),
+                          rows.gap1[0], rows.gap2[0], rows.convex[0][0],
+                          rows.residual[0], not rows.bad[0])
 
 
 def _eigenframe(Rm: AlgCurvTensor):
     """(lambda, sigma) of a tensor (float): oRic's eigenvalues and the
-    sectional curvatures of its eigenframe's coordinate planes, w^T Rhat w
-    over the bivectors w = v_i ^ v_j of the eigenvectors."""
+    sectional curvatures of its eigenframe's coordinate planes i < j,
+    w^T Rhat w over the bivectors w = v_i ^ v_j of the eigenvectors."""
     lam, vecs = np.linalg.eigh(np.asarray(traceless_ricci(Rm).comp, dtype=float))
     i, j = np.triu_indices(Rm.n, 1)
-    sigma = np.zeros((Rm.n, Rm.n))
-    sigma[i, j] = sigma[j, i] = plane_sectionals(Rm, vecs[:, i].T, vecs[:, j].T)
-    return lam, sigma
+    return lam, plane_sectionals(Rm, vecs[:, i].T, vecs[:, j].T)
 
 
-def _tensor_equno_residual(Rm: AlgCurvTensor, eps):
-    """Cross-term identity residual via the eigenbasis of oRic (float)."""
-    lam, sigma = _eigenframe(Rm)
-    sb = sigma - float(eps) * float(scalar(Rm))
-    np.fill_diagonal(sb, 0.0)
-    cross, slack = _cross_terms(lam, sb)
-    return cross + slack
+class GapRows(NamedTuple):
+    """estimate_gaps' result, one entry per row (convex: one array per s)."""
+
+    lhs: np.ndarray
+    rhs1: np.ndarray
+    rhs2: np.ndarray
+    gap1: np.ndarray
+    gap2: np.ndarray
+    convex: list
+    residual: np.ndarray
+    bad: np.ndarray
+
+
+def estimate_gaps(lam, sig, sb, R, coefficients, s_list):
+    """Both estimates' gaps on rows of eigenframe data: the one gap formula
+    of every lane.
+
+    Row r holds lambda (lam[r], length n), sigma and sb = sigma - eps R over
+    the pairs i < j (sig[r], sb[r]) and R[r]; coefficients is
+    estimate_coefficients(n, eps).  Float arrays give floats; Fraction
+    object arrays (and Fraction s) give exact Fractions.  residual is gap1
+    minus the slack sum_{i<j} (l_i - l_j)^2 sb_ij, which the slack identity
+    makes zero.  A row is bad when a gap, for either estimate or any s, is
+    below -GAP_RTOL max(1, |lhs|, |rhs1|, |rhs2|); exact rows are bad when a
+    gap is negative or the residual is not zero.
+    """
+    exact = lam.dtype == object
+    i, j = np.triu_indices(lam.shape[1], 1)
+    lprod = lam[:, i] * lam[:, j]
+    lhs = 2 * (lprod * sig).sum(axis=1)
+    P2 = (lam ** 2).sum(axis=1)
+    P3 = (lam ** 3).sum(axis=1)
+    rhs1, rhs2 = (_evaluate(c, R, P2, P3) for c in coefficients)
+    slack = ((lam[:, i] - lam[:, j]) ** 2 * sb).sum(axis=1)
+    gap1, gap2 = rhs1 - lhs, rhs2 - lhs
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.maximum(np.abs(rhs1), np.abs(rhs2))))
+    tol = (0 if exact else GAP_RTOL) * scale
+    bad = (gap1 < -tol) | (gap2 < -tol)
+    convex = [_blend(s, gap1, gap2) for s in s_list]
+    for gapc in convex:
+        bad |= gapc < -tol
+    residual = gap1 - slack
+    if exact:
+        bad |= residual != 0
+    return GapRows(lhs, rhs1, rhs2, gap1, gap2, convex, residual, bad)
+
+
+def _gap_summary(rows: GapRows, sb, s_list, limit=None):
+    """The minimum gaps (per s for the blend) and the largest slack residual
+    over the rows, as floats (None when there are no rows), and the first
+    `limit` bad rows as violations."""
+    some = len(rows.gap1) > 0
+    return {
+        "minGap1": float(rows.gap1.min()) if some else None,
+        "minGap2": float(rows.gap2.min()) if some else None,
+        "maxSlackResidual": float(np.abs(rows.residual).max()) if some else None,
+        "minGapConvex": {repr(float(s)): float(gapc.min()) if some else None
+                         for s, gapc in zip(s_list, rows.convex)},
+        "violations": [{"index": int(idx), "sigmaBar": sb[idx].tolist(),
+                        "gap1": float(rows.gap1[idx]), "gap2": float(rows.gap2[idx])}
+                       for idx in np.nonzero(rows.bad)[0][:limit]],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +418,8 @@ def _tensor_equno_residual(Rm: AlgCurvTensor, eps):
 def _incidence(n):
     """(i, j, inc): the pairs i < j and their pairs x n incidence matrix."""
     i, j = np.triu_indices(n, 1)
-    inc = np.zeros((len(i), n))
-    inc[np.arange(len(i)), i] = inc[np.arange(len(i)), j] = 1.0
+    inc = np.zeros((len(i), n), dtype=np.int64)
+    inc[np.arange(len(i)), i] = inc[np.arange(len(i)), j] = 1
     return i, j, inc
 
 
@@ -406,50 +439,19 @@ def profile_batch_float(n, eps, s_list, count, seed, distribution="half-normal",
     require_subcritical(n, eps)
     eps = float(eps)
     rng = _combo_rng(seed, n, eps)
-    i_idx, j_idx, inc = _incidence(n)
-    m = len(i_idx)
+    m = n * (n - 1) // 2
     if distribution == "uniform":
         sb = rng.uniform(0.0, 1.0, size=(count, m))
     else:
         sb = np.abs(rng.standard_normal((count, m)))
         if distribution == "sparse":
             sb *= rng.integers(0, 2, size=(count, m))
-    R = 2.0 * sb.sum(axis=1) / (1 - n * (n - 1) * eps)
-    sig = sb + eps * R[:, None]
-    lam = sig @ inc - R[:, None] / n
-    lprod = lam[:, i_idx] * lam[:, j_idx]
-    lhs = 2.0 * (lprod * sig).sum(axis=1)
-    P2 = (lam ** 2).sum(axis=1)
-    P3 = (lam ** 3).sum(axis=1)
+    R, sig, lam = _assemble(n, sb, eps)
     (quadratic1, cubic1), estimate2 = estimate_coefficients(n, eps)
-    rhs1 = _evaluate((quadratic1 + coeff_delta, cubic1), R, P2, P3)
-    rhs2 = _evaluate(estimate2, R, P2, P3)
-    slack = ((lam[:, i_idx] - lam[:, j_idx]) ** 2 * sb).sum(axis=1)
-    gap1, gap2 = rhs1 - lhs, rhs2 - lhs
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.maximum(np.abs(rhs1), np.abs(rhs2))))
-    tol = GAP_RTOL * scale
-    bad = (gap1 < -tol) | (gap2 < -tol)
-    result = {
-        "count": count,
-        "minGap1": float(gap1.min()) if count else None,
-        "minGap2": float(gap2.min()) if count else None,
-        "maxSlackResidual": float(np.abs(gap1 - slack).max()) if count else None,
-        "violations": [],
-        "minGapConvex": {},
-    }
-    for s in s_list:
-        s = float(s)
-        gapc = _blend(s, gap1, gap2)
-        bad |= gapc < -tol
-        result["minGapConvex"][repr(s)] = float(gapc.min()) if count else None
-    for idx in np.nonzero(bad)[0][:10]:
-        result["violations"].append({
-            "index": int(idx),
-            "sigmaBar": sb[idx].tolist(),
-            "gap1": float(gap1[idx]),
-            "gap2": float(gap2[idx]),
-        })
-    return result
+    s_list = [float(s) for s in s_list]
+    rows = estimate_gaps(lam, sig, sb, R, ((quadratic1 + coeff_delta, cubic1), estimate2),
+                         s_list)
+    return {"count": count, **_gap_summary(rows, sb, s_list, limit=10)}
 
 
 _EXACT_SB_MAX = 9   # the exact lane draws shifted curvatures sb in [0, _EXACT_SB_MAX]
@@ -569,10 +571,15 @@ class CampaignConfig:
         grid_points=20_000, refine_starts=8))
 
     def __post_init__(self):
+        if self.kind not in ("profile", "tensor"):
+            raise ValueError(f"kind = {self.kind!r}: must be 'profile' or 'tensor'")
         if self.count < 0:
             raise ValueError(f"count = {self.count} must be >= 0")
         if min(self.dims, default=3) < 3:
             raise ValueError(f"n = {min(self.dims)}: dimension must be >= 3")
+        if self.kind == "tensor" and max(self.dims, default=3) > MAX_DUAL_N:
+            raise ValueError(f"n = {max(self.dims)}: the tensor kind's min-Sec dual "
+                             f"needs n <= {MAX_DUAL_N}")
         for s in self.s_list:
             PinchingParams(s=s)   # rejects s outside [0, 1]
 
@@ -618,11 +625,9 @@ def mc_campaign(config: CampaignConfig):
                     violations.extend(
                         dict(v, n=n, eps=scalar_to_json(Fraction(eps)), lane="exact")
                         for v in entry["exact"]["violations"])
-            elif config.kind == "tensor":
+            else:
                 entry = _tensor_combo(n, eps, config)
                 violations.extend(entry.pop("violationDumps"))
-            else:
-                raise ValueError(f"unknown campaign kind {config.kind!r}")
             checks.append(entry)
     return {
         "config": config.as_dict(),
@@ -634,38 +639,32 @@ def mc_campaign(config: CampaignConfig):
 
 def _tensor_combo(n, eps, config: CampaignConfig):
     """Random tensors at (n, eps), each shifted and certified by
-    shift_to_pinching, then checked against both estimates."""
-    params_by_s = [PinchingParams(float(eps), float(s)) for s in config.s_list]
-    min_gaps = {"gap1": np.inf, "gap2": np.inf, "gapConvex": np.inf}
-    dumps = []
+    shift_to_pinching, then checked as the profile of its eigenframe: one
+    row per tensor, all rows in one estimate_gaps call."""
+    e, count = float(eps), config.count
+    lam, sig, R = np.zeros((count, n)), np.zeros((count, n * (n - 1) // 2)), np.zeros(count)
+    tensors = []
     recheck_ok = 0
     width_max = None
-    for idx in range(config.count):
-        rng_seed = [int(config.seed), n, idx]
-        Rm = random_curvature(n, rng_seed, FLOAT)
-        shifted, lower, upper = shift_to_pinching(Rm, float(eps), config.margin)
-        inv = invariants(shifted)
+    for idx in range(count):
+        Rm = random_curvature(n, [int(config.seed), n, idx], FLOAT)
+        shifted, lower, upper = shift_to_pinching(Rm, e, config.margin)
+        R[idx] = scalar(shifted)
+        lam[idx], sig[idx] = _eigenframe(shifted)
         width_max = max(upper - lower, width_max or 0.0)
-        if pinched(lower, float(eps), inv.R):
-            recheck_ok += 1
-        equno_res = _tensor_equno_residual(shifted, float(eps))
-        for params in params_by_s:
-            rep = _estimate_report(n, params, inv, equno_res)
-            min_gaps["gap1"] = min(min_gaps["gap1"], float(rep.gap1))
-            min_gaps["gap2"] = min(min_gaps["gap2"], float(rep.gap2))
-            min_gaps["gapConvex"] = min(min_gaps["gapConvex"], float(rep.gapConvex))
-            if not rep.passed:
-                dumps.append({"index": idx, "n": n, "eps": scalar_to_json(Fraction(eps)),
-                              "s": scalar_to_json(params.s), "tensor": shifted.to_json(),
-                              "report": rep.as_dict(), "lane": "tensor"})
+        recheck_ok += pinched(lower, e, R[idx])
+        tensors.append(shifted)
+    sb = sig - e * R[:, None]
+    s_list = [float(s) for s in config.s_list]
+    rows = estimate_gaps(lam, sig, sb, R, estimate_coefficients(n, e), s_list)
+    summary = _gap_summary(rows, sb, s_list)
+    dumps = [dict(v, n=n, eps=scalar_to_json(Fraction(eps)), lane="tensor",
+                  tensor=tensors[v["index"]].to_json()) for v in summary.pop("violations")]
     return {
-        "n": n, "eps": scalar_to_json(Fraction(eps)), "kind": "tensor",
-        "count": config.count,
-        "minGap1": None if config.count == 0 else min_gaps["gap1"],
-        "minGap2": None if config.count == 0 else min_gaps["gap2"],
-        "minGapConvex": None if config.count == 0 else min_gaps["gapConvex"],
+        "n": n, "eps": scalar_to_json(Fraction(eps)), "kind": "tensor", "count": count,
+        **summary,
         "minSecRecheckPassed": recheck_ok,
-        "minSecMethod": None if config.count == 0 else "dual",
+        "minSecMethod": None if count == 0 else "dual",
         "minSecBracketWidthMax": width_max,
         "violations": [d["index"] for d in dumps],
         "violationDumps": dumps,

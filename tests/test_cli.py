@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,10 +74,16 @@ def test_degenerate_eps_is_usage_error(capsys):
     (["verify-estimates", "--kind", "tensor", "--count", "-3"], "count"),
     (["expand-fsq", "--models", "-2"], "model_count"),
     (["expand-fsq", "--coeffs", "0"], "coeff_count"),
+    (["verify-estimates", "--kind", "tensor", "--eps", "0", "--count", "2",
+      "--n", "4", "--n", "9"], "n"),
 ])
-def test_out_of_domain_value_is_usage_error(capsys, tmp_path, argv, name):
+def test_out_of_domain_value_is_usage_error(capsys, monkeypatch, tmp_path, argv, name):
+    from pinchlab import minsec
+    solves = []
+    monkeypatch.setattr(minsec, "solve_dual", lambda Rm: solves.append(Rm))
     out = tmp_path / "reports"
     assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+    assert not solves   # rejected before any combo ran
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
@@ -117,6 +127,20 @@ def test_model_subcommand(capsys):
     assert payload["threshold"]["ratio"] == "1/24"
     assert payload["meetsQueriedEps"]
     assert payload["identities"]["allZero"]
+
+
+def test_model_thresholds_are_json_bools(capsys, monkeypatch):
+    from pinchlab.models import sphere
+    code, out = run(capsys, ["models", "--format", "json"])
+    assert code == EXIT_OK
+    rows = json.loads(out)["models"]
+    assert all(type(row[k]) is bool for row in rows for k in row if k.startswith("meets["))
+    # R = -12 < 0: minSec = -1 is below eps*R = -1/2 although minSec / R = 1/12
+    monkeypatch.setattr(cli, "model", lambda name: sphere(4, -1))
+    _, out = run(capsys, ["model", "sphere", "--eps", "1/24"])
+    payload = json.loads(out)
+    assert payload["threshold"]["passes124"] is False
+    assert payload["meetsQueriedEps"] is False
 
 
 def test_model_unknown_name_rejected():
@@ -197,3 +221,21 @@ def test_config_value_of_wrong_type_is_usage_error(capsys, tmp_path, command, da
     argv = [command, "sphere"] if command == "model" else [command]
     code, _ = run(capsys, [*argv, "--config", str(cfg)])
     assert code == EXIT_USAGE
+
+
+def test_cli_and_the_n4_tensor_campaign_never_import_scipy(tmp_path):
+    # scipy is imported on first use (the n >= 5 polish of min_sectional), so
+    # these paths keep its import time and memory out of the process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import sys\n"
+        "from pinchlab import cli, profiles\n"
+        f"cli.main(['all', '--out', {str(tmp_path)!r}])\n"
+        "profiles.mc_campaign(profiles.CampaignConfig(kind='tensor', dims=(4,), count=2))\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

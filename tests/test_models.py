@@ -109,7 +109,7 @@ def test_identity_check_requires_potential():
 def test_pinched_models_are_einstein():
     for m in default_models():
         rep = pinching_threshold(m)
-        if scalar(m.Rm) != 0 and rep.ratio is not None and rep.ratio >= Fraction(1, 24):
+        if scalar(m.Rm) != 0 and rep.passes124:
             assert m.einstein
 
 
@@ -124,6 +124,16 @@ def test_literature_table():
     assert rows["sphere(4,1)"]["meets[Yang]"]
     assert not rows["product_spheres(1,1)"]["meets[Ribeiro]"]
     assert rows["flat(4)"]["meets[soliton(1/24)]"]   # vacuous: R = 0
+
+
+def test_thresholds_compare_min_sec_with_eps_R_for_negative_R():
+    # sphere(4, -1): the ratio minSec / R = 1/12 exceeds every constant, but
+    # minSec = -1 < R/24 = -1/2, so the model is not pinched
+    m = sphere(4, -1)
+    rep = pinching_threshold(m)
+    assert rep.ratio == Fraction(1, 12) and rep.passes124 is False
+    (row,) = literature_table([m])["models"]
+    assert [row[k] for k in row if k.startswith("meets[")] == [False] * 4
 
 
 def test_einstein_flag_contradiction_rejected():

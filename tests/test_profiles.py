@@ -29,9 +29,11 @@ from pinchlab.profiles import (
     slack_term,
     _EXACT_SB_MAX,
     _combo_rng,
-    _estimate_report,
+    estimate_coefficients,
+    estimate_gaps,
 )
 from pinchlab.curvature import CurvatureInvariants
+from pinchlab.reports import report_digest
 
 FAST = SearchOptions(grid_points=20_000, refine_starts=8)
 
@@ -142,7 +144,7 @@ def test_tensor_source_certification_path():
     Rm, _, _ = shift_to_pinching(random_curvature(4, 0, FLOAT), 0.0, margin=0.1)
     rep = check_estimates(Rm, PinchingParams(0.0, 1.0))
     assert rep.passed
-    assert abs(rep.equnoResidual) < 1e-8 * max(1.0, abs(float(rep.lhs)))
+    assert abs(rep.slackResidual) < 1e-8 * max(1.0, abs(float(rep.lhs)))
 
 
 @given(seed=st.integers(0, 5000),
@@ -179,13 +181,47 @@ def test_float_convex_endpoints_are_the_estimates_bit_for_bit():
         assert out["minGapConvex"]["0.0"] == out["minGap2"], (n, eps)
     rng = np.random.default_rng(3)
     for n in (3, 4, 5, 6):
-        for _ in range(50):
-            inv = CurvatureInvariants(*rng.standard_normal(4))
-            eps = float(rng.uniform(-0.1, 0.03))
-            one = _estimate_report(n, PinchingParams(eps, 1.0), inv, 0.0)
-            zero = _estimate_report(n, PinchingParams(eps, 0.0), inv, 0.0)
-            assert one.gapConvex == one.gap1 and one.rhsConvex == one.rhs1
-            assert zero.gapConvex == zero.gap2 and zero.rhsConvex == zero.rhs2
+        m = n * (n - 1) // 2
+        lam, sig, sb = (rng.standard_normal((50, k)) for k in (n, m, m))
+        R = rng.standard_normal(50)
+        for eps in rng.uniform(-0.1, 0.03, size=5):
+            rows = estimate_gaps(lam, sig, sb, R, estimate_coefficients(n, float(eps)),
+                                 [1.0, 0.0])
+            assert np.array_equal(rows.convex[0], rows.gap1)
+            assert np.array_equal(rows.convex[1], rows.gap2)
+        p = sample_sigma_profile(n, 0.0, n, FLOAT)
+        one = check_estimates(p, PinchingParams(0.0, 1.0))
+        zero = check_estimates(p, PinchingParams(0.0, 0.0))
+        assert one.gapConvex == one.gap1 and one.rhsConvex == one.rhs1
+        assert zero.gapConvex == zero.gap2 and zero.rhsConvex == zero.rhs2
+
+
+# report_digest of profile_batch_float(n, eps, PINNED_S, 20_000, 1) before the
+# float lane ran through estimate_gaps
+PINNED_S = (Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(7, 8), Fraction(1))
+PINNED_FLOAT_DIGESTS = {
+    (3, Fraction(-1, 10)): "b40e0cd1ecc065498b62263c91f6e1172f613f8dcc61f83ec1331c5c1889be24",
+    (3, Fraction(0)): "2a8f2e5990285467e698bfe817108543660b6daae6b4abd16d1a2d0c4b9ecc3c",
+    (3, Fraction(1, 48)): "3ae0e9e808d35c70396f3a38766b0c1f04f12ef955f7dab8ba50aa3aff479eff",
+    (3, Fraction(1, 24)): "89cbfdd0627b8140c8d8130f35e5afc00f8218c5931c854402fd5e0e70266f4e",
+    (4, Fraction(-1, 10)): "b033706876763522d84a66400761a333bddb41fa1f2350f54a516a795fb4f85d",
+    (4, Fraction(0)): "84e0026ce22a3bbb724fdcfc72e726391e36591846456dd613a7b487c5230a38",
+    (4, Fraction(1, 48)): "10d16c858c960f9cf2ca464bf14d73de24cd95a3ec6b396f9f5eed9608e958ca",
+    (4, Fraction(1, 24)): "b05fd51f34e6128aa9e246db510bc3c5a6a0ab117267d709e164404c4b08199a",
+    (5, Fraction(-1, 10)): "59a3bac6cb0279f8ed50cca920403b5e94acc08eaa644a4c9f1542fdd6e6b406",
+    (5, Fraction(0)): "7445d395b01f23dcc943ef8cd6a590ee71ed7d28ab401eb03cd4c145d43f0c62",
+    (5, Fraction(1, 48)): "e72a3fa20995aeef013339d684ab89d25a5290dd5d2439e4f4f326082d4fdc86",
+    (5, Fraction(1, 24)): "e433cafd98816221649f6deb192516fe01b256946223f313cd8ae743c4fc4418",
+    (6, Fraction(-1, 10)): "15c208514095ca3837d5607562803a20ed748212e7bd640b1fe98677f56db22b",
+    (6, Fraction(0)): "6b3e1ad63b7c07520755cc463193d6dd48a810cb89bbe922bb1dbfcd183d6040",
+    (6, Fraction(1, 48)): "b2496ce679a33093ad7b70ae2fa4ccad075ba85f330efa0f469d56c7cda6c0f7",
+}
+
+
+@pytest.mark.parametrize("n, eps", CRITERION_COMBOS)
+def test_float_lane_report_is_unchanged(n, eps):
+    out = profile_batch_float(n, eps, PINNED_S, 20_000, 1)
+    assert report_digest(out) == PINNED_FLOAT_DIGESTS[n, eps]
 
 
 def test_batch_exact_numerators_match_rational_profiles():
@@ -346,7 +382,30 @@ def test_tensor_combo_matches_check_estimates():
                     for s in s_list]
     assert entry["minGap1"] == min(float(r.gap1) for r in reports)
     assert entry["minGap2"] == min(float(r.gap2) for r in reports)
-    assert entry["minGapConvex"] == min(float(r.gapConvex) for r in reports)
+    for k, s in enumerate(s_list):
+        assert entry["minGapConvex"][repr(float(s))] == min(
+            float(r.gapConvex) for r in reports[k::len(s_list)])
+    assert entry["maxSlackResidual"] == max(abs(float(r.slackResidual)) for r in reports)
+
+
+def test_tensor_lane_slack_residual_is_rounding(monkeypatch):
+    # the eigenframe of every n the dual covers satisfies the slack identity
+    # to rounding; the campaign evaluates each combo in one estimate_gaps call
+    calls = []
+
+    def spy(*args):
+        calls.append(estimate_gaps(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(profiles, "estimate_gaps", spy)
+    config = CampaignConfig(kind="tensor", dims=tuple(range(3, 9)), eps_list=(Fraction(0),),
+                            s_list=(0, 1), count=2, seed=3, mode=FLOAT)
+    report = mc_campaign(config)
+    assert len(calls) == 6 and not report["violations"]
+    for entry, rows in zip(report["checks"], calls):
+        scale = np.maximum(1.0, np.abs([rows.lhs, rows.rhs1, rows.rhs2]).max(axis=0))
+        assert (np.abs(rows.residual) <= 1e-12 * scale).all(), entry["n"]
+        assert entry["maxSlackResidual"] == np.abs(rows.residual).max()
 
 
 def test_tensor_certification_uses_the_dual_lower_bound(monkeypatch):
@@ -386,7 +445,8 @@ def test_tensor_certification_uses_the_dual_lower_bound(monkeypatch):
 
 def test_tensor_recheck_rejects_a_violating_plane(monkeypatch):
     from pinchlab import minsec
-    from pinchlab.curvature import random_curvature
+    from pinchlab.curvature import AlgCurvTensor, random_curvature
+    from pinchlab.profiles import _eigenframe
     with pytest.raises(UncertifiedSourceError, match="violates"):
         check_estimates(random_curvature(4, 0, FLOAT), PinchingParams(0.0, 1.0))
     monkeypatch.setattr(minsec, "shift_by", lambda Rm, eps, min_sec, margin=0: Rm)
@@ -394,10 +454,15 @@ def test_tensor_recheck_rejects_a_violating_plane(monkeypatch):
                             s_list=(1,), count=2, seed=5, mode=FLOAT)
     report = mc_campaign(config)
     assert [entry["minSecRecheckPassed"] for entry in report["checks"]] == [0, 0]
-    # an unpinched tensor can fail an estimate; its dump renders the slack
-    # residual, which tensors do not have, as null
+    # an unpinched tensor can fail an estimate; its dump replays alone, and
+    # by the slack identities a failing eigenframe has a plane below eps*R
     assert report["violations"]
-    assert all(d["report"]["slackResidual"] is None for d in report["violations"])
+    for d in report["violations"]:
+        Rm = AlgCurvTensor.from_json(d["tensor"])
+        drawn = random_curvature(d["n"], [5, d["n"], d["index"]], FLOAT)
+        assert np.allclose(Rm.comp, drawn.comp, rtol=0, atol=1e-12)
+        assert np.allclose(d["sigmaBar"], _eigenframe(Rm)[1], rtol=0, atol=1e-12)   # eps = 0
+        assert min(d["gap1"], d["gap2"]) < 0 and min(d["sigmaBar"]) < 0
 
 
 def test_tensor_campaign_certifies_an_open_bracket():
@@ -469,8 +534,7 @@ def test_eigenframe_curvatures_match_the_rotated_tensor():
             t = np.asarray(traceless_ricci(Rm).comp, dtype=float)
             ref_lam, vecs = np.linalg.eigh(t)
             rot = np.einsum("ia,jb,kc,ld,ijkl->abcd", vecs, vecs, vecs, vecs, Rm.comp)
-            ref = np.array([[rot[i, j, i, j] if i != j else 0.0 for j in range(n)]
-                            for i in range(n)])
+            ref = np.array([rot[i, j, i, j] for i, j in zip(*np.triu_indices(n, 1))])
             tol = 1e-12 * max(1.0, np.linalg.norm(Rm.comp))
             assert np.array_equal(lam, ref_lam)
             assert np.abs(sigma - ref).max() <= tol, (n, seed)
