@@ -67,13 +67,8 @@ from .profiles import (  # noqa: F401
     eigen_gap_lemma,
     equno_identity,
     estimate_coefficients,
-    lhs_contraction,
     mc_campaign,
     profile_to_tensor,
-    rhs_convex,
-    rhs_estimate1,
-    rhs_estimate2,
     sample_sigma_profile,
-    slack_term,
 )
 from .scalars import FLOAT, RATIONAL, parse_scalar  # noqa: F401

@@ -34,7 +34,7 @@ from .models import (
     pinching_threshold,
     soliton_identity_check,
 )
-from .profiles import CampaignConfig, mc_campaign
+from .profiles import DISTRIBUTIONS, CampaignConfig, mc_campaign
 from .reports import emit, persist, report_digest
 from .scalars import RATIONAL, FLOAT, parse_scalar, scalar_to_json
 
@@ -74,9 +74,7 @@ def build_parser(explicit_only=False):
         ve.add_argument(f"--{name}", type=kind, action="append", default=default(None))
     ve.add_argument("--count", type=int, default=default(1000))
     ve.add_argument("--kind", choices=["profile", "tensor"], default=default("profile"))
-    ve.add_argument("--distribution",
-                    choices=["half-normal", "uniform", "sparse"],
-                    default=default("half-normal"))
+    ve.add_argument("--distribution", choices=DISTRIBUTIONS, default=default("half-normal"))
     ve.add_argument("--corrupt-rhs1", type=float, default=default(0.0),
                     help="test fixture: perturb the estimate-1 coefficient")
 

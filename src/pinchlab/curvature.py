@@ -191,23 +191,16 @@ class AlgCurvTensor:
 
     @classmethod
     def from_json(cls, text):
+        """The tensor of to_json's generating entries, each symmetric entry
+        rebuilt from its generating one as tensor_from_pair_operator does."""
         data = json.loads(text)
         n, mode = data["n"], check_mode(data["mode"])
-        comp = zeros((n,) * 4, mode)
+        index = {pair: a for a, pair in enumerate(pair_index(n))}
+        P = zeros((len(index),) * 2, mode)
         for i, j, k, l, raw in data["entries"]:
-            v = Fraction(raw) if mode == RATIONAL else float(raw)
-            for (a, b, c, d, s) in _symmetry_orbit(i, j, k, l):
-                comp[a, b, c, d] = s * v
-        return cls(n, mode, comp)
-
-
-def _symmetry_orbit(i, j, k, l):
-    seen = {}
-    for (a, b, c, d), s in (((i, j, k, l), 1), ((j, i, k, l), -1),
-                            ((i, j, l, k), -1), ((j, i, l, k), 1)):
-        for idx, sg in (((a, b, c, d), s), ((c, d, a, b), s)):
-            seen[idx] = sg
-    return [(a, b, c, d, s) for (a, b, c, d), s in seen.items()]
+            a, b = index[i, j], index[k, l]
+            P[a, b] = P[b, a] = Fraction(raw) if mode == RATIONAL else float(raw)
+        return cls(n, mode, _from_pairs(P, n))
 
 
 # ---------------------------------------------------------------------------
@@ -361,30 +354,53 @@ def pair_index(n):
     return list(combinations(range(n), 2))
 
 
+@cache   # read-only, so one copy serves every caller
+def _pair_map(n):
+    """(index, sign) over the entries ijkl of an n^4 tensor: index is the
+    position, in a flattened m x m operator on bivectors, of the entry
+    (min(p_ij, p_kl), max(p_ij, p_kl)) and sign is s_ij s_kl, where p_ij is
+    the position of the pair {i, j} in pair_index(n) and s_ij = sign(j - i)."""
+    i, j = np.ogrid[:n, :n]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    p = np.maximum(lo * (2 * n - lo - 1) // 2 + hi - lo - 1, 0)   # s = 0 when i = j
+    s = np.sign(j - i)
+    a, b = p[:, :, None, None], p
+    index = np.minimum(a, b) * (n * (n - 1) // 2) + np.maximum(a, b)
+    sign = s[:, :, None, None] * s
+    for x in (index, sign):
+        x.setflags(write=False)
+    return index, sign
+
+
+def _from_pairs(M, n):
+    """T_ijkl = s_ij s_kl M[p_ij, p_kl] (see _pair_map) for a symmetric
+    operator M on bivectors, read from its upper triangle."""
+    index, sign = _pair_map(n)
+    return sign * M.reshape(-1)[index]
+
+
 def tensor_from_pair_operator(M, n, mode) -> AlgCurvTensor:
     """Symmetric operator on bivectors -> curvature tensor (Bianchi-projected).
 
     The 4-index tensor induced by M has all curvature symmetries except the
     first Bianchi identity; subtracting its totally antisymmetric part (the
     cyclic average) restores Bianchi exactly while preserving the others.
+    In float that projection rounds each entry on its own, so the result is
+    rebuilt, as from_json rebuilds it, from its generating entries: every
+    entry is exactly plus or minus one of them.
     """
-    pairs = pair_index(n)
-    T = zeros((n,) * 4, mode)
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            v = M[a, b]
-            if not isinstance(v, Fraction) and mode == RATIONAL:
-                v = Fraction(v)
-            T[i, j, k, l] = v
-            T[j, i, k, l] = -v
-            T[i, j, l, k] = -v
-            T[j, i, l, k] = v
+    T = _from_pairs(as_mode_array(M, mode), n)
     cyc = T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
-    if mode == RATIONAL:
-        comp = T - cyc * Fraction(1, 3)
-    else:
-        comp = T - cyc / 3.0
-    return AlgCurvTensor(n, mode, comp)
+    comp = T - (cyc * Fraction(1, 3) if mode == RATIONAL else cyc / 3.0)
+    i, j = np.triu_indices(n, 1)
+    return AlgCurvTensor(n, mode, _from_pairs(comp[i[:, None], j[:, None], i, j], n))
+
+
+def diagonal_tensor(sigma, n, mode) -> AlgCurvTensor:
+    """The tensor whose only generating entries are R_ijij = sigma_ij over
+    the pairs of pair_index(n): a diagonal operator on bivectors, which
+    satisfies the Bianchi identity as it stands."""
+    return AlgCurvTensor(n, mode, _from_pairs(as_mode_array(np.diag(sigma), mode), n))
 
 
 def random_curvature(n, seed, mode=FLOAT, scale=10) -> AlgCurvTensor:

@@ -18,8 +18,8 @@ from .curvature import (
     AlgCurvTensor,
     RATIONAL,
     SymTensor2,
-    _symmetry_orbit,
     constant_curvature,
+    diagonal_tensor,
     identity_metric,
     invariants,
     ricci,
@@ -49,11 +49,6 @@ class ModelGeometry:
     def __post_init__(self):
         if self.einstein and traceless_ricci(self.Rm).norm_sq() != 0:
             raise ValueError(f"{self.name}: einstein flag contradicts oRic != 0")
-
-
-def _symmetrize_into(comp, i, j, k, l, v):
-    for a, b, c, d, s in _symmetry_orbit(i, j, k, l):
-        comp[a, b, c, d] = s * v
 
 
 def sphere(n=4, kappa=Fraction(1)):
@@ -88,13 +83,10 @@ def product_spheres(kappa1=Fraction(1), kappa2=Fraction(1)):
     match; otherwise no closed-form potential is attached.
     """
     kappa1, kappa2 = Fraction(kappa1), Fraction(kappa2)
-    comp = zeros((4,) * 4, RATIONAL)
-    _symmetrize_into(comp, 0, 1, 0, 1, kappa1)
-    _symmetrize_into(comp, 2, 3, 2, 3, kappa2)
     einstein = kappa1 == kappa2
     return ModelGeometry(
         name=f"product_spheres({kappa1},{kappa2})", n=4,
-        Rm=AlgCurvTensor(4, RATIONAL, comp),
+        Rm=diagonal_tensor([kappa1, 0, 0, 0, 0, kappa2], 4, RATIONAL),   # pairs 01 and 23
         solitonConstant=kappa1 if einstein else None,
         potentialKind=CONSTANT if einstein else None,
         hessian=SymTensor2(4, RATIONAL, zeros((4, 4), RATIONAL)) if einstein else None,
@@ -128,15 +120,11 @@ def fubini_study_cp2():
 
 def round_cylinder_s3xr():
     """S^3(1) x R: shrinker with f = t^2 along the line, lambda = 2."""
-    comp = zeros((4,) * 4, RATIONAL)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            _symmetrize_into(comp, i, j, i, j, Fraction(1))
     hess = zeros((4, 4), RATIONAL)
     hess[3, 3] = Fraction(2)
     return ModelGeometry(
         name="round_cylinder_s3xr", n=4,
-        Rm=AlgCurvTensor(4, RATIONAL, comp),
+        Rm=diagonal_tensor([1, 1, 0, 1, 0, 0], 4, RATIONAL),   # the planes 01, 02, 12 of S^3
         solitonConstant=Fraction(2), potentialKind=CYLINDRICAL,
         hessian=SymTensor2(4, RATIONAL, hess),
         einstein=False, minSecClosedForm=Fraction(0))

@@ -5,9 +5,10 @@ manipulates: traceless-Ricci eigenvalues lambda_i and sectional curvatures
 sigma_ij of the coordinate 2-planes of that eigenbasis.  Both estimates, the
 convex combination, the exact cross-term identity and the eigenvalue-gap
 inequality live here, with seeded Monte Carlo campaigns over profiles and
-over full Bianchi-projected tensors.  estimate_gaps evaluates the gaps for
-the scalar, float and tensor lanes; a tensor is checked, in float, as the
-profile of its eigenframe.  The exact integer lane is written separately.
+over full Bianchi-projected tensors.  estimate_gaps is the one gap formula:
+the scalar lane (check_estimates), the float lane, the tensor lane (a
+tensor is checked, in float, as the profile of its eigenframe) and the
+exact integer lane all evaluate their gaps with it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +27,7 @@ from .curvature import (
     RATIONAL,
     as_mode_array,
     check_mode,
+    diagonal_tensor,
     random_curvature,
     scalar,
     traceless_ricci,
@@ -41,7 +44,15 @@ from .minsec import (
     require_subcritical,
     shift_to_pinching,
 )
-from .scalars import GAP_RTOL, exact_div, exact_lane, is_rational, lane_array, scalar_to_json
+from .scalars import (GAP_RTOL, MODES, exact_div, exact_lane, is_rational, lane_array,
+                      scalar_to_json)
+
+DISTRIBUTIONS = ("half-normal", "uniform", "sparse")   # of the shifted curvatures sb
+
+
+def _require(what, value, choices):
+    if value not in choices:
+        raise ValueError(f"{what} = {value!r}: must be one of {', '.join(choices)}")
 
 
 class UncertifiedSourceError(ValueError):
@@ -94,8 +105,7 @@ class SigmaProfile:
         return np.where(np.eye(self.n, dtype=bool), self.sigma, self.sigma - eps * self.R)
 
     def min_sigma(self):
-        return min(self.sigma[i, j] for i in range(self.n)
-                   for j in range(self.n) if i != j)
+        return self.sigma[_incidence(self.n)[:2]].min()
 
     def as_dict(self):
         return {
@@ -118,7 +128,7 @@ def profile_from_sigma_bar(n, sb_pairs, eps, mode):
     eps = float(eps) if mode == FLOAT else eps
     R, sig, lam = _assemble(n, as_mode_array([sb_pairs], mode), eps)
     sigma = zeros((n, n), mode)
-    i, j = np.triu_indices(n, 1)
+    i, j, _ = _incidence(n)
     sigma[i, j] = sigma[j, i] = sig[0]
     return SigmaProfile(n, mode, sigma, lam[0], R[0])
 
@@ -135,101 +145,63 @@ def _assemble(n, sb, eps):
 def sample_sigma_profile(n, eps, seed, mode=FLOAT, distribution="half-normal"):
     """Seeded random profile satisfying Sec >= eps*R by construction.
 
-    Float mode draws half-normal shifted curvatures; rational mode draws
-    small non-negative integers.  "sparse" zeroes entries with probability
-    1/2 to reach the equality cases of the cross-term identity; "uniform"
-    draws from [0, 1) (floats) as an alternative shape.
+    Float mode draws the shifted curvatures as the float lane does
+    (_float_draws); rational mode draws small non-negative integers, which
+    "sparse" zeroes with probability 1/2 to reach the equality cases of the
+    cross-term identity.
     """
     require_subcritical(n, eps)
+    _require("mode", mode, MODES)
     rng = np.random.default_rng(seed)
     m = n * (n - 1) // 2
     if mode == RATIONAL:
+        _require("distribution", distribution, DISTRIBUTIONS)
         sb = [Fraction(int(v)) for v in rng.integers(0, 10, size=m)]
         if distribution == "sparse":
             mask = rng.integers(0, 2, size=m)
             sb = [v if keep else Fraction(0) for v, keep in zip(sb, mask)]
         eps = eps if isinstance(eps, Fraction) else Fraction(eps)
     else:
-        if distribution == "uniform":
-            sb = rng.uniform(0.0, 1.0, size=m)
-        else:
-            sb = np.abs(rng.standard_normal(m))
-            if distribution == "sparse":
-                sb = sb * rng.integers(0, 2, size=m)
-        sb = list(sb)
+        sb = list(_float_draws(rng, m, distribution))
         eps = float(eps)
     return profile_from_sigma_bar(n, sb, eps, mode)
 
 
+def _float_draws(rng, shape, distribution):
+    """Float shifted curvatures sb >= 0 of the given shape from rng:
+    half-normal, uniform on [0, 1), or half-normal with each entry zeroed
+    with probability 1/2 ("sparse")."""
+    _require("distribution", distribution, DISTRIBUTIONS)
+    if distribution == "uniform":
+        return rng.uniform(0.0, 1.0, size=shape)
+    sb = np.abs(rng.standard_normal(shape))
+    if distribution == "sparse":
+        sb *= rng.integers(0, 2, size=shape)
+    return sb
+
+
 def profile_to_tensor(p: SigmaProfile) -> AlgCurvTensor:
     """Diagonal curvature tensor realizing the profile: R_ijij = sigma_ij."""
-    comp = zeros((p.n,) * 4, p.mode)
-    for i in range(p.n):
-        for j in range(p.n):
-            if i != j:
-                comp[i, j, i, j] = p.sigma[i, j]
-                comp[i, j, j, i] = -p.sigma[i, j]
-    return AlgCurvTensor(p.n, p.mode, comp)
+    return diagonal_tensor(p.sigma[_incidence(p.n)[:2]], p.n, p.mode)
 
 
 # ---------------------------------------------------------------------------
 # The two estimates and their convex combination
 # ---------------------------------------------------------------------------
 
-def lhs_contraction(source):
-    """R_ijkl oR_ik oR_jl; for a profile this is sum_{i != j} l_i l_j sigma_ij."""
-    if isinstance(source, AlgCurvTensor):
-        t = traceless_ricci(source).comp
-        return np.einsum("ijkl,ik,jl", source.comp, t, t)
-    p = source
-    return sum(p.lam[i] * p.lam[j] * p.sigma[i, j]
-               for i in range(p.n) for j in range(p.n) if i != j)
-
-
 def estimate_coefficients(n, eps):
-    """((quadratic1, cubic1), (quadratic2, cubic2)): estimate k has the right
-    side quadratic_k R |oRic|^2 + cubic_k tr(oRic^3).  Mode-agnostic: a
-    Fraction eps gives Fractions, a float eps floats."""
+    """(weight_k, quadratic_k, cubic_k), k = 1, 2: estimate k bounds weight_k
+    R_ijkl oR_ik oR_jl by quadratic_k R |oRic|^2 + cubic_k tr(oRic^3), with
+    weight_k = 1.  A Fraction eps gives Fractions, a float eps floats."""
     one = eps ** 0   # 1 in the arithmetic of eps
-    return ((exact_div(1 - n * n * eps, n), one),
-            (exact_div(n * n - 4 * n + 2 - n * n * (n - 2) * (n - 3) * eps, 2 * n),
+    return ((one, exact_div(1 - n * n * eps, n), one),
+            (one, exact_div(n * n - 4 * n + 2 - n * n * (n - 2) * (n - 3) * eps, 2 * n),
              -(n - 1) * one))
-
-
-def _evaluate(coefficients, R, ric_norm_sq, ric_cubic):
-    quadratic, cubic = coefficients
-    return quadratic * R * ric_norm_sq + cubic * ric_cubic
 
 
 def _blend(s, first, second):
     """s * first + (1 - s) * second: s = 1 gives estimate 1, s = 0 estimate 2."""
     return s * first + (1 - s) * second
-
-
-def rhs_estimate1(n, params: PinchingParams, inv):
-    """Right side of estimate 1 (see estimate_coefficients)."""
-    return _evaluate(estimate_coefficients(n, params.eps)[0],
-                     inv.R, inv.ricNormSq, inv.ricCubic)
-
-
-def rhs_estimate2(n, params: PinchingParams, inv):
-    """Right side of estimate 2 (see estimate_coefficients)."""
-    return _evaluate(estimate_coefficients(n, params.eps)[1],
-                     inv.R, inv.ricNormSq, inv.ricCubic)
-
-
-def rhs_convex(n, params: PinchingParams, inv):
-    """The convex combination s * rhs1 + (1 - s) * rhs2."""
-    return _blend(params.s, rhs_estimate1(n, params, inv), rhs_estimate2(n, params, inv))
-
-
-def _cross_terms(lam, sb):
-    """(sum_{ij} l_i l_j sb_ij - sum_k mub_k l_k^2, sum_{i<j} (l_i - l_j)^2 sb_ij)
-    with mub_k = sum_{i != k} sb_ik, for a zero-diagonal sb; the cross-term
-    identity says the first is minus the second."""
-    i, j = np.triu_indices(len(lam), 1)
-    cross = (np.outer(lam, lam) * sb).sum() - (sb.sum(axis=0) * lam ** 2).sum()
-    return cross, ((lam[i] - lam[j]) ** 2 * sb[i, j]).sum()
 
 
 def equno_identity(p: SigmaProfile, eps):
@@ -238,15 +210,12 @@ def equno_identity(p: SigmaProfile, eps):
         sum_{ij} l_i l_j sb_ij - sum_k mub_k l_k^2
             = - sum_{i<j} (l_i - l_j)^2 sb_ij   (<= 0 when all sb >= 0)
 
-    with sb = sigma - eps R and mub_k = sum_{i != k} sb_ik.
+    with sb = sigma - eps R and mub_k = sum_{i != k} sb_ik: minus the slack.
     """
-    cross, slack = _cross_terms(p.lam, p.sigma_bar(eps))
-    return cross, -slack
-
-
-def slack_term(p: SigmaProfile, eps):
-    """sum_{i<j} (l_i - l_j)^2 (sigma_ij - eps R): the exact estimate-1 slack."""
-    return _cross_terms(p.lam, p.sigma_bar(eps))[1]
+    lam, sb = p.lam, p.sigma_bar(eps)
+    i, j, _ = _incidence(p.n)
+    cross = (np.outer(lam, lam) * sb).sum() - (sb.sum(axis=0) * lam ** 2).sum()
+    return cross, -((lam[i] - lam[j]) ** 2 * sb[i, j]).sum()
 
 
 def eigen_gap_lemma(lam, i, j):
@@ -286,7 +255,7 @@ class EstimateReport:
     gap1: object
     gap2: object
     gapConvex: object
-    slackResidual: object   # gap1 - slack_term (exact zero in rational mode)
+    slackResidual: object   # gap1 minus the estimate-1 slack (exact zero in rational mode)
     passed: bool
 
     def as_dict(self):
@@ -305,17 +274,21 @@ def check_estimates(source, params: PinchingParams) -> EstimateReport:
     violates it or the 4-form dual cannot decide (an open bracket straddling
     eps*R).  A certified tensor is then checked, in float, as the profile of
     its eigenframe (_eigenframe): its gaps are that profile's gaps, and the
-    slack residual also tests that the eigenframe is consistent.  Both kinds
-    of source go through estimate_gaps as one row.
+    slack residual also tests that the eigenframe is consistent.  A profile
+    is checked in Fractions when it, eps and s are rational, else in float.
+    Both kinds of source go through estimate_gaps as one row.
     """
     eps, s = params.eps, params.s
     if isinstance(source, SigmaProfile):
         R, lam = source.R, source.lam
-        sig = source.sigma[np.triu_indices(source.n, 1)]
+        sig = source.sigma[_incidence(source.n)[:2]]
         if not pinched(source.min_sigma(), eps, R):
             raise UncertifiedSourceError(
                 f"profile violates Sec >= eps*R: min sigma {source.min_sigma()}, "
                 f"eps*R = {eps * R}")
+        if not (source.mode == RATIONAL and is_rational(eps) and is_rational(s)):
+            eps, s, R = float(eps), float(s), float(R)
+            lam, sig = lam.astype(float), sig.astype(float)
     elif isinstance(source, AlgCurvTensor):
         eps, s, R = float(eps), float(s), float(scalar(source))
         lower, upper, _ = dual_min_sectional(source)
@@ -343,7 +316,7 @@ def _eigenframe(Rm: AlgCurvTensor):
     sectional curvatures of its eigenframe's coordinate planes i < j,
     w^T Rhat w over the bivectors w = v_i ^ v_j of the eigenvectors."""
     lam, vecs = np.linalg.eigh(np.asarray(traceless_ricci(Rm).comp, dtype=float))
-    i, j = np.triu_indices(Rm.n, 1)
+    i, j, _ = _incidence(Rm.n)
     return lam, plane_sectionals(Rm, vecs[:, i].T, vecs[:, j].T)
 
 
@@ -365,30 +338,33 @@ def estimate_gaps(lam, sig, sb, R, coefficients, s_list):
     of every lane.
 
     Row r holds lambda (lam[r], length n), sigma and sb = sigma - eps R over
-    the pairs i < j (sig[r], sb[r]) and R[r]; coefficients is
-    estimate_coefficients(n, eps).  Float arrays give floats; Fraction
-    object arrays (and Fraction s) give exact Fractions.  residual is gap1
-    minus the slack sum_{i<j} (l_i - l_j)^2 sb_ij, which the slack identity
-    makes zero.  A row is bad when a gap, for either estimate or any s, is
-    below -GAP_RTOL max(1, |lhs|, |rhs1|, |rhs2|); exact rows are bad when a
-    gap is negative or the residual is not zero.
+    the pairs i < j (sig[r], sb[r]) and R[r]; coefficients holds (weight_k,
+    quadratic_k, cubic_k) per estimate (estimate_coefficients), and
+    gap_k = quadratic_k R P2 + cubic_k P3 - weight_k lhs.  residual is gap1
+    minus weight_1 times the slack sum_{i<j} (l_i - l_j)^2 sb_ij, which the
+    slack identity makes zero.  Rows are float, Fraction, or int64 or Python
+    int numerators (profile_batch_exact).  A float row is bad when a gap, for
+    either estimate or any s, is below -GAP_RTOL max(1, |lhs|, |rhs1|,
+    |rhs2|); an exact row when a gap is negative or the residual not zero.
     """
-    exact = lam.dtype == object
-    i, j = np.triu_indices(lam.shape[1], 1)
+    exact = lam.dtype.kind != "f"
+    i, j, _ = _incidence(lam.shape[1])
     lprod = lam[:, i] * lam[:, j]
     lhs = 2 * (lprod * sig).sum(axis=1)
     P2 = (lam ** 2).sum(axis=1)
     P3 = (lam ** 3).sum(axis=1)
-    rhs1, rhs2 = (_evaluate(c, R, P2, P3) for c in coefficients)
+    (weight1, quadratic1, cubic1), (weight2, quadratic2, cubic2) = coefficients
+    rhs1 = quadratic1 * R * P2 + cubic1 * P3
+    rhs2 = quadratic2 * R * P2 + cubic2 * P3
     slack = ((lam[:, i] - lam[:, j]) ** 2 * sb).sum(axis=1)
-    gap1, gap2 = rhs1 - lhs, rhs2 - lhs
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.maximum(np.abs(rhs1), np.abs(rhs2))))
-    tol = (0 if exact else GAP_RTOL) * scale
-    bad = (gap1 < -tol) | (gap2 < -tol)
+    gap1, gap2 = rhs1 - weight1 * lhs, rhs2 - weight2 * lhs
     convex = [_blend(s, gap1, gap2) for s in s_list]
+    residual = gap1 - weight1 * slack
+    tol = 0 if exact else GAP_RTOL * np.maximum(
+        1.0, np.maximum(np.abs(lhs), np.maximum(np.abs(rhs1), np.abs(rhs2))))
+    bad = (gap1 < -tol) | (gap2 < -tol)
     for gapc in convex:
         bad |= gapc < -tol
-    residual = gap1 - slack
     if exact:
         bad |= residual != 0
     return GapRows(lhs, rhs1, rhs2, gap1, gap2, convex, residual, bad)
@@ -415,11 +391,14 @@ def _gap_summary(rows: GapRows, sb, s_list, limit=None):
 # Vectorized campaign kernels
 # ---------------------------------------------------------------------------
 
+@cache   # read-only, so one copy serves every caller
 def _incidence(n):
     """(i, j, inc): the pairs i < j and their pairs x n incidence matrix."""
     i, j = np.triu_indices(n, 1)
     inc = np.zeros((len(i), n), dtype=np.int64)
     inc[np.arange(len(i)), i] = inc[np.arange(len(i)), j] = 1
+    for a in (i, j, inc):
+        a.setflags(write=False)
     return i, j, inc
 
 
@@ -438,19 +417,12 @@ def profile_batch_float(n, eps, s_list, count, seed, distribution="half-normal",
     """
     require_subcritical(n, eps)
     eps = float(eps)
-    rng = _combo_rng(seed, n, eps)
-    m = n * (n - 1) // 2
-    if distribution == "uniform":
-        sb = rng.uniform(0.0, 1.0, size=(count, m))
-    else:
-        sb = np.abs(rng.standard_normal((count, m)))
-        if distribution == "sparse":
-            sb *= rng.integers(0, 2, size=(count, m))
+    sb = _float_draws(_combo_rng(seed, n, eps), (count, n * (n - 1) // 2), distribution)
     R, sig, lam = _assemble(n, sb, eps)
-    (quadratic1, cubic1), estimate2 = estimate_coefficients(n, eps)
+    (weight1, quadratic1, cubic1), estimate2 = estimate_coefficients(n, eps)
     s_list = [float(s) for s in s_list]
-    rows = estimate_gaps(lam, sig, sb, R, ((quadratic1 + coeff_delta, cubic1), estimate2),
-                         s_list)
+    rows = estimate_gaps(lam, sig, sb, R,
+                         ((weight1, quadratic1 + coeff_delta, cubic1), estimate2), s_list)
     return {"count": count, **_gap_summary(rows, sb, s_list, limit=10)}
 
 
@@ -459,14 +431,14 @@ _EXACT_BLOCK = 1024   # profiles per block: keeps temporaries, above all Python 
 
 
 def _integer_coefficients(n, f):
-    """(scale, quadratic, cubic) per estimate, k = 1, 2: scale = k n q makes
-    scale times its quadratic coefficient and scale/n times its cubic one
-    integers, so that the estimate's gap is an integer over n^3 q d^3
-    (gap1) or 2 n^3 q d^3 (gap2)."""
+    """(scale, quadratic, cubic) per estimate, k = 1, 2, for estimate_gaps:
+    scale = k n q makes scale times its quadratic coefficient and scale/n
+    times its cubic one integers, so that the estimate's gap is an integer
+    over n^3 q d^3 (gap1) or 2 n^3 q d^3 (gap2)."""
     out = []
-    for k, coefficients in enumerate(estimate_coefficients(n, f), 1):
+    for k, (_, quadratic, cubic) in enumerate(estimate_coefficients(n, f), 1):
         scale = k * n * f.denominator
-        quadratic, cubic = scale * coefficients[0], scale * coefficients[1] / n
+        quadratic, cubic = scale * quadratic, scale * cubic / n
         assert quadratic.denominator == cubic.denominator == 1, (quadratic, cubic)
         out.append((scale, quadratic.numerator, cubic.numerator))
     return out
@@ -497,13 +469,13 @@ def profile_batch_exact(n, eps, count, seed):
     and the exact estimate-1 slack identity, vectorized.
 
     With eps = p/q, d = q - n(n-1)p and integer shifted curvatures sb in
-    [0, _EXACT_SB_MAX], sigma and R are integers over d, lambda over n d,
-    and both gaps and the slack integers over n^3 q d^3 (2 n^3 q d^3 for
+    [0, _EXACT_SB_MAX], sigma, sb and R are integers over d and lambda over
+    n d; estimate_gaps on these numerators, with _integer_coefficients, gives
+    both gaps and the slack as integers over n^3 q d^3 (2 n^3 q d^3 for
     gap2), so inequality signs and the identity are decided exactly.
     exact_profile_bound bounds every intermediate before anything is
     computed; the kernel runs in int64 when the bound fits and in Python
-    ints otherwise, block by block, and the report's exactLane names the
-    lane that ran.
+    ints otherwise, block by block, and exactLane names the lane that ran.
     """
     require_subcritical(n, eps)
     f = Fraction(eps) if not isinstance(eps, Fraction) else eps
@@ -511,42 +483,32 @@ def profile_batch_exact(n, eps, count, seed):
     d = q - n * (n - 1) * p            # positive by the subcritical check
     lane = exact_lane(exact_profile_bound(n, f))
     rng = _combo_rng(seed, n, f)
-    i_idx, j_idx, inc = _incidence(n)
-    m = len(i_idx)
-    sb = lane_array(rng.integers(0, _EXACT_SB_MAX + 1, size=(count, m)), lane)
-    inc = lane_array(inc, lane)
+    sb = lane_array(rng.integers(0, _EXACT_SB_MAX + 1, size=(count, n * (n - 1) // 2)), lane)
+    inc = lane_array(_incidence(n)[2], lane)
     coefficients = _integer_coefficients(n, f)
-    gap1, gap2, slack = (np.empty(count, dtype=sb.dtype) for _ in range(3))
+    gap1, gap2, residual = (np.empty(count, dtype=sb.dtype) for _ in range(3))
+    bad = np.empty(count, dtype=bool)
     for lo in range(0, count, _EXACT_BLOCK):
         rows = slice(lo, lo + _EXACT_BLOCK)
         S = sb[rows].sum(axis=1)
         R_num = 2 * S * q                       # R = R_num / d
-        sig = sb[rows] * d + 2 * S[:, None] * p  # sigma = sig / d
+        sb_num = sb[rows] * d                   # sb = sb_num / d
+        sig = sb_num + 2 * S[:, None] * p       # sigma = sig / d
         lam = n * (sig @ inc) - R_num[:, None]  # lambda = lam / (n d)
-        L3 = 2 * (lam[:, i_idx] * lam[:, j_idx] * sig).sum(axis=1)
-        P2 = (lam ** 2).sum(axis=1)
-        P3 = (lam ** 3).sum(axis=1)
-        gap1[rows], gap2[rows] = (_evaluate((quadratic, cubic), R_num, P2, P3) - scale * L3
-                                  for scale, quadratic, cubic in coefficients)
-        slack[rows] = n * q * d * ((lam[:, i_idx] - lam[:, j_idx]) ** 2 * sb[rows]).sum(axis=1)
-    bad = (gap1 < 0) | (gap2 < 0) | (gap1 != slack)
-    result = {
+        out = estimate_gaps(lam, sig, sb_num, R_num, coefficients, [])
+        gap1[rows], gap2[rows], residual[rows], bad[rows] = (
+            out.gap1, out.gap2, out.residual, out.bad)
+    return {
         "count": count,
-        "slackIdentityExact": bool((gap1 == slack).all()) if count else True,
-        "violations": [],
+        "slackIdentityExact": bool((residual == 0).all()),
+        "violations": [{"index": int(idx), "sigmaBar": sb[idx].tolist(),
+                        "gap1Num": int(gap1[idx]), "gap2Num": int(gap2[idx]),
+                        "slackNum": int(gap1[idx] - residual[idx])}
+                       for idx in np.nonzero(bad)[0][:10]],
         "minGap1Num": int(gap1.min()) if count else None,
         "minGap2Num": int(gap2.min()) if count else None,
         "exactLane": lane,
     }
-    for idx in np.nonzero(bad)[0][:10]:
-        result["violations"].append({
-            "index": int(idx),
-            "sigmaBar": sb[idx].tolist(),
-            "gap1Num": int(gap1[idx]),
-            "gap2Num": int(gap2[idx]),
-            "slackNum": int(slack[idx]),
-        })
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +533,9 @@ class CampaignConfig:
         grid_points=20_000, refine_starts=8))
 
     def __post_init__(self):
-        if self.kind not in ("profile", "tensor"):
-            raise ValueError(f"kind = {self.kind!r}: must be 'profile' or 'tensor'")
+        _require("kind", self.kind, ("profile", "tensor"))
+        _require("mode", self.mode, MODES)
+        _require("distribution", self.distribution, DISTRIBUTIONS)
         if self.count < 0:
             raise ValueError(f"count = {self.count} must be >= 0")
         if min(self.dims, default=3) < 3:

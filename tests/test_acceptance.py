@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from pinchlab.cli import EXIT_OK, EXIT_VIOLATION, main
-from pinchlab.curvature import CurvatureInvariants
 from pinchlab.ftensor import (
     FCoefficients,
     CLAIMED_POINT,
@@ -39,14 +38,12 @@ from pinchlab.models import (
 )
 from pinchlab.profiles import (
     CampaignConfig,
-    PinchingParams,
     eigen_gap_lemma,
+    estimate_coefficients,
+    estimate_gaps,
     mc_campaign,
     profile_batch_exact,
     profile_batch_float,
-    rhs_convex,
-    rhs_estimate1,
-    rhs_estimate2,
 )
 from pinchlab.reports import report_digest
 from pinchlab.scalars import FLOAT, RATIONAL
@@ -110,22 +107,30 @@ def test_criterion_02_corollary_suite(profile_sweep, capfd):
             gap = out["float"]["minGapConvex"][key]
             if gap < -1e-9:
                 problems.append(f"convex gap {gap} at (n={n}, eps={eps}, s={s})")
-    # endpoint reductions are exact identities of the coefficient formulas
-    inv = CurvatureInvariants(R=Fraction(10), ricNormSq=Fraction(7, 3),
-                              ricCubic=Fraction(-2, 5), lhs=Fraction(0))
+    # endpoint reductions are exact identities of the coefficient formulas,
+    # checked on exact rows (lambda, sigma, sigma - eps R, R) of Fractions
+    rng = np.random.default_rng(SEED)
+    s_mid = Fraction(2, 7)
     for n in DIMS:
+        m = n * (n - 1) // 2
+        rows = [np.array([Fraction(int(v), 7) for v in rng.integers(-20, 21, size=k * 10)],
+                         dtype=object).reshape(10, k) for k in (n, m, m)]
+        rows.append(rows[0][:, 0] + 3)
         for eps in EPS_LIST:
-            p1 = PinchingParams(eps, Fraction(1))
-            p0 = PinchingParams(eps, Fraction(0))
-            if rhs_convex(n, p1, inv) != rhs_estimate1(n, p1, inv):
+            coefficients = estimate_coefficients(n, eps)
+            gaps = estimate_gaps(*rows, coefficients, [Fraction(1), Fraction(0), s_mid])
+            if (gaps.convex[0] != gaps.gap1).any():
                 problems.append(f"s=1 endpoint broken at (n={n}, eps={eps})")
-            if rhs_convex(n, p0, inv) != rhs_estimate2(n, p0, inv):
+            if (gaps.convex[1] != gaps.gap2).any():
                 problems.append(f"s=0 endpoint broken at (n={n}, eps={eps})")
-    # n = 4, eps = 0, s = 3/4: the cubic coefficient -(n-1-ns) vanishes
-    pr = PinchingParams(Fraction(0), Fraction(3, 4))
-    other = CurvatureInvariants(inv.R, inv.ricNormSq, Fraction(999), inv.lhs)
-    if rhs_convex(4, pr, inv) != rhs_convex(4, pr, other):
-        problems.append("cubic coefficient does not vanish at n=4, s=3/4")
+            if (gaps.convex[2] != s_mid * gaps.gap1 + (1 - s_mid) * gaps.gap2).any():
+                problems.append(f"s=2/7 is not the interpolation at (n={n}, eps={eps})")
+    # n = 4, s = 3/4: the cubic coefficient -(n-1-ns) vanishes
+    s = Fraction(3, 4)
+    for eps in EPS_LIST:
+        (_, _, cubic1), (_, _, cubic2) = estimate_coefficients(4, eps)
+        if s * cubic1 + (1 - s) * cubic2 != 0:
+            problems.append(f"cubic coefficient does not vanish at n=4, s=3/4, eps={eps}")
     _report(capfd, 2, "corollary suite (convex combination, 5 weights)",
             not problems, "; ".join(problems) or "endpoints exact, cubic drop OK")
 

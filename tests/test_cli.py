@@ -214,6 +214,7 @@ def test_config_scalar_for_repeatable_flags(capsys, tmp_path):
     ("verify-estimates", {"s": [[1]]}),
     ("optimize-q2", {"eps": {"p": 1, "q": 24}}),
     ("model", {"eps": [1]}),
+    ("verify-estimates", {"distribution": "sparce", "count": 10}),   # argparse never sees it
 ])
 def test_config_value_of_wrong_type_is_usage_error(capsys, tmp_path, command, data):
     cfg = tmp_path / "cfg.json"

@@ -125,6 +125,17 @@ def test_json_round_trip_float():
                        np.asarray(Rm.comp, dtype=float), atol=0, rtol=0)
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_float_json_round_trip_is_exact(n):
+    for seed in ([5, 5, 0], [5, n, 1], n):
+        Rm = random_curvature(n, seed, FLOAT)
+        c = Rm.comp
+        assert np.array_equal(c, -c.transpose(1, 0, 2, 3))
+        assert np.array_equal(c, -c.transpose(0, 1, 3, 2))
+        assert np.array_equal(c, c.transpose(2, 3, 0, 1))
+        assert np.array_equal(AlgCurvTensor.from_json(Rm.to_json()).comp, c)
+
+
 def test_invariants_lhs_matches_loop_oracle():
     Rm = random_curvature(4, 21, FLOAT)
     inv = invariants(Rm)

@@ -16,23 +16,18 @@ from pinchlab.profiles import (
     eigen_gap_lemma,
     equno_identity,
     exact_profile_bound,
-    lhs_contraction,
     mc_campaign,
     profile_batch_exact,
     profile_batch_float,
     profile_from_sigma_bar,
     profile_to_tensor,
-    rhs_convex,
-    rhs_estimate1,
-    rhs_estimate2,
     sample_sigma_profile,
-    slack_term,
+    _EXACT_BLOCK,
     _EXACT_SB_MAX,
     _combo_rng,
     estimate_coefficients,
     estimate_gaps,
 )
-from pinchlab.curvature import CurvatureInvariants
 from pinchlab.reports import report_digest
 
 FAST = SearchOptions(grid_points=20_000, refine_starts=8)
@@ -77,34 +72,51 @@ def test_slack_is_exact_gap1_rational():
         p = sample_sigma_profile(4, eps, seed, RATIONAL)
         rep = check_estimates(p, PinchingParams(eps, Fraction(1)))
         assert rep.slackResidual == 0
-        assert rep.gap1 == slack_term(p, eps)
         assert rep.gap1 >= 0 and rep.gap2 >= 0
         assert rep.passed
 
 
+def fraction_rows(n, count, seed):
+    """Random rows (lam, sig, sb, R) of Fractions for estimate_gaps."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return np.array([Fraction(int(v), 7) for v in rng.integers(-20, 21, size=shape).flat],
+                        dtype=object).reshape(shape)
+
+    m = n * (n - 1) // 2
+    return draw(count, n), draw(count, m), draw(count, m), draw(count)
+
+
 def test_convex_combination_endpoints_exact():
-    inv = CurvatureInvariants(R=Fraction(10), ricNormSq=Fraction(7, 3),
-                              ricCubic=Fraction(-2, 5), lhs=Fraction(0))
+    s = Fraction(2, 7)
     for n in (3, 4, 5, 6):
+        rows = fraction_rows(n, 20, n)
         for eps in (Fraction(0), Fraction(1, 48), Fraction(-1, 10)):
-            e1 = rhs_estimate1(n, PinchingParams(eps, 1), inv)
-            e2 = rhs_estimate2(n, PinchingParams(eps, 0), inv)
-            assert rhs_convex(n, PinchingParams(eps, Fraction(1)), inv) == e1
-            assert rhs_convex(n, PinchingParams(eps, Fraction(0)), inv) == e2
-            # interior s is the straight-line interpolation
-            s = Fraction(2, 7)
-            mid = rhs_convex(n, PinchingParams(eps, s), inv)
-            assert mid == (1 - s) * e2 + s * e1
+            coefficients = estimate_coefficients(n, eps)
+            gaps = estimate_gaps(*rows, coefficients, [Fraction(1), Fraction(0), s])
+            assert all(type(v) is Fraction for v in gaps.gap1)
+            assert (gaps.convex[0] == gaps.gap1).all()
+            assert (gaps.convex[1] == gaps.gap2).all()
+            # interior s is the estimate with the blended coefficients
+            blend = tuple(s * a + (1 - s) * b for a, b in zip(*coefficients))
+            assert blend[0] == 1
+            assert (gaps.convex[2] == estimate_gaps(*rows, (blend, blend), []).gap1).all()
 
 
 def test_cubic_term_drops_at_n4_s34():
-    # at n = 4, s = 3/4 the tr(oRic^3) coefficient -(n-1-ns) vanishes
-    a = CurvatureInvariants(R=Fraction(6), ricNormSq=Fraction(2),
-                            ricCubic=Fraction(5), lhs=Fraction(0))
-    b = CurvatureInvariants(R=Fraction(6), ricNormSq=Fraction(2),
-                            ricCubic=Fraction(-11), lhs=Fraction(0))
-    params = PinchingParams(Fraction(0), Fraction(3, 4))
-    assert rhs_convex(4, params, a) == rhs_convex(4, params, b)
+    # at n = 4, s = 3/4 the tr(oRic^3) coefficient -(n-1-ns) vanishes: rows
+    # with lambda negated keep R, |oRic|^2 and the lhs and negate tr(oRic^3)
+    s = Fraction(3, 4)
+    lam, sig, sb, R = fraction_rows(4, 20, 0)
+    for eps in (Fraction(0), Fraction(1, 48), Fraction(-1, 10)):
+        coefficients = estimate_coefficients(4, eps)
+        (_, _, cubic1), (_, _, cubic2) = coefficients
+        assert s * cubic1 + (1 - s) * cubic2 == 0
+        a = estimate_gaps(lam, sig, sb, R, coefficients, [s])
+        b = estimate_gaps(-lam, sig, sb, R, coefficients, [s])
+        assert (a.lhs == b.lhs).all() and (a.rhs1 != b.rhs1).any()
+        assert (a.convex[0] == b.convex[0]).all()
 
 
 def test_eigen_gap_lemma_equality_case():
@@ -127,7 +139,21 @@ def test_profile_to_tensor_matches_invariants():
     inv = invariants(Rm)
     assert inv.R == p.R
     assert inv.ricNormSq == sum(v * v for v in p.lam)
-    assert inv.lhs == lhs_contraction(p)
+    assert inv.lhs == check_estimates(p, PinchingParams(Fraction(0), 1)).lhs
+
+
+def test_rational_profile_at_float_params_is_checked_in_float():
+    failed = []
+    for seed in range(50):
+        p = sample_sigma_profile(5, Fraction(1, 48), seed, RATIONAL)
+        rep = check_estimates(p, PinchingParams(1 / 48, 0.5))
+        assert isinstance(rep.gap1, float) and isinstance(rep.gapConvex, float)
+        if not rep.passed:
+            failed.append(seed)
+        exact = check_estimates(p, PinchingParams(Fraction(1, 48), Fraction(1, 2)))
+        assert exact.passed and exact.slackResidual == 0
+        assert isinstance(exact.gapConvex, Fraction)
+    assert not failed
 
 
 def test_uncertified_profile_raises():
@@ -222,6 +248,65 @@ PINNED_FLOAT_DIGESTS = {
 def test_float_lane_report_is_unchanged(n, eps):
     out = profile_batch_float(n, eps, PINNED_S, 20_000, 1)
     assert report_digest(out) == PINNED_FLOAT_DIGESTS[n, eps]
+
+
+# report_digest of profile_batch_exact(n, eps, 20_000, 1) before the exact
+# lane ran through estimate_gaps; the n <= 4 combos and (5, -1/10) all draw an
+# all-zero row, so their reports (minimum gaps 0, no violations) coincide
+PINNED_EXACT_DIGESTS = {
+    (3, Fraction(-1, 10)): "998e452ef1b5d5b2b865c52abe345344cf2bf7825621a1a9304abcdcad6e38d9",
+    (3, Fraction(0)): "998e452ef1b5d5b2b865c52abe345344cf2bf7825621a1a9304abcdcad6e38d9",
+    (3, Fraction(1, 48)): "998e452ef1b5d5b2b865c52abe345344cf2bf7825621a1a9304abcdcad6e38d9",
+    (3, Fraction(1, 24)): "998e452ef1b5d5b2b865c52abe345344cf2bf7825621a1a9304abcdcad6e38d9",
+    (4, Fraction(-1, 10)): "998e452ef1b5d5b2b865c52abe345344cf2bf7825621a1a9304abcdcad6e38d9",
+    (4, Fraction(0)): "998e452ef1b5d5b2b865c52abe345344cf2bf7825621a1a9304abcdcad6e38d9",
+    (4, Fraction(1, 48)): "998e452ef1b5d5b2b865c52abe345344cf2bf7825621a1a9304abcdcad6e38d9",
+    (4, Fraction(1, 24)): "998e452ef1b5d5b2b865c52abe345344cf2bf7825621a1a9304abcdcad6e38d9",
+    (5, Fraction(-1, 10)): "998e452ef1b5d5b2b865c52abe345344cf2bf7825621a1a9304abcdcad6e38d9",
+    (5, Fraction(0)): "34c434734a7ec91cda4ce6b17b6edf37efaac842f13e761713bb1a3b052b0649",
+    (5, Fraction(1, 48)): "010445b3353cdae2300d95bf36864e3bbb8a856b856ceb0c437fed11099d7631",
+    (5, Fraction(1, 24)): "14c76e8ec98301c025da13574487eeda3ff186db18186e0558fbccbbd26f0602",
+    (6, Fraction(-1, 10)): "98d0230e343800fda666b53525a8301413aff12c9d0059e48db641bd4820a99f",
+    (6, Fraction(0)): "bdb48f42feed2a62ec5dcf8566c63b015145d28495750f790dd8c7ec718c2295",
+    (6, Fraction(1, 48)): "1da7336c29b7ac1a2887fe94ac69670fd3c31038bec42a64d9b0f89aae51d1f6",
+}
+
+
+@pytest.mark.parametrize("n, eps", CRITERION_COMBOS)
+def test_exact_lane_report_is_unchanged(n, eps):
+    out = profile_batch_exact(n, eps, 20_000, 1)
+    assert out["exactLane"] == "int64"
+    assert report_digest(out) == PINNED_EXACT_DIGESTS[n, eps]
+
+
+def test_python_int_lane_report_is_unchanged():
+    out = [profile_batch_exact(6, Fraction(1, 1000), 5000, 0),
+           profile_batch_exact(4, Fraction(1, 10 ** 20), 10, 0)]
+    assert [o["exactLane"] for o in out] == ["python-int"] * 2
+    assert report_digest(out) == (
+        "75bf55c4f83deba739b0972130bcf91c41dc3c38cd061625b2778d4d36895eaf")
+
+
+@pytest.mark.parametrize("n, eps, count", [(5, Fraction(1, 48), 2500),
+                                           (6, Fraction(1, 1000), 1100)])
+def test_every_exact_block_goes_through_estimate_gaps(monkeypatch, n, eps, count):
+    calls = []
+
+    def spy(*args):
+        calls.append((args, estimate_gaps(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(profiles, "estimate_gaps", spy)
+    out = profile_batch_exact(n, eps, count, 2)
+    sizes = [len(rows.gap1) for _, rows in calls]
+    assert sum(sizes) == count and max(sizes) <= _EXACT_BLOCK
+    for args, rows in calls:
+        assert args[4] == profiles._integer_coefficients(n, eps) and args[5] == []
+        assert rows.gap1.dtype == (np.int64 if out["exactLane"] == "int64" else object)
+    assert out["minGap1Num"] == min(rows.gap1.min() for _, rows in calls)
+    assert out["minGap2Num"] == min(rows.gap2.min() for _, rows in calls)
+    assert out["slackIdentityExact"] and all((rows.residual == 0).all() for _, rows in calls)
+    assert not out["violations"] and not any(rows.bad.any() for _, rows in calls)
 
 
 def test_batch_exact_numerators_match_rational_profiles():
@@ -331,6 +416,23 @@ def test_python_int_lane_gets_no_floats():
     values = scalars.lane_array(np.eye(3), "python-int")
     assert values.dtype == object and all(type(v) is int for v in values.reshape(-1))
     assert scalars.lane_array(np.eye(3), "int64").dtype == np.int64
+
+
+@pytest.mark.parametrize("kwargs", [{"distribution": "sparce"}, {"mode": "exact"},
+                                    {"distribution": "sparce", "mode": "exact"}])
+def test_campaign_config_rejects_unknown_names(kwargs):
+    with pytest.raises(ValueError, match="sparce|exact"):
+        CampaignConfig(**kwargs)
+
+
+def test_samplers_reject_unknown_distributions_and_modes():
+    for mode in (FLOAT, RATIONAL):
+        with pytest.raises(ValueError, match="gaussian"):
+            sample_sigma_profile(4, 0, 1, mode, "gaussian")
+    with pytest.raises(ValueError, match="exact"):
+        sample_sigma_profile(4, 0, 1, "exact")
+    with pytest.raises(ValueError, match="gaussian"):
+        profile_batch_float(4, 0, [1], 10, 0, "gaussian")
 
 
 def test_mc_campaign_profile_skips_supercritical():
@@ -460,8 +562,8 @@ def test_tensor_recheck_rejects_a_violating_plane(monkeypatch):
     for d in report["violations"]:
         Rm = AlgCurvTensor.from_json(d["tensor"])
         drawn = random_curvature(d["n"], [5, d["n"], d["index"]], FLOAT)
-        assert np.allclose(Rm.comp, drawn.comp, rtol=0, atol=1e-12)
-        assert np.allclose(d["sigmaBar"], _eigenframe(Rm)[1], rtol=0, atol=1e-12)   # eps = 0
+        assert np.array_equal(Rm.comp, drawn.comp)
+        assert np.array_equal(d["sigmaBar"], _eigenframe(Rm)[1])   # eps = 0
         assert min(d["gap1"], d["gap2"]) < 0 and min(d["sigmaBar"]) < 0
 
 
