@@ -146,20 +146,14 @@ def sample_sigma_profile(n, eps, seed, mode=FLOAT, distribution="half-normal"):
     """Seeded random profile satisfying Sec >= eps*R by construction.
 
     Float mode draws the shifted curvatures as the float lane does
-    (_float_draws); rational mode draws small non-negative integers, which
-    "sparse" zeroes with probability 1/2 to reach the equality cases of the
-    cross-term identity.
+    (_float_draws), rational mode as the exact lane does (_integer_draws).
     """
     require_subcritical(n, eps)
     _require("mode", mode, MODES)
     rng = np.random.default_rng(seed)
     m = n * (n - 1) // 2
     if mode == RATIONAL:
-        _require("distribution", distribution, DISTRIBUTIONS)
-        sb = [Fraction(int(v)) for v in rng.integers(0, 10, size=m)]
-        if distribution == "sparse":
-            mask = rng.integers(0, 2, size=m)
-            sb = [v if keep else Fraction(0) for v, keep in zip(sb, mask)]
+        sb = [Fraction(int(v)) for v in _integer_draws(rng, m, distribution)]
         eps = eps if isinstance(eps, Fraction) else Fraction(eps)
     else:
         sb = list(_float_draws(rng, m, distribution))
@@ -175,6 +169,21 @@ def _float_draws(rng, shape, distribution):
     if distribution == "uniform":
         return rng.uniform(0.0, 1.0, size=shape)
     sb = np.abs(rng.standard_normal(shape))
+    if distribution == "sparse":
+        sb *= rng.integers(0, 2, size=shape)
+    return sb
+
+
+_EXACT_SB_MAX = 9   # the exact lane draws shifted curvatures sb in [0, _EXACT_SB_MAX]
+
+
+def _integer_draws(rng, shape, distribution):
+    """Integer shifted curvatures sb of the given shape from rng: uniform on
+    [0, _EXACT_SB_MAX], each entry zeroed with probability 1/2 for "sparse",
+    which reaches the equality cases of the slack identity.  "half-normal"
+    and "uniform" draw alike."""
+    _require("distribution", distribution, DISTRIBUTIONS)
+    sb = rng.integers(0, _EXACT_SB_MAX + 1, size=shape)
     if distribution == "sparse":
         sb *= rng.integers(0, 2, size=shape)
     return sb
@@ -408,25 +417,28 @@ def _combo_rng(seed, n, eps):
         [int(seed), n, f.numerator % (2 ** 32), f.denominator])
 
 
+def _float_coefficients(n, eps, coeff_delta):
+    """estimate_coefficients(n, eps) in float with coeff_delta added to the
+    estimate-1 quadratic coefficient: the coefficients of the float and
+    tensor lanes.  A nonzero coeff_delta exists only as a corrupted fixture
+    for the exit-code contract tests."""
+    (weight1, quadratic1, cubic1), estimate2 = estimate_coefficients(n, float(eps))
+    return (weight1, quadratic1 + coeff_delta, cubic1), estimate2
+
+
 def profile_batch_float(n, eps, s_list, count, seed, distribution="half-normal",
                         coeff_delta=0.0):
-    """Float-mode batch: min gaps and violation indices over `count` profiles.
-
-    coeff_delta perturbs the estimate-1 quadratic coefficient; nonzero values
-    exist only as a corrupted fixture for the exit-code contract tests.
-    """
+    """Float-mode batch: min gaps and violation indices over `count` profiles;
+    coeff_delta as in _float_coefficients."""
     require_subcritical(n, eps)
     eps = float(eps)
     sb = _float_draws(_combo_rng(seed, n, eps), (count, n * (n - 1) // 2), distribution)
     R, sig, lam = _assemble(n, sb, eps)
-    (weight1, quadratic1, cubic1), estimate2 = estimate_coefficients(n, eps)
     s_list = [float(s) for s in s_list]
-    rows = estimate_gaps(lam, sig, sb, R,
-                         ((weight1, quadratic1 + coeff_delta, cubic1), estimate2), s_list)
+    rows = estimate_gaps(lam, sig, sb, R, _float_coefficients(n, eps, coeff_delta), s_list)
     return {"count": count, **_gap_summary(rows, sb, s_list, limit=10)}
 
 
-_EXACT_SB_MAX = 9   # the exact lane draws shifted curvatures sb in [0, _EXACT_SB_MAX]
 _EXACT_BLOCK = 1024   # profiles per block: keeps temporaries, above all Python ints, few
 
 
@@ -464,15 +476,16 @@ def exact_profile_bound(n, eps):
     return max(bounds)
 
 
-def profile_batch_exact(n, eps, count, seed):
+def profile_batch_exact(n, eps, count, seed, distribution="half-normal"):
     """Rational-mode batch over integer common denominators: exact gap signs
     and the exact estimate-1 slack identity, vectorized.
 
     With eps = p/q, d = q - n(n-1)p and integer shifted curvatures sb in
-    [0, _EXACT_SB_MAX], sigma, sb and R are integers over d and lambda over
-    n d; estimate_gaps on these numerators, with _integer_coefficients, gives
-    both gaps and the slack as integers over n^3 q d^3 (2 n^3 q d^3 for
-    gap2), so inequality signs and the identity are decided exactly.
+    [0, _EXACT_SB_MAX] (_integer_draws), sigma, sb and R are integers over d
+    and lambda over n d; estimate_gaps on these numerators, with
+    _integer_coefficients, gives both gaps and the slack as integers over
+    n^3 q d^3 (2 n^3 q d^3 for gap2), so inequality signs and the identity
+    are decided exactly.
     exact_profile_bound bounds every intermediate before anything is
     computed; the kernel runs in int64 when the bound fits and in Python
     ints otherwise, block by block, and exactLane names the lane that ran.
@@ -483,7 +496,7 @@ def profile_batch_exact(n, eps, count, seed):
     d = q - n * (n - 1) * p            # positive by the subcritical check
     lane = exact_lane(exact_profile_bound(n, f))
     rng = _combo_rng(seed, n, f)
-    sb = lane_array(rng.integers(0, _EXACT_SB_MAX + 1, size=(count, n * (n - 1) // 2)), lane)
+    sb = lane_array(_integer_draws(rng, (count, n * (n - 1) // 2), distribution), lane)
     inc = lane_array(_incidence(n)[2], lane)
     coefficients = _integer_coefficients(n, f)
     gap1, gap2, residual = (np.empty(count, dtype=sb.dtype) for _ in range(3))
@@ -556,8 +569,9 @@ class CampaignConfig:
                       for s in self.s_list],
             "count": self.count,
             "seed": self.seed,
-            "mode": self.mode,
-            "distribution": self.distribution,
+            # the tensor kind runs in float and draws no shifted curvatures
+            "mode": self.mode if self.kind == "profile" else FLOAT,
+            "distribution": self.distribution if self.kind == "profile" else None,
             "margin": self.margin,
             "coeffDelta": self.coeff_delta,
         }
@@ -584,7 +598,7 @@ def mc_campaign(config: CampaignConfig):
                     for v in entry["float"]["violations"])
                 if config.mode == RATIONAL:
                     entry["exact"] = profile_batch_exact(
-                        n, eps, config.count, config.seed)
+                        n, eps, config.count, config.seed, config.distribution)
                     violations.extend(
                         dict(v, n=n, eps=scalar_to_json(Fraction(eps)), lane="exact")
                         for v in entry["exact"]["violations"])
@@ -619,7 +633,8 @@ def _tensor_combo(n, eps, config: CampaignConfig):
         tensors.append(shifted)
     sb = sig - e * R[:, None]
     s_list = [float(s) for s in config.s_list]
-    rows = estimate_gaps(lam, sig, sb, R, estimate_coefficients(n, e), s_list)
+    rows = estimate_gaps(lam, sig, sb, R, _float_coefficients(n, e, config.coeff_delta),
+                         s_list)
     summary = _gap_summary(rows, sb, s_list)
     dumps = [dict(v, n=n, eps=scalar_to_json(Fraction(eps)), lane="tensor",
                   tensor=tensors[v["index"]].to_json()) for v in summary.pop("violations")]

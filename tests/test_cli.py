@@ -36,6 +36,18 @@ def test_verify_estimates_corrupted_coefficient_exits_1(capsys):
     assert json.loads(out)["violations"]
 
 
+def test_verify_estimates_tensor_kind_corrupted_coefficient_exits_1(capsys):
+    code, out = run(capsys, ["verify-estimates", "--kind", "tensor", "--count", "3",
+                             "--n", "4", "--eps", "0", "--corrupt-rhs1", "-1000",
+                             "--distribution", "sparse"])
+    assert code == EXIT_VIOLATION
+    payload = json.loads(out)
+    assert payload["violations"]
+    config = payload["config"]
+    assert (config["coeffDelta"], config["mode"], config["distribution"]) == (
+        -1000.0, "float", None)
+
+
 @pytest.mark.parametrize("argv", [
     ["--n", "6", "--eps", "1/1000", "--count", "5000"],
     ["--n", "4", "--eps", "1/100000000000000000000", "--count", "10"],
@@ -224,15 +236,19 @@ def test_config_value_of_wrong_type_is_usage_error(capsys, tmp_path, command, da
     assert code == EXIT_USAGE
 
 
-def test_cli_and_the_n4_tensor_campaign_never_import_scipy(tmp_path):
-    # scipy is imported on first use (the n >= 5 polish of min_sectional), so
-    # these paths keep its import time and memory out of the process
+def test_cli_and_the_tensor_campaign_never_import_scipy(tmp_path):
+    # only the tests' search oracle (search_min_sectional) imports scipy, on
+    # first use, so the runtime keeps its import time and memory out of the
+    # process at every n the dual solves
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = (
         "import sys\n"
-        "from pinchlab import cli, profiles\n"
+        "from pinchlab import cli, curvature, minsec, profiles\n"
         f"cli.main(['all', '--out', {str(tmp_path)!r}])\n"
-        "profiles.mc_campaign(profiles.CampaignConfig(kind='tensor', dims=(4,), count=2))\n"
+        "profiles.mc_campaign(profiles.CampaignConfig(kind='tensor', dims=(4, 5, 6, 7, 8),"
+        " eps_list=(0,), count=2))\n"
+        "for n in range(5, 9):\n"
+        "    minsec.dual_min_sectional(curvature.random_curvature(n, [3, n], 'float'))\n"
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pinchlab.curvature import (
     FLOAT,
@@ -320,6 +321,32 @@ def test_bottom_plane_does_not_depend_on_the_eigenbasis():
         for _ in range(12):
             Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
             assert sectional(Rm, _bottom_plane(Rm, V @ Q)) <= searched + 1e-9, seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(5, 8), seed=st.integers(0, 2 ** 32 - 1),
+       steps=st.sampled_from([0, 1, 2, None]))
+def test_polish_never_raises_the_curvature(n, seed, steps):
+    # from random start planes, also when stopped at a lowered step cap
+    from pinchlab import minsec
+    from pinchlab.curvature import Plane
+    rng = np.random.default_rng(seed)
+    Rm = random_curvature(n, seed, FLOAT)
+    x, y = minsec._orthonormal_pairs(rng.standard_normal((1, 2 * n)), n)
+    start = Plane(x[0], y[0])
+    with pytest.MonkeyPatch.context() as mp:
+        if steps is not None:
+            mp.setattr(minsec, "POLISH_STEPS", steps)
+        plane = minsec._polish(Rm, start)
+    assert isinstance(plane, Plane) and plane.n == n
+    gram = np.array([[plane.x @ plane.x, plane.x @ plane.y],
+                     [plane.y @ plane.x, plane.y @ plane.y]])
+    assert np.abs(gram - np.eye(2)).max() <= 1e-12
+    curvature = minsec.plane_sectionals(Rm, plane.x[None, :], plane.y[None, :])[0]
+    before = minsec.plane_sectionals(Rm, start.x[None, :], start.y[None, :])[0]
+    assert curvature <= before
+    if steps is None:   # the default cap: a stationary plane, well below a random one
+        assert curvature < before
 
 
 def test_inexact_relaxation_leaves_the_bracket_open():

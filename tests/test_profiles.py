@@ -459,6 +459,29 @@ def test_mc_campaign_tensor_kind():
     assert 0 <= entry["minSecBracketWidthMax"] <= 1e-12
 
 
+def test_sparse_exact_lane_reaches_the_equality_case():
+    default = profile_batch_exact(4, Fraction(1, 24), 300, 0)
+    assert default == profile_batch_exact(4, Fraction(1, 24), 300, 0, "half-normal")
+    assert default["minGap1Num"] > 0
+    config = CampaignConfig(kind="profile", dims=(4, 5), eps_list=(Fraction(1, 48),),
+                            s_list=(0, 1), count=300, seed=0, mode=RATIONAL,
+                            distribution="sparse")
+    report = mc_campaign(config)
+    assert not report["violations"]
+    for entry in report["checks"]:
+        assert entry["exact"]["slackIdentityExact"], entry["n"]
+        assert entry["exact"]["minGap1Num"] == 0, entry["n"]
+
+
+def test_rational_sampler_draws_as_the_exact_lane():
+    m = 10
+    for dist in ("half-normal", "sparse"):
+        p = sample_sigma_profile(5, Fraction(0), 3, RATIONAL, dist)
+        draws = profiles._integer_draws(np.random.default_rng(3), m, dist)
+        i, j = np.triu_indices(5, 1)
+        assert [int(v) for v in p.sigma[i, j]] == draws.tolist(), dist
+
+
 def test_mc_campaign_tensor_kind_n5_uses_the_dual():
     config = CampaignConfig(kind="tensor", dims=(5,), eps_list=(Fraction(0),),
                             s_list=(0, 1), count=1, seed=5, mode=FLOAT,
@@ -602,7 +625,7 @@ def test_runtime_min_sec_never_searches(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the runtime path ran the grid + L-BFGS search")
 
-    for name in ("search_min_sectional", "grid_sectionals"):
+    for name in ("search_min_sectional", "grid_sectionals", "minimize"):
         monkeypatch.setattr(minsec, name, forbidden)
     solves = []
 
