@@ -75,6 +75,37 @@ def _max_abs(a):
     return m
 
 
+def _max_abs_each(stack):
+    """_max_abs of every entry of a stack, over all but its first axis."""
+    if stack.dtype != object:
+        return np.abs(stack).max(axis=tuple(range(1, stack.ndim)), initial=0.0)
+    return np.array([_max_abs(a) for a in stack], dtype=object)
+
+
+def check_symmetries(comp, mode):
+    """Raise SymmetryError unless every tensor of the stack comp, of shape
+    (k, n, n, n, n), is antisymmetric in its first and its last index pair,
+    pair symmetric and satisfies the first Bianchi identity: exactly in
+    rational mode, else up to SYMMETRY_RTOL times max(1, its largest
+    component).  The error names the first failing tensor's index."""
+    scale = _max_abs_each(comp)
+    tol = (np.zeros(len(comp), dtype=object) if mode == RATIONAL
+           else SYMMETRY_RTOL * np.maximum(1.0, scale))
+    c = comp
+    for what, residual in (
+            ("antisymmetry R_ijkl = -R_jikl", lambda: c + c.transpose(0, 2, 1, 3, 4)),
+            ("antisymmetry R_ijkl = -R_ijlk", lambda: c + c.transpose(0, 1, 2, 4, 3)),
+            ("pair symmetry R_ijkl = R_klij", lambda: c - c.transpose(0, 3, 4, 1, 2)),
+            ("first Bianchi identity",
+             lambda: c + c.transpose(0, 1, 3, 4, 2) + c.transpose(0, 1, 4, 2, 3))):
+        worst = _max_abs_each(residual())
+        bad = np.nonzero(worst > tol)[0]
+        if len(bad):
+            k = bad[0]
+            raise SymmetryError(f"tensor {k}: {what} violated: residual {worst[k]} "
+                                f"> tol {tol[k]}")
+
+
 def _check_small(residual, mode, scale, what):
     tol = 0 if mode == RATIONAL else SYMMETRY_RTOL * max(1.0, float(scale))
     worst = _max_abs(residual)
@@ -150,16 +181,7 @@ class AlgCurvTensor:
             raise ValueError("dimension must be >= 3")
         if self.comp.shape != (self.n,) * 4:
             raise ValueError("component shape mismatch")
-        scale = _max_abs(self.comp)
-        c = self.comp
-        _check_small(c + c.transpose(1, 0, 2, 3), self.mode, scale,
-                     "antisymmetry R_ijkl = -R_jikl")
-        _check_small(c + c.transpose(0, 1, 3, 2), self.mode, scale,
-                     "antisymmetry R_ijkl = -R_ijlk")
-        _check_small(c - c.transpose(2, 3, 0, 1), self.mode, scale,
-                     "pair symmetry R_ijkl = R_klij")
-        _check_small(c + c.transpose(0, 2, 3, 1) + c.transpose(0, 3, 1, 2),
-                     self.mode, scale, "first Bianchi identity")
+        check_symmetries(self.comp[None], self.mode)
         self.comp.setflags(write=False)
 
     @classmethod
@@ -233,6 +255,12 @@ def ricci(Rm: AlgCurvTensor) -> SymTensor2:
 
 def scalar(Rm: AlgCurvTensor):
     return ricci(Rm).trace()
+
+
+def scalar_stack(comp):
+    """The scalar curvature of each tensor of the stack comp (k, n, n, n, n),
+    summed as scalar sums it."""
+    return np.trace(np.einsum("aijkj->aik", comp), axis1=1, axis2=2)
 
 
 def traceless_ricci(Rm: AlgCurvTensor) -> SymTensor2:
@@ -374,9 +402,21 @@ def _pair_map(n):
 
 def _from_pairs(M, n):
     """T_ijkl = s_ij s_kl M[p_ij, p_kl] (see _pair_map) for a symmetric
-    operator M on bivectors, read from its upper triangle."""
+    operator M on bivectors, read from its upper triangle; M may be a stack
+    (..., m, m) of them."""
     index, sign = _pair_map(n)
-    return sign * M.reshape(-1)[index]
+    return sign * M.reshape(*M.shape[:-2], M.shape[-2] * M.shape[-1])[..., index]
+
+
+def _bianchi_projection(M, n, mode):
+    """The components of tensor_from_pair_operator for each operator of the
+    stack M (k, m, m), unvalidated; every entry is computed as for a stack
+    of one."""
+    T = _from_pairs(M, n)
+    cyc = T + T.transpose(0, 1, 3, 4, 2) + T.transpose(0, 1, 4, 2, 3)
+    comp = T - (cyc * Fraction(1, 3) if mode == RATIONAL else cyc / 3.0)
+    i, j = np.triu_indices(n, 1)
+    return _from_pairs(comp[:, i[:, None], j[:, None], i, j], n)
 
 
 def tensor_from_pair_operator(M, n, mode) -> AlgCurvTensor:
@@ -389,11 +429,7 @@ def tensor_from_pair_operator(M, n, mode) -> AlgCurvTensor:
     rebuilt, as from_json rebuilds it, from its generating entries: every
     entry is exactly plus or minus one of them.
     """
-    T = _from_pairs(as_mode_array(M, mode), n)
-    cyc = T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
-    comp = T - (cyc * Fraction(1, 3) if mode == RATIONAL else cyc / 3.0)
-    i, j = np.triu_indices(n, 1)
-    return AlgCurvTensor(n, mode, _from_pairs(comp[i[:, None], j[:, None], i, j], n))
+    return AlgCurvTensor(n, mode, _bianchi_projection(as_mode_array(M, mode)[None], n, mode)[0])
 
 
 def diagonal_tensor(sigma, n, mode) -> AlgCurvTensor:
@@ -403,13 +439,8 @@ def diagonal_tensor(sigma, n, mode) -> AlgCurvTensor:
     return AlgCurvTensor(n, mode, _from_pairs(as_mode_array(np.diag(sigma), mode), n))
 
 
-def random_curvature(n, seed, mode=FLOAT, scale=10) -> AlgCurvTensor:
-    """Seeded random curvature tensor with exact first Bianchi identity.
-
-    Rational mode draws integer operator entries in [-scale, scale]; float
-    mode draws standard normals.  Same seed, same tensor.
-    """
-    check_mode(mode)
+def _random_operator(n, seed, mode, scale):
+    """random_curvature's seeded symmetric operator on bivectors."""
     rng = np.random.default_rng(seed)
     m = n * (n - 1) // 2
     if mode == RATIONAL:
@@ -418,7 +449,30 @@ def random_curvature(n, seed, mode=FLOAT, scale=10) -> AlgCurvTensor:
         for a in range(m):
             for b in range(m):
                 M[a, b] = Fraction(int(raw[a, b]) + int(raw[b, a]), 2)
-    else:
-        raw = rng.standard_normal((m, m))
-        M = (raw + raw.T) / 2.0
-    return tensor_from_pair_operator(M, n, mode)
+        return M
+    raw = rng.standard_normal((m, m))
+    return (raw + raw.T) / 2.0
+
+
+def random_curvature(n, seed, mode=FLOAT, scale=10) -> AlgCurvTensor:
+    """Seeded random curvature tensor with exact first Bianchi identity.
+
+    Rational mode draws integer operator entries in [-scale, scale]; float
+    mode draws standard normals.  Same seed, same tensor.
+    """
+    check_mode(mode)
+    return tensor_from_pair_operator(_random_operator(n, seed, mode, scale), n, mode)
+
+
+def random_curvature_stack(n, seeds, mode=FLOAT, scale=10):
+    """The components of random_curvature(n, seed, mode, scale) for each of
+    seeds, as one validated stack (len(seeds), n, n, n, n): one seeded draw
+    per tensor, then one Bianchi projection over the stack."""
+    check_mode(mode)
+    m = n * (n - 1) // 2
+    M = np.empty((len(seeds), m, m), dtype=object if mode == RATIONAL else float)
+    for k, seed in enumerate(seeds):
+        M[k] = _random_operator(n, seed, mode, scale)
+    comp = _bianchi_projection(M, n, mode)
+    check_symmetries(comp, mode)
+    return comp

@@ -11,18 +11,22 @@ a weak-duality bound whose best omega is the "strongly nonnegative" bound
 (J. A. Thorpe, J. Differential Geom. 5, 1971; R. G. Bettiol and
 R. A. E. Mendes, arXiv:1708.09033).  In dimension four Lambda^4 is spanned
 by the Hodge star and the bound is exact (Finsler's lemma): a bisection in
-one variable solves it.  For 5 <= n <= 8 a log-barrier Newton path maximizes
-it over C(n, 4) multipliers; there it is not always exact (Zoltek's
-examples), so the bracket it closes may stay open; the plane is polished by
-alternating exact minimizations over one of its vectors, each a bottom
-eigenvector of an n x n matrix.  For n <= 3 there are no 4-forms and every
-bivector is a plane, so min Sec = lambda_min(Rhat).
+one variable solves it, run in lockstep over a stack of tensors, one batched
+eigh a step.  For 5 <= n <= 8 a log-barrier Newton path maximizes it over
+C(n, 4) multipliers, one tensor at a time; there it is not always exact
+(Zoltek's examples), so the bracket it closes may stay open; the plane is
+polished by alternating exact minimizations over one of its vectors, each a
+bottom eigenvector of an n x n matrix.  For n <= 3 there are no 4-forms and
+every bivector is a plane, so min Sec = lambda_min(Rhat).
 
 dual_min_sectional returns the bracket (lower, upper, plane): lower from the
 multiplier, upper the curvature of a plane taken from the bottom eigenvectors
 at that multiplier.  shift_to_pinching returns tensors certified by that
-bracket; pinched is the one test of Sec >= eps*R.  The runtime needs only
-numpy.  The grid + L-BFGS search (search_min_sectional) is the tests'
+bracket; pinched is the one test of Sec >= eps*R.  The *_stack functions
+take a stack comp (k, n, n, n, n) of tensor components; solve_dual,
+dual_bracket, shift_by and shift_to_pinching are their stacks of one, and a
+tensor's numbers do not depend on the stack it sits in.  The runtime needs
+only numpy.  The grid + L-BFGS search (search_min_sectional) is the tests'
 independent oracle only, and only it imports scipy.
 """
 
@@ -37,12 +41,14 @@ import numpy as np
 
 from .curvature import (
     AlgCurvTensor,
+    FLOAT,
     Plane,
     RATIONAL,
+    check_symmetries,
     identity_metric,
     kulkarni_nomizu,
     pair_index,
-    scalar,
+    scalar_stack,
 )
 from .scalars import GAP_RTOL, is_rational
 
@@ -87,10 +93,21 @@ class SearchOptions:
 
 def pair_operator(Rm: AlgCurvTensor) -> np.ndarray:
     """Rhat[a, b] = R_{i_a j_a i_b j_b} over the bivector pair basis."""
-    pairs = pair_index(Rm.n)
-    comp = np.asarray(Rm.comp, dtype=float) if Rm.mode == RATIONAL else Rm.comp
-    idx = np.array(pairs)
-    return comp[idx[:, 0][:, None], idx[:, 1][:, None], idx[:, 0][None, :], idx[:, 1][None, :]]
+    return pair_operator_stack(Rm.comp[None])[0]
+
+
+def pair_operator_stack(comp):
+    """pair_operator, in float, of each tensor of the stack comp (k, n, n, n, n),
+    C-contiguous: BLAS may round a strided operand differently, so every
+    tensor's operator is laid out as a stack of one's."""
+    idx = np.array(pair_index(comp.shape[-1]))
+    comp = np.asarray(comp, dtype=float)
+    return np.ascontiguousarray(
+        comp[:, idx[:, 0][:, None], idx[:, 1][:, None], idx[:, 0][None, :], idx[:, 1][None, :]])
+
+
+def _stack_mode(comp):
+    return RATIONAL if comp.dtype == object else FLOAT
 
 
 def _orthonormal_pairs(z, n):
@@ -126,14 +143,21 @@ def _plane_grid(n, count):
 
 
 def _bivector(x, y, pairs):
-    return np.stack([x[:, i] * y[:, j] - x[:, j] * y[:, i] for i, j in pairs], axis=1)
+    return np.stack([x[..., i] * y[..., j] - x[..., j] * y[..., i] for i, j in pairs], axis=-1)
 
 
 def plane_sectionals(Rm: AlgCurvTensor, x, y):
     """Sectional curvatures w^T Rhat w of the planes spanned by the
     orthonormal rows of x and y, w = x ^ y in the pair basis."""
-    w = _bivector(x, y, pair_index(Rm.n))
-    return np.einsum("pa,ab,pb->p", w, pair_operator(Rm), w)
+    return plane_sectionals_stack(pair_operator(Rm)[None], x[None], y[None])[0]
+
+
+def plane_sectionals_stack(rhat, x, y):
+    """plane_sectionals over a stack: rhat (k, m, m) and the planes x, y
+    (k, p, n) of each tensor give (k, p), C-contiguous (einsum may lay its
+    output out otherwise, and numpy sums a strided row in another order)."""
+    w = _bivector(x, y, pair_index(x.shape[-1]))
+    return np.ascontiguousarray(np.einsum("kpa,kab,kpb->kp", w, rhat, w))
 
 
 def grid_sectionals(Rm: AlgCurvTensor, count):
@@ -269,17 +293,34 @@ def dual_bracket(Rm: AlgCurvTensor, multiplier, plane: Plane):
     lower is lambda_min(Rhat + sum_j multiplier_j M_j) over four_form_basis
     less the rounding padding, a weak-duality bound for any multiplier;
     upper is the sectional curvature of plane.  A shift Rhat + c I moves
-    both ends by c and leaves the best multiplier unchanged.
+    both ends by c and leaves the best multiplier unchanged.  The stack of
+    one of dual_bracket_stack.
     """
-    rhat = pair_operator(Rm)
+    lower, upper = dual_bracket_stack(Rm.comp[None], np.asarray(multiplier)[None],
+                                      plane.x[None], plane.y[None])
+    return float(lower[0]), float(upper[0])
+
+
+def dual_bracket_stack(comp, multipliers, x, y):
+    """dual_bracket of each tensor of the stack comp (k, n, n, n, n) at its
+    multiplier (k, C(n, 4)) and plane x, y (k, n): arrays (lower, upper).
+
+    Each entry of sum_j multiplier_j M_j is a single +-multiplier_j, so A is
+    formed exactly, and each norm is one dot product per tensor, as for a
+    stack of one.
+    """
+    rhat = pair_operator_stack(comp)
     if not np.isfinite(rhat).all():
         raise ValueError("curvature tensor has non-finite components")
-    A = rhat + np.tensordot(multiplier, four_form_basis(Rm.n), 1)
+    basis = four_form_basis(comp.shape[-1])
+    m = rhat.shape[-1]
+    A = rhat + (multipliers @ basis.reshape(len(basis), m * m)).reshape(rhat.shape)
     unit = np.finfo(float).eps / 2
-    lower = np.linalg.eigvalsh(A)[0] - rounding_factor(len(A)) * unit * (
-        np.linalg.norm(A) + np.linalg.norm(rhat))
-    upper = plane_sectionals(Rm, plane.x[None, :], plane.y[None, :])[0]
-    return float(lower), float(upper)
+    flat_A, flat_rhat = A.reshape(len(A), m * m), rhat.reshape(len(rhat), m * m)
+    lower = np.linalg.eigvalsh(A)[:, 0] - rounding_factor(m) * unit * (
+        np.sqrt(np.vecdot(flat_A, flat_A)) + np.sqrt(np.vecdot(flat_rhat, flat_rhat)))
+    upper = plane_sectionals_stack(rhat, x[:, None], y[:, None])[:, 0]
+    return lower, upper
 
 
 def dual_min_sectional(Rm: AlgCurvTensor):
@@ -295,28 +336,52 @@ def dual_min_sectional(Rm: AlgCurvTensor):
 def solve_dual(Rm: AlgCurvTensor):
     """(multiplier, plane): a 4-form over four_form_basis(n) that maximizes
     lambda_min(Rhat + omega), and a plane from the bottom eigenvectors there.
+    The stack of one of solve_dual_stack."""
+    multipliers, x, y = solve_dual_stack(Rm.comp[None])
+    return multipliers[0], Plane(x[0], y[0])
 
-    n = 4 bisects on the Hodge star (exact).  5 <= n <= 8 follows a
-    log-barrier path, then polishes best rank-2 approximations of bottom
-    eigenvectors by alternating exact minimizations over one vector of the
-    plane (_bottom_plane, _polish).  For n <= 3 the multiplier is empty and
-    the bottom eigenvector is already a plane, so nothing is polished.
+
+def solve_dual_stack(comp):
+    """solve_dual of each tensor of the stack comp (k, n, n, n, n): arrays
+    (multipliers (k, C(n, 4)), x (k, n), y (k, n)), the planes' orthonormal
+    pairs.
+
+    n = 4 bisects on the Hodge star (exact), in lockstep over the stack
+    (_bisect_star), and takes the least-curvature null bivector of the
+    bottom eigenspace there (_null_bivector).  5 <= n <= 8 follows a
+    log-barrier path per tensor, then polishes best rank-2 approximations of
+    bottom eigenvectors by alternating exact minimizations over one vector
+    of the plane (_bottom_plane, _polish).  For n <= 3 the multiplier is
+    empty and the bottom eigenvector is already a plane, so nothing is
+    polished.  A tensor's result does not depend on the stack it is in.
     """
-    n = Rm.n
+    n = comp.shape[-1]
     if not 2 <= n <= MAX_DUAL_N:
         raise ValueError(f"the dual solve needs 2 <= n <= {MAX_DUAL_N}, got n = {n}")
-    rhat = pair_operator(Rm)
+    rhat = pair_operator_stack(comp)
     if not np.isfinite(rhat).all():
         raise ValueError("curvature tensor has non-finite components")
     if n == 4:
         t, vecs = _bisect_star(rhat)
-        w = min(_null_bivectors(vecs), key=lambda b: b @ rhat @ b)
-        return np.array([t]), _plane_of(w, 4)
+        x, y = _plane_of(_null_bivector(rhat, vecs), 4)
+        return t[:, None], x, y
+    mode = _stack_mode(comp)
+    solved = [_solve_barrier(AlgCurvTensor(n, mode, c), r) for c, r in zip(comp, rhat)]
+    multipliers = np.array([m for m, _ in solved]).reshape(len(comp), len(four_form_basis(n)))
+    x = np.array([p.x for _, p in solved]).reshape(len(comp), n)
+    y = np.array([p.y for _, p in solved]).reshape(len(comp), n)
+    return multipliers, x, y
+
+
+def _solve_barrier(Rm: AlgCurvTensor, rhat):
+    """solve_dual of one tensor for n != 4, Rhat its pair operator."""
+    n = Rm.n
     basis = four_form_basis(n)
     multiplier = _barrier_path(rhat, basis)
     lam, vecs = np.linalg.eigh(rhat + np.tensordot(multiplier, basis, 1))
     if n <= 3:   # every bivector is a plane
-        return multiplier, _plane_of(vecs[:, 0], n)
+        x, y = _plane_of(vecs[:, 0][None], n)
+        return multiplier, Plane(x[0], y[0])
     bottom = lam <= lam[0] + np.sqrt(np.finfo(float).eps) * max(1.0, lam[-1] - lam[0])
     return multiplier, _bottom_plane(Rm, vecs[:, bottom])
 
@@ -335,7 +400,7 @@ def _bottom_plane(Rm: AlgCurvTensor, V):
     """
     a, b = np.triu_indices(V.shape[1], 1)
     starts = np.concatenate([V, V[:, a] + V[:, b], V[:, a] - V[:, b]], axis=1)
-    planes = [_polish(Rm, _plane_of(w, Rm.n)) for w in starts.T]
+    planes = [_polish(Rm, Plane(x, y)) for x, y in zip(*_plane_of(starts.T, Rm.n))]
     values = [plane_sectionals(Rm, p.x[None, :], p.y[None, :])[0] for p in planes]
     return planes[int(np.argmin(values))]
 
@@ -345,54 +410,84 @@ BISECTIONS = 53
 
 
 def _bisect_star(rhat):
-    """Maximize the concave f(t) = lambda_min(Rhat + t *) by bisection on the
-    sign of its supergradient v^T * v (v a bottom eigenvector); returns the
-    best t and the eigenvectors there.
+    """Maximize the concave f(t) = lambda_min(Rhat + t *) of each Rhat of
+    the stack rhat (k, 6, 6) by bisection on the sign of its supergradient
+    v^T * v (v a bottom eigenvector); returns each best t and the
+    eigenvectors there, arrays (k,) and (k, 6, 6).
 
     The maximizer lies in |t| <= spread of Rhat's spectrum, because
     f(t) <= lambda_max - |t| and f(0) = lambda_min; BISECTIONS halvings
-    leave an interval of width eps * spread, and f is 1-Lipschitz.
+    leave an interval of width eps * spread, and f is 1-Lipschitz.  The
+    bisections run in lockstep over the stack, one batched eigh a step over
+    the tensors still bisecting; a tensor leaves at a zero slope or a closed
+    interval.  Every step of a tensor is computed as for a stack of one, so
+    its result does not depend on the stack.
     """
     spectrum = np.linalg.eigvalsh(rhat)
-    hi = spectrum[-1] - spectrum[0]
+    hi = spectrum[:, -1] - spectrum[:, 0]
     lo = -hi
-    best = None
+    t_out, vecs_out = np.zeros(len(rhat)), np.zeros(rhat.shape)
+    # the tensors still bisecting, their rows of rhat, and their best t,
+    # lambda_min and eigenvectors so far
+    live, best_t, best_lam = np.arange(len(rhat)), np.zeros(len(rhat)), np.full(len(rhat), -np.inf)
+    best_vecs = np.zeros(rhat.shape)
     for _ in range(BISECTIONS):
         t = (lo + hi) / 2
-        lam, vecs = np.linalg.eigh(rhat + t * HODGE_STAR)
-        if best is None or lam[0] > best[1][0]:
-            best = (t, lam, vecs)
-        slope = vecs[:, 0] @ HODGE_STAR @ vecs[:, 0]
-        if slope > 0:
-            lo = t
-        elif slope < 0:
-            hi = t
-        if slope == 0 or lo == hi:
-            break
-    return best[0], best[2]
+        lam, vecs = np.linalg.eigh(rhat + t[:, None, None] * HODGE_STAR)
+        better = lam[:, 0] > best_lam
+        np.copyto(best_t, t, where=better)
+        np.copyto(best_lam, lam[:, 0], where=better)
+        np.copyto(best_vecs, vecs, where=better[:, None, None])
+        v = vecs[:, :, 0]
+        slope = np.vecdot(v @ HODGE_STAR, v)
+        np.copyto(lo, t, where=slope > 0)
+        np.copyto(hi, t, where=slope < 0)
+        going = (slope == 0) | (lo == hi)
+        if going.any():
+            t_out[live[going]], vecs_out[live[going]] = best_t[going], best_vecs[going]
+            stay = ~going
+            live, rhat, lo, hi = live[stay], rhat[stay], lo[stay], hi[stay]
+            best_t, best_lam, best_vecs = best_t[stay], best_lam[stay], best_vecs[stay]
+            if not len(live):
+                break
+    t_out[live], vecs_out[live] = best_t, best_vecs
+    return t_out, vecs_out
 
 
-def _null_bivectors(vecs):
-    """Unit bivectors with <w, *w> = 0 in the nested bottom eigenspaces
-    spanned by vecs[:, :k].
+def _null_bivector(rhat, vecs):
+    """For each tensor of a stack, the least-curvature w^T Rhat w of the
+    unit bivectors with <w, *w> = 0 in the nested bottom eigenspaces
+    spanned by vecs[:, :, :k], the first of them on a tie; shape (k, 6).
 
     k = 1 normalises the self-dual and anti-self-dual parts of the bottom
     eigenvector to equal length.  For k >= 2, * restricted to the span has a
     most negative and a most positive eigenvector a-, a+ (eigenvalues
     mu- <= 0 <= mu+), and sqrt(mu+) a- + sqrt(-mu-) a+ is null.  Every k is
-    tried, so the multiplicity of the bottom eigenvalue needs no tolerance.
+    tried, so the multiplicity of the bottom eigenvalue needs no tolerance;
+    at k = 6 the span is everything and * has eigenvalues -1 and 1, so some
+    candidate always exists.
     """
-    v = vecs[:, 0]
-    plus, minus = (v + HODGE_STAR @ v) / 2, (v - HODGE_STAR @ v) / 2
-    p, m = np.linalg.norm(plus), np.linalg.norm(minus)
-    if p > 0 and m > 0:
-        yield (plus / p + minus / m) / np.sqrt(2)
-    for k in range(2, vecs.shape[1] + 1):
-        span = vecs[:, :k]
-        mu, a = np.linalg.eigh(span.T @ HODGE_STAR @ span)
-        if mu[0] <= 0 <= mu[-1] and mu[0] < mu[-1]:
-            w = span @ (np.sqrt(mu[-1]) * a[:, 0] + np.sqrt(-mu[0]) * a[:, -1])
-            yield w / np.linalg.norm(w)
+    count, size = vecs.shape[:2]
+    candidates = np.zeros((count, size, size))
+    valid = np.zeros((count, size), dtype=bool)
+    v = vecs[:, :, 0]
+    star_v = (HODGE_STAR @ v[:, :, None])[:, :, 0]
+    plus, minus = (v + star_v) / 2, (v - star_v) / 2
+    p, m = np.sqrt(np.vecdot(plus, plus)), np.sqrt(np.vecdot(minus, minus))
+    valid[:, 0] = (p > 0) & (m > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):   # invalid candidates
+        candidates[:, 0] = (plus / p[:, None] + minus / m[:, None]) / np.sqrt(2)
+        for k in range(2, size + 1):
+            span = vecs[:, :, :k]
+            mu, a = np.linalg.eigh(span.transpose(0, 2, 1) @ HODGE_STAR @ span)
+            low, high = mu[:, 0], mu[:, -1]
+            valid[:, k - 1] = (low <= 0) & (0 <= high) & (low < high)
+            mix = np.sqrt(high)[:, None] * a[:, :, 0] + np.sqrt(-low)[:, None] * a[:, :, -1]
+            w = (span @ mix[:, :, None])[:, :, 0]
+            candidates[:, k - 1] = w / np.sqrt(np.vecdot(w, w))[:, None]
+    curvature = np.vecdot((candidates[:, :, None, :] @ rhat[:, None])[:, :, 0], candidates)
+    first = np.argmin(np.where(valid, curvature, np.inf), axis=1)
+    return candidates[np.arange(count), first]
 
 
 # Log-barrier path: the barrier weight shrinks by BARRIER_SHRINK until the
@@ -461,21 +556,24 @@ def _barrier_path(rhat, basis):
 
 
 def _plane_of(w, n):
-    """Orthonormal x, y spanning the best plane approximation of the
-    bivector w of R^n: the top eigenspace of W^T W, W its antisymmetric
-    matrix (exactly x ^ y = +-w/|w| when w is decomposable)."""
-    W = np.zeros((n, n))
-    for a, (i, j) in enumerate(pair_index(n)):
-        W[i, j], W[j, i] = w[a], -w[a]
-    _, vecs = np.linalg.eigh(W.T @ W)
-    return Plane(vecs[:, -1].copy(), vecs[:, -2].copy())
+    """Orthonormal x, y (each (k, n)) spanning the best plane approximation
+    of each bivector of R^n in the stack w (k, m): the top eigenspace of
+    W^T W, W its antisymmetric matrix (exactly x ^ y = +-w/|w| when w is
+    decomposable)."""
+    i, j = np.triu_indices(n, 1)
+    W = np.zeros((len(w), n, n))
+    W[:, i, j], W[:, j, i] = w, -w
+    _, vecs = np.linalg.eigh(W.transpose(0, 2, 1) @ W)
+    return vecs[:, :, -1].copy(), vecs[:, :, -2].copy()
 
 
 # Cap on _polish's alternating steps.  Over 288 random tensors at
-# 5 <= n <= 8 the median polish lowers the curvature in one step; 3 of 327
-# polishes, all from one tensor whose bracket is open, reach the cap while
-# still lowering it by about 1e-14 a step.
+# 5 <= n <= 8 the median polish lowers the curvature in one step.
 POLISH_STEPS = 200
+# A step that lowers the curvature by at most POLISH_STALL ulps of
+# max(1, |curvature|) ends the polish: below that the steps move within the
+# rounding of the curvature itself.
+POLISH_STALL = 4
 
 
 def _best_partner(comp, x):
@@ -493,10 +591,20 @@ def _polish(Rm: AlgCurvTensor, plane):
     x fixed the best y is _best_partner(x), then with that y fixed the best
     x is _best_partner(y).  A step's plane is kept only if its curvature is
     below the last one, so the result's curvature never exceeds plane's;
-    the steps stop at the first that does not lower it, or after
-    POLISH_STEPS."""
+    the steps stop at the first that does not lower it, after the first
+    that lowers it by POLISH_STALL ulps or less, or after POLISH_STEPS.
+
+    Near a multiple bottom eigenvalue the steps converge only linearly: on
+    an open-bracket tensor at n = 6 with a 4-dimensional bottom eigenspace
+    each step's gain is about 0.87 times the last, far above the stall
+    bound for some 200 steps.  So while the gains shrink, each new plane is
+    also extrapolated (_extrapolated) to the limit of its moves as a
+    geometric series, and the extrapolated plane is kept when its
+    curvature is lower.
+    """
     comp = np.asarray(Rm.comp, dtype=float)
     best = plane_sectionals(Rm, plane.x[None, :], plane.y[None, :])[0]
+    last_gain = None
     for _ in range(POLISH_STEPS):
         y = _best_partner(comp, plane.x)
         z = np.concatenate([_best_partner(comp, y), y])
@@ -504,8 +612,29 @@ def _polish(Rm: AlgCurvTensor, plane):
         value = plane_sectionals(Rm, x, y)[0]
         if not value < best:
             break
+        gain, before = best - value, plane
         best, plane = value, Plane(x[0], y[0])
+        if gain <= POLISH_STALL * np.finfo(float).eps * max(1.0, abs(best)):
+            break
+        if last_gain is not None and gain < last_gain:
+            x, y = _extrapolated(before, plane, gain / last_gain)
+            value = plane_sectionals(Rm, x, y)[0]
+            if value < best:
+                best, plane, gain = value, Plane(x[0], y[0]), None
+        last_gain = gain
     return plane
+
+
+def _extrapolated(before, after, ratio):
+    """Orthonormal rows (x, y) of the plane at the limit of the moves from
+    before to after if each later move is ratio times the last (Aitken's
+    delta-squared): after + (after - before) * ratio / (1 - ratio), each
+    vector of before signed to face its counterpart in after."""
+    factor = ratio / (1 - ratio)
+    x0 = before.x * np.sign(before.x @ after.x)
+    y0 = before.y * np.sign(before.y @ after.y)
+    z = np.concatenate([after.x + factor * (after.x - x0), after.y + factor * (after.y - y0)])
+    return _orthonormal_pairs(z[None, :], after.n)
 
 
 # ---------------------------------------------------------------------------
@@ -515,45 +644,72 @@ def _polish(Rm: AlgCurvTensor, plane):
 def pinched(value, eps, R):
     """value >= eps*R, the pinching hypothesis for a curvature value, as a
     bool: exact when value, eps and R are rational, else up to
-    GAP_RTOL * max(1, |eps*R|)."""
+    GAP_RTOL * max(1, |eps*R|).  Float values and R may be arrays, which
+    give a bool array."""
     if is_rational(value) and is_rational(eps) and is_rational(R):
         return value >= eps * R
-    bound = float(eps) * float(R)
-    return bool(value >= bound - GAP_RTOL * max(1.0, abs(bound)))
+    bound = float(eps) * np.asarray(R, dtype=float)
+    holds = value >= bound - GAP_RTOL * np.maximum(1.0, np.abs(bound))
+    return bool(holds) if np.ndim(holds) == 0 else holds
 
 
 def shift_to_pinching(Rm: AlgCurvTensor, eps, margin=0):
     """(shifted, lower, upper): Rm + (c/2) g^g with Sec >= eps*R (+ margin
-    slack), certified when pinched(lower, eps, R) for its bracket [lower, upper].
+    slack), certified when pinched(lower, eps, R) for its bracket [lower,
+    upper].  The stack of one of solve_dual_stack and
+    shift_to_pinching_stack."""
+    comp = Rm.comp[None]
+    shifted, lower, upper = shift_to_pinching_stack(comp, eps, margin, solve_dual_stack(comp))
+    return AlgCurvTensor(Rm.n, Rm.mode, shifted[0]), float(lower[0]), float(upper[0])
 
-    One solve_dual on Rm, then shift_by the curvature of its plane: that
-    adds c I to Rhat and keeps the multiplier optimal, so dual_bracket at it
-    rechecks.  An open bracket wider than the slack, its plane still pinched,
-    is shifted on from lower and rechecked; one whose plane violates the
+
+def shift_to_pinching_stack(comp, eps, margin, solution):
+    """shift_to_pinching of each tensor of the stack comp (k, n, n, n, n),
+    given its solve_dual_stack solution (multipliers, x, y): arrays
+    (shifted, lower, upper).
+
+    Each tensor is shift_by the curvature of its plane: that adds c I to
+    Rhat and keeps the multiplier optimal, so dual_bracket at it rechecks.
+    An open bracket wider than the slack, its plane still pinched, is
+    shifted on from lower and rechecked; one whose plane violates the
     hypothesis is returned uncertified.
     """
-    multiplier, plane = solve_dual(Rm)
-    upper = plane_sectionals(Rm, plane.x[None, :], plane.y[None, :])[0]
-    shifted = shift_by(Rm, eps, upper, margin)
-    lower, upper = dual_bracket(shifted, multiplier, plane)
-    R = scalar(shifted)
-    if not pinched(lower, eps, R) and pinched(upper, eps, R):
-        shifted = shift_by(shifted, eps, lower, margin)
-        lower, upper = dual_bracket(shifted, multiplier, plane)
+    multipliers, x, y = solution
+    upper = plane_sectionals_stack(pair_operator_stack(comp), x[:, None], y[:, None])[:, 0]
+    shifted = shift_by_stack(comp, eps, upper, margin)
+    lower, upper = dual_bracket_stack(shifted, multipliers, x, y)
+    R = scalar_stack(shifted)
+    again = ~pinched(lower, eps, R) & pinched(upper, eps, R)
+    if again.any():
+        shifted[again] = shift_by_stack(shifted[again], eps, lower[again], margin)
+        lower[again], upper[again] = dual_bracket_stack(
+            shifted[again], multipliers[again], x[again], y[again])
     return shifted, lower, upper
 
 
 def shift_by(Rm: AlgCurvTensor, eps, min_sec, margin=0) -> AlgCurvTensor:
     """Rm' = Rm + (c/2) g^g solving min Sec(Rm') = eps R' (+ margin slack)
-    for a tensor whose min Sec is min_sec.  Both sides move with c:
-    sigma -> sigma + c and R -> R + n(n-1) c, and Rhat -> Rhat + c I."""
-    n = Rm.n
+    for a tensor whose min Sec is min_sec: the stack of one of
+    shift_by_stack."""
+    return AlgCurvTensor(Rm.n, Rm.mode,
+                         shift_by_stack(Rm.comp[None], eps, np.array([min_sec]), margin)[0])
+
+
+def shift_by_stack(comp, eps, min_sec, margin=0):
+    """shift_by of each tensor of the stack comp (k, n, n, n, n), of one
+    mode, whose min Sec is min_sec (k,); the shifted stack is validated.
+    Both sides move with c: sigma -> sigma + c and R -> R + n(n-1) c, and
+    Rhat -> Rhat + c I."""
+    n, mode = comp.shape[-1], _stack_mode(comp)
     require_subcritical(n, eps)
-    R = float(scalar(Rm))
-    c = (float(eps) * R - min_sec) / (1 - float(eps) * n * (n - 1)) + float(margin)
-    gg = kulkarni_nomizu(identity_metric(n, Rm.mode), identity_metric(n, Rm.mode))
-    if Rm.mode == RATIONAL:
-        half_c = Fraction(c) / 2  # exact dyadic conversion of the float shift
+    R = np.asarray(scalar_stack(comp), dtype=float)
+    c = (float(eps) * R - np.asarray(min_sec, dtype=float)) / (
+        1 - float(eps) * n * (n - 1)) + float(margin)
+    gg = kulkarni_nomizu(identity_metric(n, mode), identity_metric(n, mode))
+    if mode == RATIONAL:   # exact dyadic conversion of the float shift
+        half_c = np.array([Fraction(v) / 2 for v in c.tolist()], dtype=object)
     else:
         half_c = c / 2.0
-    return AlgCurvTensor(n, Rm.mode, Rm.comp + half_c * gg.comp)
+    shifted = comp + half_c[:, None, None, None, None] * gg.comp
+    check_symmetries(shifted, mode)
+    return shifted

@@ -8,7 +8,7 @@ import json
 import time
 from pathlib import Path
 
-VOLATILE_KEYS = {"wallTime", "timestamp", "outPath", "toolVersion"}
+VOLATILE_KEYS = {"wallTime", "timings", "timestamp", "outPath", "toolVersion"}
 
 
 def _strip_volatile(obj):

@@ -169,3 +169,32 @@ def test_modified_curvature_rational_exact():
     # sigma - eps*R = 1 - 12/24 = 1/2 on every coordinate plane
     assert mod.rmBar.comp[0, 1, 0, 1] == Fraction(1, 2)
     assert mod.rBar == (1 - Fraction(12, 24)) * 12
+
+
+def test_symmetry_validator_names_the_corrupted_tensor():
+    from pinchlab.curvature import check_symmetries, random_curvature_stack
+    comp = random_curvature_stack(4, [[31, 4, idx] for idx in range(6)])
+    check_symmetries(comp, FLOAT)
+    for idx, seed in enumerate([[31, 4, idx] for idx in range(6)]):
+        assert np.array_equal(comp[idx], random_curvature(4, seed, FLOAT).comp)
+    comp[3, 0, 1, 2, 3] += 1e-6   # breaks the symmetries of tensor 3 only
+    with pytest.raises(SymmetryError, match="^tensor 3: "):
+        check_symmetries(comp, FLOAT)
+    # the per-tensor scale: a residual far below one tensor's tolerance is
+    # caught in a smaller tensor of the same stack
+    comp[3, 0, 1, 2, 3] -= 1e-6
+    comp[0] *= 1e9
+    comp[5, 0, 1, 0, 1] += 1e-10
+    with pytest.raises(SymmetryError, match="^tensor 5: antisymmetry"):
+        check_symmetries(comp, FLOAT)
+    with pytest.raises(SymmetryError, match="^tensor 0: antisymmetry"):
+        AlgCurvTensor(4, FLOAT, np.array(comp[5]))
+
+
+def test_symmetry_validator_is_exact_in_rational_mode():
+    from pinchlab.curvature import check_symmetries
+    comp = np.stack([random_curvature(3, seed, RATIONAL).comp for seed in range(3)])
+    check_symmetries(comp, RATIONAL)
+    comp[1, 0, 1, 0, 1] += Fraction(1, 10 ** 30)
+    with pytest.raises(SymmetryError, match="^tensor 1: antisymmetry"):
+        check_symmetries(comp, RATIONAL)

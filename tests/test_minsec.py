@@ -30,6 +30,7 @@ from pinchlab.minsec import (
     shift_to_pinching,
     solve_dual,
 )
+from pinchlab import minsec
 from pinchlab.models import (
     default_models,
     fubini_study_cp2,
@@ -371,3 +372,80 @@ def test_dual_bracket_moves_with_a_shift():
         assert dual_bracket(shifted, multiplier, plane) == pytest.approx(
             (lower + c, upper + c), abs=1e-12 * _scale(Rm))
         assert dual_min_sectional(shifted)[0] == pytest.approx(lower + c, abs=1e-12 * _scale(Rm))
+
+
+def _bisect_one(rhat):
+    # the one-at-a-time bisection on a single 6 x 6 Rhat, as a scalar loop
+    spectrum = np.linalg.eigvalsh(rhat)
+    hi = spectrum[-1] - spectrum[0]
+    lo, best = -hi, None
+    for _ in range(minsec.BISECTIONS):
+        t = (lo + hi) / 2
+        lam, vecs = np.linalg.eigh(rhat + t * HODGE_STAR)
+        if best is None or lam[0] > best[1]:
+            best = (t, lam[0], vecs)
+        slope = vecs[:, 0] @ HODGE_STAR @ vecs[:, 0]
+        if slope > 0:
+            lo = t
+        elif slope < 0:
+            hi = t
+        if slope == 0 or lo == hi:
+            break
+    return best[0], best[2]
+
+
+def test_lockstep_bisection_matches_one_at_a_time():
+    # a constant-curvature tensor (zero slope at once), a diagonal one and
+    # random ones, bisected in one stack and one at a time
+    from pinchlab.curvature import diagonal_tensor
+    tensors = [constant_curvature(4, 1.0, FLOAT),
+               diagonal_tensor(np.array([3.0, -1.0, 2.0, 0.5, 4.0, -2.0]), 4, FLOAT)]
+    tensors += [random_curvature(4, [71, 4, idx], FLOAT) for idx in range(30)]
+    comp = np.stack([Rm.comp for Rm in tensors])
+    rhat = minsec.pair_operator_stack(comp)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        eigh = np.linalg.eigh
+        mp.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+        t, vecs = minsec._bisect_star(rhat)
+    # the sphere and the diagonal tensor leave after one step: their bottom
+    # eigenvectors at t = 0 are coordinate bivectors, null for *
+    assert calls[0] == len(tensors) and calls[1] == len(tensors) - 2
+    multipliers, x, y = minsec.solve_dual_stack(comp)
+    for k, Rm in enumerate(tensors):
+        t_one, vecs_one = _bisect_one(pair_operator(Rm))
+        assert t[k] == t_one and np.array_equal(vecs[k], vecs_one), k
+        multiplier, plane = solve_dual(Rm)
+        assert np.array_equal(multipliers[k], multiplier), k
+        assert np.array_equal(x[k], plane.x) and np.array_equal(y[k], plane.y), k
+    # the same tensors in another order and stack size give the same numbers
+    order = np.arange(len(tensors))[::-3]
+    again = minsec.solve_dual_stack(comp[order])
+    for got, want in zip(again, (multipliers, x, y)):
+        assert np.array_equal(got, want[order])
+
+
+def test_shift_stack_matches_one_at_a_time():
+    from pinchlab.curvature import random_curvature_stack
+    for n in (4, 5):
+        seeds = [[72, n, idx] for idx in range(6)]
+        comp = random_curvature_stack(n, seeds)
+        shifted, lower, upper = minsec.shift_to_pinching_stack(
+            comp, 1 / 48, 0.1, minsec.solve_dual_stack(comp))
+        for k, seed in enumerate(seeds):
+            one, lo, up = shift_to_pinching(random_curvature(n, seed, FLOAT), 1 / 48, 0.1)
+            assert np.array_equal(shifted[k], one.comp) and (lower[k], upper[k]) == (lo, up)
+
+
+def test_polish_stops_when_it_stalls(monkeypatch):
+    # an open-bracket tensor with a 4-dimensional bottom eigenspace, where
+    # the alternating minimizations converge only linearly: its 16 polishes
+    # made 4222 partner solves before the stall stop and the extrapolation
+    calls = []
+    partner = minsec._best_partner
+    monkeypatch.setattr(minsec, "_best_partner", lambda *a: calls.append(1) or partner(*a))
+    Rm = random_curvature(6, [7, 6, 7], FLOAT)
+    lower, upper, plane = dual_min_sectional(Rm)
+    assert len(calls) <= 2000
+    assert upper <= -3.3439248494867395   # the converged curvature without the stops
+    assert _relative_width(lower, upper) > 1e-3

@@ -536,24 +536,24 @@ def test_tensor_lane_slack_residual_is_rounding(monkeypatch):
 def test_tensor_certification_uses_the_dual_lower_bound(monkeypatch):
     from pinchlab import minsec
     from pinchlab.curvature import random_curvature
-    exact_bracket, exact_shift = minsec.dual_bracket, minsec.shift_by
+    exact_bracket, exact_shift = minsec.dual_bracket_stack, minsec.shift_by_stack
     shifts = []
 
-    def loose(Rm, multiplier, plane):   # a lower end far below the true minimum
-        lower, upper = exact_bracket(Rm, multiplier, plane)
+    def loose(*args):   # a lower end far below the true minimum
+        lower, upper = exact_bracket(*args)
         return lower - 1.0, upper
 
-    def counted(*args):
-        shifts.append(args)
-        return exact_shift(*args)
+    def counted(comp, *args):   # one entry per shifted tensor
+        shifts.extend([comp.shape[-1]] * len(comp))
+        return exact_shift(comp, *args)
 
-    monkeypatch.setattr(minsec, "dual_bracket", loose)
-    monkeypatch.setattr(minsec, "shift_by", counted)
+    monkeypatch.setattr(minsec, "dual_bracket_stack", loose)
+    monkeypatch.setattr(minsec, "shift_by_stack", counted)
     for n in (4, 5):
         # shifted by its plane's curvature only, which the loose lower end
         # cannot certify
         Rm = random_curvature(n, 0, FLOAT)
-        Rm = exact_shift(Rm, 0.0, minsec.min_sectional(Rm)[0], 0.1)
+        Rm = minsec.shift_by(Rm, 0.0, minsec.min_sectional(Rm)[0], 0.1)
         with pytest.raises(UncertifiedSourceError, match="not certified"):
             check_estimates(Rm, PinchingParams(0.0, 1.0))
         # the recheck reads the loose lower end: it cannot certify the shift
@@ -574,7 +574,7 @@ def test_tensor_recheck_rejects_a_violating_plane(monkeypatch):
     from pinchlab.profiles import _eigenframe
     with pytest.raises(UncertifiedSourceError, match="violates"):
         check_estimates(random_curvature(4, 0, FLOAT), PinchingParams(0.0, 1.0))
-    monkeypatch.setattr(minsec, "shift_by", lambda Rm, eps, min_sec, margin=0: Rm)
+    monkeypatch.setattr(minsec, "shift_by_stack", lambda comp, eps, min_sec, margin=0: comp)
     config = CampaignConfig(kind="tensor", dims=(4, 5), eps_list=(Fraction(0),),
                             s_list=(1,), count=2, seed=5, mode=FLOAT)
     report = mc_campaign(config)
@@ -629,12 +629,13 @@ def test_runtime_min_sec_never_searches(monkeypatch):
         monkeypatch.setattr(minsec, name, forbidden)
     solves = []
 
-    def counted(Rm):
-        solves.append(Rm.n)
-        return exact(Rm)
+    def counted(comp):   # one entry per solved tensor
+        solves.extend([comp.shape[-1]] * len(comp))
+        return exact(comp)
 
-    exact = minsec.solve_dual
-    monkeypatch.setattr(minsec, "solve_dual", counted)
+    exact = minsec.solve_dual_stack
+    monkeypatch.setattr(minsec, "solve_dual_stack", counted)
+    monkeypatch.setattr(profiles, "solve_dual_stack", counted)
     config = CampaignConfig(kind="tensor", dims=(3, 4, 5), eps_list=(Fraction(0),),
                             s_list=(0, 1), count=3, seed=11, mode=FLOAT)
     report = mc_campaign(config)
@@ -663,3 +664,66 @@ def test_eigenframe_curvatures_match_the_rotated_tensor():
             tol = 1e-12 * max(1.0, np.linalg.norm(Rm.comp))
             assert np.array_equal(lam, ref_lam)
             assert np.abs(sigma - ref).max() <= tol, (n, seed)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_tensor_combo_rows_replay_alone(monkeypatch, n):
+    # every row is the tensor's own shift_to_pinching and eigenframe, bit
+    # for bit, whatever stack it was solved in
+    from pinchlab.curvature import random_curvature, scalar
+    from pinchlab.minsec import shift_to_pinching
+    from pinchlab.profiles import _eigenframe
+    rows = []
+
+    def spy(lam, sig, sb, R, *args):
+        rows.append((lam, sig, R))
+        return estimate_gaps(lam, sig, sb, R, *args)
+
+    monkeypatch.setattr(profiles, "estimate_gaps", spy)
+    count = 12 if n == 4 else 3
+    config = CampaignConfig(kind="tensor", dims=(n,), eps_list=(Fraction(1, 48),),
+                            s_list=(0, 1), count=count, seed=17, mode=FLOAT)
+    mc_campaign(config)
+    (lam, sig, R), = rows
+    for idx in range(count):
+        shifted, _, _ = shift_to_pinching(random_curvature(n, [17, n, idx], FLOAT),
+                                          1 / 48, config.margin)
+        one_lam, one_sig = _eigenframe(shifted)
+        assert np.array_equal(lam[idx], one_lam) and np.array_equal(sig[idx], one_sig), idx
+        assert R[idx] == scalar(shifted), idx
+
+
+def test_tensor_combo_batches_its_eigh_calls(monkeypatch):
+    # the n = 4 lane's eigen solves run over the combo's stack: at most one
+    # per bisection step and a few after it, not about 53 per tensor
+    from pinchlab.minsec import BISECTIONS
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    config = CampaignConfig(kind="tensor", dims=(4,), eps_list=(Fraction(0),),
+                            s_list=(0, 1), count=20, seed=2, mode=FLOAT)
+    report = mc_campaign(config)
+    assert report["checks"][0]["minSecRecheckPassed"] == 20
+    assert len(calls) <= BISECTIONS + 10
+    assert calls[0] == (20, 6, 6)
+
+
+def test_tensor_combo_records_stage_timings():
+    config = CampaignConfig(kind="tensor", dims=(4, 5), eps_list=(Fraction(0),),
+                            s_list=(0, 1), count=2, seed=2, mode=FLOAT)
+    report = mc_campaign(config)
+    for entry in report["checks"]:
+        timings = entry["timings"]
+        assert list(timings) == ["draw", "solve", "shift", "eigenframe", "gaps"]
+        assert all(t >= 0 for t in timings.values())
+    stripped = dict(report, checks=[{k: v for k, v in entry.items() if k != "timings"}
+                                    for entry in report["checks"]])
+    assert report_digest(report) == report_digest(stripped)
+
+
+def test_empty_tensor_combo():
+    config = CampaignConfig(kind="tensor", dims=(4, 5), eps_list=(Fraction(0),),
+                            s_list=(0, 1), count=0, seed=2, mode=FLOAT)
+    for entry in mc_campaign(config)["checks"]:
+        assert entry["count"] == 0 and entry["minGap1"] is None
+        assert entry["minSecRecheckPassed"] == 0 and entry["minSecBracketWidthMax"] is None

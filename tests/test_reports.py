@@ -42,3 +42,10 @@ def test_persist_never_overwrites(tmp_path):
     assert p1 != p2
     assert p1.exists() and p2.exists()
     assert json.loads(p1.read_text()) == rep
+
+
+def test_digest_ignores_stage_timings():
+    base = {"checks": [{"n": 4, "minGap1": 1.5}]}
+    timed = {"checks": [{"n": 4, "minGap1": 1.5,
+                         "timings": {"draw": 0.1, "solve": 0.2, "shift": 0.01}}]}
+    assert report_digest(base) == report_digest(timed)
