@@ -26,7 +26,6 @@ from .scalars import (
     RATIONAL,
     ArithmeticModeError,
     check_mode,
-    exact_div,
     join_modes,
     scalar_to_json,
 )
@@ -248,28 +247,37 @@ def constant_curvature(n, kappa, mode) -> AlgCurvTensor:
     return AlgCurvTensor(n, mode, gg.comp * half)
 
 
+def ricci_stack(comp):
+    """R_ik = sum_j R_ijkj (orthonormal frame) of each tensor of the stack
+    comp (k, n, n, n, n): an array (k, n, n)."""
+    return np.einsum("aijkj->aik", comp)
+
+
 def ricci(Rm: AlgCurvTensor) -> SymTensor2:
-    """R_ik = sum_j R_ijkj (orthonormal frame)."""
-    return SymTensor2(Rm.n, Rm.mode, np.einsum("ijkj->ik", Rm.comp))
-
-
-def scalar(Rm: AlgCurvTensor):
-    return ricci(Rm).trace()
+    return SymTensor2(Rm.n, Rm.mode, ricci_stack(Rm.comp[None])[0])
 
 
 def scalar_stack(comp):
-    """The scalar curvature of each tensor of the stack comp (k, n, n, n, n),
-    summed as scalar sums it."""
-    return np.trace(np.einsum("aijkj->aik", comp), axis1=1, axis2=2)
+    """The scalar curvature of each tensor of the stack comp (k, n, n, n, n)."""
+    return np.trace(ricci_stack(comp), axis1=1, axis2=2)
+
+
+def scalar(Rm: AlgCurvTensor):
+    return scalar_stack(Rm.comp[None])[0]
+
+
+def traceless_ricci_stack(comp):
+    """Ric - (R/n) g of each tensor of the stack comp (k, n, n, n, n), exact
+    for a rational stack: an array (k, n, n)."""
+    n = comp.shape[-1]
+    oric = ricci_stack(comp)
+    d = np.arange(n)
+    oric[:, d, d] -= (np.trace(oric, axis1=1, axis2=2) / n)[:, None]
+    return oric
 
 
 def traceless_ricci(Rm: AlgCurvTensor) -> SymTensor2:
-    ric = ricci(Rm)
-    mean = exact_div(ric.trace(), Rm.n)
-    comp = ric.comp.copy()
-    for i in range(Rm.n):
-        comp[i, i] = comp[i, i] - mean
-    return SymTensor2(Rm.n, Rm.mode, comp)
+    return SymTensor2(Rm.n, Rm.mode, traceless_ricci_stack(Rm.comp[None])[0])
 
 
 @dataclass(frozen=True)
@@ -464,15 +472,14 @@ def random_curvature(n, seed, mode=FLOAT, scale=10) -> AlgCurvTensor:
     return tensor_from_pair_operator(_random_operator(n, seed, mode, scale), n, mode)
 
 
-def random_curvature_stack(n, seeds, mode=FLOAT, scale=10):
-    """The components of random_curvature(n, seed, mode, scale) for each of
-    seeds, as one validated stack (len(seeds), n, n, n, n): one seeded draw
-    per tensor, then one Bianchi projection over the stack."""
-    check_mode(mode)
+def random_curvature_stack(n, seeds):
+    """The components of random_curvature(n, seed) (float) for each of seeds,
+    as one validated stack (len(seeds), n, n, n, n): one seeded draw per
+    tensor, then one Bianchi projection over the stack."""
     m = n * (n - 1) // 2
-    M = np.empty((len(seeds), m, m), dtype=object if mode == RATIONAL else float)
+    M = np.empty((len(seeds), m, m))
     for k, seed in enumerate(seeds):
-        M[k] = _random_operator(n, seed, mode, scale)
-    comp = _bianchi_projection(M, n, mode)
-    check_symmetries(comp, mode)
+        M[k] = _random_operator(n, seed, FLOAT, 10)
+    comp = _bianchi_projection(M, n, FLOAT)
+    check_symmetries(comp, FLOAT)
     return comp

@@ -365,17 +365,18 @@ def solve_dual_stack(comp):
         t, vecs = _bisect_star(rhat)
         x, y = _plane_of(_null_bivector(rhat, vecs), 4)
         return t[:, None], x, y
-    mode = _stack_mode(comp)
-    solved = [_solve_barrier(AlgCurvTensor(n, mode, c), r) for c, r in zip(comp, rhat)]
+    fcomp = np.asarray(comp, dtype=float)
+    solved = [_solve_barrier(c, r) for c, r in zip(fcomp, rhat)]
     multipliers = np.array([m for m, _ in solved]).reshape(len(comp), len(four_form_basis(n)))
     x = np.array([p.x for _, p in solved]).reshape(len(comp), n)
     y = np.array([p.y for _, p in solved]).reshape(len(comp), n)
     return multipliers, x, y
 
 
-def _solve_barrier(Rm: AlgCurvTensor, rhat):
-    """solve_dual of one tensor for n != 4, Rhat its pair operator."""
-    n = Rm.n
+def _solve_barrier(comp, rhat):
+    """solve_dual of one tensor for n != 4: comp its float components,
+    rhat its pair operator."""
+    n = comp.shape[-1]
     basis = four_form_basis(n)
     multiplier = _barrier_path(rhat, basis)
     lam, vecs = np.linalg.eigh(rhat + np.tensordot(multiplier, basis, 1))
@@ -383,13 +384,14 @@ def _solve_barrier(Rm: AlgCurvTensor, rhat):
         x, y = _plane_of(vecs[:, 0][None], n)
         return multiplier, Plane(x[0], y[0])
     bottom = lam <= lam[0] + np.sqrt(np.finfo(float).eps) * max(1.0, lam[-1] - lam[0])
-    return multiplier, _bottom_plane(Rm, vecs[:, bottom])
+    return multiplier, _bottom_plane(comp, rhat, vecs[:, bottom])
 
 
-def _bottom_plane(Rm: AlgCurvTensor, V):
+def _bottom_plane(comp, rhat, V):
     """The least-curvature plane polished (_polish) from the best plane
     approximations of starts in span(V), V an orthonormal basis (columns) of
-    the bottom eigenspace.
+    the bottom eigenspace, of the tensor of float components comp and pair
+    operator rhat.
 
     Where the relaxation is inexact the bottom eigenvalue is multiple, V is
     an arbitrary basis of its eigenspace, and no single basis vector need
@@ -400,8 +402,9 @@ def _bottom_plane(Rm: AlgCurvTensor, V):
     """
     a, b = np.triu_indices(V.shape[1], 1)
     starts = np.concatenate([V, V[:, a] + V[:, b], V[:, a] - V[:, b]], axis=1)
-    planes = [_polish(Rm, Plane(x, y)) for x, y in zip(*_plane_of(starts.T, Rm.n))]
-    values = [plane_sectionals(Rm, p.x[None, :], p.y[None, :])[0] for p in planes]
+    planes = [_polish(comp, rhat, Plane(x, y))
+              for x, y in zip(*_plane_of(starts.T, comp.shape[-1]))]
+    values = [_sectional_of(rhat, p.x[None, :], p.y[None, :]) for p in planes]
     return planes[int(np.argmin(values))]
 
 
@@ -570,10 +573,6 @@ def _plane_of(w, n):
 # Cap on _polish's alternating steps.  Over 288 random tensors at
 # 5 <= n <= 8 the median polish lowers the curvature in one step.
 POLISH_STEPS = 200
-# A step that lowers the curvature by at most POLISH_STALL ulps of
-# max(1, |curvature|) ends the polish: below that the steps move within the
-# rounding of the curvature itself.
-POLISH_STALL = 4
 
 
 def _best_partner(comp, x):
@@ -586,54 +585,61 @@ def _best_partner(comp, x):
     return vecs[:, 0]
 
 
-def _polish(Rm: AlgCurvTensor, plane):
-    """Lower the curvature of plane by alternating exact minimizations: with
-    x fixed the best y is _best_partner(x), then with that y fixed the best
-    x is _best_partner(y).  A step's plane is kept only if its curvature is
-    below the last one, so the result's curvature never exceeds plane's;
-    the steps stop at the first that does not lower it, after the first
-    that lowers it by POLISH_STALL ulps or less, or after POLISH_STEPS.
+def _sectional_of(rhat, x, y):
+    """The curvature of the plane of the rows x, y (each (1, n)) for the
+    pair operator rhat: plane_sectionals of one plane."""
+    return plane_sectionals_stack(rhat[None], x[None], y[None])[0, 0]
 
-    Near a multiple bottom eigenvalue the steps converge only linearly: on
-    an open-bracket tensor at n = 6 with a 4-dimensional bottom eigenspace
-    each step's gain is about 0.87 times the last, far above the stall
-    bound for some 200 steps.  So while the gains shrink, each new plane is
-    also extrapolated (_extrapolated) to the limit of its moves as a
-    geometric series, and the extrapolated plane is kept when its
-    curvature is lower.
+
+def _polish(comp, rhat, plane):
+    """Lower the curvature of plane, for the tensor of float components comp
+    and pair operator rhat, by alternating exact minimizations: with
+    x fixed the best y is _best_partner(x), then with that y fixed the best
+    x is _best_partner(y).  A plane is kept only if its curvature is below
+    the last one, so the result's curvature never exceeds plane's; the steps
+    stop at the first that does not lower it, or after POLISH_STEPS.
+
+    Near a multiple bottom eigenvalue the vectors converge only linearly:
+    on an open-bracket tensor at n = 6 with a 4-dimensional bottom
+    eigenspace, plain steps reach POLISH_STEPS while still lowering the
+    curvature.  So while the moves of (x, y) shrink, each new plane is also
+    extrapolated (_extrapolated) to the limit of its moves as a geometric
+    series, and the extrapolated plane is kept when its curvature is lower.
     """
-    comp = np.asarray(Rm.comp, dtype=float)
-    best = plane_sectionals(Rm, plane.x[None, :], plane.y[None, :])[0]
-    last_gain = None
+    n = comp.shape[-1]
+    best = _sectional_of(rhat, plane.x[None, :], plane.y[None, :])
+    last = None   # the length of the last move, unless it was extrapolated
     for _ in range(POLISH_STEPS):
         y = _best_partner(comp, plane.x)
         z = np.concatenate([_best_partner(comp, y), y])
-        x, y = _orthonormal_pairs(z[None, :], Rm.n)
-        value = plane_sectionals(Rm, x, y)[0]
+        x, y = _orthonormal_pairs(z[None, :], n)
+        value = _sectional_of(rhat, x, y)
         if not value < best:
             break
-        gain, before = best - value, plane
-        best, plane = value, Plane(x[0], y[0])
-        if gain <= POLISH_STALL * np.finfo(float).eps * max(1.0, abs(best)):
-            break
-        if last_gain is not None and gain < last_gain:
-            x, y = _extrapolated(before, plane, gain / last_gain)
-            value = plane_sectionals(Rm, x, y)[0]
+        after = Plane(x[0], y[0])
+        move = _move(plane, after)
+        best, plane, length = value, after, np.linalg.norm(move)
+        if last is not None and length < last:
+            x, y = _extrapolated(plane, move, length / last)
+            value = _sectional_of(rhat, x, y)
             if value < best:
-                best, plane, gain = value, Plane(x[0], y[0]), None
-        last_gain = gain
+                best, plane, length = value, Plane(x[0], y[0]), None
+        last = length
     return plane
 
 
-def _extrapolated(before, after, ratio):
-    """Orthonormal rows (x, y) of the plane at the limit of the moves from
-    before to after if each later move is ratio times the last (Aitken's
-    delta-squared): after + (after - before) * ratio / (1 - ratio), each
-    vector of before signed to face its counterpart in after."""
-    factor = ratio / (1 - ratio)
-    x0 = before.x * np.sign(before.x @ after.x)
-    y0 = before.y * np.sign(before.y @ after.y)
-    z = np.concatenate([after.x + factor * (after.x - x0), after.y + factor * (after.y - y0)])
+def _move(before, after):
+    """after's vectors minus before's, each of before's signed to face its
+    counterpart in after, concatenated: (x' - x, y' - y)."""
+    return np.concatenate([after.x - before.x * np.sign(before.x @ after.x),
+                           after.y - before.y * np.sign(before.y @ after.y)])
+
+
+def _extrapolated(after, move, ratio):
+    """Orthonormal rows (x, y) of the plane at the limit of the moves if
+    each later move is ratio times the last, move being the last (Aitken's
+    delta-squared): (x, y) + move * ratio / (1 - ratio)."""
+    z = np.concatenate([after.x, after.y]) + move * (ratio / (1 - ratio))
     return _orthonormal_pairs(z[None, :], after.n)
 
 

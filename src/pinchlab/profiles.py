@@ -31,6 +31,7 @@ from .curvature import (
     random_curvature_stack,
     scalar,
     scalar_stack,
+    traceless_ricci_stack,
     zeros,
 )
 from .minsec import (
@@ -333,13 +334,10 @@ def _eigenframe(Rm: AlgCurvTensor):
 
 def _eigenframe_stack(comp):
     """_eigenframe of each tensor of the stack comp (k, n, n, n, n): arrays
-    (k, n) and (k, n(n-1)/2).  oRic is formed as traceless_ricci forms it,
-    exactly for a rational stack, then rounded to float."""
+    (k, n) and (k, n(n-1)/2).  oRic is exact for a rational stack, then
+    rounded to float."""
     n = comp.shape[-1]
-    oric = np.einsum("aijkj->aik", comp)
-    d = np.arange(n)
-    oric[:, d, d] -= (np.trace(oric, axis1=1, axis2=2) / n)[:, None]
-    lam, vecs = np.linalg.eigh(np.asarray(oric, dtype=float))
+    lam, vecs = np.linalg.eigh(np.asarray(traceless_ricci_stack(comp), dtype=float))
     i, j, _ = _incidence(n)
     x, y = vecs[:, :, i].transpose(0, 2, 1), vecs[:, :, j].transpose(0, 2, 1)
     return lam, plane_sectionals_stack(pair_operator_stack(comp), x, y)
