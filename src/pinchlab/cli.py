@@ -98,7 +98,6 @@ def build_parser(explicit_only=False):
 
     ms = sub.add_parser("models", parents=[common],
                         help="literature comparison table over all models")
-    ms.add_argument("--table", action="store_true", default=default(False))
     ms.add_argument("--format", choices=["json", "csv", "text"], default=default("text"))
 
     sub.add_parser("identities", parents=[common],

@@ -17,7 +17,6 @@ import json
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -63,53 +62,37 @@ def as_mode_array(values, mode):
     return np.asarray(values, dtype=float)
 
 
-def _max_abs(a):
-    if isinstance(a, np.ndarray) and a.dtype != object:
-        return float(np.abs(a).max()) if a.size else 0.0
-    m = 0
-    for v in np.asarray(a, dtype=object).reshape(-1):
-        av = -v if v < 0 else v
-        if av > m:
-            m = av
-    return m
-
-
-def _max_abs_each(stack):
-    """_max_abs of every entry of a stack, over all but its first axis."""
-    if stack.dtype != object:
-        return np.abs(stack).max(axis=tuple(range(1, stack.ndim)), initial=0.0)
-    return np.array([_max_abs(a) for a in stack], dtype=object)
+# The symmetries each tensor of a stack must have, by the stack's ndim: a
+# stack (k, n, n) of symmetric 2-tensors or (k, n, n, n, n) of curvature
+# tensors.  Each residual vanishes exactly when its symmetry holds.
+_SYMMETRIES = {
+    3: (("symmetry S_ij = S_ji", lambda c: c - c.transpose(0, 2, 1)),),
+    5: (("antisymmetry R_ijkl = -R_jikl", lambda c: c + c.transpose(0, 2, 1, 3, 4)),
+        ("antisymmetry R_ijkl = -R_ijlk", lambda c: c + c.transpose(0, 1, 2, 4, 3)),
+        ("pair symmetry R_ijkl = R_klij", lambda c: c - c.transpose(0, 3, 4, 1, 2)),
+        ("first Bianchi identity",
+         lambda c: c + c.transpose(0, 1, 3, 4, 2) + c.transpose(0, 1, 4, 2, 3))),
+}
 
 
 def check_symmetries(comp, mode):
-    """Raise SymmetryError unless every tensor of the stack comp, of shape
-    (k, n, n, n, n), is antisymmetric in its first and its last index pair,
-    pair symmetric and satisfies the first Bianchi identity: exactly in
-    rational mode, else up to SYMMETRY_RTOL times max(1, its largest
-    component).  The error names the first failing tensor's index."""
-    scale = _max_abs_each(comp)
+    """Raise SymmetryError unless every tensor of the stack comp has the
+    _SYMMETRIES of its shape: a stack (k, n, n) must be symmetric, a stack
+    (k, n, n, n, n) antisymmetric in its first and its last index pair, pair
+    symmetric and satisfy the first Bianchi identity.  They hold exactly in
+    rational mode, else up to SYMMETRY_RTOL times max(1, the tensor's
+    largest component).  The error names the first failing tensor's index."""
+    axes = tuple(range(1, comp.ndim))
+    scale = np.abs(comp).max(axis=axes, initial=0)
     tol = (np.zeros(len(comp), dtype=object) if mode == RATIONAL
            else SYMMETRY_RTOL * np.maximum(1.0, scale))
-    c = comp
-    for what, residual in (
-            ("antisymmetry R_ijkl = -R_jikl", lambda: c + c.transpose(0, 2, 1, 3, 4)),
-            ("antisymmetry R_ijkl = -R_ijlk", lambda: c + c.transpose(0, 1, 2, 4, 3)),
-            ("pair symmetry R_ijkl = R_klij", lambda: c - c.transpose(0, 3, 4, 1, 2)),
-            ("first Bianchi identity",
-             lambda: c + c.transpose(0, 1, 3, 4, 2) + c.transpose(0, 1, 4, 2, 3))):
-        worst = _max_abs_each(residual())
+    for what, residual in _SYMMETRIES[comp.ndim]:
+        worst = np.abs(residual(comp)).max(axis=axes, initial=0)
         bad = np.nonzero(worst > tol)[0]
         if len(bad):
             k = bad[0]
             raise SymmetryError(f"tensor {k}: {what} violated: residual {worst[k]} "
                                 f"> tol {tol[k]}")
-
-
-def _check_small(residual, mode, scale, what):
-    tol = 0 if mode == RATIONAL else SYMMETRY_RTOL * max(1.0, float(scale))
-    worst = _max_abs(residual)
-    if worst > tol:
-        raise SymmetryError(f"{what} violated: residual {worst} > tol {tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +111,7 @@ class SymTensor2:
         check_mode(self.mode)
         if self.comp.shape != (self.n, self.n):
             raise ValueError("component shape mismatch")
-        _check_small(self.comp - self.comp.T, self.mode, _max_abs(self.comp),
-                     "symmetry S_ij = S_ji")
+        check_symmetries(self.comp[None], self.mode)
         self.comp.setflags(write=False)
 
     @classmethod
@@ -188,22 +170,15 @@ class AlgCurvTensor:
         a = as_mode_array(values, mode)
         return cls(a.shape[0], mode, a)
 
-    def bianchi_residual(self):
-        c = self.comp
-        return _max_abs(c + c.transpose(0, 2, 3, 1) + c.transpose(0, 3, 1, 2))
-
     # -- serialization ------------------------------------------------------
 
     def generating_entries(self):
         """Canonical nonzero entries with i<j, k<l, (i,j) <= (k,l)."""
-        out = []
-        pairs = list(combinations(range(self.n), 2))
-        for a, (i, j) in enumerate(pairs):
-            for (k, l) in pairs[a:]:
-                v = self.comp[i, j, k, l]
-                if v != 0:
-                    out.append([i, j, k, l, v])
-        return out
+        i, j, _ = pair_basis(self.n)
+        P = self.comp[i[:, None], j[:, None], i, j]
+        pairs = list(zip(i.tolist(), j.tolist()))
+        return [[*pairs[a], *pairs[b], P[a, b]]
+                for a in range(len(pairs)) for b in range(a, len(pairs)) if P[a, b] != 0]
 
     def to_json(self):
         entries = [[i, j, k, l, scalar_to_json(v)]
@@ -213,13 +188,20 @@ class AlgCurvTensor:
     @classmethod
     def from_json(cls, text):
         """The tensor of to_json's generating entries, each symmetric entry
-        rebuilt from its generating one as tensor_from_pair_operator does."""
+        rebuilt from its generating one as tensor_from_pair_operator does.
+        Raises ValueError naming an entry whose pairs are not i < j and
+        k < l within 0..n-1."""
         data = json.loads(text)
         n, mode = data["n"], check_mode(data["mode"])
-        index = {pair: a for a, pair in enumerate(pair_index(n))}
-        P = zeros((len(index),) * 2, mode)
-        for i, j, k, l, raw in data["entries"]:
-            a, b = index[i, j], index[k, l]
+        first, _, position = pair_basis(n)
+        P = zeros((len(first),) * 2, mode)
+        for entry in data["entries"]:
+            i, j, k, l, raw = entry
+            if not all(type(v) is int for v in (i, j, k, l)) or not (
+                    0 <= i < j < n and 0 <= k < l < n):
+                raise ValueError(f"entry {entry}: its index pairs must be i < j and "
+                                 f"k < l within 0..{n - 1}")
+            a, b = position[i, j], position[k, l]
             P[a, b] = P[b, a] = Fraction(raw) if mode == RATIONAL else float(raw)
         return cls(n, mode, _from_pairs(P, n))
 
@@ -240,11 +222,15 @@ def kulkarni_nomizu(h: SymTensor2, k: SymTensor2) -> AlgCurvTensor:
 
 
 def constant_curvature(n, kappa, mode) -> AlgCurvTensor:
-    """Space form of sectional curvature kappa: (kappa/2) g ^ g."""
-    g = identity_metric(n, mode)
-    gg = kulkarni_nomizu(g, g)
-    half = Fraction(kappa, 2) if mode == RATIONAL else kappa / 2.0
-    return AlgCurvTensor(n, mode, gg.comp * half)
+    """Space form of sectional curvature kappa: kappa times the identity on
+    bivectors, R_ijij = -R_ijji = kappa for i != j and every other entry 0,
+    which is (kappa/2) g ^ g."""
+    i, j, _ = pair_basis(n)
+    unit = zeros((n,) * 4, mode)
+    one = Fraction(1) if mode == RATIONAL else 1.0
+    unit[i, j, i, j] = unit[j, i, j, i] = one
+    unit[i, j, j, i] = unit[j, i, i, j] = -one
+    return AlgCurvTensor(n, mode, (Fraction(kappa) if mode == RATIONAL else float(kappa)) * unit)
 
 
 def ricci_stack(comp):
@@ -369,25 +355,33 @@ def modified_curvature(Rm: AlgCurvTensor, eps) -> ModifiedCurvature:
     n, mode = Rm.n, Rm.mode
     R = scalar(Rm)
     g = identity_metric(n, mode)
-    gg = kulkarni_nomizu(g, g)
     if mode == RATIONAL:
         eps = eps if isinstance(eps, Fraction) else Fraction(eps)
-        shift = eps * R / 2
+        shift = eps * R
     else:
-        shift = float(eps) * R / 2.0
-    rm_bar = AlgCurvTensor(n, mode, Rm.comp - shift * gg.comp)
+        shift = float(eps) * R
+    rm_bar = AlgCurvTensor(n, mode, Rm.comp - shift * constant_curvature(n, 1, mode).comp)
     ric_bar = SymTensor2(n, mode, ricci(Rm).comp - ((n - 1) * eps * R) * g.comp)
     r_bar = (1 - n * (n - 1) * eps) * R
     return ModifiedCurvature(eps, rm_bar, ric_bar, r_bar)
 
 
 # ---------------------------------------------------------------------------
-# Random curvature tensors
+# Bivectors and random curvature tensors
 # ---------------------------------------------------------------------------
 
-def pair_index(n):
-    """Basis of the bivector space: ordered list of index pairs i < j."""
-    return list(combinations(range(n), 2))
+@cache   # read-only, so one copy serves every caller
+def pair_basis(n):
+    """The basis e_i ^ e_j, i < j, of the bivectors of R^n, in lexicographic
+    order: arrays (i, j, position) with i[a], j[a] the pair of basis vector
+    a and position (n, n) its inverse, position[i, j] = position[j, i] = a
+    (0 on the diagonal, which belongs to no pair)."""
+    i, j = np.triu_indices(n, 1)
+    position = np.zeros((n, n), dtype=np.intp)
+    position[i, j] = position[j, i] = np.arange(len(i))
+    for a in (i, j, position):
+        a.setflags(write=False)
+    return i, j, position
 
 
 @cache   # read-only, so one copy serves every caller
@@ -395,13 +389,12 @@ def _pair_map(n):
     """(index, sign) over the entries ijkl of an n^4 tensor: index is the
     position, in a flattened m x m operator on bivectors, of the entry
     (min(p_ij, p_kl), max(p_ij, p_kl)) and sign is s_ij s_kl, where p_ij is
-    the position of the pair {i, j} in pair_index(n) and s_ij = sign(j - i)."""
+    the position of the pair {i, j} in pair_basis(n) and s_ij = sign(j - i)."""
+    first, _, p = pair_basis(n)   # p[i, i] = 0 is read only with s_ii = 0
     i, j = np.ogrid[:n, :n]
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    p = np.maximum(lo * (2 * n - lo - 1) // 2 + hi - lo - 1, 0)   # s = 0 when i = j
     s = np.sign(j - i)
     a, b = p[:, :, None, None], p
-    index = np.minimum(a, b) * (n * (n - 1) // 2) + np.maximum(a, b)
+    index = np.minimum(a, b) * len(first) + np.maximum(a, b)
     sign = s[:, :, None, None] * s
     for x in (index, sign):
         x.setflags(write=False)
@@ -423,7 +416,7 @@ def _bianchi_projection(M, n, mode):
     T = _from_pairs(M, n)
     cyc = T + T.transpose(0, 1, 3, 4, 2) + T.transpose(0, 1, 4, 2, 3)
     comp = T - (cyc * Fraction(1, 3) if mode == RATIONAL else cyc / 3.0)
-    i, j = np.triu_indices(n, 1)
+    i, j, _ = pair_basis(n)
     return _from_pairs(comp[:, i[:, None], j[:, None], i, j], n)
 
 
@@ -442,7 +435,7 @@ def tensor_from_pair_operator(M, n, mode) -> AlgCurvTensor:
 
 def diagonal_tensor(sigma, n, mode) -> AlgCurvTensor:
     """The tensor whose only generating entries are R_ijij = sigma_ij over
-    the pairs of pair_index(n): a diagonal operator on bivectors, which
+    the pairs of pair_basis(n): a diagonal operator on bivectors, which
     satisfies the Bianchi identity as it stands."""
     return AlgCurvTensor(n, mode, _from_pairs(as_mode_array(np.diag(sigma), mode), n))
 

@@ -1,9 +1,10 @@
 """Minimal sectional curvature over the Grassmannian of 2-planes.
 
 Sectional curvature is the quadratic form Rhat (pair_operator) on unit
-bivectors, and a bivector w is a plane exactly when w ^ w = 0.  Every 4-form
-omega acts on bivectors as a symmetric matrix with <w, omega w> a multiple of
-<w ^ w, omega>, which vanishes on planes, so
+bivectors, written in the basis curvature.pair_basis, and a bivector w is a
+plane exactly when w ^ w = 0.  Every 4-form omega acts on bivectors as a
+symmetric matrix with <w, omega w> a multiple of <w ^ w, omega>, which
+vanishes on planes, so
 
     lambda_min(Rhat + omega) <= min Sec    for every omega in Lambda^4,
 
@@ -25,9 +26,10 @@ at that multiplier.  shift_to_pinching returns tensors certified by that
 bracket; pinched is the one test of Sec >= eps*R.  The *_stack functions
 take a stack comp (k, n, n, n, n) of tensor components; solve_dual,
 dual_bracket, shift_by and shift_to_pinching are their stacks of one, and a
-tensor's numbers do not depend on the stack it sits in.  The runtime needs
-only numpy.  The grid + L-BFGS search (search_min_sectional) is the tests'
-independent oracle only, and only it imports scipy.
+tensor's numbers do not depend on the stack it sits in.  A shift by c adds
+c times constant_curvature(n, 1), the identity on bivectors.  The runtime
+needs only numpy.  The grid + L-BFGS search (search_min_sectional) is the
+tests' independent oracle only, and only it imports scipy.
 """
 
 from __future__ import annotations
@@ -45,9 +47,8 @@ from .curvature import (
     Plane,
     RATIONAL,
     check_symmetries,
-    identity_metric,
-    kulkarni_nomizu,
-    pair_index,
+    constant_curvature,
+    pair_basis,
     scalar_stack,
 )
 from .scalars import GAP_RTOL, is_rational
@@ -100,10 +101,9 @@ def pair_operator_stack(comp):
     """pair_operator, in float, of each tensor of the stack comp (k, n, n, n, n),
     C-contiguous: BLAS may round a strided operand differently, so every
     tensor's operator is laid out as a stack of one's."""
-    idx = np.array(pair_index(comp.shape[-1]))
+    i, j, _ = pair_basis(comp.shape[-1])
     comp = np.asarray(comp, dtype=float)
-    return np.ascontiguousarray(
-        comp[:, idx[:, 0][:, None], idx[:, 1][:, None], idx[:, 0][None, :], idx[:, 1][None, :]])
+    return np.ascontiguousarray(comp[:, i[:, None], j[:, None], i, j])
 
 
 def _stack_mode(comp):
@@ -142,8 +142,12 @@ def _plane_grid(n, count):
     return _GRID_CACHE[key]
 
 
-def _bivector(x, y, pairs):
-    return np.stack([x[..., i] * y[..., j] - x[..., j] * y[..., i] for i, j in pairs], axis=-1)
+def _bivector(x, y):
+    """x ^ y in the pair basis, over the last axis of x and y.  take, unlike
+    x[..., i], returns a C-contiguous array, and einsum sums a strided row
+    in another order."""
+    i, j, _ = pair_basis(x.shape[-1])
+    return x.take(i, -1) * y.take(j, -1) - x.take(j, -1) * y.take(i, -1)
 
 
 def plane_sectionals(Rm: AlgCurvTensor, x, y):
@@ -156,7 +160,7 @@ def plane_sectionals_stack(rhat, x, y):
     """plane_sectionals over a stack: rhat (k, m, m) and the planes x, y
     (k, p, n) of each tensor give (k, p), C-contiguous (einsum may lay its
     output out otherwise, and numpy sums a strided row in another order)."""
-    w = _bivector(x, y, pair_index(x.shape[-1]))
+    w = _bivector(x, y)
     return np.ascontiguousarray(np.einsum("kpa,kab,kpb->kp", w, rhat, w))
 
 
@@ -231,7 +235,7 @@ def search_min_sectional(Rm: AlgCurvTensor, opts: SearchOptions = SearchOptions(
             f"max_iters={opts.max_iters}); grid min {values.min()} over {count} planes")
     x, y = _orthonormal_pairs(best_z[None, :], Rm.n)
     plane = Plane(x[0], y[0])
-    w = _bivector(x, y, pair_index(Rm.n))[0]
+    w = _bivector(x, y)[0]
     rhat = pair_operator(Rm)
     return float(w @ rhat @ w), plane
 
@@ -246,28 +250,26 @@ MAX_DUAL_N = 8
 @cache
 def four_form_basis(n):
     """Lambda^4 acting on bivectors, one read-only (m, m) matrix per 4-subset
-    i < j < k < l of the pair_index basis: M[pq, rs] = sign of the
-    permutation (p, q, r, s) of (i, j, k, l).  <w, M w> is twice the
-    Pluecker quadric w_ij w_kl - w_ik w_jl + w_il w_jk, which vanishes on
-    planes.  Shape (C(n, 4), m, m); no matrices for n <= 3."""
-    position = {pair: a for a, pair in enumerate(pair_index(n))}
-    quads = list(combinations(range(n), 4))
-    basis = np.zeros((len(quads), len(position), len(position)))
-    for q, (i, j, k, l) in enumerate(quads):
-        for first, second, sign in (((i, j), (k, l), 1), ((i, k), (j, l), -1),
-                                    ((i, l), (j, k), 1)):
-            a, b = position[first], position[second]
-            basis[q, a, b] = basis[q, b, a] = sign
+    i < j < k < l of the pair_basis: M[pq, rs] = sign of the permutation
+    (p, q, r, s) of (i, j, k, l).  <w, M w> is twice the Pluecker quadric
+    w_ij w_kl - w_ik w_jl + w_il w_jk, which vanishes on planes.  Shape
+    (C(n, 4), m, m); no matrices for n <= 3."""
+    pairs, _, position = pair_basis(n)
+    i, j, k, l = np.array(list(combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4).T
+    q = np.arange(len(i))
+    basis = np.zeros((len(q), len(pairs), len(pairs)))
+    for a, b, sign in ((position[i, j], position[k, l], 1),
+                       (position[i, k], position[j, l], -1),
+                       (position[i, l], position[j, k], 1)):
+        basis[q, a, b] = basis[q, b, a] = sign
     basis.setflags(write=False)
     return basis
 
 
-# Hodge star on bivectors of R^4 in the pair_index basis (01, 02, 03, 12, 13,
-# 23): *e01 = e23, *e02 = -e13, *e03 = e12.  <w, *w> = 2 (w01 w23 - w02 w13
-# + w03 w12) is the Plucker quadric, which vanishes exactly on planes; it
-# spans four_form_basis(4).
-HODGE_STAR = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]))
-HODGE_STAR.setflags(write=False)
+# Hodge star on bivectors of R^4 in the pair_basis (01, 02, 03, 12, 13, 23):
+# *e01 = e23, *e02 = -e13, *e03 = e12.  <w, *w> = 2 (w01 w23 - w02 w13
+# + w03 w12) is the Plucker quadric, which vanishes exactly on planes.
+HODGE_STAR = four_form_basis(4)[0]
 
 # Padding that turns the computed lambda_min(A), A = Rhat + sum_j w_j M_j,
 # into a lower bound on the exact one.  With u the unit roundoff and Weyl's
@@ -400,7 +402,7 @@ def _bottom_plane(comp, rhat, V):
     (n = 7 and 5).  So the starts are each basis vector and each pair's sum
     and difference.
     """
-    a, b = np.triu_indices(V.shape[1], 1)
+    a, b, _ = pair_basis(V.shape[1])
     starts = np.concatenate([V, V[:, a] + V[:, b], V[:, a] - V[:, b]], axis=1)
     planes = [_polish(comp, rhat, Plane(x, y))
               for x, y in zip(*_plane_of(starts.T, comp.shape[-1]))]
@@ -421,18 +423,16 @@ def _bisect_star(rhat):
     The maximizer lies in |t| <= spread of Rhat's spectrum, because
     f(t) <= lambda_max - |t| and f(0) = lambda_min; BISECTIONS halvings
     leave an interval of width eps * spread, and f is 1-Lipschitz.  The
-    bisections run in lockstep over the stack, one batched eigh a step over
-    the tensors still bisecting; a tensor leaves at a zero slope or a closed
-    interval.  Every step of a tensor is computed as for a stack of one, so
-    its result does not depend on the stack.
+    bisections run in lockstep over the stack, one batched eigh a step,
+    until every tensor has a zero slope or a closed interval.  A tensor that
+    has stopped repeats the same t, so every step of a tensor is computed as
+    for a stack of one and its result does not depend on the stack.
     """
     spectrum = np.linalg.eigvalsh(rhat)
     hi = spectrum[:, -1] - spectrum[:, 0]
     lo = -hi
-    t_out, vecs_out = np.zeros(len(rhat)), np.zeros(rhat.shape)
-    # the tensors still bisecting, their rows of rhat, and their best t,
-    # lambda_min and eigenvectors so far
-    live, best_t, best_lam = np.arange(len(rhat)), np.zeros(len(rhat)), np.full(len(rhat), -np.inf)
+    # each tensor's best t, lambda_min and eigenvectors so far
+    best_t, best_lam = np.zeros(len(rhat)), np.full(len(rhat), -np.inf)
     best_vecs = np.zeros(rhat.shape)
     for _ in range(BISECTIONS):
         t = (lo + hi) / 2
@@ -445,16 +445,9 @@ def _bisect_star(rhat):
         slope = np.vecdot(v @ HODGE_STAR, v)
         np.copyto(lo, t, where=slope > 0)
         np.copyto(hi, t, where=slope < 0)
-        going = (slope == 0) | (lo == hi)
-        if going.any():
-            t_out[live[going]], vecs_out[live[going]] = best_t[going], best_vecs[going]
-            stay = ~going
-            live, rhat, lo, hi = live[stay], rhat[stay], lo[stay], hi[stay]
-            best_t, best_lam, best_vecs = best_t[stay], best_lam[stay], best_vecs[stay]
-            if not len(live):
-                break
-    t_out[live], vecs_out[live] = best_t, best_vecs
-    return t_out, vecs_out
+        if ((slope == 0) | (lo == hi)).all():
+            break
+    return best_t, best_vecs
 
 
 def _null_bivector(rhat, vecs):
@@ -563,7 +556,7 @@ def _plane_of(w, n):
     of each bivector of R^n in the stack w (k, m): the top eigenspace of
     W^T W, W its antisymmetric matrix (exactly x ^ y = +-w/|w| when w is
     decomposable)."""
-    i, j = np.triu_indices(n, 1)
+    i, j, _ = pair_basis(n)
     W = np.zeros((len(w), n, n))
     W[:, i, j], W[:, j, i] = w, -w
     _, vecs = np.linalg.eigh(W.transpose(0, 2, 1) @ W)
@@ -660,9 +653,9 @@ def pinched(value, eps, R):
 
 
 def shift_to_pinching(Rm: AlgCurvTensor, eps, margin=0):
-    """(shifted, lower, upper): Rm + (c/2) g^g with Sec >= eps*R (+ margin
-    slack), certified when pinched(lower, eps, R) for its bracket [lower,
-    upper].  The stack of one of solve_dual_stack and
+    """(shifted, lower, upper): Rm + c I on bivectors with Sec >= eps*R
+    (+ margin slack), certified when pinched(lower, eps, R) for its bracket
+    [lower, upper].  The stack of one of solve_dual_stack and
     shift_to_pinching_stack."""
     comp = Rm.comp[None]
     shifted, lower, upper = shift_to_pinching_stack(comp, eps, margin, solve_dual_stack(comp))
@@ -694,8 +687,8 @@ def shift_to_pinching_stack(comp, eps, margin, solution):
 
 
 def shift_by(Rm: AlgCurvTensor, eps, min_sec, margin=0) -> AlgCurvTensor:
-    """Rm' = Rm + (c/2) g^g solving min Sec(Rm') = eps R' (+ margin slack)
-    for a tensor whose min Sec is min_sec: the stack of one of
+    """Rm' = Rm + c I on bivectors solving min Sec(Rm') = eps R' (+ margin
+    slack) for a tensor whose min Sec is min_sec: the stack of one of
     shift_by_stack."""
     return AlgCurvTensor(Rm.n, Rm.mode,
                          shift_by_stack(Rm.comp[None], eps, np.array([min_sec]), margin)[0])
@@ -711,11 +704,8 @@ def shift_by_stack(comp, eps, min_sec, margin=0):
     R = np.asarray(scalar_stack(comp), dtype=float)
     c = (float(eps) * R - np.asarray(min_sec, dtype=float)) / (
         1 - float(eps) * n * (n - 1)) + float(margin)
-    gg = kulkarni_nomizu(identity_metric(n, mode), identity_metric(n, mode))
     if mode == RATIONAL:   # exact dyadic conversion of the float shift
-        half_c = np.array([Fraction(v) / 2 for v in c.tolist()], dtype=object)
-    else:
-        half_c = c / 2.0
-    shifted = comp + half_c[:, None, None, None, None] * gg.comp
+        c = np.array([Fraction(v) for v in c.tolist()], dtype=object)
+    shifted = comp + c[:, None, None, None, None] * constant_curvature(n, 1, mode).comp
     check_symmetries(shifted, mode)
     return shifted

@@ -28,6 +28,7 @@ from .curvature import (
     as_mode_array,
     check_mode,
     diagonal_tensor,
+    pair_basis,
     random_curvature_stack,
     scalar,
     scalar_stack,
@@ -416,12 +417,12 @@ def _gap_summary(rows: GapRows, sb, s_list, limit=None):
 
 @cache   # read-only, so one copy serves every caller
 def _incidence(n):
-    """(i, j, inc): the pairs i < j and their pairs x n incidence matrix."""
-    i, j = np.triu_indices(n, 1)
+    """(i, j, inc): the pairs i < j of pair_basis(n) and their pairs x n
+    incidence matrix."""
+    i, j, _ = pair_basis(n)
     inc = np.zeros((len(i), n), dtype=np.int64)
     inc[np.arange(len(i)), i] = inc[np.arange(len(i)), j] = 1
-    for a in (i, j, inc):
-        a.setflags(write=False)
+    inc.setflags(write=False)
     return i, j, inc
 
 
@@ -542,6 +543,9 @@ def profile_batch_exact(n, eps, count, seed, distribution="half-normal"):
 # Campaigns
 # ---------------------------------------------------------------------------
 
+TENSOR_MARGIN = 0.1   # the tensor kind's pinching slack after the shift
+
+
 @dataclass
 class CampaignConfig:
     kind: str = "profile"            # "profile" | "tensor"
@@ -552,7 +556,6 @@ class CampaignConfig:
     seed: int = 0
     mode: str = FLOAT
     distribution: str = "half-normal"
-    margin: float = 0.1              # tensor kind: pinching slack after shift
     coeff_delta: float = 0.0         # corrupted-coefficient test fixture
     # not used: the tensor kind solves the min-Sec dual (shift_to_pinching),
     # which takes no search options; kept because the benchmark passes it
@@ -586,7 +589,7 @@ class CampaignConfig:
             # the tensor kind runs in float and draws no shifted curvatures
             "mode": self.mode if self.kind == "profile" else FLOAT,
             "distribution": self.distribution if self.kind == "profile" else None,
-            "margin": self.margin,
+            "margin": TENSOR_MARGIN,
             "coeffDelta": self.coeff_delta,
         }
 
@@ -646,7 +649,7 @@ def _tensor_combo(n, eps, config: CampaignConfig):
     lap("draw")
     solution = solve_dual_stack(comp)
     lap("solve")
-    shifted, lower, upper = shift_to_pinching_stack(comp, e, config.margin, solution)
+    shifted, lower, upper = shift_to_pinching_stack(comp, e, TENSOR_MARGIN, solution)
     R = scalar_stack(shifted)
     lap("shift")
     lam, sig = _eigenframe_stack(shifted)

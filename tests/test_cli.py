@@ -108,6 +108,16 @@ def test_bad_scalar_is_usage_error():
         main(["verify-estimates", "--eps", "banana"])
 
 
+def test_negative_value_needs_the_equals_form(capsys):
+    code, out = run(capsys, ["verify-estimates", "--n", "4", "--eps=-1/10", "--count", "50"])
+    assert code == EXIT_OK
+    assert json.loads(out)["config"]["epsList"] == ["-1/10"]
+    # argparse reads "-1/10" after a space as an option, not as the value
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-estimates", "--n", "4", "--eps", "-1/10", "--count", "50"])
+    assert exc.value.code == EXIT_USAGE
+
+
 def test_optimize_q2_default_eps(capsys):
     code, out = run(capsys, ["optimize-q2"])
     assert code == EXIT_OK
@@ -167,6 +177,12 @@ def test_models_table_formats(capsys):
     code, out = run(capsys, ["models", "--format", "text"])
     assert code == EXIT_OK
     assert "soliton(1/24)" in out
+
+
+def test_models_has_no_table_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["models", "--table"])
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_identities(capsys):

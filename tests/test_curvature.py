@@ -1,3 +1,5 @@
+import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +38,11 @@ def random_plane(n, rng):
     return Plane(x, y)
 
 
+def _bianchi_residual(c):
+    """max |R_ijkl + R_iljk + R_iklj|, computed apart from the validator."""
+    return np.abs(c + c.transpose(0, 2, 3, 1) + c.transpose(0, 3, 1, 2)).max()
+
+
 def test_constant_curvature_sectional_is_kappa_everywhere():
     rng = np.random.default_rng(7)
     Rm = constant_curvature(4, 2.5, FLOAT)
@@ -53,6 +60,22 @@ def test_constant_curvature_rational_exact():
     assert traceless_ricci(Rm).norm_sq() == 0
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_constant_curvature_is_half_kulkarni_nomizu_of_the_metric(n):
+    for kappa in (1, -1, 0, 3, Fraction(-2, 7)):
+        for mode in (FLOAT, RATIONAL):
+            g = identity_metric(n, mode)
+            half = Fraction(kappa, 2) if mode == RATIONAL else float(kappa) / 2.0
+            want = kulkarni_nomizu(g, g).comp * half
+            got = constant_curvature(n, kappa, mode).comp
+            assert got.dtype == want.dtype
+            if mode == FLOAT:   # bit for bit, the sign of every zero included
+                assert got.tobytes() == want.tobytes(), kappa
+            else:
+                assert all(type(a) is Fraction and a == b
+                           for a, b in zip(got.ravel(), want.ravel())), kappa
+
+
 def test_kulkarni_nomizu_has_all_symmetries():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((4, 4))
@@ -60,7 +83,7 @@ def test_kulkarni_nomizu_has_all_symmetries():
     b = rng.standard_normal((4, 4))
     k = SymTensor2.from_components((b + b.T) / 2, FLOAT)
     Rm = kulkarni_nomizu(h, k)   # constructor enforces the symmetries
-    assert Rm.bianchi_residual() < 1e-13
+    assert _bianchi_residual(Rm.comp) < 1e-13
 
 
 def test_mixed_mode_rejected():
@@ -80,6 +103,10 @@ def test_symmetry_violation_detected():
 def test_symtensor_rejects_asymmetric():
     with pytest.raises(SymmetryError):
         SymTensor2.from_components([[0.0, 1.0], [0.0, 0.0]], FLOAT)
+    with pytest.raises(SymmetryError, match="^tensor 0: symmetry S_ij = S_ji"):
+        SymTensor2.from_components([[0, Fraction(1, 10 ** 30)], [0, 0]], RATIONAL)
+    # float tolerance scales with the largest component: 1e-8 < 1e-14 * 1e9
+    SymTensor2.from_components([[1e9, 1e-6], [1e-6 + 1e-8, 0.0]], FLOAT)
 
 
 def test_plane_rejects_non_orthonormal():
@@ -102,7 +129,7 @@ def test_sectional_on_coordinate_plane_reads_component():
 @settings(max_examples=25, deadline=None)
 def test_random_curvature_rational_bianchi_exact(seed, n):
     Rm = random_curvature(n, seed, RATIONAL, scale=5)
-    assert Rm.bianchi_residual() == 0
+    assert _bianchi_residual(Rm.comp) == 0
 
 
 def test_random_curvature_deterministic():
@@ -116,6 +143,15 @@ def test_json_round_trip_rational():
     back = AlgCurvTensor.from_json(Rm.to_json())
     assert (back.comp == Rm.comp).all()
     assert back.mode == RATIONAL
+
+
+@pytest.mark.parametrize("pairs", [(1, 0, 2, 3), (0, 1, 0, 4), (0, 4, 1, 2),
+                                   (-1, 2, 0, 1), (0, 1, -3, -1), (0, 0, 1, 2)])
+def test_from_json_rejects_pairs_outside_the_basis(pairs):
+    entry = [*pairs, "1"]
+    text = json.dumps({"n": 4, "mode": RATIONAL, "entries": [[0, 1, 0, 1, "2"], entry]})
+    with pytest.raises(ValueError, match=re.escape(f"entry {entry}")):
+        AlgCurvTensor.from_json(text)
 
 
 def test_json_round_trip_float():

@@ -11,6 +11,7 @@ from pinchlab.profiles import (
     CampaignConfig,
     PinchingParams,
     SigmaProfile,
+    TENSOR_MARGIN,
     UncertifiedSourceError,
     check_estimates,
     eigen_gap_lemma,
@@ -502,7 +503,7 @@ def test_tensor_combo_matches_check_estimates():
     reports = []
     for idx in range(3):
         Rm = random_curvature(4, [9, 4, idx], FLOAT)
-        shifted, _, _ = shift_to_pinching(Rm, float(eps), config.margin)
+        shifted, _, _ = shift_to_pinching(Rm, float(eps), TENSOR_MARGIN)
         reports += [check_estimates(shifted, PinchingParams(float(eps), float(s)))
                     for s in s_list]
     assert entry["minGap1"] == min(float(r.gap1) for r in reports)
@@ -687,7 +688,7 @@ def test_tensor_combo_rows_replay_alone(monkeypatch, n):
     (lam, sig, R), = rows
     for idx in range(count):
         shifted, _, _ = shift_to_pinching(random_curvature(n, [17, n, idx], FLOAT),
-                                          1 / 48, config.margin)
+                                          1 / 48, TENSOR_MARGIN)
         one_lam, one_sig = _eigenframe(shifted)
         assert np.array_equal(lam[idx], one_lam) and np.array_equal(sig[idx], one_sig), idx
         assert R[idx] == scalar(shifted), idx
