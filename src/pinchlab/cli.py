@@ -40,14 +40,6 @@ from .scalars import RATIONAL, FLOAT, parse_scalar, scalar_to_json
 
 EXIT_OK, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
 
-# The flags a subcommand takes repeatedly, with the type of one value; a
-# config file may give each as a list or as a single scalar.
-REPEATABLE = {
-    "verify-estimates": {"n": int, "eps": parse_scalar, "s": parse_scalar},
-    "optimize-q2": {"eps": parse_scalar},
-}
-
-
 def build_parser(explicit_only=False):
     """The argument parser.  With explicit_only every default is SUPPRESS, so
     a parse yields just the flags given on the command line."""
@@ -60,18 +52,20 @@ def build_parser(explicit_only=False):
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int,
                         default=default(int(os.environ.get("PINCHLAB_SEED", "0"))))
-    common.add_argument("--arithmetic", choices=[RATIONAL, FLOAT],
-                        default=default(RATIONAL))
     common.add_argument("--out", default=default(None), help="report output directory")
     common.add_argument("--config", default=default(None),
                         help="JSON file mirroring flags; flags take precedence")
+    arithmetic = argparse.ArgumentParser(add_help=False)
+    arithmetic.add_argument("--arithmetic", choices=[RATIONAL, FLOAT],
+                            default=default(RATIONAL))
 
     sub = p.add_subparsers(dest="command", required=True)
 
-    ve = sub.add_parser("verify-estimates", parents=[common],
+    ve = sub.add_parser("verify-estimates", parents=[common, arithmetic],
                         help="Monte Carlo verification of both estimates")
-    for name, kind in REPEATABLE["verify-estimates"].items():
-        ve.add_argument(f"--{name}", type=kind, action="append", default=default(None))
+    ve.add_argument("--n", type=int, action="append", default=default(None))
+    ve.add_argument("--eps", type=parse_scalar, action="append", default=default(None))
+    ve.add_argument("--s", type=parse_scalar, action="append", default=default(None))
     ve.add_argument("--count", type=int, default=default(1000))
     ve.add_argument("--kind", choices=["profile", "tensor"], default=default("profile"))
     ve.add_argument("--distribution", choices=DISTRIBUTIONS, default=default("half-normal"))
@@ -80,8 +74,7 @@ def build_parser(explicit_only=False):
 
     oq = sub.add_parser("optimize-q2", parents=[common],
                         help="exact global maximum of the Q2 functional")
-    for name, kind in REPEATABLE["optimize-q2"].items():
-        oq.add_argument(f"--{name}", type=kind, action="append", default=default(None))
+    oq.add_argument("--eps", type=parse_scalar, action="append", default=default(None))
     # inert: the maximum is exact, no grid is searched; still parsed because
     # the benchmark's tiny cli-exact command list passes --grid
     oq.add_argument("--grid", type=int, default=default(None), help=argparse.SUPPRESS)
@@ -102,40 +95,47 @@ def build_parser(explicit_only=False):
 
     sub.add_parser("identities", parents=[common],
                    help="soliton identity residuals on every model")
-    sub.add_parser("all", parents=[common],
+    sub.add_parser("all", parents=[common, arithmetic],
                    help="run every check with default settings")
     return p
 
 
-def _apply_config_file(args, argv):
+def _apply_config_file(parser, args, argv):
     if not args.config:
         return args
     with open(args.config) as fh:
         data = json.load(fh)
     explicit = vars(build_parser(explicit_only=True).parse_args(argv))
-    repeatable = REPEATABLE.get(args.command, {})
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in commands.choices[args.command]._actions
+             if hasattr(args, a.dest)}
     for key, value in data.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr) or attr in explicit:
-            continue
-        if attr in repeatable:
-            values = value if isinstance(value, list) else [value]
-            value = [_config_scalar(key, repeatable[attr], v) for v in values]
-        elif attr == "eps":
-            value = _config_scalar(key, parse_scalar, value)
-        setattr(args, attr, value)
+        if attr in flags and attr not in explicit:
+            setattr(args, attr, _config_value(key, flags[attr], value))
     return args
 
 
-def _config_scalar(key, kind, value):
-    """One config-file value of a flag, converted like its command-line text."""
+def _config_value(key, flag, value):
+    """A config-file value of a flag, converted and checked like its
+    command-line text; a flag taken repeatedly accepts a list or one value."""
+    if not isinstance(flag, argparse._AppendAction):
+        return _config_scalar(key, flag, value)
+    return [_config_scalar(key, flag, v) for v in (value if isinstance(value, list) else [value])]
+
+
+def _config_scalar(key, flag, value):
     if isinstance(value, (bool, dict, list)) or value is None:
         raise ValueError(f"config {key!r}: expected a number or a string, "
                          f"got {json.dumps(value)}")
     try:
-        return kind(str(value))
+        value = flag.type(str(value)) if flag.type else str(value)
     except ValueError as exc:
         raise ValueError(f"config {key!r}: {exc}") from exc
+    if flag.choices is not None and value not in flag.choices:
+        raise ValueError(f"config {key!r}: {value!r} is not one of "
+                         f"{', '.join(map(str, flag.choices))}")
+    return value
 
 
 def _finish(report, args, stem):
@@ -279,7 +279,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config_file(args, argv)
+        args = _apply_config_file(parser, args, argv)
         return COMMANDS[args.command](args)
     except SystemExit as exc:   # argparse errors exit 2 already
         raise

@@ -10,6 +10,12 @@ symmetry of S in its first two slots, tracelessness there, and the contracted
 second-Bianchi relation sum_i S_iji = ((n-2)/(2n)) w_j.  Everything downstream
 is dimension-four: the 1/4 Bianchi constant and the coefficients 8 and 4 of
 the b-quadratic are specific to n = 4 and other dimensions are rejected.
+
+Each formula is written once.  The models are projected only in integers
+(integer_gradient_models); a rational model holds them as Fractions and a
+float model as float64.  F is (1, a1, a2, b1, b2, b3) times the six tensors
+of f_basis, for one model or a stack of them.  Q1 and Q2 are polynomial
+numerators over 1 + a1^2 + a2^2, and grad_q2 is derived from Q2's numerator.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curvature import FLOAT, RATIONAL, check_mode, identity_metric
+from .curvature import FLOAT, RATIONAL, check_mode
 from .scalars import exact_div, scalar_to_json
 
 
@@ -138,42 +144,31 @@ def _as_fractions(values):
 
 
 def sample_gradient_model(n, seed, mode=FLOAT) -> GradientModel:
-    """Seeded random model satisfying all three constraints exactly.
-
-    Projection order: symmetrize in (i, j), remove the (i, j)-trace, then add
-    the unique correction of the form  d_ik v_j + d_jk v_i - (2/n) d_ij v_k
-    fixing the Bianchi contraction.  Rational mode is the integer model of
-    integer_gradient_models (exact over the common denominator
-    2n (n^2 + n - 2)^2, then scaled to clear it) with Fraction entries; float
-    mode projects standard-normal draws in float64.
-    """
+    """Seeded random model satisfying all three constraints exactly: the
+    integer model of integer_gradient_models (the rational projection of
+    integer draws, scaled to clear its denominators), with Fraction entries
+    in rational mode and float64 entries in float mode."""
+    S, w = integer_gradient_models(n, [seed])
     if mode == RATIONAL:
-        S, w = integer_gradient_models(n, [seed])
         return GradientModel(n, mode, _as_fractions(S[0]), _as_fractions(w[0]))
-    rng = np.random.default_rng(seed)
-    S = rng.standard_normal((n, n, n))
-    w = rng.standard_normal(n)
-    inv_n = 1.0 / n
-    S = (S + S.transpose(1, 0, 2)) * 0.5
-    tr = np.einsum("iik->k", S)
-    eye = identity_metric(n, mode).comp
-    S = S - inv_n * np.einsum("ij,k->ijk", eye, tr)
-    u = float(bianchi_constant(n)) * w - np.einsum("iji->j", S)
-    # correction family B_ijk = d_ik v_j + d_jk v_i - (2/n) d_ij v_k has
-    # sum_i B_iji = (n + 1 - 2/n) v_j
-    v = u / (n + 1 - 2.0 / n)
-    B = (np.einsum("ik,j->ijk", eye, v) + np.einsum("jk,i->ijk", eye, v)
-         - (2 * inv_n) * np.einsum("ij,k->ijk", eye, v))
-    return GradientModel(n, mode, S + B, w)
+    return GradientModel(n, mode, S[0].astype(float), w[0].astype(float))
+
+
+def f_basis(S, w):
+    """The six tensors F combines, [S_ijk, S_ikj, S_jki, d_ij w_k, d_ik w_j,
+    d_jk w_i], stacked on axis -4, for one model or a stack of models (the
+    leading axes of S and w), in the models' own arithmetic."""
+    eye = np.eye(S.shape[-1], dtype=np.int64)
+    return np.stack([S, S.swapaxes(-2, -1), np.moveaxis(S, -1, -3),
+                     eye[:, :, None] * w[..., None, None, :],
+                     eye[:, None, :] * w[..., None, :, None],
+                     eye[None, :, :] * w[..., :, None, None]], axis=-4)
 
 
 def f_tensor(m: GradientModel, c: FCoefficients):
-    """F_ijk = S_ijk + a1 S_ikj + a2 S_jki + b1 w_k d_ij + b2 w_j d_ik + b3 w_i d_jk."""
-    eye = identity_metric(m.n, m.mode).comp
-    return (m.S + c.a1 * m.S.transpose(0, 2, 1) + c.a2 * m.S.transpose(2, 0, 1)
-            + c.b1 * np.einsum("ij,k->ijk", eye, m.w)
-            + c.b2 * np.einsum("ik,j->ijk", eye, m.w)
-            + c.b3 * np.einsum("jk,i->ijk", eye, m.w))
+    """F_ijk = S_ijk + a1 S_ikj + a2 S_jki + b1 w_k d_ij + b2 w_j d_ik + b3 w_i d_jk,
+    the coefficients (1, a1, a2, b1, b2, b3) times f_basis(S, w)."""
+    return np.tensordot((1, *c.astuple()), f_basis(m.S, m.w), axes=1)
 
 
 def expansion_weights(a1, a2, b1, b2, b3, one=1):
@@ -223,18 +218,31 @@ def f_norm_expansion(m: GradientModel, c: FCoefficients):
 # Q1, Q2 and the exact maximum of Q2
 # ---------------------------------------------------------------------------
 
+def _den(c: FCoefficients):
+    """1 + a1^2 + a2^2, the denominator of q1 and q2."""
+    return 1 + c.a1 * c.a1 + c.a2 * c.a2
+
+
+def q1_numerator(c: FCoefficients):
+    """(1 + a1^2 + a2^2) q1 = (a1 + a2 + a1 a2)/4 - b_quadratic, a polynomial."""
+    return exact_div(c.a1 + c.a2 + c.a1 * c.a2, 4) - b_quadratic(c)
+
+
+def q2_numerator(c: FCoefficients, eps):
+    """(1 + a1^2 + a2^2) q2, the quadratic polynomial
+    q1_numerator - (1 - 16 eps)(1 + a1^2 + a2^2 + a1 + a2 + a1 a2)/2."""
+    return q1_numerator(c) - exact_div(
+        (1 - 16 * eps) * (_den(c) + c.a1 + c.a2 + c.a1 * c.a2), 2)
+
+
 def q1(c: FCoefficients):
     """(a1+a2+a1a2)/(4(1+a1^2+a2^2)) - b_quadratic/(1+a1^2+a2^2)."""
-    a1, a2 = c.a1, c.a2
-    den = 1 + a1 * a1 + a2 * a2
-    return exact_div(a1 + a2 + a1 * a2, 4) / den - b_quadratic(c) / den
+    return q1_numerator(c) / _den(c)
 
 
 def q2(c: FCoefficients, eps):
     """q1 minus (1 - 16 eps)(1 + a1^2 + a2^2 + a1 + a2 + a1 a2)/(2(1+a1^2+a2^2))."""
-    a1, a2 = c.a1, c.a2
-    den = 1 + a1 * a1 + a2 * a2
-    return q1(c) - exact_div((1 - 16 * eps) * (den + a1 + a2 + a1 * a2), 2) / den
+    return q2_numerator(c, eps) / _den(c)
 
 
 def q2_claimed_value(eps):
@@ -276,31 +284,21 @@ def optimal_b(a1, a2):
 def grad_q2(c: FCoefficients, eps):
     """Gradient of q2 in (a1, a2, b1, b2, b3), exact for rational input.
 
-    With den = 1 + a1^2 + a2^2 and P = den * q2 (a polynomial), the quotient
-    rule gives dq2/dx = (dP/dx - q2 * dden/dx) / den.
+    P = q2_numerator is quadratic, so each partial dP/dx is the central
+    difference (P(x + e) - P(x - e)) / 2 along the unit vector e, exactly;
+    with den = 1 + a1^2 + a2^2 the quotient rule gives
+    dq2/dx = (dP/dx - q2 * dden/dx) / den.
     """
-    a1, a2, b1, b2, b3 = c.astuple()
-    den = 1 + a1 * a1 + a2 * a2
+    x = c.astuple()
     value = q2(c, eps)
-    damp = 1 - 16 * eps
-    dP = (exact_div(1 + a2, 4) - (b1 + b3) - exact_div(damp * (2 * a1 + 1 + a2), 2),
-          exact_div(1 + a1, 4) - (b1 + b2) - exact_div(damp * (2 * a2 + 1 + a1), 2),
-          -(a1 + a2 + 16 * b1 + 4 * (b2 + b3)),
-          -(a2 + 1 + 16 * b2 + 4 * (b1 + b3)),
-          -(a1 + 1 + 16 * b3 + 4 * (b1 + b2)))
-    dden = (2 * a1, 2 * a2, 0, 0, 0)
+
+    def shifted(k, step):
+        return q2_numerator(FCoefficients(*x[:k], x[k] + step, *x[k + 1:]), eps)
+
+    dP = [exact_div(shifted(k, 1) - shifted(k, -1), 2) for k in range(5)]
+    dden = (2 * c.a1, 2 * c.a2, 0, 0, 0)
+    den = _den(c)
     return tuple((p - value * d) / den for p, d in zip(dP, dden))
-
-
-def eps_factor_gradient(a1, a2):
-    """Gradient of the eps-multiplied factor
-    (1+a1^2+a2^2+a1+a2+a1a2)/(1+a1^2+a2^2), exact for rational input; it
-    vanishes at (1, 1), which is why the reference point stays stationary for
-    every eps."""
-    den = 1 + a1 * a1 + a2 * a2
-    fac = (den + a1 + a2 + a1 * a2) / den
-    return ((2 * a1 + 1 + a2 - fac * 2 * a1) / den,
-            (2 * a2 + 1 + a1 - fac * 2 * a2) / den)
 
 
 def random_coefficients(count, seed, den=12):
@@ -338,7 +336,6 @@ def expansion_campaign(model_count, coeff_count, seed):
     a1, a2, b1, b2, b3 = np.array([[int(v * den) for v in c.astuple()] for c in coeffs],
                                   dtype=np.int64).reshape(-1, 5).T
     S, w = integer_gradient_models(4, [[seed, idx] for idx in range(model_count)])
-    eye = np.eye(4, dtype=np.int64)
     coeff_matrix = np.stack([np.full_like(a1, den), a1, a2, b1, b2, b3], axis=1)
     # den^2 times each weight
     quadratic, mixing, bquad = expansion_weights(a1, a2, b1, b2, b3, one=den)
@@ -347,11 +344,7 @@ def expansion_campaign(model_count, coeff_count, seed):
     for lo in range(0, model_count, block):
         Sb, wb = S[lo:lo + block], w[lo:lo + block]
         # den F = coeff_matrix @ basis, the six tensors F combines, flattened
-        basis = np.stack([Sb, Sb.transpose(0, 1, 3, 2), Sb.transpose(0, 3, 1, 2),
-                          eye[None, :, :, None] * wb[:, None, None, :],
-                          eye[None, :, None, :] * wb[:, None, :, None],
-                          eye[None, None, :, :] * wb[:, :, None, None]],
-                         axis=1).reshape(len(Sb), 6, 64)
+        basis = f_basis(Sb, wb).reshape(len(Sb), 6, 64)
         F = coeff_matrix @ basis
         direct2 = 2 * np.einsum("mcx,mcx->mc", F, F)       # 2 den^2 |F|^2
         formula2 = (2 * ((Sb * Sb).sum(axis=(1, 2, 3))[:, None] * quadratic

@@ -4,7 +4,8 @@ The benchmark drives pinchlab through its public entry points with fixed
 arguments: SearchOptions, min_sectional(Rm, opts), CampaignConfig(search=...),
 pinching_threshold(use_search=True), optimize-q2 --grid and the CLI command
 list.  Running each workload once here makes a change to any of them fail
-the tests instead of failing benchmark operations.
+the tests instead of failing benchmark operations, and pinning the seed-1
+digests makes a change to any workload's output fail them too.
 """
 
 import importlib.util
@@ -26,6 +27,15 @@ def _load_workloads():
 
 workloads = _load_workloads()
 
+# the seed-1 digest of each case's outputs: a change that moves an output
+# (a refactor that should not) fails here, not only in a benchmark comparison
+DIGESTS = {
+    ("full", "tensor-campaign"): "adb00813b9226c6dfcbbf83a9541d613431d2ff117c7cd54c3f75b341ea125d2",
+    ("full", "cli-exact"): "29a61d44b53d0c9d2e4951f7532e4be7df9e0763fc50a4b6915762e87f1c881f",
+    ("tiny", "tensor-campaign"): "6055109f073a58e2f563f907f764f1a1b2c81f104a633f7df33196c8381aecd0",
+    ("tiny", "profile-campaign"): "08b1eee5cb0cc98093ec901bc692fd898284965d9263e138464675708f45ca84",
+    ("tiny", "cli-exact"): "f8da293595b7a80719ed7ad62dc13405ccb19dcd1deabf56019bc672f1f57ba0",
+}
 CASES = [("full", "tensor-campaign"), ("full", "cli-exact"),
          *(("tiny", name) for name in workloads.TINY)]
 
@@ -38,4 +48,4 @@ def test_workload_runs_clean(size, name, tmp_path, monkeypatch):
     outcome = workload.run(1)
     assert outcome.attempted > 0
     assert (outcome.failed, outcome.known_red) == (0, 0), outcome.problems
-    assert len(workloads.digest(outcome)) == 64
+    assert workloads.digest(outcome) == DIGESTS[size, name]

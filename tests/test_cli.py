@@ -185,6 +185,20 @@ def test_models_has_no_table_flag():
     assert exc.value.code == EXIT_USAGE
 
 
+def test_arithmetic_only_where_it_is_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["model", "sphere", "--arithmetic", "float"])
+    assert exc.value.code == EXIT_USAGE
+    checks = {}
+    for arithmetic in ("rational", "float"):
+        code, out = run(capsys, ["verify-estimates", "--count", "50",
+                                 "--arithmetic", arithmetic])
+        assert code == EXIT_OK
+        checks[arithmetic] = json.loads(out)["checks"]
+    assert all("exact" in check for check in checks["rational"])
+    assert not any("exact" in check for check in checks["float"])
+
+
 def test_identities(capsys):
     code, out = run(capsys, ["identities"])
     assert code == EXIT_OK
@@ -250,6 +264,30 @@ def test_config_value_of_wrong_type_is_usage_error(capsys, tmp_path, command, da
     argv = [command, "sphere"] if command == "model" else [command]
     code, _ = run(capsys, [*argv, "--config", str(cfg)])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command, data, reported", [
+    ("verify-estimates", {"count": "50"}, lambda payload: payload["config"]["count"]),
+    ("expand-fsq", {"models": "3"}, lambda payload: payload["modelCount"]),
+])
+def test_config_text_takes_its_flags_type(capsys, tmp_path, command, data, reported):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    code, out = run(capsys, [command, "--config", str(cfg)])
+    assert code == EXIT_OK
+    assert reported(json.loads(out)) == int(*data.values())
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"count": 2.5}, "count"),
+    ({"seed": 1.5, "count": 10}, "seed"),   # was run as seed 1 and reported as 1.5
+])
+def test_config_value_its_flag_refuses_is_usage_error(capsys, tmp_path, data, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    code = main(["verify-estimates", "--config", str(cfg)])
+    assert code == EXIT_USAGE
+    assert re.fullmatch(rf"error: config '{key}': [^\n]*\n", capsys.readouterr().err)
 
 
 def test_cli_and_the_tensor_campaign_never_import_scipy(tmp_path):

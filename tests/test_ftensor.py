@@ -12,8 +12,8 @@ from pinchlab.ftensor import (
     b_quadratic,
     bianchi_constant,
     check_gradient_constraints,
-    eps_factor_gradient,
     expansion_campaign,
+    f_basis,
     f_norm_expansion,
     f_tensor,
     grad_q2,
@@ -28,6 +28,7 @@ from pinchlab.ftensor import (
     sample_gradient_model,
 )
 from pinchlab.reports import report_digest
+from pinchlab.scalars import exact_div
 
 
 def test_bianchi_constant():
@@ -61,6 +62,28 @@ def test_f_tensor_zero_coefficients_is_S():
     m = sample_gradient_model(4, 2, RATIONAL)
     F = f_tensor(m, FCoefficients())
     assert (F == m.S).all()
+
+
+def test_f_tensor_is_the_six_term_formula():
+    eye = np.eye(4, dtype=np.int64)
+    for seed in range(5):
+        m = sample_gradient_model(4, seed, RATIONAL)
+        S, w = m.S, m.w
+        for c in random_coefficients(4, seed + 200, den=7):
+            F = (S + c.a1 * S.transpose(0, 2, 1) + c.a2 * S.transpose(2, 0, 1)
+                 + c.b1 * np.einsum("ij,k->ijk", eye, w)
+                 + c.b2 * np.einsum("ik,j->ijk", eye, w)
+                 + c.b3 * np.einsum("jk,i->ijk", eye, w))
+            assert (f_tensor(m, c) == F).all()
+
+
+def test_f_basis_of_a_stack_is_the_stack_of_bases():
+    S, w = integer_gradient_models(4, [[5, idx] for idx in range(6)])
+    stacked = f_basis(S.reshape(2, 3, 4, 4, 4), w.reshape(2, 3, 4))
+    assert stacked.shape == (2, 3, 6, 4, 4, 4) and stacked.dtype == np.int64
+    for k in range(6):
+        m = sample_gradient_model(4, [5, k], RATIONAL)
+        assert (stacked.reshape(6, 6, 4, 4, 4)[k] == f_basis(m.S, m.w)).all()
 
 
 def test_norm_expansion_exact_fraction_path():
@@ -129,6 +152,9 @@ def test_integer_models_are_the_rational_models():
     assert integer_gradient_models(4, [])[0].shape == (0, 4, 4, 4)
     for k, seed in enumerate(seeds):
         m = sample_gradient_model(4, seed, RATIONAL)
+        assert (m.S == S[k]).all() and (m.w == w[k]).all()
+        m = sample_gradient_model(4, seed, FLOAT)
+        assert m.S.dtype == m.w.dtype == np.float64
         assert (m.S == S[k]).all() and (m.w == w[k]).all()
     check_gradient_constraints(S, w)
     with pytest.raises(ValueError, match="Bianchi"):
@@ -253,7 +279,34 @@ def test_gradient_vanishes_at_reference_point():
     for eps in (0.0, 1.0 / 24.0, 1.0 / 16.0):
         assert np.abs(grad_q2(CLAIMED_POINT, eps)).max() < 1e-8
     assert grad_q2(CLAIMED_POINT, Fraction(1, 24)) == (0,) * 5
-    assert np.abs(eps_factor_gradient(1.0, 1.0)).max() < 1e-10
+
+
+def hand_grad_q2(c, eps):
+    """grad_q2 as it was first written: the partials of P = den * q2 derived
+    by hand, then the quotient rule."""
+    a1, a2, b1, b2, b3 = c.astuple()
+    den = 1 + a1 * a1 + a2 * a2
+    value = q2(c, eps)
+    damp = 1 - 16 * eps
+    dP = (exact_div(1 + a2, 4) - (b1 + b3) - exact_div(damp * (2 * a1 + 1 + a2), 2),
+          exact_div(1 + a1, 4) - (b1 + b2) - exact_div(damp * (2 * a2 + 1 + a1), 2),
+          -(a1 + a2 + 16 * b1 + 4 * (b2 + b3)),
+          -(a2 + 1 + 16 * b2 + 4 * (b1 + b3)),
+          -(a1 + 1 + 16 * b3 + 4 * (b1 + b2)))
+    dden = (2 * a1, 2 * a2, 0, 0, 0)
+    return tuple((p - value * d) / den for p, d in zip(dP, dden))
+
+
+def test_grad_q2_equals_the_hand_derived_partials():
+    rng = np.random.default_rng(14)
+    nums = rng.integers(-30, 31, size=(100, 5)).tolist()
+    dens = rng.integers(1, 13, size=(100, 5)).tolist()
+    points = [FCoefficients(*map(Fraction, row, col)) for row, col in zip(nums, dens)]
+    for eps in (Fraction(0), Fraction(1, 48), Fraction(1, 36), Fraction(1, 24), Fraction(1, 16)):
+        for c in points:
+            grad = grad_q2(c, eps)
+            assert all(type(g) is Fraction for g in grad)
+            assert grad == hand_grad_q2(c, eps)
 
 
 def test_optimize_q2_supercritical_eps_returns_reference_point():
