@@ -284,21 +284,20 @@ def optimal_b(a1, a2):
 def grad_q2(c: FCoefficients, eps):
     """Gradient of q2 in (a1, a2, b1, b2, b3), exact for rational input.
 
-    P = q2_numerator is quadratic, so each partial dP/dx is the central
-    difference (P(x + e) - P(x - e)) / 2 along the unit vector e, exactly;
-    with den = 1 + a1^2 + a2^2 the quotient rule gives
-    dq2/dx = (dP/dx - q2 * dden/dx) / den.
+    With den = 1 + a1^2 + a2^2 and v = q2(c, eps), the polynomial
+    G = q2_numerator - v * den vanishes at c and is quadratic, so its
+    partials are the central differences (G(c + e) - G(c - e)) / 2 along the
+    unit vectors e, exactly; by the quotient rule dq2/dx = (dG/dx) / den.
     """
     x = c.astuple()
     value = q2(c, eps)
 
-    def shifted(k, step):
-        return q2_numerator(FCoefficients(*x[:k], x[k] + step, *x[k + 1:]), eps)
+    def g(k, step):
+        y = FCoefficients(*x[:k], x[k] + step, *x[k + 1:])
+        return q2_numerator(y, eps) - value * _den(y)
 
-    dP = [exact_div(shifted(k, 1) - shifted(k, -1), 2) for k in range(5)]
-    dden = (2 * c.a1, 2 * c.a2, 0, 0, 0)
     den = _den(c)
-    return tuple((p - value * d) / den for p, d in zip(dP, dden))
+    return tuple(exact_div(g(k, 1) - g(k, -1), 2) / den for k in range(5))
 
 
 def random_coefficients(count, seed, den=12):
