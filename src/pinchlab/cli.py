@@ -111,7 +111,9 @@ def _apply_config_file(parser, args, argv):
              if hasattr(args, a.dest)}
     for key, value in data.items():
         attr = key.replace("-", "_")
-        if attr in flags and attr not in explicit:
+        if attr not in flags:
+            raise ValueError(f"config {key!r}: {args.command} has no such flag")
+        if attr not in explicit:
             setattr(args, attr, _config_value(key, flags[attr], value))
     return args
 

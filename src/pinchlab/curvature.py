@@ -8,7 +8,8 @@ the round sphere is positively curved.
 
 Two arithmetic modes are supported: exact Fractions ("rational") for identity
 checks and float64 ("float") for sampling and optimization campaigns.  A
-tensor carries its mode and mixed-mode operations are rejected.
+tensor's dimension and mode are those of its component array (mode_of), and
+mixed-mode operations are rejected.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .scalars import (
     ArithmeticModeError,
     check_mode,
     join_modes,
+    mode_of,
     scalar_to_json,
 )
 
@@ -75,7 +77,7 @@ _SYMMETRIES = {
 }
 
 
-def check_symmetries(comp, mode):
+def check_symmetries(comp):
     """Raise SymmetryError unless every tensor of the stack comp has the
     _SYMMETRIES of its shape: a stack (k, n, n) must be symmetric, a stack
     (k, n, n, n, n) antisymmetric in its first and its last index pair, pair
@@ -83,9 +85,8 @@ def check_symmetries(comp, mode):
     rational mode, else up to SYMMETRY_RTOL times max(1, the tensor's
     largest component).  The error names the first failing tensor's index."""
     axes = tuple(range(1, comp.ndim))
-    scale = np.abs(comp).max(axis=axes, initial=0)
-    tol = (np.zeros(len(comp), dtype=object) if mode == RATIONAL
-           else SYMMETRY_RTOL * np.maximum(1.0, scale))
+    tol = (np.zeros(len(comp), dtype=object) if mode_of(comp) == RATIONAL
+           else SYMMETRY_RTOL * np.maximum(1.0, np.abs(comp).max(axis=axes, initial=0)))
     for what, residual in _SYMMETRIES[comp.ndim]:
         worst = np.abs(residual(comp)).max(axis=axes, initial=0)
         bad = np.nonzero(worst > tol)[0]
@@ -95,29 +96,41 @@ def check_symmetries(comp, mode):
                                 f"> tol {tol[k]}")
 
 
+class _Tensor:
+    """A tensor whose dimension n and arithmetic mode are read from its
+    component array comp, of ORDER axes of one length n >= MIN_N."""
+
+    @property
+    def n(self):
+        return self.comp.shape[0]
+
+    @property
+    def mode(self):
+        return mode_of(self.comp)
+
+    @classmethod
+    def from_components(cls, values, mode):
+        return cls(as_mode_array(values, mode))
+
+    def __post_init__(self):
+        order = self.ORDER
+        if self.comp.ndim != order or self.comp.shape != (self.n,) * order or self.n < self.MIN_N:
+            raise ValueError(f"component shape {self.comp.shape} is not "
+                             f"(n,) * {order} with n >= {self.MIN_N}")
+        check_symmetries(self.comp[None])
+        self.comp.setflags(write=False)
+
+
 # ---------------------------------------------------------------------------
 # Symmetric 2-tensors
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SymTensor2:
+class SymTensor2(_Tensor):
     """Symmetric n x n tensor (Ric, traceless Ric, the metric, Hessians)."""
 
-    n: int
-    mode: str
     comp: np.ndarray
-
-    def __post_init__(self):
-        check_mode(self.mode)
-        if self.comp.shape != (self.n, self.n):
-            raise ValueError("component shape mismatch")
-        check_symmetries(self.comp[None], self.mode)
-        self.comp.setflags(write=False)
-
-    @classmethod
-    def from_components(cls, values, mode):
-        a = as_mode_array(values, mode)
-        return cls(a.shape[0], mode, a)
+    ORDER, MIN_N = 2, 1
 
     @classmethod
     def identity(cls, n, mode):
@@ -125,7 +138,7 @@ class SymTensor2:
         one = Fraction(1) if mode == RATIONAL else 1.0
         for i in range(n):
             a[i, i] = one
-        return cls(n, mode, a)
+        return cls(a)
 
     def trace(self):
         return self.comp.trace()
@@ -144,7 +157,7 @@ def identity_metric(n, mode):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AlgCurvTensor:
+class AlgCurvTensor(_Tensor):
     """Pointwise algebraic curvature tensor R_ijkl, dense over {0..n-1}^4.
 
     Invariants (enforced on construction): antisymmetry in the first and the
@@ -152,23 +165,8 @@ class AlgCurvTensor:
     identity R_ijkl + R_iklj + R_iljk = 0.
     """
 
-    n: int
-    mode: str
     comp: np.ndarray
-
-    def __post_init__(self):
-        check_mode(self.mode)
-        if self.n < 3:
-            raise ValueError("dimension must be >= 3")
-        if self.comp.shape != (self.n,) * 4:
-            raise ValueError("component shape mismatch")
-        check_symmetries(self.comp[None], self.mode)
-        self.comp.setflags(write=False)
-
-    @classmethod
-    def from_components(cls, values, mode):
-        a = as_mode_array(values, mode)
-        return cls(a.shape[0], mode, a)
+    ORDER, MIN_N = 4, 3
 
     # -- serialization ------------------------------------------------------
 
@@ -203,7 +201,7 @@ class AlgCurvTensor:
                                  f"k < l within 0..{n - 1}")
             a, b = position[i, j], position[k, l]
             P[a, b] = P[b, a] = Fraction(raw) if mode == RATIONAL else float(raw)
-        return cls(n, mode, _from_pairs(P, n))
+        return cls(_from_pairs(P, n))
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +212,11 @@ def kulkarni_nomizu(h: SymTensor2, k: SymTensor2) -> AlgCurvTensor:
     """(h ^ k)_ijkl = h_ik k_jl + h_jl k_ik - h_il k_jk - h_jk k_il."""
     if h.n != k.n:
         raise ValueError("dimension mismatch in Kulkarni-Nomizu product")
-    mode = join_modes(h.mode, k.mode)
+    join_modes(h.mode, k.mode)
     a, b = h.comp, k.comp
     comp = (np.einsum("ik,jl->ijkl", a, b) + np.einsum("jl,ik->ijkl", a, b)
             - np.einsum("il,jk->ijkl", a, b) - np.einsum("jk,il->ijkl", a, b))
-    return AlgCurvTensor(h.n, mode, comp)
+    return AlgCurvTensor(comp)
 
 
 def constant_curvature(n, kappa, mode) -> AlgCurvTensor:
@@ -230,7 +228,7 @@ def constant_curvature(n, kappa, mode) -> AlgCurvTensor:
     one = Fraction(1) if mode == RATIONAL else 1.0
     unit[i, j, i, j] = unit[j, i, j, i] = one
     unit[i, j, j, i] = unit[j, i, i, j] = -one
-    return AlgCurvTensor(n, mode, (Fraction(kappa) if mode == RATIONAL else float(kappa)) * unit)
+    return AlgCurvTensor((Fraction(kappa) if mode == RATIONAL else float(kappa)) * unit)
 
 
 def ricci_stack(comp):
@@ -240,7 +238,7 @@ def ricci_stack(comp):
 
 
 def ricci(Rm: AlgCurvTensor) -> SymTensor2:
-    return SymTensor2(Rm.n, Rm.mode, ricci_stack(Rm.comp[None])[0])
+    return SymTensor2(ricci_stack(Rm.comp[None])[0])
 
 
 def scalar_stack(comp):
@@ -263,21 +261,16 @@ def traceless_ricci_stack(comp):
 
 
 def traceless_ricci(Rm: AlgCurvTensor) -> SymTensor2:
-    return SymTensor2(Rm.n, Rm.mode, traceless_ricci_stack(Rm.comp[None])[0])
+    return SymTensor2(traceless_ricci_stack(Rm.comp[None])[0])
 
 
 @dataclass(frozen=True)
 class CurvatureInvariants:
-    """The four scalars the pinching estimates are built from."""
+    """The three scalars the soliton identities are built from."""
 
     R: object            # scalar curvature
     ricNormSq: object    # |traceless Ric|^2
-    ricCubic: object     # tr(traceless Ric^3)
     lhs: object          # R_ijkl oR_ik oR_jl
-
-    def as_dict(self):
-        return {"R": self.R, "ricNormSq": self.ricNormSq,
-                "ricCubic": self.ricCubic, "lhs": self.lhs}
 
 
 def invariants(Rm: AlgCurvTensor) -> CurvatureInvariants:
@@ -285,7 +278,6 @@ def invariants(Rm: AlgCurvTensor) -> CurvatureInvariants:
     return CurvatureInvariants(
         R=scalar(Rm),
         ricNormSq=np.einsum("ij,ij", t, t),
-        ricCubic=np.einsum("ij,ik,jk", t, t, t),
         lhs=np.einsum("ijkl,ik,jl", Rm.comp, t, t),
     )
 
@@ -347,23 +339,20 @@ class ModifiedCurvature:
 
     epsilon: object
     rmBar: AlgCurvTensor
-    ricBar: SymTensor2
     rBar: object
 
 
 def modified_curvature(Rm: AlgCurvTensor, eps) -> ModifiedCurvature:
     n, mode = Rm.n, Rm.mode
     R = scalar(Rm)
-    g = identity_metric(n, mode)
     if mode == RATIONAL:
         eps = eps if isinstance(eps, Fraction) else Fraction(eps)
         shift = eps * R
     else:
         shift = float(eps) * R
-    rm_bar = AlgCurvTensor(n, mode, Rm.comp - shift * constant_curvature(n, 1, mode).comp)
-    ric_bar = SymTensor2(n, mode, ricci(Rm).comp - ((n - 1) * eps * R) * g.comp)
+    rm_bar = AlgCurvTensor(Rm.comp - shift * constant_curvature(n, 1, mode).comp)
     r_bar = (1 - n * (n - 1) * eps) * R
-    return ModifiedCurvature(eps, rm_bar, ric_bar, r_bar)
+    return ModifiedCurvature(eps, rm_bar, r_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +398,13 @@ def _from_pairs(M, n):
     return sign * M.reshape(*M.shape[:-2], M.shape[-2] * M.shape[-1])[..., index]
 
 
-def _bianchi_projection(M, n, mode):
+def _bianchi_projection(M, n):
     """The components of tensor_from_pair_operator for each operator of the
-    stack M (k, m, m), unvalidated; every entry is computed as for a stack
-    of one."""
+    stack M (k, m, m), in M's arithmetic, unvalidated; every entry is
+    computed as for a stack of one."""
     T = _from_pairs(M, n)
     cyc = T + T.transpose(0, 1, 3, 4, 2) + T.transpose(0, 1, 4, 2, 3)
-    comp = T - (cyc * Fraction(1, 3) if mode == RATIONAL else cyc / 3.0)
+    comp = T - (cyc * Fraction(1, 3) if mode_of(M) == RATIONAL else cyc / 3.0)
     i, j, _ = pair_basis(n)
     return _from_pairs(comp[:, i[:, None], j[:, None], i, j], n)
 
@@ -430,14 +419,14 @@ def tensor_from_pair_operator(M, n, mode) -> AlgCurvTensor:
     rebuilt, as from_json rebuilds it, from its generating entries: every
     entry is exactly plus or minus one of them.
     """
-    return AlgCurvTensor(n, mode, _bianchi_projection(as_mode_array(M, mode)[None], n, mode)[0])
+    return AlgCurvTensor(_bianchi_projection(as_mode_array(M, mode)[None], n)[0])
 
 
 def diagonal_tensor(sigma, n, mode) -> AlgCurvTensor:
     """The tensor whose only generating entries are R_ijij = sigma_ij over
     the pairs of pair_basis(n): a diagonal operator on bivectors, which
     satisfies the Bianchi identity as it stands."""
-    return AlgCurvTensor(n, mode, _from_pairs(as_mode_array(np.diag(sigma), mode), n))
+    return AlgCurvTensor(_from_pairs(as_mode_array(np.diag(sigma), mode), n))
 
 
 def _random_operator(n, seed, mode, scale):
@@ -473,6 +462,6 @@ def random_curvature_stack(n, seeds):
     M = np.empty((len(seeds), m, m))
     for k, seed in enumerate(seeds):
         M[k] = _random_operator(n, seed, FLOAT, 10)
-    comp = _bianchi_projection(M, n, FLOAT)
-    check_symmetries(comp, FLOAT)
+    comp = _bianchi_projection(M, n)
+    check_symmetries(comp)
     return comp

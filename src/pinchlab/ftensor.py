@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .curvature import FLOAT, RATIONAL, check_mode
-from .scalars import exact_div, scalar_to_json
+from .scalars import exact_div, mode_of, scalar_to_json
 
 
 @dataclass(frozen=True)
@@ -79,15 +79,21 @@ def check_gradient_constraints(S, w, tol=0):
 
 @dataclass(frozen=True)
 class GradientModel:
-    """Synthetic (S, w) pair: S_ijk models grad_k oRic_ij, w models grad R."""
+    """Synthetic (S, w) pair: S_ijk models grad_k oRic_ij, w models grad R.
+    Its dimension n and arithmetic mode are those of S."""
 
-    n: int
-    mode: str
     S: np.ndarray
     w: np.ndarray
 
+    @property
+    def n(self):
+        return len(self.S)
+
+    @property
+    def mode(self):
+        return mode_of(self.S)
+
     def __post_init__(self):
-        check_mode(self.mode)
         tol = 0 if self.mode == RATIONAL else 1e-12 * max(
             1.0, float(np.abs(np.asarray(self.S, dtype=float)).max()))
         check_gradient_constraints(self.S, self.w, tol)
@@ -149,9 +155,9 @@ def sample_gradient_model(n, seed, mode=FLOAT) -> GradientModel:
     integer draws, scaled to clear its denominators), with Fraction entries
     in rational mode and float64 entries in float mode."""
     S, w = integer_gradient_models(n, [seed])
-    if mode == RATIONAL:
-        return GradientModel(n, mode, _as_fractions(S[0]), _as_fractions(w[0]))
-    return GradientModel(n, mode, S[0].astype(float), w[0].astype(float))
+    if check_mode(mode) == RATIONAL:
+        return GradientModel(_as_fractions(S[0]), _as_fractions(w[0]))
+    return GradientModel(S[0].astype(float), w[0].astype(float))
 
 
 def f_basis(S, w):
@@ -183,15 +189,14 @@ def expansion_weights(a1, a2, b1, b2, b3, one=1):
     """
     quadratic = one * one + a1 * a1 + a2 * a2
     mixing = 2 * (one * a1 + one * a2 + a1 * a2)
-    bquad = (a1 * (b1 + b3) + a2 * (b1 + b2) + one * (b2 + b3)
-             + 8 * (b1 * b1 + b2 * b2 + b3 * b3)
-             + 4 * (b1 * b2 + b1 * b3 + b2 * b3))
-    return quadratic, mixing, bquad
+    return quadratic, mixing, b_quadratic(a1, a2, b1, b2, b3, one)
 
 
-def b_quadratic(c: FCoefficients):
-    """bquad of expansion_weights, the |grad R|^2 coefficient block."""
-    return expansion_weights(*c.astuple())[2]
+def b_quadratic(a1, a2, b1, b2, b3, one=1):
+    """bquad of expansion_weights, the |grad R|^2 coefficient block, alone."""
+    return (a1 * (b1 + b3) + a2 * (b1 + b2) + one * (b2 + b3)
+            + 8 * (b1 * b1 + b2 * b2 + b3 * b3)
+            + 4 * (b1 * b2 + b1 * b3 + b2 * b3))
 
 
 def f_norm_expansion(m: GradientModel, c: FCoefficients):
@@ -225,7 +230,7 @@ def _den(c: FCoefficients):
 
 def q1_numerator(c: FCoefficients):
     """(1 + a1^2 + a2^2) q1 = (a1 + a2 + a1 a2)/4 - b_quadratic, a polynomial."""
-    return exact_div(c.a1 + c.a2 + c.a1 * c.a2, 4) - b_quadratic(c)
+    return exact_div(c.a1 + c.a2 + c.a1 * c.a2, 4) - b_quadratic(*c.astuple())
 
 
 def q2_numerator(c: FCoefficients, eps):

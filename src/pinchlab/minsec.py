@@ -43,7 +43,6 @@ import numpy as np
 
 from .curvature import (
     AlgCurvTensor,
-    FLOAT,
     Plane,
     RATIONAL,
     check_symmetries,
@@ -51,7 +50,7 @@ from .curvature import (
     pair_basis,
     scalar_stack,
 )
-from .scalars import GAP_RTOL, is_rational
+from .scalars import GAP_RTOL, is_rational, mode_of
 
 
 class MinSectionalError(RuntimeError):
@@ -104,10 +103,6 @@ def pair_operator_stack(comp):
     i, j, _ = pair_basis(comp.shape[-1])
     comp = np.asarray(comp, dtype=float)
     return np.ascontiguousarray(comp[:, i[:, None], j[:, None], i, j])
-
-
-def _stack_mode(comp):
-    return RATIONAL if comp.dtype == object else FLOAT
 
 
 def _orthonormal_pairs(z, n):
@@ -659,7 +654,7 @@ def shift_to_pinching(Rm: AlgCurvTensor, eps, margin=0):
     shift_to_pinching_stack."""
     comp = Rm.comp[None]
     shifted, lower, upper = shift_to_pinching_stack(comp, eps, margin, solve_dual_stack(comp))
-    return AlgCurvTensor(Rm.n, Rm.mode, shifted[0]), float(lower[0]), float(upper[0])
+    return AlgCurvTensor(shifted[0]), float(lower[0]), float(upper[0])
 
 
 def shift_to_pinching_stack(comp, eps, margin, solution):
@@ -690,8 +685,7 @@ def shift_by(Rm: AlgCurvTensor, eps, min_sec, margin=0) -> AlgCurvTensor:
     """Rm' = Rm + c I on bivectors solving min Sec(Rm') = eps R' (+ margin
     slack) for a tensor whose min Sec is min_sec: the stack of one of
     shift_by_stack."""
-    return AlgCurvTensor(Rm.n, Rm.mode,
-                         shift_by_stack(Rm.comp[None], eps, np.array([min_sec]), margin)[0])
+    return AlgCurvTensor(shift_by_stack(Rm.comp[None], eps, np.array([min_sec]), margin)[0])
 
 
 def shift_by_stack(comp, eps, min_sec, margin=0):
@@ -699,7 +693,7 @@ def shift_by_stack(comp, eps, min_sec, margin=0):
     mode, whose min Sec is min_sec (k,); the shifted stack is validated.
     Both sides move with c: sigma -> sigma + c and R -> R + n(n-1) c, and
     Rhat -> Rhat + c I."""
-    n, mode = comp.shape[-1], _stack_mode(comp)
+    n, mode = comp.shape[-1], mode_of(comp)
     require_subcritical(n, eps)
     R = np.asarray(scalar_stack(comp), dtype=float)
     c = (float(eps) * R - np.asarray(min_sec, dtype=float)) / (
@@ -707,5 +701,5 @@ def shift_by_stack(comp, eps, min_sec, margin=0):
     if mode == RATIONAL:   # exact dyadic conversion of the float shift
         c = np.array([Fraction(v) for v in c.tolist()], dtype=object)
     shifted = comp + c[:, None, None, None, None] * constant_curvature(n, 1, mode).comp
-    check_symmetries(shifted, mode)
+    check_symmetries(shifted)
     return shifted

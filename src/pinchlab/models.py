@@ -38,17 +38,20 @@ CYLINDRICAL = "cylindrical"  # f = lambda * t^2 / 2 along the line factor
 @dataclass(frozen=True)
 class ModelGeometry:
     name: str
-    n: int
     Rm: AlgCurvTensor
     solitonConstant: object          # None when no closed-form potential exists
     potentialKind: str | None
     hessian: SymTensor2 | None       # closed-form Hessian of the potential
-    einstein: bool
     minSecClosedForm: object         # exact minimal sectional curvature
 
-    def __post_init__(self):
-        if self.einstein and traceless_ricci(self.Rm).norm_sq() != 0:
-            raise ValueError(f"{self.name}: einstein flag contradicts oRic != 0")
+    @property
+    def n(self):
+        return self.Rm.n
+
+    @property
+    def einstein(self):
+        """Whether Rm is Einstein: its traceless Ricci tensor vanishes."""
+        return traceless_ricci(self.Rm).norm_sq() == 0
 
 
 def sphere(n=4, kappa=Fraction(1)):
@@ -57,11 +60,10 @@ def sphere(n=4, kappa=Fraction(1)):
     kappa = Fraction(kappa)
     lam = (n - 1) * kappa
     return ModelGeometry(
-        name=f"sphere({n},{kappa})", n=n,
+        name=f"sphere({n},{kappa})",
         Rm=constant_curvature(n, kappa, RATIONAL),
         solitonConstant=lam, potentialKind=CONSTANT,
-        hessian=SymTensor2(n, RATIONAL, zeros((n, n), RATIONAL)),
-        einstein=True, minSecClosedForm=kappa)
+        hessian=SymTensor2(zeros((n, n), RATIONAL)), minSecClosedForm=kappa)
 
 
 def flat(n=4, lam=Fraction(1, 2)):
@@ -69,11 +71,9 @@ def flat(n=4, lam=Fraction(1, 2)):
     lam = Fraction(lam)
     hess = identity_metric(n, RATIONAL).comp * lam
     return ModelGeometry(
-        name=f"flat({n})", n=n,
-        Rm=AlgCurvTensor(n, RATIONAL, zeros((n,) * 4, RATIONAL)),
+        name=f"flat({n})", Rm=AlgCurvTensor(zeros((n,) * 4, RATIONAL)),
         solitonConstant=lam, potentialKind=GAUSSIAN,
-        hessian=SymTensor2(n, RATIONAL, hess),
-        einstein=True, minSecClosedForm=Fraction(0))
+        hessian=SymTensor2(hess), minSecClosedForm=Fraction(0))
 
 
 def product_spheres(kappa1=Fraction(1), kappa2=Fraction(1)):
@@ -85,12 +85,11 @@ def product_spheres(kappa1=Fraction(1), kappa2=Fraction(1)):
     kappa1, kappa2 = Fraction(kappa1), Fraction(kappa2)
     einstein = kappa1 == kappa2
     return ModelGeometry(
-        name=f"product_spheres({kappa1},{kappa2})", n=4,
+        name=f"product_spheres({kappa1},{kappa2})",
         Rm=diagonal_tensor([kappa1, 0, 0, 0, 0, kappa2], 4, RATIONAL),   # pairs 01 and 23
         solitonConstant=kappa1 if einstein else None,
         potentialKind=CONSTANT if einstein else None,
-        hessian=SymTensor2(4, RATIONAL, zeros((4, 4), RATIONAL)) if einstein else None,
-        einstein=einstein,
+        hessian=SymTensor2(zeros((4, 4), RATIONAL)) if einstein else None,
         minSecClosedForm=min(Fraction(0), kappa1, kappa2))  # mixed planes are flat
 
 
@@ -111,11 +110,9 @@ def fubini_study_cp2():
             + np.einsum("ik,jl->ijkl", J, J) - np.einsum("il,jk->ijkl", J, J)
             + 2 * np.einsum("ij,kl->ijkl", J, J))
     return ModelGeometry(
-        name="fubini_study_cp2", n=4,
-        Rm=AlgCurvTensor(4, RATIONAL, comp),
+        name="fubini_study_cp2", Rm=AlgCurvTensor(comp),
         solitonConstant=Fraction(6), potentialKind=CONSTANT,
-        hessian=SymTensor2(4, RATIONAL, zeros((4, 4), RATIONAL)),
-        einstein=True, minSecClosedForm=Fraction(1))
+        hessian=SymTensor2(zeros((4, 4), RATIONAL)), minSecClosedForm=Fraction(1))
 
 
 def round_cylinder_s3xr():
@@ -123,11 +120,10 @@ def round_cylinder_s3xr():
     hess = zeros((4, 4), RATIONAL)
     hess[3, 3] = Fraction(2)
     return ModelGeometry(
-        name="round_cylinder_s3xr", n=4,
+        name="round_cylinder_s3xr",
         Rm=diagonal_tensor([1, 1, 0, 1, 0, 0], 4, RATIONAL),   # the planes 01, 02, 12 of S^3
         solitonConstant=Fraction(2), potentialKind=CYLINDRICAL,
-        hessian=SymTensor2(4, RATIONAL, hess),
-        einstein=False, minSecClosedForm=Fraction(0))
+        hessian=SymTensor2(hess), minSecClosedForm=Fraction(0))
 
 
 _REGISTRY = {

@@ -26,7 +26,6 @@ from .curvature import (
     FLOAT,
     RATIONAL,
     as_mode_array,
-    check_mode,
     diagonal_tensor,
     pair_basis,
     random_curvature_stack,
@@ -49,7 +48,7 @@ from .minsec import (
     solve_dual_stack,
 )
 from .scalars import (GAP_RTOL, MODES, exact_div, exact_lane, is_rational, lane_array,
-                      scalar_to_json)
+                      mode_of, scalar_to_json)
 
 DISTRIBUTIONS = ("half-normal", "uniform", "sparse")   # of the shifted curvatures sb
 
@@ -78,16 +77,22 @@ class PinchingParams:
 @dataclass(frozen=True)
 class SigmaProfile:
     """Eigenbasis model: lambda_i, sigma_ij, R, with the consistency relations
-    sum lambda = 0,  lambda_k + R/n = sum_{i != k} sigma_ik,  R = sum sigma."""
+    sum lambda = 0,  lambda_k + R/n = sum_{i != k} sigma_ik,  R = sum sigma.
+    Its dimension n and arithmetic mode are those of sigma."""
 
-    n: int
-    mode: str
     sigma: np.ndarray    # symmetric, zero diagonal
     lam: np.ndarray
     R: object
 
+    @property
+    def n(self):
+        return len(self.sigma)
+
+    @property
+    def mode(self):
+        return mode_of(self.sigma)
+
     def __post_init__(self):
-        check_mode(self.mode)
         tol = 0 if self.mode == RATIONAL else 1e-10 * max(1.0, abs(float(self.R)))
         if any(self.sigma[i, i] != 0 for i in range(self.n)):
             raise ValueError("sigma diagonal must vanish")
@@ -134,7 +139,7 @@ def profile_from_sigma_bar(n, sb_pairs, eps, mode):
     sigma = zeros((n, n), mode)
     i, j, _ = _incidence(n)
     sigma[i, j] = sigma[j, i] = sig[0]
-    return SigmaProfile(n, mode, sigma, lam[0], R[0])
+    return SigmaProfile(sigma, lam[0], R[0])
 
 
 def _assemble(n, sb, eps):
@@ -661,7 +666,7 @@ def _tensor_combo(n, eps, config: CampaignConfig):
     summary = _gap_summary(rows, sb, s_list)
     lap("gaps")
     dumps = [dict(v, n=n, eps=scalar_to_json(Fraction(eps)), lane="tensor",
-                  tensor=AlgCurvTensor(n, FLOAT, shifted[v["index"]].copy()).to_json())
+                  tensor=AlgCurvTensor(shifted[v["index"]].copy()).to_json())
              for v in summary.pop("violations")]
     return {
         "n": n, "eps": scalar_to_json(Fraction(eps)), "kind": "tensor", "count": count,

@@ -30,6 +30,14 @@ def check_mode(mode):
     return mode
 
 
+def mode_of(array):
+    """The arithmetic of an array: RATIONAL for an object array (Fractions),
+    FLOAT for float64; any other dtype raises ArithmeticModeError."""
+    if array.dtype not in (object, np.float64):
+        raise ArithmeticModeError(f"no arithmetic mode holds dtype {array.dtype}")
+    return RATIONAL if array.dtype == object else FLOAT
+
+
 def join_modes(*modes):
     modes = {check_mode(m) for m in modes}
     if len(modes) != 1:

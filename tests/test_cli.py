@@ -290,6 +290,19 @@ def test_config_value_its_flag_refuses_is_usage_error(capsys, tmp_path, data, ke
     assert re.fullmatch(rf"error: config '{key}': [^\n]*\n", capsys.readouterr().err)
 
 
+def test_config_key_naming_no_flag_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cont": 7}))
+    code = main(["verify-estimates", "--config", str(cfg)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "error: config 'cont': verify-estimates has no such flag\n"
+    cfg.write_text(json.dumps({"count": 5}))
+    code, out = run(capsys, ["verify-estimates", "--config", str(cfg)])
+    assert code == EXIT_OK
+    assert json.loads(out)["config"]["count"] == 5
+
+
 def test_cli_and_the_tensor_campaign_never_import_scipy(tmp_path):
     # only the tests' search oracle (search_min_sectional) imports scipy, on
     # first use, so the runtime keeps its import time and memory out of the

@@ -97,7 +97,32 @@ def test_symmetry_violation_detected():
     comp = np.zeros((4, 4, 4, 4))
     comp[0, 1, 0, 1] = 1.0   # missing the antisymmetric partners
     with pytest.raises(SymmetryError):
-        AlgCurvTensor(4, FLOAT, comp)
+        AlgCurvTensor(comp)
+
+
+def test_mode_and_dimension_are_read_from_the_components():
+    Rm = AlgCurvTensor(np.array(random_curvature(4, 3, FLOAT).comp))
+    assert (Rm.n, Rm.mode) == (4, FLOAT)
+    assert json.loads(Rm.to_json())["mode"] == FLOAT
+    exact = AlgCurvTensor(np.array(random_curvature(3, 3, RATIONAL).comp))
+    assert (exact.n, exact.mode) == (3, RATIONAL)
+    assert json.loads(exact.to_json())["mode"] == RATIONAL
+    assert isinstance(scalar(exact), Fraction)
+    assert ricci(exact).mode == RATIONAL and ricci(Rm).mode == FLOAT
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_components_of_no_arithmetic_mode_rejected(dtype):
+    with pytest.raises(ArithmeticModeError):
+        AlgCurvTensor(np.zeros((4,) * 4, dtype=dtype))
+    with pytest.raises(ArithmeticModeError):
+        SymTensor2(np.eye(3, dtype=dtype))
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (4, 4, 4, 3), (4, 4, 4), (4, 3), (4,)])
+def test_components_of_wrong_shape_rejected(shape):
+    with pytest.raises(ValueError, match="is not \\(n,\\) \\* "):
+        (AlgCurvTensor if len(shape) > 2 else SymTensor2)(np.zeros(shape))
 
 
 def test_symtensor_rejects_asymmetric():
@@ -210,27 +235,27 @@ def test_modified_curvature_rational_exact():
 def test_symmetry_validator_names_the_corrupted_tensor():
     from pinchlab.curvature import check_symmetries, random_curvature_stack
     comp = random_curvature_stack(4, [[31, 4, idx] for idx in range(6)])
-    check_symmetries(comp, FLOAT)
+    check_symmetries(comp)
     for idx, seed in enumerate([[31, 4, idx] for idx in range(6)]):
         assert np.array_equal(comp[idx], random_curvature(4, seed, FLOAT).comp)
     comp[3, 0, 1, 2, 3] += 1e-6   # breaks the symmetries of tensor 3 only
     with pytest.raises(SymmetryError, match="^tensor 3: "):
-        check_symmetries(comp, FLOAT)
+        check_symmetries(comp)
     # the per-tensor scale: a residual far below one tensor's tolerance is
     # caught in a smaller tensor of the same stack
     comp[3, 0, 1, 2, 3] -= 1e-6
     comp[0] *= 1e9
     comp[5, 0, 1, 0, 1] += 1e-10
     with pytest.raises(SymmetryError, match="^tensor 5: antisymmetry"):
-        check_symmetries(comp, FLOAT)
+        check_symmetries(comp)
     with pytest.raises(SymmetryError, match="^tensor 0: antisymmetry"):
-        AlgCurvTensor(4, FLOAT, np.array(comp[5]))
+        AlgCurvTensor(np.array(comp[5]))
 
 
 def test_symmetry_validator_is_exact_in_rational_mode():
     from pinchlab.curvature import check_symmetries
     comp = np.stack([random_curvature(3, seed, RATIONAL).comp for seed in range(3)])
-    check_symmetries(comp, RATIONAL)
+    check_symmetries(comp)
     comp[1, 0, 1, 0, 1] += Fraction(1, 10 ** 30)
     with pytest.raises(SymmetryError, match="^tensor 1: antisymmetry"):
-        check_symmetries(comp, RATIONAL)
+        check_symmetries(comp)

@@ -28,7 +28,7 @@ from pinchlab.ftensor import (
     sample_gradient_model,
 )
 from pinchlab.reports import report_digest
-from pinchlab.scalars import exact_div
+from pinchlab.scalars import ArithmeticModeError, exact_div
 
 
 def test_bianchi_constant():
@@ -49,7 +49,17 @@ def test_sample_gradient_model_constraints(mode):
 def test_gradient_model_rejects_bad_contraction():
     m = sample_gradient_model(4, 1, RATIONAL)
     with pytest.raises(ValueError):
-        GradientModel(4, RATIONAL, m.S.copy(), m.w + Fraction(1))
+        GradientModel(m.S.copy(), m.w + Fraction(1))
+
+
+def test_gradient_model_mode_is_read_from_S():
+    exact, floats = sample_gradient_model(4, 2, RATIONAL), sample_gradient_model(4, 2, FLOAT)
+    assert (exact.n, exact.mode) == (4, RATIONAL)
+    assert (floats.n, floats.mode) == (4, FLOAT)
+    with pytest.raises(ArithmeticModeError):
+        GradientModel(floats.S.astype(np.int64), floats.w.astype(np.int64))
+    with pytest.raises(ArithmeticModeError):
+        sample_gradient_model(4, 2, "exact")
 
 
 def test_rational_models_are_integer_valued():

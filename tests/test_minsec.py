@@ -211,7 +211,7 @@ def test_dual_rejects_non_finite_components():
     comp[0, 1, 0, 1] = comp[1, 0, 1, 0] = np.nan
     comp[0, 1, 1, 0] = comp[1, 0, 0, 1] = np.nan
     with pytest.raises(ValueError):
-        dual_min_sectional(AlgCurvTensor(4, FLOAT, comp))
+        dual_min_sectional(AlgCurvTensor(comp))
 
 
 # ---------------------------------------------------------------------------

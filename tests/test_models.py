@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -136,8 +137,11 @@ def test_thresholds_compare_min_sec_with_eps_R_for_negative_R():
     assert [row[k] for k in row if k.startswith("meets[")] == [False] * 4
 
 
-def test_einstein_flag_contradiction_rejected():
-    import dataclasses
-    m = round_cylinder_s3xr()
-    with pytest.raises(ValueError):
-        dataclasses.replace(m, einstein=True)
+def test_einstein_is_read_from_the_curvature():
+    for m in default_models() + [product_spheres(1, 2)]:
+        assert m.einstein == (traceless_ricci(m.Rm).norm_sq() == 0)
+        assert m.n == m.Rm.n == 4
+    assert [m.einstein for m in default_models()] == [True] * 4 + [False]
+    cylinder = round_cylinder_s3xr()
+    assert dataclasses.replace(cylinder, Rm=sphere(4, 1).Rm).einstein
+    assert not dataclasses.replace(sphere(4, 1), Rm=cylinder.Rm).einstein

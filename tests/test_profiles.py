@@ -52,12 +52,20 @@ def test_sampler_rejects_degenerate_eps():
         sample_sigma_profile(4, Fraction(1, 12), 0, RATIONAL)
 
 
+def test_profile_mode_is_read_from_sigma():
+    for mode in (RATIONAL, FLOAT):
+        p = sample_sigma_profile(4, 0, 5, mode)
+        assert (p.n, p.mode, p.as_dict()["mode"]) == (4, mode, mode)
+    with pytest.raises(scalars.ArithmeticModeError):
+        SigmaProfile(p.sigma.astype(np.float32), p.lam.astype(np.float32), p.R)
+
+
 def test_profile_consistency_enforced():
     p = sample_sigma_profile(4, 0, 5, RATIONAL)
     sigma = np.array(p.sigma, dtype=object).copy()
     sigma[0, 1] = sigma[0, 1] + 1   # breaks mu_k and the R sum
     with pytest.raises(ValueError):
-        SigmaProfile(4, RATIONAL, sigma, p.lam.copy(), p.R)
+        SigmaProfile(sigma, p.lam.copy(), p.R)
 
 
 def test_equno_identity_exact_rational():

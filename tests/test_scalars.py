@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pinchlab.scalars import (
@@ -10,6 +11,7 @@ from pinchlab.scalars import (
     exact_div,
     is_rational,
     join_modes,
+    mode_of,
     parse_scalar,
     scalar_to_json,
 )
@@ -60,3 +62,11 @@ def test_scalar_to_json():
     assert scalar_to_json(7) == "7"
     assert scalar_to_json(0.5) == 0.5
     assert scalar_to_json(True) is True
+
+
+def test_mode_of_reads_the_dtype():
+    assert mode_of(np.array([Fraction(1, 3)], dtype=object)) == RATIONAL
+    assert mode_of(np.zeros(2)) == FLOAT
+    for dtype in (np.int64, np.float32, np.complex128):
+        with pytest.raises(ArithmeticModeError, match=np.dtype(dtype).name):
+            mode_of(np.zeros(2, dtype=dtype))
