@@ -13,7 +13,6 @@ from .curvature import (  # noqa: F401
     coordinate_plane,
     identity_metric,
     invariants,
-    kulkarni_nomizu,
     modified_curvature,
     random_curvature,
     ricci,

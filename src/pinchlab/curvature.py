@@ -6,37 +6,38 @@ convention is fixed so that the constant-curvature-kappa tensor has sectional
 curvature kappa on every plane and sigma_ij = R_ijij on coordinate planes;
 the round sphere is positively curved.
 
+A curvature tensor is stored as its curvature operator on bivectors: the
+symmetric (m, m) matrix rhat, m = n(n-1)/2, with rhat[a, b] = R_ijkl for the
+pairs a = (i, j), b = (k, l) of pair_basis(n).  A symmetric operator is a
+curvature operator exactly when it is orthogonal to Lambda^4 (A. Besse,
+Einstein Manifolds, 1987, ch. 1), so the first Bianchi identity is its one
+check besides symmetry; the antisymmetries and pair symmetry of R_ijkl hold
+by construction.
+
 Two arithmetic modes are supported: exact Fractions ("rational") for identity
 checks and float64 ("float") for sampling and optimization campaigns.  A
-tensor's dimension and mode are those of its component array (mode_of), and
-mixed-mode operations are rejected.
+tensor's dimension and mode are those of its array (mode_of).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from .scalars import (
-    FLOAT,
-    RATIONAL,
-    ArithmeticModeError,
-    check_mode,
-    join_modes,
-    mode_of,
-    scalar_to_json,
-)
+from .scalars import FLOAT, RATIONAL, check_mode, mode_of, scalar_to_json
 
 SYMMETRY_RTOL = 1e-14   # float mode; rational mode symmetries must hold exactly
 PLANE_TOL = 1e-12
 
 
 class SymmetryError(ValueError):
-    """Component array violates a curvature-tensor symmetry."""
+    """An array violates a symmetry of its kind of tensor."""
 
 
 class PlaneError(ValueError):
@@ -44,61 +45,149 @@ class PlaneError(ValueError):
 
 
 def zeros(shape, mode):
-    check_mode(mode)
-    if mode == RATIONAL:
-        a = np.empty(shape, dtype=object)
-        a[...] = Fraction(0)
-        return a
+    if check_mode(mode) == RATIONAL:
+        return np.full(shape, Fraction(0), dtype=object)
     return np.zeros(shape)
 
 
+def eye(size, mode):
+    """The size x size identity in the arithmetic of mode."""
+    a = zeros((size, size), mode)
+    np.fill_diagonal(a, Fraction(1) if mode == RATIONAL else 1.0)
+    return a
+
+
 def as_mode_array(values, mode):
-    check_mode(mode)
-    if mode == RATIONAL:
-        a = np.empty(np.shape(values), dtype=object)
-        flat = a.reshape(-1)
-        src = np.asarray(values, dtype=object).reshape(-1)
-        for idx, v in enumerate(src):
-            flat[idx] = v if isinstance(v, Fraction) else Fraction(v)
-        return a
+    if check_mode(mode) == RATIONAL:
+        return np.vectorize(Fraction, otypes=[object])(np.asarray(values, dtype=object))
     return np.asarray(values, dtype=float)
 
 
-# The symmetries each tensor of a stack must have, by the stack's ndim: a
-# stack (k, n, n) of symmetric 2-tensors or (k, n, n, n, n) of curvature
-# tensors.  Each residual vanishes exactly when its symmetry holds.
-_SYMMETRIES = {
-    3: (("symmetry S_ij = S_ji", lambda c: c - c.transpose(0, 2, 1)),),
-    5: (("antisymmetry R_ijkl = -R_jikl", lambda c: c + c.transpose(0, 2, 1, 3, 4)),
-        ("antisymmetry R_ijkl = -R_ijlk", lambda c: c + c.transpose(0, 1, 2, 4, 3)),
-        ("pair symmetry R_ijkl = R_klij", lambda c: c - c.transpose(0, 3, 4, 1, 2)),
-        ("first Bianchi identity",
-         lambda c: c + c.transpose(0, 1, 3, 4, 2) + c.transpose(0, 1, 4, 2, 3))),
-}
+# ---------------------------------------------------------------------------
+# Bivectors
+# ---------------------------------------------------------------------------
+
+@cache   # read-only, so one copy serves every caller
+def pair_basis(n):
+    """The basis e_i ^ e_j, i < j, of the bivectors of R^n, in lexicographic
+    order: arrays (i, j, position) with i[a], j[a] the pair of basis vector
+    a and position (n, n) its inverse, position[i, j] = position[j, i] = a
+    (0 on the diagonal, which belongs to no pair)."""
+    i, j = np.triu_indices(n, 1)
+    position = np.zeros((n, n), dtype=np.intp)
+    position[i, j] = position[j, i] = np.arange(len(i))
+    for a in (i, j, position):
+        a.setflags(write=False)
+    return i, j, position
 
 
-def check_symmetries(comp):
-    """Raise SymmetryError unless every tensor of the stack comp has the
-    _SYMMETRIES of its shape: a stack (k, n, n) must be symmetric, a stack
-    (k, n, n, n, n) antisymmetric in its first and its last index pair, pair
-    symmetric and satisfy the first Bianchi identity.  They hold exactly in
-    rational mode, else up to SYMMETRY_RTOL times max(1, the tensor's
-    largest component).  The error names the first failing tensor's index."""
-    axes = tuple(range(1, comp.ndim))
-    tol = (np.zeros(len(comp), dtype=object) if mode_of(comp) == RATIONAL
-           else SYMMETRY_RTOL * np.maximum(1.0, np.abs(comp).max(axis=axes, initial=0)))
-    for what, residual in _SYMMETRIES[comp.ndim]:
-        worst = np.abs(residual(comp)).max(axis=axes, initial=0)
-        bad = np.nonzero(worst > tol)[0]
-        if len(bad):
-            k = bad[0]
-            raise SymmetryError(f"tensor {k}: {what} violated: residual {worst[k]} "
-                                f"> tol {tol[k]}")
+def pair_dimension(m):
+    """The n with m = n(n-1)/2 pairs; ValueError for any other m."""
+    n = (1 + math.isqrt(1 + 8 * m)) // 2
+    if n * (n - 1) // 2 != m:
+        raise ValueError(f"m = {m} is not n(n-1)/2 for any n")
+    return n
 
 
-class _Tensor:
-    """A tensor whose dimension n and arithmetic mode are read from its
-    component array comp, of ORDER axes of one length n >= MIN_N."""
+def bivector(x, y):
+    """x ^ y in the pair basis, over the last axis of x and y.  take, unlike
+    x[..., i], returns a C-contiguous array, and einsum sums a strided row
+    in another order."""
+    i, j, _ = pair_basis(x.shape[-1])
+    return x.take(i, -1) * y.take(j, -1) - x.take(j, -1) * y.take(i, -1)
+
+
+def wedge_map(x):
+    """A_x, the (m, n) matrix of y -> x ^ y in the pair basis, in x's dtype:
+    A_x^T rhat A_x is the matrix R(x, ., x, .)."""
+    i, j, _ = pair_basis(len(x))
+    a = np.arange(len(i))
+    A = np.zeros((len(i), len(x)), dtype=x.dtype)
+    A[a, j], A[a, i] = x[i], -x[j]
+    return A
+
+
+@cache   # read-only, so one copy serves every caller
+def _pairings(n):
+    """The three pairings (pq, rs), (pr, qs), (ps, qr) of each 4-subset
+    p < q < r < s of range(n), in combinations order, as positions in
+    pair_basis(n): read-only arrays (rows, cols), each (3, C(n, 4)), with
+    rows < cols.  No two pairings of any subsets share an entry."""
+    p, q, r, s = np.array(list(combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4).T
+    _, _, position = pair_basis(n)
+    rows = np.stack([position[p, q], position[p, r], position[p, s]])
+    cols = np.stack([position[r, s], position[q, s], position[q, r]])
+    for a in (rows, cols):
+        a.setflags(write=False)
+    return rows, cols
+
+
+@cache
+def four_form_basis(n):
+    """Lambda^4 acting on bivectors, one read-only (m, m) matrix per 4-subset
+    p < q < r < s of the pair_basis: M[ab, cd] = sign of the permutation
+    (a, b, c, d) of (p, q, r, s), that is +1, -1, +1 on the pairings
+    (pq, rs), (pr, qs), (ps, qr) of _pairings and their transposes.
+    <w, M w> is twice the Pluecker quadric w_pq w_rs - w_pr w_qs + w_ps w_qr,
+    which vanishes on planes.  Shape (C(n, 4), m, m); none for n <= 3."""
+    rows, cols = _pairings(n)
+    m = n * (n - 1) // 2
+    q = np.arange(rows.shape[1])
+    basis = np.zeros((len(q), m, m))
+    for a, b, sign in zip(rows, cols, (1, -1, 1)):
+        basis[q, a, b] = basis[q, b, a] = sign
+    basis.setflags(write=False)
+    return basis
+
+
+# ---------------------------------------------------------------------------
+# Validation
+# ---------------------------------------------------------------------------
+
+def _require_small(stack, residual, what):
+    """Raise SymmetryError naming the first matrix k of the stack (k, n, n)
+    whose residual (k, ...) is not zero: exactly in rational mode, else up to
+    SYMMETRY_RTOL times max(1, the matrix's largest entry)."""
+    tol = (np.zeros(len(stack), dtype=object) if mode_of(stack) == RATIONAL
+           else SYMMETRY_RTOL * np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0)))
+    worst = np.abs(residual).max(axis=tuple(range(1, residual.ndim)), initial=0)
+    bad = np.nonzero(worst > tol)[0]
+    if len(bad):
+        k = bad[0]
+        raise SymmetryError(f"tensor {k}: {what} violated: residual {worst[k]} "
+                            f"> tol {tol[k]}")
+
+
+def bianchi_sums(rhat):
+    """R_pqrs + R_prsq + R_psqr = A - B + C over the 4-subsets of _pairings,
+    A, B, C the entries of its three pairings, for each operator of the stack
+    rhat (k, m, m): an array (k, C(n, 4)).  It is <rhat, M>/2 for the
+    subset's four_form_basis matrix M and vanishes, for every subset, exactly
+    when a symmetric rhat satisfies the first Bianchi identity."""
+    rows, cols = _pairings(pair_dimension(rhat.shape[-1]))
+    A, B, C = (rhat[:, a, b] for a, b in zip(rows, cols))
+    return A - B + C
+
+
+def check_curvature_operators(rhat):
+    """Raise SymmetryError unless every operator of the stack rhat (k, m, m)
+    is symmetric and satisfies the first Bianchi identity (bianchi_sums),
+    the only symmetries a curvature operator does not have by construction.
+    The error names the first failing operator's index."""
+    _require_small(rhat, rhat - rhat.transpose(0, 2, 1), "operator symmetry")
+    _require_small(rhat, bianchi_sums(rhat), "first Bianchi identity")
+
+
+# ---------------------------------------------------------------------------
+# Symmetric 2-tensors
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SymTensor2:
+    """Symmetric n x n tensor (Ric, traceless Ric, the metric, Hessians),
+    whose dimension and mode are read from comp."""
+
+    comp: np.ndarray
 
     @property
     def n(self):
@@ -113,32 +202,11 @@ class _Tensor:
         return cls(as_mode_array(values, mode))
 
     def __post_init__(self):
-        order = self.ORDER
-        if self.comp.ndim != order or self.comp.shape != (self.n,) * order or self.n < self.MIN_N:
-            raise ValueError(f"component shape {self.comp.shape} is not "
-                             f"(n,) * {order} with n >= {self.MIN_N}")
-        check_symmetries(self.comp[None])
+        shape = self.comp.shape
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
+            raise ValueError(f"component shape {shape} is not (n, n) with n >= 1")
+        _require_small(self.comp[None], (self.comp - self.comp.T)[None], "symmetry S_ij = S_ji")
         self.comp.setflags(write=False)
-
-
-# ---------------------------------------------------------------------------
-# Symmetric 2-tensors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SymTensor2(_Tensor):
-    """Symmetric n x n tensor (Ric, traceless Ric, the metric, Hessians)."""
-
-    comp: np.ndarray
-    ORDER, MIN_N = 2, 1
-
-    @classmethod
-    def identity(cls, n, mode):
-        a = zeros((n, n), mode)
-        one = Fraction(1) if mode == RATIONAL else 1.0
-        for i in range(n):
-            a[i, i] = one
-        return cls(a)
 
     def trace(self):
         return self.comp.trace()
@@ -149,7 +217,7 @@ class SymTensor2(_Tensor):
 
 @cache   # immutable (frozen, read-only comp), so one instance serves every caller
 def identity_metric(n, mode):
-    return SymTensor2.identity(n, mode)
+    return SymTensor2(eye(n, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -157,42 +225,57 @@ def identity_metric(n, mode):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AlgCurvTensor(_Tensor):
-    """Pointwise algebraic curvature tensor R_ijkl, dense over {0..n-1}^4.
+class AlgCurvTensor:
+    """Pointwise algebraic curvature tensor, stored as its curvature operator
+    rhat on bivectors (module docstring), whose dimension n and mode are read
+    from rhat.  Construction enforces that rhat is symmetric and satisfies
+    the first Bianchi identity (check_curvature_operators)."""
 
-    Invariants (enforced on construction): antisymmetry in the first and the
-    last index pair, pair symmetry R_ijkl = R_klij, and the first Bianchi
-    identity R_ijkl + R_iklj + R_iljk = 0.
-    """
+    rhat: np.ndarray
 
-    comp: np.ndarray
-    ORDER, MIN_N = 4, 3
+    @property
+    def n(self):
+        return pair_dimension(self.rhat.shape[0])
 
-    # -- serialization ------------------------------------------------------
+    @property
+    def mode(self):
+        return mode_of(self.rhat)
 
-    def generating_entries(self):
-        """Canonical nonzero entries with i<j, k<l, (i,j) <= (k,l)."""
-        i, j, _ = pair_basis(self.n)
-        P = self.comp[i[:, None], j[:, None], i, j]
-        pairs = list(zip(i.tolist(), j.tolist()))
-        return [[*pairs[a], *pairs[b], P[a, b]]
-                for a in range(len(pairs)) for b in range(a, len(pairs)) if P[a, b] != 0]
+    def __post_init__(self):
+        shape = self.rhat.shape
+        if len(shape) != 2 or shape[0] != shape[1] or pair_dimension(shape[0]) < 3:
+            raise ValueError(f"operator shape {shape} is not (m, m), "
+                             "m = n(n-1)/2 with n >= 3")
+        check_curvature_operators(self.rhat[None])
+        self.rhat.setflags(write=False)
+
+    def components(self):
+        """The n^4 components R_ijkl = s_ij s_kl rhat[p_ij, p_kl] in the
+        tensor's arithmetic, with p = pair_basis(n)[2] and s_ij = sign(j - i),
+        for the contractions over all four indices: the soliton drift
+        R_ijkl Ric_jl, the search oracle and the tests."""
+        _, _, p = pair_basis(self.n)
+        r = np.arange(self.n)
+        s = np.sign(r - r[:, None])
+        return s[:, :, None, None] * s * self.rhat[p[:, :, None, None], p]
 
     def to_json(self):
-        entries = [[i, j, k, l, scalar_to_json(v)]
-                   for i, j, k, l, v in self.generating_entries()]
+        """The generating entries [i, j, k, l, R_ijkl]: the nonzero operator
+        entries on and above the diagonal, with i < j, k < l."""
+        i, j, _ = pair_basis(self.n)
+        entries = [[int(i[a]), int(j[a]), int(i[b]), int(j[b]), scalar_to_json(self.rhat[a, b])]
+                   for a, b in zip(*np.triu_indices(len(i))) if self.rhat[a, b] != 0]
         return json.dumps({"n": self.n, "mode": self.mode, "entries": entries})
 
     @classmethod
     def from_json(cls, text):
-        """The tensor of to_json's generating entries, each symmetric entry
-        rebuilt from its generating one as tensor_from_pair_operator does.
-        Raises ValueError naming an entry whose pairs are not i < j and
-        k < l within 0..n-1."""
+        """The tensor of to_json's generating entries, each of which fills an
+        operator entry and its transpose.  Raises ValueError naming an entry
+        whose pairs are not i < j and k < l within 0..n-1."""
         data = json.loads(text)
         n, mode = data["n"], check_mode(data["mode"])
         first, _, position = pair_basis(n)
-        P = zeros((len(first),) * 2, mode)
+        rhat = zeros((len(first),) * 2, mode)
         for entry in data["entries"]:
             i, j, k, l, raw = entry
             if not all(type(v) is int for v in (i, j, k, l)) or not (
@@ -200,68 +283,64 @@ class AlgCurvTensor(_Tensor):
                 raise ValueError(f"entry {entry}: its index pairs must be i < j and "
                                  f"k < l within 0..{n - 1}")
             a, b = position[i, j], position[k, l]
-            P[a, b] = P[b, a] = Fraction(raw) if mode == RATIONAL else float(raw)
-        return cls(_from_pairs(P, n))
+            rhat[a, b] = rhat[b, a] = Fraction(raw) if mode == RATIONAL else float(raw)
+        return cls(rhat)
 
 
 # ---------------------------------------------------------------------------
 # Contractions
 # ---------------------------------------------------------------------------
 
-def kulkarni_nomizu(h: SymTensor2, k: SymTensor2) -> AlgCurvTensor:
-    """(h ^ k)_ijkl = h_ik k_jl + h_jl k_ik - h_il k_jk - h_jk k_il."""
-    if h.n != k.n:
-        raise ValueError("dimension mismatch in Kulkarni-Nomizu product")
-    join_modes(h.mode, k.mode)
-    a, b = h.comp, k.comp
-    comp = (np.einsum("ik,jl->ijkl", a, b) + np.einsum("jl,ik->ijkl", a, b)
-            - np.einsum("il,jk->ijkl", a, b) - np.einsum("jk,il->ijkl", a, b))
-    return AlgCurvTensor(comp)
-
-
 def constant_curvature(n, kappa, mode) -> AlgCurvTensor:
     """Space form of sectional curvature kappa: kappa times the identity on
-    bivectors, R_ijij = -R_ijji = kappa for i != j and every other entry 0,
-    which is (kappa/2) g ^ g."""
-    i, j, _ = pair_basis(n)
-    unit = zeros((n,) * 4, mode)
-    one = Fraction(1) if mode == RATIONAL else 1.0
-    unit[i, j, i, j] = unit[j, i, j, i] = one
-    unit[i, j, j, i] = unit[j, i, i, j] = -one
-    return AlgCurvTensor((Fraction(kappa) if mode == RATIONAL else float(kappa)) * unit)
+    bivectors, which is (kappa/2) g ^ g."""
+    kappa = Fraction(kappa) if mode == RATIONAL else float(kappa)
+    return AlgCurvTensor(kappa * eye(n * (n - 1) // 2, mode))
 
 
-def ricci_stack(comp):
-    """R_ik = sum_j R_ijkj (orthonormal frame) of each tensor of the stack
-    comp (k, n, n, n, n): an array (k, n, n)."""
-    return np.einsum("aijkj->aik", comp)
+def ricci_stack(rhat):
+    """R_ik = sum_j R_ijkj = sum_j s_ij s_kj rhat[p_ij, p_kj] (orthonormal
+    frame, AlgCurvTensor.components) of each operator of the stack rhat
+    (k, m, m): an array (k, n, n), summed over j in order."""
+    n = pair_dimension(rhat.shape[-1])
+    _, _, p = pair_basis(n)
+    i, k, j = np.indices((n,) * 3)
+    return (np.sign(j - i) * np.sign(j - k) * rhat[:, p[i, j], p[k, j]]).sum(axis=-1)
 
 
 def ricci(Rm: AlgCurvTensor) -> SymTensor2:
-    return SymTensor2(ricci_stack(Rm.comp[None])[0])
+    return SymTensor2(ricci_stack(Rm.rhat[None])[0])
 
 
-def scalar_stack(comp):
-    """The scalar curvature of each tensor of the stack comp (k, n, n, n, n)."""
-    return np.trace(ricci_stack(comp), axis1=1, axis2=2)
+def scalar_stack(rhat):
+    """The scalar curvature 2 tr(rhat) of each operator of the stack rhat."""
+    return 2 * np.trace(rhat, axis1=1, axis2=2)
 
 
 def scalar(Rm: AlgCurvTensor):
-    return scalar_stack(Rm.comp[None])[0]
+    return scalar_stack(Rm.rhat[None])[0]
 
 
-def traceless_ricci_stack(comp):
-    """Ric - (R/n) g of each tensor of the stack comp (k, n, n, n, n), exact
-    for a rational stack: an array (k, n, n)."""
-    n = comp.shape[-1]
-    oric = ricci_stack(comp)
+def traceless_ricci_stack(rhat):
+    """Ric - (tr Ric / n) g of each operator of the stack rhat (k, m, m),
+    exact for a rational stack: an array (k, n, n)."""
+    oric = ricci_stack(rhat)
+    n = oric.shape[-1]
     d = np.arange(n)
     oric[:, d, d] -= (np.trace(oric, axis1=1, axis2=2) / n)[:, None]
     return oric
 
 
 def traceless_ricci(Rm: AlgCurvTensor) -> SymTensor2:
-    return SymTensor2(traceless_ricci_stack(Rm.comp[None])[0])
+    return SymTensor2(traceless_ricci_stack(Rm.rhat[None])[0])
+
+
+def compound(S):
+    """The action S x ^ S y = compound(S) (x ^ y) of an n x n matrix S on
+    bivectors: compound(S)[a, b] = S_ik S_jl - S_il S_jk for the pairs
+    a = (i, j), b = (k, l) of pair_basis(n)."""
+    i, j, _ = pair_basis(len(S))
+    return (S[i[:, None], i] * S[j[:, None], j]) - (S[i[:, None], j] * S[j[:, None], i])
 
 
 @dataclass(frozen=True)
@@ -274,11 +353,13 @@ class CurvatureInvariants:
 
 
 def invariants(Rm: AlgCurvTensor) -> CurvatureInvariants:
+    """R, |oRic|^2 and R_ijkl oR_ik oR_jl = 2 <rhat, compound(oRic)>: each
+    unordered pair of the four-index sum appears in its two orders."""
     t = traceless_ricci(Rm).comp
     return CurvatureInvariants(
         R=scalar(Rm),
         ricNormSq=np.einsum("ij,ij", t, t),
-        lhs=np.einsum("ijkl,ik,jl", Rm.comp, t, t),
+        lhs=2 * np.einsum("ab,ab", Rm.rhat, compound(t)),
     )
 
 
@@ -311,18 +392,17 @@ class Plane:
 
 
 def coordinate_plane(n, i, j, mode=FLOAT) -> Plane:
-    x, y = zeros(n, mode), zeros(n, mode)
-    one = Fraction(1) if mode == RATIONAL else 1.0
-    x[i] = one
-    y[j] = one
-    return Plane(x, y)
+    e = eye(n, mode)
+    return Plane(e[i], e[j])
 
 
 def sectional(Rm: AlgCurvTensor, p: Plane):
-    """R(x, y, x, y); equals sigma_ij for the coordinate plane (e_i, e_j)."""
+    """R(x, y, x, y) = w^T rhat w, w = x ^ y; sigma_ij for the coordinate
+    plane (e_i, e_j)."""
     if p.n != Rm.n:
         raise ValueError("plane dimension mismatch")
-    return np.einsum("ijkl,i,j,k,l", Rm.comp, p.x, p.y, p.x, p.y)
+    w = bivector(p.x, p.y)
+    return w @ Rm.rhat @ w
 
 
 # ---------------------------------------------------------------------------
@@ -337,96 +417,53 @@ class ModifiedCurvature:
     hypothesis makes non-negative.
     """
 
-    epsilon: object
     rmBar: AlgCurvTensor
     rBar: object
 
 
 def modified_curvature(Rm: AlgCurvTensor, eps) -> ModifiedCurvature:
-    n, mode = Rm.n, Rm.mode
-    R = scalar(Rm)
-    if mode == RATIONAL:
-        eps = eps if isinstance(eps, Fraction) else Fraction(eps)
-        shift = eps * R
-    else:
-        shift = float(eps) * R
-    rm_bar = AlgCurvTensor(Rm.comp - shift * constant_curvature(n, 1, mode).comp)
-    r_bar = (1 - n * (n - 1) * eps) * R
-    return ModifiedCurvature(eps, rm_bar, r_bar)
+    n, R = Rm.n, scalar(Rm)
+    eps = Fraction(eps) if Rm.mode == RATIONAL else float(eps)
+    return ModifiedCurvature(AlgCurvTensor(Rm.rhat - eps * R * eye(len(Rm.rhat), Rm.mode)),
+                             (1 - n * (n - 1) * eps) * R)
 
 
 # ---------------------------------------------------------------------------
-# Bivectors and random curvature tensors
+# Random curvature tensors
 # ---------------------------------------------------------------------------
 
-@cache   # read-only, so one copy serves every caller
-def pair_basis(n):
-    """The basis e_i ^ e_j, i < j, of the bivectors of R^n, in lexicographic
-    order: arrays (i, j, position) with i[a], j[a] the pair of basis vector
-    a and position (n, n) its inverse, position[i, j] = position[j, i] = a
-    (0 on the diagonal, which belongs to no pair)."""
-    i, j = np.triu_indices(n, 1)
-    position = np.zeros((n, n), dtype=np.intp)
-    position[i, j] = position[j, i] = np.arange(len(i))
-    for a in (i, j, position):
-        a.setflags(write=False)
-    return i, j, position
+def _bianchi_projection(rhat):
+    """rhat - sum_k <rhat, M_k> M_k / 6 over four_form_basis for each
+    symmetric operator of the stack rhat (k, m, m), in its arithmetic,
+    unvalidated: the orthogonal projection onto the curvature operators.
 
-
-@cache   # read-only, so one copy serves every caller
-def _pair_map(n):
-    """(index, sign) over the entries ijkl of an n^4 tensor: index is the
-    position, in a flattened m x m operator on bivectors, of the entry
-    (min(p_ij, p_kl), max(p_ij, p_kl)) and sign is s_ij s_kl, where p_ij is
-    the position of the pair {i, j} in pair_basis(n) and s_ij = sign(j - i)."""
-    first, _, p = pair_basis(n)   # p[i, i] = 0 is read only with s_ii = 0
-    i, j = np.ogrid[:n, :n]
-    s = np.sign(j - i)
-    a, b = p[:, :, None, None], p
-    index = np.minimum(a, b) * len(first) + np.maximum(a, b)
-    sign = s[:, :, None, None] * s
-    for x in (index, sign):
-        x.setflags(write=False)
-    return index, sign
-
-
-def _from_pairs(M, n):
-    """T_ijkl = s_ij s_kl M[p_ij, p_kl] (see _pair_map) for a symmetric
-    operator M on bivectors, read from its upper triangle; M may be a stack
-    (..., m, m) of them."""
-    index, sign = _pair_map(n)
-    return sign * M.reshape(*M.shape[:-2], M.shape[-2] * M.shape[-1])[..., index]
-
-
-def _bianchi_projection(M, n):
-    """The components of tensor_from_pair_operator for each operator of the
-    stack M (k, m, m), in M's arithmetic, unvalidated; every entry is
-    computed as for a stack of one."""
-    T = _from_pairs(M, n)
-    cyc = T + T.transpose(0, 1, 3, 4, 2) + T.transpose(0, 1, 4, 2, 3)
-    comp = T - (cyc * Fraction(1, 3) if mode_of(M) == RATIONAL else cyc / 3.0)
-    i, j, _ = pair_basis(n)
-    return _from_pairs(comp[:, i[:, None], j[:, None], i, j], n)
-
-
-def tensor_from_pair_operator(M, n, mode) -> AlgCurvTensor:
-    """Symmetric operator on bivectors -> curvature tensor (Bianchi-projected).
-
-    The 4-index tensor induced by M has all curvature symmetries except the
-    first Bianchi identity; subtracting its totally antisymmetric part (the
-    cyclic average) restores Bianchi exactly while preserving the others.
-    In float that projection rounds each entry on its own, so the result is
-    rebuilt, as from_json rebuilds it, from its generating entries: every
-    entry is exactly plus or minus one of them.
+    The M_k have disjoint supports, so for a 4-subset whose pairings hold
+    A, B, C (_pairings) the projection subtracts (A - B + C)/3 from A, adds
+    it to B and subtracts it from C, and leaves every other entry.  In float
+    each entry's sum is taken in the order of the cyclic sum
+    R_ijkl + R_iljk + R_iklj from that entry: (A + C) - B for A and
+    (C - B) + A for B and C.  Doubling is exact, so each entry rounds as the
+    projection of the n^4 tensor onto the Bianchi identity rounds it.
     """
-    return AlgCurvTensor(_bianchi_projection(as_mode_array(M, mode)[None], n)[0])
+    rows, cols = _pairings(pair_dimension(rhat.shape[-1]))
+    A, B, C = (rhat[:, a, b] for a, b in zip(rows, cols))
+    shared = (C - B + A) / 3
+    out = rhat.copy()
+    for a, b, value in zip(rows, cols, (A - (A + C - B) / 3, B + shared, C - shared)):
+        out[:, a, b] = out[:, b, a] = value
+    return out
 
 
 def diagonal_tensor(sigma, n, mode) -> AlgCurvTensor:
     """The tensor whose only generating entries are R_ijij = sigma_ij over
-    the pairs of pair_basis(n): a diagonal operator on bivectors, which
+    the pairs of pair_basis(n): the diagonal operator diag(sigma), which
     satisfies the Bianchi identity as it stands."""
-    return AlgCurvTensor(_from_pairs(as_mode_array(np.diag(sigma), mode), n))
+    m = n * (n - 1) // 2
+    if len(sigma) != m:
+        raise ValueError(f"{len(sigma)} curvatures for the {m} pairs of n = {n}")
+    rhat = zeros((m, m), mode)
+    np.fill_diagonal(rhat, as_mode_array(sigma, mode))
+    return AlgCurvTensor(rhat)
 
 
 def _random_operator(n, seed, mode, scale):
@@ -445,23 +482,24 @@ def _random_operator(n, seed, mode, scale):
 
 
 def random_curvature(n, seed, mode=FLOAT, scale=10) -> AlgCurvTensor:
-    """Seeded random curvature tensor with exact first Bianchi identity.
+    """Seeded random curvature tensor with the first Bianchi identity: a
+    seeded symmetric operator, projected (_bianchi_projection).
 
     Rational mode draws integer operator entries in [-scale, scale]; float
     mode draws standard normals.  Same seed, same tensor.
     """
     check_mode(mode)
-    return tensor_from_pair_operator(_random_operator(n, seed, mode, scale), n, mode)
+    return AlgCurvTensor(_bianchi_projection(_random_operator(n, seed, mode, scale)[None])[0])
 
 
 def random_curvature_stack(n, seeds):
-    """The components of random_curvature(n, seed) (float) for each of seeds,
-    as one validated stack (len(seeds), n, n, n, n): one seeded draw per
-    tensor, then one Bianchi projection over the stack."""
+    """The operators of random_curvature(n, seed) (float) for each of seeds,
+    as one validated stack (len(seeds), m, m): one seeded draw per tensor,
+    then one Bianchi projection over the stack."""
     m = n * (n - 1) // 2
     M = np.empty((len(seeds), m, m))
     for k, seed in enumerate(seeds):
         M[k] = _random_operator(n, seed, FLOAT, 10)
-    comp = _bianchi_projection(M, n)
-    check_symmetries(comp)
-    return comp
+    rhat = _bianchi_projection(M)
+    check_curvature_operators(rhat)
+    return rhat

@@ -58,11 +58,6 @@ CLAIMED_POINT = FCoefficients(Fraction(1), Fraction(1), Fraction(-1, 12),
 # with value 4 eps - 1/3, is higher; at eps = 1/36 Q2 is constant at -2/9)
 
 
-def bianchi_constant(n):
-    """Contracted second Bianchi: sum_i S_iji = ((n-2)/(2n)) w_j; 1/4 at n=4."""
-    return Fraction(n - 2, 2 * n)
-
-
 def check_gradient_constraints(S, w, tol=0):
     """Raise ValueError unless S is symmetric and traceless in (i, j) and
     satisfies the contracted Bianchi relation, written without a fraction as

@@ -1,8 +1,9 @@
 """Minimal sectional curvature over the Grassmannian of 2-planes.
 
-Sectional curvature is the quadratic form Rhat (pair_operator) on unit
-bivectors, written in the basis curvature.pair_basis, and a bivector w is a
-plane exactly when w ^ w = 0.  Every 4-form omega acts on bivectors as a
+Sectional curvature is the quadratic form Rhat, the stored curvature
+operator (pair_operator gives it in float), on unit bivectors, written in the
+basis curvature.pair_basis, and a bivector w is a plane exactly when
+w ^ w = 0.  Every 4-form omega acts on bivectors as a
 symmetric matrix with <w, omega w> a multiple of <w ^ w, omega>, which
 vanishes on planes, so
 
@@ -24,20 +25,19 @@ dual_min_sectional returns the bracket (lower, upper, plane): lower from the
 multiplier, upper the curvature of a plane taken from the bottom eigenvectors
 at that multiplier.  shift_to_pinching returns tensors certified by that
 bracket; pinched is the one test of Sec >= eps*R.  The *_stack functions
-take a stack comp (k, n, n, n, n) of tensor components; solve_dual,
+take a stack rhat (k, m, m) of curvature operators; solve_dual,
 dual_bracket, shift_by and shift_to_pinching are their stacks of one, and a
 tensor's numbers do not depend on the stack it sits in.  A shift by c adds
 c times constant_curvature(n, 1), the identity on bivectors.  The runtime
-needs only numpy.  The grid + L-BFGS search (search_min_sectional) is the
-tests' independent oracle only, and only it imports scipy.
+needs only numpy.  The grid + L-BFGS search (search_min_sectional), on the
+n^4 components, is the tests' independent oracle only, and only it imports
+scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import combinations
 
 import numpy as np
 
@@ -45,10 +45,12 @@ from .curvature import (
     AlgCurvTensor,
     Plane,
     RATIONAL,
-    check_symmetries,
-    constant_curvature,
+    bivector,
+    four_form_basis,
     pair_basis,
+    pair_dimension,
     scalar_stack,
+    wedge_map,
 )
 from .scalars import GAP_RTOL, is_rational, mode_of
 
@@ -92,17 +94,18 @@ class SearchOptions:
 
 
 def pair_operator(Rm: AlgCurvTensor) -> np.ndarray:
-    """Rhat[a, b] = R_{i_a j_a i_b j_b} over the bivector pair basis."""
-    return pair_operator_stack(Rm.comp[None])[0]
+    """Rhat[a, b] = R_{i_a j_a i_b j_b} over the bivector pair basis, in float."""
+    return np.asarray(Rm.rhat, dtype=float)
 
 
-def pair_operator_stack(comp):
-    """pair_operator, in float, of each tensor of the stack comp (k, n, n, n, n),
-    C-contiguous: BLAS may round a strided operand differently, so every
-    tensor's operator is laid out as a stack of one's."""
-    i, j, _ = pair_basis(comp.shape[-1])
-    comp = np.asarray(comp, dtype=float)
-    return np.ascontiguousarray(comp[:, i[:, None], j[:, None], i, j])
+def _float_stack(rhat):
+    """The stack of operators rhat (k, m, m) in float, C-contiguous (BLAS may
+    round a strided operand differently, so every operator is laid out as a
+    stack of one's); ValueError if an entry is not finite."""
+    rhat = np.ascontiguousarray(rhat, dtype=float)
+    if not np.isfinite(rhat).all():
+        raise ValueError("curvature operator has non-finite entries")
+    return rhat
 
 
 def _orthonormal_pairs(z, n):
@@ -137,14 +140,6 @@ def _plane_grid(n, count):
     return _GRID_CACHE[key]
 
 
-def _bivector(x, y):
-    """x ^ y in the pair basis, over the last axis of x and y.  take, unlike
-    x[..., i], returns a C-contiguous array, and einsum sums a strided row
-    in another order."""
-    i, j, _ = pair_basis(x.shape[-1])
-    return x.take(i, -1) * y.take(j, -1) - x.take(j, -1) * y.take(i, -1)
-
-
 def plane_sectionals(Rm: AlgCurvTensor, x, y):
     """Sectional curvatures w^T Rhat w of the planes spanned by the
     orthonormal rows of x and y, w = x ^ y in the pair basis."""
@@ -155,7 +150,7 @@ def plane_sectionals_stack(rhat, x, y):
     """plane_sectionals over a stack: rhat (k, m, m) and the planes x, y
     (k, p, n) of each tensor give (k, p), C-contiguous (einsum may lay its
     output out otherwise, and numpy sums a strided row in another order)."""
-    w = _bivector(x, y)
+    w = bivector(x, y)
     return np.ascontiguousarray(np.einsum("kpa,kab,kpb->kp", w, rhat, w))
 
 
@@ -216,7 +211,7 @@ def search_min_sectional(Rm: AlgCurvTensor, opts: SearchOptions = SearchOptions(
     values, gx, gy = grid_sectionals(Rm, count)
     order = np.argsort(values, kind="stable")[: opts.refine_starts]
 
-    comp = np.asarray(Rm.comp, dtype=float) if Rm.mode == RATIONAL else Rm.comp
+    comp = np.asarray(Rm.components(), dtype=float)
     best_val, best_z, converged = np.inf, None, 0
     for p in order:
         res = _descend(comp, np.concatenate([gx[p], gy[p]]), opts)
@@ -230,9 +225,8 @@ def search_min_sectional(Rm: AlgCurvTensor, opts: SearchOptions = SearchOptions(
             f"max_iters={opts.max_iters}); grid min {values.min()} over {count} planes")
     x, y = _orthonormal_pairs(best_z[None, :], Rm.n)
     plane = Plane(x[0], y[0])
-    w = _bivector(x, y)[0]
-    rhat = pair_operator(Rm)
-    return float(w @ rhat @ w), plane
+    w = bivector(x, y)[0]
+    return float(w @ pair_operator(Rm) @ w), plane
 
 
 # ---------------------------------------------------------------------------
@@ -240,25 +234,6 @@ def search_min_sectional(Rm: AlgCurvTensor, opts: SearchOptions = SearchOptions(
 # ---------------------------------------------------------------------------
 
 MAX_DUAL_N = 8
-
-
-@cache
-def four_form_basis(n):
-    """Lambda^4 acting on bivectors, one read-only (m, m) matrix per 4-subset
-    i < j < k < l of the pair_basis: M[pq, rs] = sign of the permutation
-    (p, q, r, s) of (i, j, k, l).  <w, M w> is twice the Pluecker quadric
-    w_ij w_kl - w_ik w_jl + w_il w_jk, which vanishes on planes.  Shape
-    (C(n, 4), m, m); no matrices for n <= 3."""
-    pairs, _, position = pair_basis(n)
-    i, j, k, l = np.array(list(combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4).T
-    q = np.arange(len(i))
-    basis = np.zeros((len(q), len(pairs), len(pairs)))
-    for a, b, sign in ((position[i, j], position[k, l], 1),
-                       (position[i, k], position[j, l], -1),
-                       (position[i, l], position[j, k], 1)):
-        basis[q, a, b] = basis[q, b, a] = sign
-    basis.setflags(write=False)
-    return basis
 
 
 # Hodge star on bivectors of R^4 in the pair_basis (01, 02, 03, 12, 13, 23):
@@ -293,24 +268,22 @@ def dual_bracket(Rm: AlgCurvTensor, multiplier, plane: Plane):
     both ends by c and leaves the best multiplier unchanged.  The stack of
     one of dual_bracket_stack.
     """
-    lower, upper = dual_bracket_stack(Rm.comp[None], np.asarray(multiplier)[None],
+    lower, upper = dual_bracket_stack(Rm.rhat[None], np.asarray(multiplier)[None],
                                       plane.x[None], plane.y[None])
     return float(lower[0]), float(upper[0])
 
 
-def dual_bracket_stack(comp, multipliers, x, y):
-    """dual_bracket of each tensor of the stack comp (k, n, n, n, n) at its
+def dual_bracket_stack(rhat, multipliers, x, y):
+    """dual_bracket of each operator of the stack rhat (k, m, m) at its
     multiplier (k, C(n, 4)) and plane x, y (k, n): arrays (lower, upper).
 
     Each entry of sum_j multiplier_j M_j is a single +-multiplier_j, so A is
     formed exactly, and each norm is one dot product per tensor, as for a
     stack of one.
     """
-    rhat = pair_operator_stack(comp)
-    if not np.isfinite(rhat).all():
-        raise ValueError("curvature tensor has non-finite components")
-    basis = four_form_basis(comp.shape[-1])
+    rhat = _float_stack(rhat)
     m = rhat.shape[-1]
+    basis = four_form_basis(pair_dimension(m))
     A = rhat + (multipliers @ basis.reshape(len(basis), m * m)).reshape(rhat.shape)
     unit = np.finfo(float).eps / 2
     flat_A, flat_rhat = A.reshape(len(A), m * m), rhat.reshape(len(rhat), m * m)
@@ -334,12 +307,12 @@ def solve_dual(Rm: AlgCurvTensor):
     """(multiplier, plane): a 4-form over four_form_basis(n) that maximizes
     lambda_min(Rhat + omega), and a plane from the bottom eigenvectors there.
     The stack of one of solve_dual_stack."""
-    multipliers, x, y = solve_dual_stack(Rm.comp[None])
+    multipliers, x, y = solve_dual_stack(Rm.rhat[None])
     return multipliers[0], Plane(x[0], y[0])
 
 
-def solve_dual_stack(comp):
-    """solve_dual of each tensor of the stack comp (k, n, n, n, n): arrays
+def solve_dual_stack(rhat):
+    """solve_dual of each operator of the stack rhat (k, m, m): arrays
     (multipliers (k, C(n, 4)), x (k, n), y (k, n)), the planes' orthonormal
     pairs.
 
@@ -352,28 +325,23 @@ def solve_dual_stack(comp):
     empty and the bottom eigenvector is already a plane, so nothing is
     polished.  A tensor's result does not depend on the stack it is in.
     """
-    n = comp.shape[-1]
+    n = pair_dimension(rhat.shape[-1])
     if not 2 <= n <= MAX_DUAL_N:
         raise ValueError(f"the dual solve needs 2 <= n <= {MAX_DUAL_N}, got n = {n}")
-    rhat = pair_operator_stack(comp)
-    if not np.isfinite(rhat).all():
-        raise ValueError("curvature tensor has non-finite components")
+    rhat = _float_stack(rhat)
     if n == 4:
         t, vecs = _bisect_star(rhat)
         x, y = _plane_of(_null_bivector(rhat, vecs), 4)
         return t[:, None], x, y
-    fcomp = np.asarray(comp, dtype=float)
-    solved = [_solve_barrier(c, r) for c, r in zip(fcomp, rhat)]
-    multipliers = np.array([m for m, _ in solved]).reshape(len(comp), len(four_form_basis(n)))
-    x = np.array([p.x for _, p in solved]).reshape(len(comp), n)
-    y = np.array([p.y for _, p in solved]).reshape(len(comp), n)
+    solved = [_solve_barrier(r, n) for r in rhat]
+    multipliers = np.array([m for m, _ in solved]).reshape(len(rhat), len(four_form_basis(n)))
+    x = np.array([p.x for _, p in solved]).reshape(len(rhat), n)
+    y = np.array([p.y for _, p in solved]).reshape(len(rhat), n)
     return multipliers, x, y
 
 
-def _solve_barrier(comp, rhat):
-    """solve_dual of one tensor for n != 4: comp its float components,
-    rhat its pair operator."""
-    n = comp.shape[-1]
+def _solve_barrier(rhat, n):
+    """solve_dual of one float operator rhat on the bivectors of R^n, n != 4."""
     basis = four_form_basis(n)
     multiplier = _barrier_path(rhat, basis)
     lam, vecs = np.linalg.eigh(rhat + np.tensordot(multiplier, basis, 1))
@@ -381,14 +349,13 @@ def _solve_barrier(comp, rhat):
         x, y = _plane_of(vecs[:, 0][None], n)
         return multiplier, Plane(x[0], y[0])
     bottom = lam <= lam[0] + np.sqrt(np.finfo(float).eps) * max(1.0, lam[-1] - lam[0])
-    return multiplier, _bottom_plane(comp, rhat, vecs[:, bottom])
+    return multiplier, _bottom_plane(rhat, vecs[:, bottom])
 
 
-def _bottom_plane(comp, rhat, V):
+def _bottom_plane(rhat, V):
     """The least-curvature plane polished (_polish) from the best plane
     approximations of starts in span(V), V an orthonormal basis (columns) of
-    the bottom eigenspace, of the tensor of float components comp and pair
-    operator rhat.
+    the bottom eigenspace, of the float operator rhat.
 
     Where the relaxation is inexact the bottom eigenvalue is multiple, V is
     an arbitrary basis of its eigenspace, and no single basis vector need
@@ -399,8 +366,8 @@ def _bottom_plane(comp, rhat, V):
     """
     a, b, _ = pair_basis(V.shape[1])
     starts = np.concatenate([V, V[:, a] + V[:, b], V[:, a] - V[:, b]], axis=1)
-    planes = [_polish(comp, rhat, Plane(x, y))
-              for x, y in zip(*_plane_of(starts.T, comp.shape[-1]))]
+    planes = [_polish(rhat, Plane(x, y))
+              for x, y in zip(*_plane_of(starts.T, pair_dimension(len(rhat))))]
     values = [_sectional_of(rhat, p.x[None, :], p.y[None, :]) for p in planes]
     return planes[int(np.argmin(values))]
 
@@ -563,12 +530,14 @@ def _plane_of(w, n):
 POLISH_STEPS = 200
 
 
-def _best_partner(comp, x):
+def _best_partner(rhat, x):
     """The unit y orthogonal to the unit x that minimizes the curvature
-    y^T K_x y of span(x, y), K_x = R(x, ., x, .): the bottom eigenvector of
-    K_x on x^perp.  K_x x = 0, so adding c x x^T with c above K_x's spectral
-    radius makes x the top eigenvector and leaves the rest unchanged."""
-    K = np.einsum("ijkl,i,k->jl", comp, x, x)
+    y^T K_x y of span(x, y), K_x = R(x, ., x, .) = A_x^T rhat A_x with A_x
+    the map y -> x ^ y (wedge_map): the bottom eigenvector of K_x on
+    x^perp.  K_x x = 0, so adding c x x^T with c above K_x's spectral radius
+    makes x the top eigenvector and leaves the rest unchanged."""
+    A = wedge_map(x)
+    K = A.T @ rhat @ A
     _, vecs = np.linalg.eigh(K + (np.linalg.norm(K) + 1.0) * np.outer(x, x))
     return vecs[:, 0]
 
@@ -579,9 +548,9 @@ def _sectional_of(rhat, x, y):
     return plane_sectionals_stack(rhat[None], x[None], y[None])[0, 0]
 
 
-def _polish(comp, rhat, plane):
-    """Lower the curvature of plane, for the tensor of float components comp
-    and pair operator rhat, by alternating exact minimizations: with
+def _polish(rhat, plane):
+    """Lower the curvature of plane, for the float operator rhat, by
+    alternating exact minimizations: with
     x fixed the best y is _best_partner(x), then with that y fixed the best
     x is _best_partner(y).  A plane is kept only if its curvature is below
     the last one, so the result's curvature never exceeds plane's; the steps
@@ -594,12 +563,12 @@ def _polish(comp, rhat, plane):
     extrapolated (_extrapolated) to the limit of its moves as a geometric
     series, and the extrapolated plane is kept when its curvature is lower.
     """
-    n = comp.shape[-1]
+    n = plane.n
     best = _sectional_of(rhat, plane.x[None, :], plane.y[None, :])
     last = None   # the length of the last move, unless it was extrapolated
     for _ in range(POLISH_STEPS):
-        y = _best_partner(comp, plane.x)
-        z = np.concatenate([_best_partner(comp, y), y])
+        y = _best_partner(rhat, plane.x)
+        z = np.concatenate([_best_partner(rhat, y), y])
         x, y = _orthonormal_pairs(z[None, :], n)
         value = _sectional_of(rhat, x, y)
         if not value < best:
@@ -652,13 +621,13 @@ def shift_to_pinching(Rm: AlgCurvTensor, eps, margin=0):
     (+ margin slack), certified when pinched(lower, eps, R) for its bracket
     [lower, upper].  The stack of one of solve_dual_stack and
     shift_to_pinching_stack."""
-    comp = Rm.comp[None]
-    shifted, lower, upper = shift_to_pinching_stack(comp, eps, margin, solve_dual_stack(comp))
+    rhat = Rm.rhat[None]
+    shifted, lower, upper = shift_to_pinching_stack(rhat, eps, margin, solve_dual_stack(rhat))
     return AlgCurvTensor(shifted[0]), float(lower[0]), float(upper[0])
 
 
-def shift_to_pinching_stack(comp, eps, margin, solution):
-    """shift_to_pinching of each tensor of the stack comp (k, n, n, n, n),
+def shift_to_pinching_stack(rhat, eps, margin, solution):
+    """shift_to_pinching of each operator of the stack rhat (k, m, m),
     given its solve_dual_stack solution (multipliers, x, y): arrays
     (shifted, lower, upper).
 
@@ -669,8 +638,8 @@ def shift_to_pinching_stack(comp, eps, margin, solution):
     hypothesis is returned uncertified.
     """
     multipliers, x, y = solution
-    upper = plane_sectionals_stack(pair_operator_stack(comp), x[:, None], y[:, None])[:, 0]
-    shifted = shift_by_stack(comp, eps, upper, margin)
+    upper = plane_sectionals_stack(_float_stack(rhat), x[:, None], y[:, None])[:, 0]
+    shifted = shift_by_stack(rhat, eps, upper, margin)
     lower, upper = dual_bracket_stack(shifted, multipliers, x, y)
     R = scalar_stack(shifted)
     again = ~pinched(lower, eps, R) & pinched(upper, eps, R)
@@ -685,21 +654,22 @@ def shift_by(Rm: AlgCurvTensor, eps, min_sec, margin=0) -> AlgCurvTensor:
     """Rm' = Rm + c I on bivectors solving min Sec(Rm') = eps R' (+ margin
     slack) for a tensor whose min Sec is min_sec: the stack of one of
     shift_by_stack."""
-    return AlgCurvTensor(shift_by_stack(Rm.comp[None], eps, np.array([min_sec]), margin)[0])
+    return AlgCurvTensor(shift_by_stack(Rm.rhat[None], eps, np.array([min_sec]), margin)[0])
 
 
-def shift_by_stack(comp, eps, min_sec, margin=0):
-    """shift_by of each tensor of the stack comp (k, n, n, n, n), of one
-    mode, whose min Sec is min_sec (k,); the shifted stack is validated.
-    Both sides move with c: sigma -> sigma + c and R -> R + n(n-1) c, and
-    Rhat -> Rhat + c I."""
-    n, mode = comp.shape[-1], mode_of(comp)
+def shift_by_stack(rhat, eps, min_sec, margin=0):
+    """shift_by of each operator of the stack rhat (k, m, m), of one mode,
+    whose min Sec is min_sec (k,).  Both sides move with c: sigma -> sigma + c
+    and R -> R + n(n-1) c, and Rhat -> Rhat + c I, which changes only the
+    diagonal, so a valid stack stays valid."""
+    n = pair_dimension(rhat.shape[-1])
     require_subcritical(n, eps)
-    R = np.asarray(scalar_stack(comp), dtype=float)
+    R = np.asarray(scalar_stack(rhat), dtype=float)
     c = (float(eps) * R - np.asarray(min_sec, dtype=float)) / (
         1 - float(eps) * n * (n - 1)) + float(margin)
-    if mode == RATIONAL:   # exact dyadic conversion of the float shift
+    if mode_of(rhat) == RATIONAL:   # exact dyadic conversion of the float shift
         c = np.array([Fraction(v) for v in c.tolist()], dtype=object)
-    shifted = comp + c[:, None, None, None, None] * constant_curvature(n, 1, mode).comp
-    check_symmetries(shifted)
+    shifted = rhat.copy()
+    d = np.arange(rhat.shape[-1])
+    shifted[:, d, d] += c[:, None]
     return shifted

@@ -18,16 +18,19 @@ from .curvature import (
     AlgCurvTensor,
     RATIONAL,
     SymTensor2,
+    compound,
     constant_curvature,
     diagonal_tensor,
+    eye,
     identity_metric,
     invariants,
+    pair_basis,
     ricci,
     scalar,
     traceless_ricci,
     zeros,
 )
-from .minsec import min_sectional, pinched, sample_sectionals
+from .minsec import min_sectional, pinched
 from .scalars import scalar_to_json
 
 CONSTANT = "constant"
@@ -71,7 +74,7 @@ def flat(n=4, lam=Fraction(1, 2)):
     lam = Fraction(lam)
     hess = identity_metric(n, RATIONAL).comp * lam
     return ModelGeometry(
-        name=f"flat({n})", Rm=AlgCurvTensor(zeros((n,) * 4, RATIONAL)),
+        name=f"flat({n})", Rm=constant_curvature(n, 0, RATIONAL),
         solitonConstant=lam, potentialKind=GAUSSIAN,
         hessian=SymTensor2(hess), minSecClosedForm=Fraction(0))
 
@@ -98,19 +101,16 @@ def fubini_study_cp2():
 
     Components from the complex-space-form formula
         R_ijkl = (c/4)(d_ik d_jl - d_il d_jk + J_ik J_jl - J_il J_jk + 2 J_ij J_kl)
-    with c = 4, so Sec ranges over [1, 4], Ric = 6 g, R = 24.
+    with c = 4, so Sec ranges over [1, 4], Ric = 6 g, R = 24.  On bivectors
+    that is I + compound(J) + 2 j j^T, j the pair entries of J.
     """
-    n = 4
-    J = zeros((n, n), RATIONAL)
-    one = Fraction(1)
-    J[0, 1], J[1, 0] = -one, one
-    J[2, 3], J[3, 2] = -one, one
-    d = identity_metric(n, RATIONAL).comp
-    comp = (np.einsum("ik,jl->ijkl", d, d) - np.einsum("il,jk->ijkl", d, d)
-            + np.einsum("ik,jl->ijkl", J, J) - np.einsum("il,jk->ijkl", J, J)
-            + 2 * np.einsum("ij,kl->ijkl", J, J))
+    J = zeros((4, 4), RATIONAL)
+    J[0, 1], J[1, 0] = Fraction(-1), Fraction(1)
+    J[2, 3], J[3, 2] = Fraction(-1), Fraction(1)
+    i, j, _ = pair_basis(4)
+    rhat = eye(6, RATIONAL) + compound(J) + 2 * np.outer(J[i, j], J[i, j])
     return ModelGeometry(
-        name="fubini_study_cp2", Rm=AlgCurvTensor(comp),
+        name="fubini_study_cp2", Rm=AlgCurvTensor(rhat),
         solitonConstant=Fraction(6), potentialKind=CONSTANT,
         hessian=SymTensor2(zeros((4, 4), RATIONAL)), minSecClosedForm=Fraction(1))
 
@@ -179,11 +179,6 @@ def pinching_threshold(m: ModelGeometry, use_search=False) -> ThresholdReport:
     return ThresholdReport(m.name, min_sec, R, ratio, pinched(min_sec, Fraction(1, 24), R))
 
 
-def oracle_min_sectional(m: ModelGeometry, count=10 ** 6, seed=0):
-    """Independent dense-sampling estimate of min Sec (upper bound)."""
-    return float(sample_sectionals(m.Rm, count, seed).min())
-
-
 # ---------------------------------------------------------------------------
 # Soliton identities
 # ---------------------------------------------------------------------------
@@ -217,7 +212,7 @@ def soliton_identity_check(m: ModelGeometry):
     laplacian_f = m.hessian.trace()
     ric_norm_sq = np.einsum("ij,ij", ric.comp, ric.comp)
     drift_R = 2 * lam * R - 2 * ric_norm_sq
-    drift_ric = 2 * lam * ric.comp - 2 * np.einsum("ijkl,jl->ik", m.Rm.comp, ric.comp)
+    drift_ric = 2 * lam * ric.comp - 2 * np.einsum("ijkl,jl->ik", m.Rm.components(), ric.comp)
     # |grad oRic|^2 = 0 on every shipped model (parallel curvature)
     drift_oric = (2 * lam * inv.ricNormSq - 2 * inv.lhs
                   - Fraction(2, n) * R * inv.ricNormSq)

@@ -40,7 +40,6 @@ from .minsec import (
     SearchOptions,
     dual_min_sectional,
     min_sectional,  # noqa: F401  bench/test_bench.py checks that the tracer rebinds it here
-    pair_operator_stack,
     pinched,
     plane_sectionals_stack,
     require_subcritical,
@@ -98,6 +97,8 @@ class SigmaProfile:
             raise ValueError("sigma diagonal must vanish")
         if (abs(self.sigma - self.sigma.T) > tol).any():
             raise ValueError("sigma must be symmetric")
+        if self.lam.shape != (self.n,):
+            raise ValueError(f"lam has shape {self.lam.shape}, not ({self.n},)")
         if abs(sum(self.lam)) > tol:
             raise ValueError("eigenvalues must sum to zero")
         if abs(self.sigma.sum() - self.R) > tol:
@@ -334,19 +335,18 @@ def _eigenframe(Rm: AlgCurvTensor):
     sectional curvatures of its eigenframe's coordinate planes i < j,
     w^T Rhat w over the bivectors w = v_i ^ v_j of the eigenvectors.  The
     stack of one of _eigenframe_stack."""
-    lam, sig = _eigenframe_stack(Rm.comp[None])
+    lam, sig = _eigenframe_stack(Rm.rhat[None])
     return lam[0], sig[0]
 
 
-def _eigenframe_stack(comp):
-    """_eigenframe of each tensor of the stack comp (k, n, n, n, n): arrays
-    (k, n) and (k, n(n-1)/2).  oRic is exact for a rational stack, then
-    rounded to float."""
-    n = comp.shape[-1]
-    lam, vecs = np.linalg.eigh(np.asarray(traceless_ricci_stack(comp), dtype=float))
-    i, j, _ = _incidence(n)
+def _eigenframe_stack(rhat):
+    """_eigenframe of each operator of the stack rhat (k, m, m): arrays
+    (k, n) and (k, m).  oRic is exact for a rational stack, then rounded to
+    float."""
+    lam, vecs = np.linalg.eigh(np.asarray(traceless_ricci_stack(rhat), dtype=float))
+    i, j, _ = _incidence(lam.shape[-1])
     x, y = vecs[:, :, i].transpose(0, 2, 1), vecs[:, :, j].transpose(0, 2, 1)
-    return lam, plane_sectionals_stack(pair_operator_stack(comp), x, y)
+    return lam, plane_sectionals_stack(np.asarray(rhat, dtype=float), x, y)
 
 
 class GapRows(NamedTuple):
@@ -650,11 +650,11 @@ def _tensor_combo(n, eps, config: CampaignConfig):
         now = time.perf_counter()
         timings[stage], clock = now - clock, now
 
-    comp = random_curvature_stack(n, [[int(config.seed), n, idx] for idx in range(count)])
+    rhat = random_curvature_stack(n, [[int(config.seed), n, idx] for idx in range(count)])
     lap("draw")
-    solution = solve_dual_stack(comp)
+    solution = solve_dual_stack(rhat)
     lap("solve")
-    shifted, lower, upper = shift_to_pinching_stack(comp, e, TENSOR_MARGIN, solution)
+    shifted, lower, upper = shift_to_pinching_stack(rhat, e, TENSOR_MARGIN, solution)
     R = scalar_stack(shifted)
     lap("shift")
     lam, sig = _eigenframe_stack(shifted)

@@ -38,15 +38,6 @@ def mode_of(array):
     return RATIONAL if array.dtype == object else FLOAT
 
 
-def join_modes(*modes):
-    modes = {check_mode(m) for m in modes}
-    if len(modes) != 1:
-        raise ArithmeticModeError(
-            "mixed-mode operation rejected: " + ", ".join(sorted(modes))
-        )
-    return modes.pop()
-
-
 def is_rational(x) -> bool:
     return isinstance(x, (Fraction, int))
 

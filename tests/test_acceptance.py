@@ -29,7 +29,6 @@ from pinchlab.minsec import SearchOptions
 from pinchlab.models import (
     default_models,
     fubini_study_cp2,
-    oracle_min_sectional,
     pinching_threshold,
     product_spheres,
     round_cylinder_s3xr,
@@ -47,6 +46,7 @@ from pinchlab.profiles import (
 )
 from pinchlab.reports import report_digest
 from pinchlab.scalars import FLOAT, RATIONAL
+from reference import oracle_min_sectional
 
 SEED = 2024
 DIMS = (3, 4, 5, 6)

