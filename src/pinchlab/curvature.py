@@ -144,6 +144,15 @@ def four_form_basis(n):
 # Validation
 # ---------------------------------------------------------------------------
 
+def first_nonfinite(values):
+    """The index tuple of the first entry of a float array that is NaN or an
+    infinity, or None.  Such an entry passes every tolerance test (NaN
+    compares false) and belongs to no real tensor; Fractions are finite."""
+    if values.dtype.kind != "f" or np.isfinite(values).all():
+        return None
+    return tuple(int(v) for v in np.argwhere(~np.isfinite(values))[0])
+
+
 def _require_small(stack, residual, what):
     """Raise SymmetryError naming the first matrix k of the stack (k, n, n)
     whose residual (k, ...) is not zero: exactly in rational mode, else up to
@@ -173,7 +182,12 @@ def check_curvature_operators(rhat):
     """Raise SymmetryError unless every operator of the stack rhat (k, m, m)
     is symmetric and satisfies the first Bianchi identity (bianchi_sums),
     the only symmetries a curvature operator does not have by construction.
-    The error names the first failing operator's index."""
+    The error names the first failing operator's index; a float entry that
+    is not finite fails too, named with its operator and position."""
+    bad = first_nonfinite(rhat)
+    if bad is not None:
+        k, a, b = bad
+        raise ValueError(f"tensor {k}: entry ({a}, {b}) is non-finite: {rhat[bad]}")
     _require_small(rhat, rhat - rhat.transpose(0, 2, 1), "operator symmetry")
     _require_small(rhat, bianchi_sums(rhat), "first Bianchi identity")
 
@@ -205,6 +219,9 @@ class SymTensor2:
         shape = self.comp.shape
         if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
             raise ValueError(f"component shape {shape} is not (n, n) with n >= 1")
+        bad = first_nonfinite(self.comp)
+        if bad is not None:
+            raise ValueError(f"component {bad} is non-finite: {self.comp[bad]}")
         _require_small(self.comp[None], (self.comp - self.comp.T)[None], "symmetry S_ij = S_ji")
         self.comp.setflags(write=False)
 

@@ -27,6 +27,7 @@ from .curvature import (
     RATIONAL,
     as_mode_array,
     diagonal_tensor,
+    first_nonfinite,
     pair_basis,
     random_curvature_stack,
     scalar,
@@ -93,6 +94,11 @@ class SigmaProfile:
 
     def __post_init__(self):
         tol = 0 if self.mode == RATIONAL else 1e-10 * max(1.0, abs(float(self.R)))
+        for name, values in (("sigma", self.sigma), ("lam", self.lam), ("R", np.array(self.R))):
+            bad = first_nonfinite(values)
+            if bad is not None:
+                raise ValueError(f"{name}{list(bad) if bad else ''} is non-finite: "
+                                 f"{values[bad]}")
         if any(self.sigma[i, i] != 0 for i in range(self.n)):
             raise ValueError("sigma diagonal must vanish")
         if (abs(self.sigma - self.sigma.T) > tol).any():
@@ -136,20 +142,21 @@ def profile_from_sigma_bar(n, sb_pairs, eps, mode):
     """
     require_subcritical(n, eps)
     eps = float(eps) if mode == FLOAT else eps
-    R, sig, lam = _assemble(n, as_mode_array([sb_pairs], mode), eps)
+    R, sig, lam = _assemble(n, as_mode_array(sb_pairs, mode)[:, None], eps)
     sigma = zeros((n, n), mode)
     i, j, _ = _incidence(n)
-    sigma[i, j] = sigma[j, i] = sig[0]
-    return SigmaProfile(sigma, lam[0], R[0])
+    sigma[i, j] = sigma[j, i] = sig[:, 0]
+    return SigmaProfile(sigma, lam[:, 0], R[0])
 
 
 def _assemble(n, sb, eps):
-    """(R, sigma, lambda) rows from rows of shifted curvatures sb >= 0 over
-    the pairs i < j, in the arithmetic of sb and eps; see
-    profile_from_sigma_bar."""
-    R = 2 * sb.sum(axis=1) / (1 - n * (n - 1) * eps)
-    sig = sb + eps * R[:, None]
-    return R, sig, sig @ _incidence(n)[2] - R[:, None] / n
+    """(R, sigma, lambda) of the profiles whose shifted curvatures sb >= 0
+    over the pairs i < j are the columns of sb (m, k), in the arithmetic of
+    sb and eps: R (k,), sigma (m, k) and lambda (n, k), the pair-major
+    layout of estimate_gaps; see profile_from_sigma_bar."""
+    R = 2 * _leading_sum(sb) / (1 - n * (n - 1) * eps)
+    sig = sb + eps * R
+    return R, sig, _leading_sum(sig[_incidence(n)[2]]) - R / n
 
 
 def sample_sigma_profile(n, eps, seed, mode=FLOAT, distribution="half-normal"):
@@ -322,7 +329,7 @@ def check_estimates(source, params: PinchingParams) -> EstimateReport:
         lam, sig = _eigenframe(source)
     else:
         raise TypeError(f"unsupported source {type(source)!r}")
-    rows = estimate_gaps(lam[None], sig[None], (sig - eps * R)[None], np.array([R]),
+    rows = estimate_gaps(lam[:, None], sig[:, None], (sig - eps * R)[:, None], np.array([R]),
                          estimate_coefficients(source.n, eps), [s])
     rhs1, rhs2 = rows.rhs1[0], rows.rhs2[0]
     return EstimateReport(rows.lhs[0], rhs1, rhs2, _blend(s, rhs1, rhs2),
@@ -362,30 +369,52 @@ class GapRows(NamedTuple):
     bad: np.ndarray
 
 
+def _leading_sum(x):
+    """x summed over its first axis, one slice after another.  Unlike
+    x.sum(axis=0), which adds a single column of 8 or more entries pairwise,
+    the order does not depend on how many columns x has."""
+    total = x[0] + x[1]
+    for part in x[2:]:
+        total += part
+    return total
+
+
 def estimate_gaps(lam, sig, sb, R, coefficients, s_list):
     """Both estimates' gaps on rows of eigenframe data: the one gap formula
     of every lane.
 
-    Row r holds lambda (lam[r], length n), sigma and sb = sigma - eps R over
-    the pairs i < j (sig[r], sb[r]) and R[r]; coefficients holds (weight_k,
-    quadratic_k, cubic_k) per estimate (estimate_coefficients), and
-    gap_k = quadratic_k R P2 + cubic_k P3 - weight_k lhs.  residual is gap1
-    minus weight_1 times the slack sum_{i<j} (l_i - l_j)^2 sb_ij, which the
-    slack identity makes zero.  Rows are float, Fraction, or int64 or Python
-    int numerators (profile_batch_exact).  A float row is bad when a gap, for
-    either estimate or any s, is below -GAP_RTOL max(1, |lhs|, |rhs1|,
-    |rhs2|); an exact row when a gap is negative or the residual not zero.
+    Rows are columns, laid out pair-major: row r holds lambda (lam[:, r],
+    lam of shape (n, k)), sigma and sb = sigma - eps R over the pairs i < j
+    (sig[:, r] and sb[:, r], each (m, k)) and R[r].  Every sum runs over
+    the leading axis in a fixed order (_leading_sum), so a row's values do
+    not depend on the other rows it is evaluated with.  coefficients holds
+    (weight_k, quadratic_k, cubic_k) per estimate (estimate_coefficients),
+    and gap_k = quadratic_k R P2 + cubic_k P3 - weight_k lhs.  residual is
+    gap1 minus weight_1 times the slack sum_{i<j} (l_i - l_j)^2 sb_ij, which
+    the slack identity makes zero.  Rows are float, Fraction, or int64 or
+    Python int numerators (profile_batch_exact); powers are products, as
+    numpy computes a float x ** 3 through libm pow, and the pair terms of
+    lhs and of the slack share one buffer, which keeps few Python ints
+    alive.  A float row is bad when a gap, for either estimate or any s, is
+    below -GAP_RTOL max(1, |lhs|, |rhs1|, |rhs2|); an exact row when a gap
+    is negative or the residual not zero.
     """
     exact = lam.dtype.kind != "f"
-    i, j, _ = _incidence(lam.shape[1])
-    lprod = lam[:, i] * lam[:, j]
-    lhs = 2 * (lprod * sig).sum(axis=1)
-    P2 = (lam ** 2).sum(axis=1)
-    P3 = (lam ** 3).sum(axis=1)
+    i, j, _ = _incidence(len(lam))
+    li, lj = lam[i], lam[j]
+    terms = li * lj   # one (m, k) buffer of the pair terms, for lhs, then the slack
+    terms *= sig
+    lhs = 2 * _leading_sum(terms)
+    lam2 = lam * lam
+    P2 = _leading_sum(lam2)
+    P3 = _leading_sum(lam2 * lam)
     (weight1, quadratic1, cubic1), (weight2, quadratic2, cubic2) = coefficients
     rhs1 = quadratic1 * R * P2 + cubic1 * P3
     rhs2 = quadratic2 * R * P2 + cubic2 * P3
-    slack = ((lam[:, i] - lam[:, j]) ** 2 * sb).sum(axis=1)
+    np.subtract(li, lj, out=terms)
+    terms *= terms
+    terms *= sb
+    slack = _leading_sum(terms)
     gap1, gap2 = rhs1 - weight1 * lhs, rhs2 - weight2 * lhs
     convex = [_blend(s, gap1, gap2) for s in s_list]
     residual = gap1 - weight1 * slack
@@ -402,7 +431,8 @@ def estimate_gaps(lam, sig, sb, R, coefficients, s_list):
 def _gap_summary(rows: GapRows, sb, s_list, limit=None):
     """The minimum gaps (per s for the blend) and the largest slack residual
     over the rows, as floats (None when there are no rows), and the first
-    `limit` bad rows as violations."""
+    `limit` bad rows as violations; sb holds the shifted curvatures row by
+    row (k, m)."""
     some = len(rows.gap1) > 0
     return {
         "minGap1": float(rows.gap1.min()) if some else None,
@@ -422,13 +452,14 @@ def _gap_summary(rows: GapRows, sb, s_list, limit=None):
 
 @cache   # read-only, so one copy serves every caller
 def _incidence(n):
-    """(i, j, inc): the pairs i < j of pair_basis(n) and their pairs x n
-    incidence matrix."""
-    i, j, _ = pair_basis(n)
-    inc = np.zeros((len(i), n), dtype=np.int64)
-    inc[np.arange(len(i)), i] = inc[np.arange(len(i)), j] = 1
-    inc.setflags(write=False)
-    return i, j, inc
+    """(i, j, star): the pairs i < j of pair_basis(n), and the (n - 1, n)
+    array whose column k lists, in increasing order, the pairs that contain
+    k: x[star] summed over its first axis is sum_{i != k} x_ik."""
+    i, j, position = pair_basis(n)
+    star = np.array([[position[k, other] for other in range(n) if other != k]
+                     for k in range(n)]).T
+    star.setflags(write=False)
+    return i, j, star
 
 
 def _combo_rng(seed, n, eps):
@@ -446,20 +477,48 @@ def _float_coefficients(n, eps, coeff_delta):
     return (weight1, quadratic1 + coeff_delta, cubic1), estimate2
 
 
+# profiles per block of both batch lanes (_block_gaps).  Larger blocks run
+# the float and int64 lanes about 15% faster, but a Python-int block's
+# temporaries grow with it: at 1024 rows they stay below those of the
+# earlier, separately blocked exact lane.
+PROFILE_BLOCK = 1024
+
+
+def _block_gaps(draws, gaps_of_block):
+    """estimate_gaps over the rows of draws (count, m), PROFILE_BLOCK rows at
+    a time: each block is laid out pair-major, as the C-contiguous (m, rows)
+    transpose of its draws, and gaps_of_block assembles its profiles and
+    returns their estimate_gaps.  Returns the blocks' GapRows joined, one
+    entry per row; an empty draws gives one empty block."""
+    blocks = [gaps_of_block(np.ascontiguousarray(draws[lo:lo + PROFILE_BLOCK].T))
+              for lo in range(0, max(len(draws), 1), PROFILE_BLOCK)]
+    joined = {name: np.concatenate([getattr(b, name) for b in blocks])
+              for name in GapRows._fields if name != "convex"}
+    return GapRows(**joined, convex=[np.concatenate(parts)
+                                     for parts in zip(*(b.convex for b in blocks))])
+
+
 def profile_batch_float(n, eps, s_list, count, seed, distribution="half-normal",
                         coeff_delta=0.0):
-    """Float-mode batch: min gaps and violation indices over `count` profiles;
-    coeff_delta as in _float_coefficients."""
+    """Float-mode batch: min gaps and violation indices over `count` profiles,
+    assembled (_assemble) and checked block by block (_block_gaps);
+    coeff_delta as in _float_coefficients.  timings holds the seconds spent
+    drawing the shifted curvatures and in the kernel."""
     require_subcritical(n, eps)
     eps = float(eps)
+    started = time.perf_counter()
     sb = _float_draws(_combo_rng(seed, n, eps), (count, n * (n - 1) // 2), distribution)
-    R, sig, lam = _assemble(n, sb, eps)
+    drawn = time.perf_counter()
     s_list = [float(s) for s in s_list]
-    rows = estimate_gaps(lam, sig, sb, R, _float_coefficients(n, eps, coeff_delta), s_list)
-    return {"count": count, **_gap_summary(rows, sb, s_list, limit=10)}
+    coefficients = _float_coefficients(n, eps, coeff_delta)
 
+    def gaps(block):
+        R, sig, lam = _assemble(n, block, eps)
+        return estimate_gaps(lam, sig, block, R, coefficients, s_list)
 
-_EXACT_BLOCK = 1024   # profiles per block: keeps temporaries, above all Python ints, few
+    summary = _gap_summary(_block_gaps(sb, gaps), sb, s_list, limit=10)
+    return {"count": count, **summary,
+            "timings": {"draw": drawn - started, "kernel": time.perf_counter() - drawn}}
 
 
 def _integer_coefficients(n, f):
@@ -508,39 +567,43 @@ def profile_batch_exact(n, eps, count, seed, distribution="half-normal"):
     are decided exactly.
     exact_profile_bound bounds every intermediate before anything is
     computed; the kernel runs in int64 when the bound fits and in Python
-    ints otherwise, block by block, and exactLane names the lane that ran.
+    ints otherwise, block by block (_block_gaps), and exactLane names the
+    lane that ran.  timings holds the seconds spent drawing and in the
+    kernel.
     """
     require_subcritical(n, eps)
     f = Fraction(eps) if not isinstance(eps, Fraction) else eps
     p, q = f.numerator, f.denominator
     d = q - n * (n - 1) * p            # positive by the subcritical check
     lane = exact_lane(exact_profile_bound(n, f))
+    started = time.perf_counter()
     rng = _combo_rng(seed, n, f)
     sb = lane_array(_integer_draws(rng, (count, n * (n - 1) // 2), distribution), lane)
-    inc = lane_array(_incidence(n)[2], lane)
+    drawn = time.perf_counter()
+    star = _incidence(n)[2]
     coefficients = _integer_coefficients(n, f)
-    gap1, gap2, residual = (np.empty(count, dtype=sb.dtype) for _ in range(3))
-    bad = np.empty(count, dtype=bool)
-    for lo in range(0, count, _EXACT_BLOCK):
-        rows = slice(lo, lo + _EXACT_BLOCK)
-        S = sb[rows].sum(axis=1)
-        R_num = 2 * S * q                       # R = R_num / d
-        sb_num = sb[rows] * d                   # sb = sb_num / d
-        sig = sb_num + 2 * S[:, None] * p       # sigma = sig / d
-        lam = n * (sig @ inc) - R_num[:, None]  # lambda = lam / (n d)
-        out = estimate_gaps(lam, sig, sb_num, R_num, coefficients, [])
-        gap1[rows], gap2[rows], residual[rows], bad[rows] = (
-            out.gap1, out.gap2, out.residual, out.bad)
+
+    def gaps(block):
+        S = _leading_sum(block)
+        R_num = 2 * S * q                           # R = R_num / d
+        sb_num = block * d                          # sb = sb_num / d
+        sig = sb_num + 2 * S * p                    # sigma = sig / d
+        lam = n * _leading_sum(sig[star]) - R_num   # lambda = lam / (n d)
+        return estimate_gaps(lam, sig, sb_num, R_num, coefficients, [])
+
+    rows = _block_gaps(sb, gaps)
+    gap1, gap2, residual = rows.gap1, rows.gap2, rows.residual
     return {
         "count": count,
         "slackIdentityExact": bool((residual == 0).all()),
         "violations": [{"index": int(idx), "sigmaBar": sb[idx].tolist(),
                         "gap1Num": int(gap1[idx]), "gap2Num": int(gap2[idx]),
                         "slackNum": int(gap1[idx] - residual[idx])}
-                       for idx in np.nonzero(bad)[0][:10]],
+                       for idx in np.nonzero(rows.bad)[0][:10]],
         "minGap1Num": int(gap1.min()) if count else None,
         "minGap2Num": int(gap2.min()) if count else None,
         "exactLane": lane,
+        "timings": {"draw": drawn - started, "kernel": time.perf_counter() - drawn},
     }
 
 
@@ -661,7 +724,7 @@ def _tensor_combo(n, eps, config: CampaignConfig):
     lap("eigenframe")
     sb = sig - e * R[:, None]
     s_list = [float(s) for s in config.s_list]
-    rows = estimate_gaps(lam, sig, sb, R, _float_coefficients(n, e, config.coeff_delta),
+    rows = estimate_gaps(lam.T, sig.T, sb.T, R, _float_coefficients(n, e, config.coeff_delta),
                          s_list)
     summary = _gap_summary(rows, sb, s_list)
     lap("gaps")

@@ -114,8 +114,8 @@ def test_criterion_02_corollary_suite(profile_sweep, capfd):
     for n in DIMS:
         m = n * (n - 1) // 2
         rows = [np.array([Fraction(int(v), 7) for v in rng.integers(-20, 21, size=k * 10)],
-                         dtype=object).reshape(10, k) for k in (n, m, m)]
-        rows.append(rows[0][:, 0] + 3)
+                         dtype=object).reshape(10, k).T for k in (n, m, m)]
+        rows.append(rows[0][0] + 3)
         for eps in EPS_LIST:
             coefficients = estimate_coefficients(n, eps)
             gaps = estimate_gaps(*rows, coefficients, [Fraction(1), Fraction(0), s_mid])

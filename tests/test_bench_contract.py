@@ -30,11 +30,11 @@ workloads = _load_workloads()
 # the seed-1 digest of each case's outputs: a change that moves an output
 # (a refactor that should not) fails here, not only in a benchmark comparison
 DIGESTS = {
-    ("full", "tensor-campaign"): "cc1a7e8c04d3211ee5985bebc697b4bf9c60094295c52c0c0324eb9af3e592c2",
-    ("full", "cli-exact"): "29a61d44b53d0c9d2e4951f7532e4be7df9e0763fc50a4b6915762e87f1c881f",
-    ("tiny", "tensor-campaign"): "b9ce15a4824aa18f702aa0916b8c04db8a58674e26ef0fc183d2caf80165fbe3",
-    ("tiny", "profile-campaign"): "08b1eee5cb0cc98093ec901bc692fd898284965d9263e138464675708f45ca84",
-    ("tiny", "cli-exact"): "f8da293595b7a80719ed7ad62dc13405ccb19dcd1deabf56019bc672f1f57ba0",
+    ("full", "tensor-campaign"): "656e1b7738d6bb2c54f76459a1b19680947126627e4b11eabc458b9aa16305ac",
+    ("full", "cli-exact"): "a716c6e99b37879303df5eda2a086fadccb2809efdc840fdef3844957eccf501",
+    ("tiny", "tensor-campaign"): "87207146fdcc2bac4503c931e89e525d1e1103c611df84050e27285a864d327d",
+    ("tiny", "profile-campaign"): "8d1d4e067c269a8e4c4309e6d47aa6730d9cfaf69fbce84cb66a41b221f4eaf1",
+    ("tiny", "cli-exact"): "693b9edb2bc7dcfb8426bd6e676f0c51583fce1d3ecf8d9cdb735067831e0cb5",
 }
 CASES = [("full", "tensor-campaign"), ("full", "cli-exact"),
          *(("tiny", name) for name in workloads.TINY)]

@@ -267,6 +267,32 @@ def test_symmetry_validator_names_the_corrupted_tensor():
         AlgCurvTensor(np.array(rhat[5]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_rejected(bad):
+    # NaN passes every tolerance test (it compares false), so it is refused
+    # before them, with the tensor and entry that hold it
+    rhat = random_curvature_stack(4, [[3, 4, idx] for idx in range(3)])
+    rhat[2, 1, 4] = rhat[2, 4, 1] = bad
+    with pytest.raises(ValueError, match="^tensor 2: entry \\(1, 4\\) is non-finite"):
+        check_curvature_operators(rhat)
+    with pytest.raises(ValueError, match="^tensor 0: entry \\(1, 4\\) is non-finite"):
+        AlgCurvTensor(np.array(rhat[2]))
+    comp = np.eye(3)
+    comp[0, 2] = comp[2, 0] = bad
+    with pytest.raises(ValueError, match="^component \\(0, 2\\) is non-finite"):
+        SymTensor2(comp)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_from_json_rejects_a_non_finite_entry(bad):
+    data = json.loads(random_curvature(4, 0, FLOAT).to_json())
+    data["entries"][3][4] = bad
+    text = json.dumps(data)   # a bare NaN or Infinity, which json reads back
+    assert ("NaN" if np.isnan(bad) else "Infinity") in text
+    with pytest.raises(ValueError, match="non-finite"):
+        AlgCurvTensor.from_json(text)
+
+
 def test_symmetry_validator_is_exact_in_rational_mode():
     rhat = np.stack([random_curvature(4, seed, RATIONAL).rhat for seed in range(3)])
     check_curvature_operators(rhat)

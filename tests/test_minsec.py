@@ -214,6 +214,9 @@ def test_dual_rejects_non_finite_components():
     rhat[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         dual_min_sectional(AlgCurvTensor(rhat))
+    # the tensor refuses the entry; the dual's stack refuses it on its own
+    with pytest.raises(ValueError, match="non-finite"):
+        minsec.solve_dual_stack(rhat[None])
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from pinchlab.profiles import (
     profile_from_sigma_bar,
     profile_to_tensor,
     sample_sigma_profile,
-    _EXACT_BLOCK,
+    PROFILE_BLOCK,
     _EXACT_SB_MAX,
+    _assemble,
     _combo_rng,
     estimate_coefficients,
     estimate_gaps,
@@ -75,6 +76,21 @@ def test_profile_rejects_lam_of_another_length():
         SigmaProfile(p.sigma.copy(), np.append(p.lam, 0.0), p.R)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_profile_rejects_non_finite_entries(bad):
+    p = sample_sigma_profile(4, 0, 5, FLOAT)
+    sigma = p.sigma.copy()
+    sigma[1, 3] = sigma[3, 1] = bad
+    with pytest.raises(ValueError, match="^sigma\\[1, 3\\] is non-finite"):
+        SigmaProfile(sigma, p.lam.copy(), p.R)
+    lam = p.lam.copy()
+    lam[2] = bad
+    with pytest.raises(ValueError, match="^lam\\[2\\] is non-finite"):
+        SigmaProfile(p.sigma.copy(), lam, p.R)
+    with pytest.raises(ValueError, match="^R is non-finite"):
+        SigmaProfile(p.sigma.copy(), p.lam.copy(), bad)
+
+
 def test_equno_identity_exact_rational():
     for seed in range(10):
         p = sample_sigma_profile(5, Fraction(1, 48), seed, RATIONAL)
@@ -93,7 +109,8 @@ def test_slack_is_exact_gap1_rational():
 
 
 def fraction_rows(n, count, seed):
-    """Random rows (lam, sig, sb, R) of Fractions for estimate_gaps."""
+    """Random rows (lam, sig, sb, R) of Fractions for estimate_gaps, laid
+    out pair-major."""
     rng = np.random.default_rng(seed)
 
     def draw(*shape):
@@ -101,7 +118,7 @@ def fraction_rows(n, count, seed):
                         dtype=object).reshape(shape)
 
     m = n * (n - 1) // 2
-    return draw(count, n), draw(count, m), draw(count, m), draw(count)
+    return draw(count, n).T, draw(count, m).T, draw(count, m).T, draw(count)
 
 
 def test_convex_combination_endpoints_exact():
@@ -224,7 +241,7 @@ def test_float_convex_endpoints_are_the_estimates_bit_for_bit():
     rng = np.random.default_rng(3)
     for n in (3, 4, 5, 6):
         m = n * (n - 1) // 2
-        lam, sig, sb = (rng.standard_normal((50, k)) for k in (n, m, m))
+        lam, sig, sb = (rng.standard_normal((50, k)).T for k in (n, m, m))
         R = rng.standard_normal(50)
         for eps in rng.uniform(-0.1, 0.03, size=5):
             rows = estimate_gaps(lam, sig, sb, R, estimate_coefficients(n, float(eps)),
@@ -238,26 +255,106 @@ def test_float_convex_endpoints_are_the_estimates_bit_for_bit():
         assert zero.gapConvex == zero.gap2 and zero.rhsConvex == zero.rhs2
 
 
-# report_digest of profile_batch_float(n, eps, PINNED_S, 20_000, 1) before the
-# float lane ran through estimate_gaps
+# report_digest of profile_batch_float(n, eps, PINNED_S, 20_000, 1), pinned
+# when the lane came to cube by products and sum in pair-major blocks; those
+# moved every float value by rounding only (EARLIER_FLOAT_MINIMA)
 PINNED_S = (Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(7, 8), Fraction(1))
 PINNED_FLOAT_DIGESTS = {
-    (3, Fraction(-1, 10)): "b40e0cd1ecc065498b62263c91f6e1172f613f8dcc61f83ec1331c5c1889be24",
-    (3, Fraction(0)): "2a8f2e5990285467e698bfe817108543660b6daae6b4abd16d1a2d0c4b9ecc3c",
+    (3, Fraction(-1, 10)): "0af4fa813b85c8de6fa596525b2f073392f642f0cb0e49926f5c4a9a4ae169cb",
+    (3, Fraction(0)): "cb417c8ace884be95cefa9db3e351b39ee05230fdaac39bc2a6c10cc9b8c3df7",
     (3, Fraction(1, 48)): "3ae0e9e808d35c70396f3a38766b0c1f04f12ef955f7dab8ba50aa3aff479eff",
-    (3, Fraction(1, 24)): "89cbfdd0627b8140c8d8130f35e5afc00f8218c5931c854402fd5e0e70266f4e",
+    (3, Fraction(1, 24)): "010fe6d88a394c868f0bdc931f8ac651f6d2b998939fa227801fac4e7ef53a69",
     (4, Fraction(-1, 10)): "b033706876763522d84a66400761a333bddb41fa1f2350f54a516a795fb4f85d",
     (4, Fraction(0)): "84e0026ce22a3bbb724fdcfc72e726391e36591846456dd613a7b487c5230a38",
     (4, Fraction(1, 48)): "10d16c858c960f9cf2ca464bf14d73de24cd95a3ec6b396f9f5eed9608e958ca",
     (4, Fraction(1, 24)): "b05fd51f34e6128aa9e246db510bc3c5a6a0ab117267d709e164404c4b08199a",
-    (5, Fraction(-1, 10)): "59a3bac6cb0279f8ed50cca920403b5e94acc08eaa644a4c9f1542fdd6e6b406",
+    (5, Fraction(-1, 10)): "9e29c6905b6b2489889f1241868e0958836acd31eeda1f8236f7625f395164aa",
     (5, Fraction(0)): "7445d395b01f23dcc943ef8cd6a590ee71ed7d28ab401eb03cd4c145d43f0c62",
     (5, Fraction(1, 48)): "e72a3fa20995aeef013339d684ab89d25a5290dd5d2439e4f4f326082d4fdc86",
     (5, Fraction(1, 24)): "e433cafd98816221649f6deb192516fe01b256946223f313cd8ae743c4fc4418",
     (6, Fraction(-1, 10)): "15c208514095ca3837d5607562803a20ed748212e7bd640b1fe98677f56db22b",
     (6, Fraction(0)): "6b3e1ad63b7c07520755cc463193d6dd48a810cb89bbe922bb1dbfcd183d6040",
-    (6, Fraction(1, 48)): "b2496ce679a33093ad7b70ae2fa4ccad075ba85f330efa0f469d56c7cda6c0f7",
+    (6, Fraction(1, 48)): "4e835f6171974172460ac3ada367dfe49bfe82c3d179a93dd2dabafb62a0f533",
 }
+
+# (minGap1, minGap2, minGapConvex per PINNED_S) of the same reports before
+# that change, which computed lambda^3 with libm pow and summed each row
+# pairwise: the values the lane must keep up to rounding
+EARLIER_FLOAT_MINIMA = {
+    (3, Fraction(-1, 10)): (
+        1.2722213970864167e-05, -3.197442310920451e-14,
+        (-3.197442310920451e-14, 6.361106985432088e-06, 9.541660478148126e-06,
+         1.1131937224506148e-05, 1.2722213970864167e-05)),
+    (3, Fraction(0)): (
+        1.6610227188138533e-05, -2.4868995751603507e-14,
+        (-2.4868995751603507e-14, 8.305113594069261e-06, 1.2457670391103896e-05,
+         1.4533948789621215e-05, 1.6610227188138533e-05)),
+    (3, Fraction(1, 48)): (
+        2.2677875847935837e-05, -3.375077994860476e-14,
+        (-3.375077994860476e-14, 1.1338937923967935e-05, 1.7008406885951886e-05,
+         1.984314136694386e-05, 2.2677875847935837e-05)),
+    (3, Fraction(1, 24)): (
+        1.0822228093348868e-05, -4.440892098500626e-14,
+        (-4.440892098500626e-14, 5.411114046674432e-06, 8.11667107001165e-06,
+         9.46944958168026e-06, 1.0822228093348868e-05)),
+    (4, Fraction(-1, 10)): (
+        0.0015883979925019063, 0.002263183788218575,
+        (0.002263183788218575, 0.0019257908903602405, 0.0017570944414310734,
+         0.00167274621696649, 0.0015883979925019063)),
+    (4, Fraction(0)): (
+        0.0038547740005322366, 0.003730270119732909,
+        (0.003730270119732909, 0.003792522060132573, 0.003823648030332405,
+         0.0038392110154323207, 0.0038547740005322366)),
+    (4, Fraction(1, 48)): (
+        0.0009798047946293891, 0.000949984021250813,
+        (0.000949984021250813, 0.0009648944079401011, 0.000972349601284745,
+         0.0009760771979570671, 0.0009798047946293891)),
+    (4, Fraction(1, 24)): (
+        0.0013096688482362752, 0.0015298464757337973,
+        (0.0015298464757337973, 0.0014197576619850362, 0.0013647132551106557,
+         0.0013371910516734656, 0.0013096688482362752)),
+    (5, Fraction(-1, 10)): (
+        0.02004769761189824, 0.060800751863362486,
+        (0.060800751863362486, 0.04042422473763036, 0.0302359611747643,
+         0.02514182939333127, 0.02004769761189824)),
+    (5, Fraction(0)): (
+        0.027468792967396564, 0.08280580836818928,
+        (0.08280580836818928, 0.05513730066779292, 0.04130304681759474,
+         0.034385919892495655, 0.027468792967396564)),
+    (5, Fraction(1, 48)): (
+        0.08671912894470682, 0.2566567358076456,
+        (0.2566567358076456, 0.17447697011436414, 0.13338708726772341,
+         0.11284214584440305, 0.08671912894470682)),
+    (5, Fraction(1, 24)): (
+        0.03776603715407434, 0.1331290840688526,
+        (0.1331290840688526, 0.08544756061146347, 0.061606798882768904,
+         0.04968641801842162, 0.03776603715407434)),
+    (6, Fraction(-1, 10)): (
+        0.2326903394133029, 1.5977378216335032,
+        (1.5977378216335032, 0.915214080523403, 0.5739522099683529,
+         0.4033212746908279, 0.2326903394133029)),
+    (6, Fraction(0)): (
+        0.25628947181538125, 1.6761922177723083,
+        (1.6761922177723083, 0.9662408447938448, 0.611265158304613,
+         0.43377731505999717, 0.25628947181538125)),
+    (6, Fraction(1, 48)): (
+        0.2143467972300075, 1.246575813205179,
+        (1.246575813205179, 0.7304613052175932, 0.47240405122380036,
+         0.3433754242269039, 0.2143467972300075)),
+}
+
+
+@pytest.mark.parametrize("n, eps", CRITERION_COMBOS)
+def test_float_lane_keeps_its_earlier_values(n, eps):
+    # relative to max(1, |value|), GAP_RTOL's scale: at n = 3 estimate 2 is
+    # an identity, and its minimum gap is rounding noise about 3e-14
+    out = profile_batch_float(n, eps, PINNED_S, 20_000, 1)
+    gap1, gap2, convex = EARLIER_FLOAT_MINIMA[n, eps]
+    got = [out["minGap1"], out["minGap2"], *out["minGapConvex"].values()]
+    assert list(out["minGapConvex"]) == [repr(float(s)) for s in PINNED_S]
+    for value, earlier in zip(got, [gap1, gap2, *convex], strict=True):
+        assert abs(value - earlier) <= 1e-12 * max(1.0, abs(earlier)), (value, earlier)
+    assert out["violations"] == []
 
 
 @pytest.mark.parametrize("n, eps", CRITERION_COMBOS)
@@ -303,9 +400,8 @@ def test_python_int_lane_report_is_unchanged():
         "75bf55c4f83deba739b0972130bcf91c41dc3c38cd061625b2778d4d36895eaf")
 
 
-@pytest.mark.parametrize("n, eps, count", [(5, Fraction(1, 48), 2500),
-                                           (6, Fraction(1, 1000), 1100)])
-def test_every_exact_block_goes_through_estimate_gaps(monkeypatch, n, eps, count):
+def _spy_on_gaps(monkeypatch):
+    """Record the arguments and result of each estimate_gaps call."""
     calls = []
 
     def spy(*args):
@@ -313,16 +409,63 @@ def test_every_exact_block_goes_through_estimate_gaps(monkeypatch, n, eps, count
         return calls[-1][1]
 
     monkeypatch.setattr(profiles, "estimate_gaps", spy)
-    out = profile_batch_exact(n, eps, count, 2)
-    sizes = [len(rows.gap1) for _, rows in calls]
-    assert sum(sizes) == count and max(sizes) <= _EXACT_BLOCK
-    for args, rows in calls:
-        assert args[4] == profiles._integer_coefficients(n, eps) and args[5] == []
-        assert rows.gap1.dtype == (np.int64 if out["exactLane"] == "int64" else object)
-    assert out["minGap1Num"] == min(rows.gap1.min() for _, rows in calls)
-    assert out["minGap2Num"] == min(rows.gap2.min() for _, rows in calls)
-    assert out["slackIdentityExact"] and all((rows.residual == 0).all() for _, rows in calls)
-    assert not out["violations"] and not any(rows.bad.any() for _, rows in calls)
+    return calls
+
+
+def _run_lane(lane, n, eps, count, seed):
+    if lane == "float":
+        return profile_batch_float(n, eps, PINNED_S, count, seed)
+    return profile_batch_exact(n, eps, count, seed)
+
+
+@pytest.mark.parametrize("n, eps, count", [(5, Fraction(1, 48), 2500),
+                                           (6, Fraction(1, 1000), 1100)])
+def test_every_exact_block_goes_through_estimate_gaps(monkeypatch, n, eps, count):
+    # both lanes, each over several blocks, the last one short
+    calls = _spy_on_gaps(monkeypatch)
+    for lane in ("float", "exact"):
+        calls.clear()
+        out = _run_lane(lane, n, eps, count, 2)
+        sizes = [len(rows.gap1) for _, rows in calls]
+        assert sizes == [PROFILE_BLOCK] * (count // PROFILE_BLOCK) + [count % PROFILE_BLOCK]
+        if lane == "float":
+            assert out["minGap1"] == min(rows.gap1.min() for _, rows in calls)
+            assert not out["violations"]
+            continue
+        for args, rows in calls:
+            assert args[4] == profiles._integer_coefficients(n, eps) and args[5] == []
+            assert rows.gap1.dtype == (np.int64 if out["exactLane"] == "int64" else object)
+        assert out["minGap1Num"] == min(rows.gap1.min() for _, rows in calls)
+        assert out["minGap2Num"] == min(rows.gap2.min() for _, rows in calls)
+        assert out["slackIdentityExact"] and all((rows.residual == 0).all()
+                                                 for _, rows in calls)
+        assert not out["violations"] and not any(rows.bad.any() for _, rows in calls)
+
+
+@pytest.mark.parametrize("lane", ["float", "exact"])
+@pytest.mark.parametrize("n, eps", [(4, Fraction(1, 24)), (6, Fraction(1, 48))])
+def test_rows_are_independent_of_blocks(monkeypatch, lane, n, eps):
+    # each block reaches estimate_gaps C-contiguous and pair-major, and a
+    # row's values are, bit for bit, those of the row evaluated alone: every
+    # 16th row and the last of each block are checked
+    calls = _spy_on_gaps(monkeypatch)
+    _run_lane(lane, n, eps, 2 * PROFILE_BLOCK + 7, 0)
+    assert [len(rows.gap1) for _, rows in calls] == [PROFILE_BLOCK, PROFILE_BLOCK, 7]
+    m = n * (n - 1) // 2
+    for (lam, sig, sb, R, coefficients, s_list), rows in calls:
+        for block, height in ((lam, n), (sig, m), (sb, m)):
+            assert block.flags.c_contiguous and block.shape == (height, len(R))
+        for r in {*range(0, len(R), 16), len(R) - 1}:
+            one = estimate_gaps(lam[:, r:r + 1], sig[:, r:r + 1], sb[:, r:r + 1], R[r:r + 1],
+                                coefficients, s_list)
+            for got, alone in zip([rows.gap1, rows.gap2, rows.residual, *rows.convex],
+                                  [one.gap1, one.gap2, one.residual, *one.convex]):
+                assert got[r:r + 1].tobytes() == alone.tobytes(), r
+        if lane == "float":   # and the block's profiles are each assembled alone
+            for r in {*range(0, len(R), 16), len(R) - 1}:
+                one_R, one_sig, one_lam = _assemble(n, sb[:, r:r + 1], float(eps))
+                assert (one_R[0], *one_sig[:, 0], *one_lam[:, 0]) == (
+                    R[r], *sig[:, r], *lam[:, r]), r
 
 
 def test_batch_exact_numerators_match_rational_profiles():
@@ -381,6 +524,11 @@ def test_batch_exact_runs_python_ints_beyond_int64(n, eps, count):
     assert out["minGap1Num"] >= 0 and out["minGap2Num"] >= 0
 
 
+def _untimed(report):
+    """A lane's report without its timings."""
+    return {k: v for k, v in report.items() if k != "timings"}
+
+
 def _wrong_estimate1(monkeypatch):
     """Add one to estimate 1's integer quadratic coefficient."""
     real = profiles._integer_coefficients
@@ -402,7 +550,7 @@ def test_batch_exact_lanes_agree(monkeypatch, wrong):
         monkeypatch.setattr(scalars, "INT64_MAX", 0)
         python_int = profile_batch_exact(n, eps, 300, 4)
         assert (int64.pop("exactLane"), python_int.pop("exactLane")) == ("int64", "python-int")
-        assert python_int == int64
+        assert _untimed(python_int) == _untimed(int64)
         assert bool(int64["violations"]) == wrong
 
 
@@ -477,7 +625,8 @@ def test_mc_campaign_tensor_kind():
 
 def test_sparse_exact_lane_reaches_the_equality_case():
     default = profile_batch_exact(4, Fraction(1, 24), 300, 0)
-    assert default == profile_batch_exact(4, Fraction(1, 24), 300, 0, "half-normal")
+    assert _untimed(default) == _untimed(profile_batch_exact(4, Fraction(1, 24), 300, 0,
+                                                            "half-normal"))
     assert default["minGap1Num"] > 0
     config = CampaignConfig(kind="profile", dims=(4, 5), eps_list=(Fraction(1, 48),),
                             s_list=(0, 1), count=300, seed=0, mode=RATIONAL,
@@ -706,7 +855,8 @@ def test_tensor_combo_rows_replay_alone(monkeypatch, n):
         shifted, _, _ = shift_to_pinching(random_curvature(n, [17, n, idx], FLOAT),
                                           1 / 48, TENSOR_MARGIN)
         one_lam, one_sig = _eigenframe(shifted)
-        assert np.array_equal(lam[idx], one_lam) and np.array_equal(sig[idx], one_sig), idx
+        assert np.array_equal(lam[:, idx], one_lam), idx
+        assert np.array_equal(sig[:, idx], one_sig), idx
         assert R[idx] == scalar(shifted), idx
 
 
@@ -723,6 +873,18 @@ def test_tensor_combo_batches_its_eigh_calls(monkeypatch):
     assert report["checks"][0]["minSecRecheckPassed"] == 20
     assert len(calls) <= BISECTIONS + 10
     assert calls[0] == (20, 6, 6)
+
+
+@pytest.mark.parametrize("lane", ["float", "exact"])
+def test_lane_timings_stay_out_of_the_digest(lane):
+    first, second = (_run_lane(lane, 5, Fraction(1, 48), 3000, 4) for _ in range(2))
+    for out in (first, second):
+        assert list(out["timings"]) == ["draw", "kernel"]
+        assert all(t >= 0 for t in out["timings"].values())
+    slower = dict(second, timings={k: t + 1.0 for k, t in second["timings"].items()})
+    assert first["timings"] != slower["timings"]
+    assert report_digest(first) == report_digest(second) == report_digest(slower)
+    assert _untimed(first) == _untimed(slower)
 
 
 def test_tensor_combo_records_stage_timings():
