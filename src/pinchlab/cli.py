@@ -69,8 +69,6 @@ def build_parser(explicit_only=False):
     ve.add_argument("--count", type=int, default=default(1000))
     ve.add_argument("--kind", choices=["profile", "tensor"], default=default("profile"))
     ve.add_argument("--distribution", choices=DISTRIBUTIONS, default=default("half-normal"))
-    ve.add_argument("--corrupt-rhs1", type=float, default=default(0.0),
-                    help="test fixture: perturb the estimate-1 coefficient")
 
     oq = sub.add_parser("optimize-q2", parents=[common],
                         help="exact global maximum of the Q2 functional")
@@ -163,7 +161,7 @@ def cmd_verify_estimates(args):
     config = CampaignConfig(
         kind=args.kind, dims=dims, eps_list=eps_list, s_list=s_list,
         count=args.count, seed=args.seed, mode=args.arithmetic,
-        distribution=args.distribution, coeff_delta=args.corrupt_rhs1)
+        distribution=args.distribution)
     report = mc_campaign(config)
     return _finish(report, args, "verify-estimates")
 

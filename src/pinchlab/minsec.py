@@ -26,7 +26,7 @@ multiplier, upper the curvature of a plane taken from the bottom eigenvectors
 at that multiplier.  shift_to_pinching returns tensors certified by that
 bracket; pinched is the one test of Sec >= eps*R.  The *_stack functions
 take a stack rhat (k, m, m) of curvature operators; solve_dual,
-dual_bracket, shift_by and shift_to_pinching are their stacks of one, and a
+dual_bracket and shift_to_pinching are their stacks of one, and a
 tensor's numbers do not depend on the stack it sits in.  A shift by c adds
 c times constant_curvature(n, 1), the identity on bivectors.  The runtime
 needs only numpy.  The grid + L-BFGS search (search_min_sectional), on the
@@ -631,11 +631,11 @@ def shift_to_pinching_stack(rhat, eps, margin, solution):
     given its solve_dual_stack solution (multipliers, x, y): arrays
     (shifted, lower, upper).
 
-    Each tensor is shift_by the curvature of its plane: that adds c I to
-    Rhat and keeps the multiplier optimal, so dual_bracket at it rechecks.
-    An open bracket wider than the slack, its plane still pinched, is
-    shifted on from lower and rechecked; one whose plane violates the
-    hypothesis is returned uncertified.
+    Each tensor is shifted by the curvature of its plane (shift_by_stack):
+    that adds c I to Rhat and keeps the multiplier optimal, so dual_bracket
+    at it rechecks.  An open bracket wider than the slack, its plane still
+    pinched, is shifted on from lower and rechecked; one whose plane
+    violates the hypothesis is returned uncertified.
     """
     multipliers, x, y = solution
     upper = plane_sectionals_stack(_float_stack(rhat), x[:, None], y[:, None])[:, 0]
@@ -650,16 +650,10 @@ def shift_to_pinching_stack(rhat, eps, margin, solution):
     return shifted, lower, upper
 
 
-def shift_by(Rm: AlgCurvTensor, eps, min_sec, margin=0) -> AlgCurvTensor:
-    """Rm' = Rm + c I on bivectors solving min Sec(Rm') = eps R' (+ margin
-    slack) for a tensor whose min Sec is min_sec: the stack of one of
-    shift_by_stack."""
-    return AlgCurvTensor(shift_by_stack(Rm.rhat[None], eps, np.array([min_sec]), margin)[0])
-
-
 def shift_by_stack(rhat, eps, min_sec, margin=0):
-    """shift_by of each operator of the stack rhat (k, m, m), of one mode,
-    whose min Sec is min_sec (k,).  Both sides move with c: sigma -> sigma + c
+    """Each operator of the stack rhat (k, m, m), of one mode, whose min Sec
+    is min_sec (k,), plus c I on bivectors solving min Sec = eps R (+ margin
+    slack) for the shifted tensor.  Both sides move with c: sigma -> sigma + c
     and R -> R + n(n-1) c, and Rhat -> Rhat + c I, which changes only the
     diagonal, so a valid stack stays valid."""
     n = pair_dimension(rhat.shape[-1])

@@ -1,14 +1,15 @@
 """Pinching estimates, the eigenbasis sigma-profile model, and campaigns.
 
 A sigma-profile is the data the eigenbasis proof of the estimates actually
-manipulates: traceless-Ricci eigenvalues lambda_i and sectional curvatures
-sigma_ij of the coordinate 2-planes of that eigenbasis.  Both estimates, the
-convex combination, the exact cross-term identity and the eigenvalue-gap
-inequality live here, with seeded Monte Carlo campaigns over profiles and
-over full Bianchi-projected tensors.  estimate_gaps is the one gap formula:
-the scalar lane (check_estimates), the float lane, the tensor lane (a
-tensor is checked, in float, as the profile of its eigenframe) and the
-exact integer lane all evaluate their gaps with it.
+manipulates: the sectional curvatures sigma_ij of the coordinate 2-planes of
+a traceless-Ricci eigenbasis, which determine R and the eigenvalues
+lambda_i.  Both estimates, the convex combination, the exact cross-term
+identity and the eigenvalue-gap inequality live here, with seeded Monte
+Carlo campaigns over profiles and over full Bianchi-projected tensors.
+estimate_gaps is the one gap formula: the scalar lane (check_estimates),
+the float lane, the tensor lane (a tensor is checked, in float, as the
+profile of its eigenframe) and the exact integer lane all evaluate their
+gaps with it.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from .curvature import (
     diagonal_tensor,
     first_nonfinite,
     pair_basis,
+    pair_dimension,
     random_curvature_stack,
     scalar,
     scalar_stack,
     traceless_ricci_stack,
-    zeros,
 )
 from .minsec import (
     MAX_DUAL_N,
@@ -76,77 +77,63 @@ class PinchingParams:
 
 @dataclass(frozen=True)
 class SigmaProfile:
-    """Eigenbasis model: lambda_i, sigma_ij, R, with the consistency relations
-    sum lambda = 0,  lambda_k + R/n = sum_{i != k} sigma_ik,  R = sum sigma.
-    Its dimension n and arithmetic mode are those of sigma."""
+    """Eigenbasis model: the sectional curvatures sigma (m,) of an eigenframe's
+    coordinate planes, one per pair i < j of pair_basis(n).  They determine
+    the rest, as in _assemble: R = sum_{i != j} sigma_ij and the traceless
+    eigenvalues lambda_k = sum_{i != k} sigma_ik - R/n.  Its dimension n is
+    read from m = n(n-1)/2 and its arithmetic mode from sigma's dtype."""
 
-    sigma: np.ndarray    # symmetric, zero diagonal
-    lam: np.ndarray
-    R: object
+    sigma: np.ndarray
 
     @property
     def n(self):
-        return len(self.sigma)
+        return pair_dimension(len(self.sigma))
 
     @property
     def mode(self):
         return mode_of(self.sigma)
 
+    @property
+    def R(self):
+        return 2 * _leading_sum(self.sigma)
+
+    @property
+    def lam(self):
+        return _leading_sum(self.sigma[_incidence(self.n)[2]]) - self.R / self.n
+
     def __post_init__(self):
-        tol = 0 if self.mode == RATIONAL else 1e-10 * max(1.0, abs(float(self.R)))
-        for name, values in (("sigma", self.sigma), ("lam", self.lam), ("R", np.array(self.R))):
-            bad = first_nonfinite(values)
-            if bad is not None:
-                raise ValueError(f"{name}{list(bad) if bad else ''} is non-finite: "
-                                 f"{values[bad]}")
-        if any(self.sigma[i, i] != 0 for i in range(self.n)):
-            raise ValueError("sigma diagonal must vanish")
-        if (abs(self.sigma - self.sigma.T) > tol).any():
-            raise ValueError("sigma must be symmetric")
-        if self.lam.shape != (self.n,):
-            raise ValueError(f"lam has shape {self.lam.shape}, not ({self.n},)")
-        if abs(sum(self.lam)) > tol:
-            raise ValueError("eigenvalues must sum to zero")
-        if abs(self.sigma.sum() - self.R) > tol:
-            raise ValueError("R must equal the full sigma sum")
-        for k in range(self.n):
-            mu_k = self.sigma[:, k].sum()
-            if abs(self.lam[k] + exact_div(self.R, self.n) - mu_k) > tol:
-                raise ValueError(f"mu_{k} inconsistent with lambda_{k} + R/n")
+        shape = self.sigma.shape
+        if len(shape) != 1 or pair_dimension(shape[0]) < 3:
+            raise ValueError(f"sigma shape {shape} is not (m,), m = n(n-1)/2 with n >= 3")
+        mode_of(self.sigma)   # raises for a dtype of no arithmetic mode
+        bad = first_nonfinite(self.sigma)
+        if bad is not None:
+            raise ValueError(f"sigma{list(bad)} is non-finite: {self.sigma[bad]}")
         self.sigma.setflags(write=False)
-        self.lam.setflags(write=False)
-
-    def sigma_bar(self, eps):
-        """sigma_ij - eps * R off the diagonal (the shifted plane curvatures)."""
-        return np.where(np.eye(self.n, dtype=bool), self.sigma, self.sigma - eps * self.R)
-
-    def min_sigma(self):
-        return self.sigma[_incidence(self.n)[:2]].min()
 
     def as_dict(self):
         return {
             "n": self.n,
             "mode": self.mode,
-            "sigma": [[scalar_to_json(v) for v in row] for row in self.sigma.tolist()],
+            "sigma": [scalar_to_json(v) for v in self.sigma.tolist()],
             "lambda": [scalar_to_json(v) for v in self.lam.tolist()],
             "R": scalar_to_json(self.R),
         }
 
 
-def profile_from_sigma_bar(n, sb_pairs, eps, mode):
-    """Assemble a SigmaProfile from non-negative shifted curvatures sb >= 0.
+def profile_from_sigma_bar(sb_pairs, eps, mode):
+    """Assemble a SigmaProfile from non-negative shifted curvatures sb >= 0
+    over the pairs i < j, whose number gives n.
 
     Solves the scale equation R = 2 * sum(sb) / (1 - n(n-1) eps), then
-    sigma = sb + eps R on each pair and lambda_k = sum_{i != k} sigma_ik - R/n.
-    The pinching condition sigma >= eps R holds by construction.
+    sigma = sb + eps R on each pair (_assemble).  The pinching condition
+    sigma >= eps R holds by construction.
     """
+    sb = as_mode_array(sb_pairs, mode)
+    n = pair_dimension(len(sb))
     require_subcritical(n, eps)
     eps = float(eps) if mode == FLOAT else eps
-    R, sig, lam = _assemble(n, as_mode_array(sb_pairs, mode)[:, None], eps)
-    sigma = zeros((n, n), mode)
-    i, j, _ = _incidence(n)
-    sigma[i, j] = sigma[j, i] = sig[:, 0]
-    return SigmaProfile(sigma, lam[:, 0], R[0])
+    return SigmaProfile(_assemble(n, sb[:, None], eps)[1][:, 0])
 
 
 def _assemble(n, sb, eps):
@@ -167,15 +154,9 @@ def sample_sigma_profile(n, eps, seed, mode=FLOAT, distribution="half-normal"):
     """
     require_subcritical(n, eps)
     _require("mode", mode, MODES)
-    rng = np.random.default_rng(seed)
-    m = n * (n - 1) // 2
-    if mode == RATIONAL:
-        sb = [Fraction(int(v)) for v in _integer_draws(rng, m, distribution)]
-        eps = eps if isinstance(eps, Fraction) else Fraction(eps)
-    else:
-        sb = list(_float_draws(rng, m, distribution))
-        eps = float(eps)
-    return profile_from_sigma_bar(n, sb, eps, mode)
+    draws = _integer_draws if mode == RATIONAL else _float_draws
+    sb = draws(np.random.default_rng(seed), n * (n - 1) // 2, distribution)
+    return profile_from_sigma_bar(sb, Fraction(eps) if mode == RATIONAL else eps, mode)
 
 
 def _float_draws(rng, shape, distribution):
@@ -208,7 +189,7 @@ def _integer_draws(rng, shape, distribution):
 
 def profile_to_tensor(p: SigmaProfile) -> AlgCurvTensor:
     """Diagonal curvature tensor realizing the profile: R_ijij = sigma_ij."""
-    return diagonal_tensor(p.sigma[_incidence(p.n)[:2]], p.n, p.mode)
+    return diagonal_tensor(p.sigma, p.n, p.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +212,18 @@ def _blend(s, first, second):
 
 
 def equno_identity(p: SigmaProfile, eps):
-    """Both sides of the shifted cross-term identity; they agree exactly:
+    """Both sides of the shifted cross-term identity, over the pairs i < j;
+    they agree exactly:
 
-        sum_{ij} l_i l_j sb_ij - sum_k mub_k l_k^2
+        2 sum_{i<j} l_i l_j sb_ij - sum_k mub_k l_k^2
             = - sum_{i<j} (l_i - l_j)^2 sb_ij   (<= 0 when all sb >= 0)
 
     with sb = sigma - eps R and mub_k = sum_{i != k} sb_ik: minus the slack.
     """
-    lam, sb = p.lam, p.sigma_bar(eps)
-    i, j, _ = _incidence(p.n)
-    cross = (np.outer(lam, lam) * sb).sum() - (sb.sum(axis=0) * lam ** 2).sum()
-    return cross, -((lam[i] - lam[j]) ** 2 * sb[i, j]).sum()
+    lam, sb = p.lam, p.sigma - eps * p.R
+    i, j, star = _incidence(p.n)
+    cross = 2 * (lam[i] * lam[j] * sb).sum() - (_leading_sum(sb[star]) * lam ** 2).sum()
+    return cross, -((lam[i] - lam[j]) ** 2 * sb).sum()
 
 
 def eigen_gap_lemma(lam, i, j):
@@ -294,7 +276,7 @@ def check_estimates(source, params: PinchingParams) -> EstimateReport:
     """Evaluate both estimates and the convex combination on one source.
 
     The hypothesis Sec >= eps*R (decided by pinched) is a precondition:
-    profiles are checked directly on their sigma entries, tensors through
+    profiles are checked directly on sigma, tensors through
     dual_min_sectional.  A tensor passes when the bracket's lower end
     certifies the hypothesis; the error says whether the bracket's plane
     violates it or the 4-form dual cannot decide (an open bracket straddling
@@ -306,12 +288,10 @@ def check_estimates(source, params: PinchingParams) -> EstimateReport:
     """
     eps, s = params.eps, params.s
     if isinstance(source, SigmaProfile):
-        R, lam = source.R, source.lam
-        sig = source.sigma[_incidence(source.n)[:2]]
-        if not pinched(source.min_sigma(), eps, R):
+        R, lam, sig = source.R, source.lam, source.sigma
+        if not pinched(sig.min(), eps, R):
             raise UncertifiedSourceError(
-                f"profile violates Sec >= eps*R: min sigma {source.min_sigma()}, "
-                f"eps*R = {eps * R}")
+                f"profile violates Sec >= eps*R: min sigma {sig.min()}, eps*R = {eps * R}")
         if not (source.mode == RATIONAL and is_rational(eps) and is_rational(s)):
             eps, s, R = float(eps), float(s), float(R)
             lam, sig = lam.astype(float), sig.astype(float)
@@ -468,15 +448,6 @@ def _combo_rng(seed, n, eps):
         [int(seed), n, f.numerator % (2 ** 32), f.denominator])
 
 
-def _float_coefficients(n, eps, coeff_delta):
-    """estimate_coefficients(n, eps) in float with coeff_delta added to the
-    estimate-1 quadratic coefficient: the coefficients of the float and
-    tensor lanes.  A nonzero coeff_delta exists only as a corrupted fixture
-    for the exit-code contract tests."""
-    (weight1, quadratic1, cubic1), estimate2 = estimate_coefficients(n, float(eps))
-    return (weight1, quadratic1 + coeff_delta, cubic1), estimate2
-
-
 # profiles per block of both batch lanes (_block_gaps).  Larger blocks run
 # the float and int64 lanes about 15% faster, but a Python-int block's
 # temporaries grow with it: at 1024 rows they stay below those of the
@@ -498,19 +469,18 @@ def _block_gaps(draws, gaps_of_block):
                                      for parts in zip(*(b.convex for b in blocks))])
 
 
-def profile_batch_float(n, eps, s_list, count, seed, distribution="half-normal",
-                        coeff_delta=0.0):
+def profile_batch_float(n, eps, s_list, count, seed, distribution="half-normal"):
     """Float-mode batch: min gaps and violation indices over `count` profiles,
-    assembled (_assemble) and checked block by block (_block_gaps);
-    coeff_delta as in _float_coefficients.  timings holds the seconds spent
-    drawing the shifted curvatures and in the kernel."""
+    assembled (_assemble) and checked block by block (_block_gaps).  timings
+    holds the seconds spent drawing the shifted curvatures and in the
+    kernel."""
     require_subcritical(n, eps)
     eps = float(eps)
     started = time.perf_counter()
     sb = _float_draws(_combo_rng(seed, n, eps), (count, n * (n - 1) // 2), distribution)
     drawn = time.perf_counter()
     s_list = [float(s) for s in s_list]
-    coefficients = _float_coefficients(n, eps, coeff_delta)
+    coefficients = estimate_coefficients(n, eps)
 
     def gaps(block):
         R, sig, lam = _assemble(n, block, eps)
@@ -624,7 +594,6 @@ class CampaignConfig:
     seed: int = 0
     mode: str = FLOAT
     distribution: str = "half-normal"
-    coeff_delta: float = 0.0         # corrupted-coefficient test fixture
     # not used: the tensor kind solves the min-Sec dual (shift_to_pinching),
     # which takes no search options; kept because the benchmark passes it
     search: SearchOptions = field(default_factory=lambda: SearchOptions(
@@ -658,7 +627,6 @@ class CampaignConfig:
             "mode": self.mode if self.kind == "profile" else FLOAT,
             "distribution": self.distribution if self.kind == "profile" else None,
             "margin": TENSOR_MARGIN,
-            "coeffDelta": self.coeff_delta,
         }
 
 
@@ -676,8 +644,7 @@ def mc_campaign(config: CampaignConfig):
             if config.kind == "profile":
                 entry = {"n": n, "eps": scalar_to_json(Fraction(eps)), "kind": "profile"}
                 entry["float"] = profile_batch_float(
-                    n, eps, config.s_list, config.count, config.seed,
-                    config.distribution, coeff_delta=config.coeff_delta)
+                    n, eps, config.s_list, config.count, config.seed, config.distribution)
                 violations.extend(
                     dict(v, n=n, eps=scalar_to_json(Fraction(eps)), lane="float")
                     for v in entry["float"]["violations"])
@@ -724,8 +691,7 @@ def _tensor_combo(n, eps, config: CampaignConfig):
     lap("eigenframe")
     sb = sig - e * R[:, None]
     s_list = [float(s) for s in config.s_list]
-    rows = estimate_gaps(lam.T, sig.T, sb.T, R, _float_coefficients(n, e, config.coeff_delta),
-                         s_list)
+    rows = estimate_gaps(lam.T, sig.T, sb.T, R, estimate_coefficients(n, e), s_list)
     summary = _gap_summary(rows, sb, s_list)
     lap("gaps")
     dumps = [dict(v, n=n, eps=scalar_to_json(Fraction(eps)), lane="tensor",

@@ -23,6 +23,20 @@ def oracle_min_sectional(m: ModelGeometry, count=10 ** 6, seed=0):
     return float(sample_sectionals(m.Rm, count, seed).min())
 
 
+def lower_estimate1(monkeypatch, delta):
+    """Patch pinchlab.profiles.estimate_coefficients so that the estimate-1
+    quadratic coefficient is lowered by delta, in the arithmetic of eps: a
+    corrupted estimate that every lane must report as violated."""
+    from pinchlab import profiles
+    true = profiles.estimate_coefficients
+
+    def lowered(n, eps):
+        (weight1, quadratic1, cubic1), estimate2 = true(n, eps)
+        return (weight1, quadratic1 - delta * eps ** 0, cubic1), estimate2
+
+    monkeypatch.setattr(profiles, "estimate_coefficients", lowered)
+
+
 def join_modes(*modes):
     """The one mode of modes; ArithmeticModeError if they are mixed."""
     modes = {check_mode(m) for m in modes}

@@ -46,7 +46,7 @@ from pinchlab.profiles import (
 )
 from pinchlab.reports import report_digest
 from pinchlab.scalars import FLOAT, RATIONAL
-from reference import oracle_min_sectional
+from reference import lower_estimate1, oracle_min_sectional
 
 SEED = 2024
 DIMS = (3, 4, 5, 6)
@@ -442,7 +442,7 @@ def test_criterion_10_eigen_gap_lemma(capfd):
             not problems, "; ".join(problems[:3]) or "inequality + equality flags")
 
 
-def test_criterion_11_determinism_and_exit_codes(capfd, tmp_path):
+def test_criterion_11_determinism_and_exit_codes(capfd, tmp_path, monkeypatch):
     problems = []
     config = CampaignConfig(kind="profile", dims=(4,),
                             eps_list=(Fraction(1, 24),), s_list=(0, 1),
@@ -461,7 +461,8 @@ def test_criterion_11_determinism_and_exit_codes(capfd, tmp_path):
         problems.append(f"clean run exit codes {(code1, code2)}")
     if json.loads(out1)["digest"] != json.loads(out2)["digest"]:
         problems.append("CLI digests differ across repeated runs")
-    bad = main(argv + ["--corrupt-rhs1", "-1.0", "--out", str(tmp_path)])
+    lower_estimate1(monkeypatch, 1)
+    bad = main(argv + ["--out", str(tmp_path)])
     capfd.readouterr()
     if bad != EXIT_VIOLATION:
         problems.append(f"corrupted-coefficient fixture exited {bad}, wanted 1")

@@ -9,6 +9,7 @@ import pytest
 
 from pinchlab import cli
 from pinchlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from reference import lower_estimate1
 
 
 def run(capsys, argv):
@@ -28,24 +29,34 @@ def test_verify_estimates_clean(capsys, tmp_path):
     assert len(list(tmp_path.iterdir())) == 1
 
 
-def test_verify_estimates_corrupted_coefficient_exits_1(capsys):
+def test_verify_estimates_corrupted_coefficient_exits_1(capsys, monkeypatch):
+    lower_estimate1(monkeypatch, 1)
     code, out = run(capsys, ["verify-estimates", "--count", "300",
-                             "--n", "4", "--eps", "0", "--s", "1",
-                             "--corrupt-rhs1", "-1.0"])
+                             "--n", "4", "--eps", "0", "--s", "1"])
     assert code == EXIT_VIOLATION
     assert json.loads(out)["violations"]
 
 
-def test_verify_estimates_tensor_kind_corrupted_coefficient_exits_1(capsys):
+def test_verify_estimates_tensor_kind_corrupted_coefficient_exits_1(capsys, monkeypatch):
+    lower_estimate1(monkeypatch, 1000)
     code, out = run(capsys, ["verify-estimates", "--kind", "tensor", "--count", "3",
-                             "--n", "4", "--eps", "0", "--corrupt-rhs1", "-1000",
-                             "--distribution", "sparse"])
+                             "--n", "4", "--eps", "0", "--distribution", "sparse"])
     assert code == EXIT_VIOLATION
     payload = json.loads(out)
     assert payload["violations"]
     config = payload["config"]
-    assert (config["coeffDelta"], config["mode"], config["distribution"]) == (
-        -1000.0, "float", None)
+    assert (config["mode"], config["distribution"]) == ("float", None)
+
+
+def test_corrupted_coefficient_is_no_option(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exited:
+        main(["verify-estimates", "--corrupt-rhs1", "-1.0"])
+    assert exited.value.code == EXIT_USAGE
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corrupt-rhs1": -1.0}))
+    assert main(["verify-estimates", "--config", str(cfg)]) == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(
+        "error: config 'corrupt-rhs1': verify-estimates has no such flag\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pinchlab import profiles, scalars
-from pinchlab.curvature import FLOAT, RATIONAL, invariants, pair_dimension
+from pinchlab.curvature import FLOAT, RATIONAL, invariants, pair_dimension, traceless_ricci
 from pinchlab.minsec import DegenerateEpsError, SearchOptions
 from pinchlab.profiles import (
     CampaignConfig,
@@ -31,6 +31,7 @@ from pinchlab.profiles import (
     estimate_gaps,
 )
 from pinchlab.reports import report_digest
+from reference import lower_estimate1
 
 FAST = SearchOptions(grid_points=20_000, refine_starts=8)
 
@@ -43,8 +44,8 @@ def test_params_reject_bad_s():
 def test_sampler_satisfies_pinching_by_construction():
     for mode in (RATIONAL, FLOAT):
         p = sample_sigma_profile(4, Fraction(1, 24), 3, mode)
-        assert p.min_sigma() - Fraction(1, 24) * p.R >= 0 if mode == RATIONAL \
-            else p.min_sigma() - p.R / 24.0 >= -1e-12
+        assert p.sigma.min() - Fraction(1, 24) * p.R >= 0 if mode == RATIONAL \
+            else p.sigma.min() - p.R / 24.0 >= -1e-12
         assert abs(sum(p.lam)) <= (0 if mode == RATIONAL else 1e-10)
 
 
@@ -58,37 +59,42 @@ def test_profile_mode_is_read_from_sigma():
         p = sample_sigma_profile(4, 0, 5, mode)
         assert (p.n, p.mode, p.as_dict()["mode"]) == (4, mode, mode)
     with pytest.raises(scalars.ArithmeticModeError):
-        SigmaProfile(p.sigma.astype(np.float32), p.lam.astype(np.float32), p.R)
+        SigmaProfile(p.sigma.astype(np.float32))
 
 
-def test_profile_consistency_enforced():
-    p = sample_sigma_profile(4, 0, 5, RATIONAL)
-    sigma = np.array(p.sigma, dtype=object).copy()
-    sigma[0, 1] = sigma[0, 1] + 1   # breaks mu_k and the R sum
+@pytest.mark.parametrize("shape", [(4, 4), (6, 1), (4,), (2,), (1,), (0,)])
+def test_profile_shape_is_one_curvature_per_pair(shape):
+    # 2-D sigma, m = 4 or 2 (no n(n-1)/2) and n < 3 (m = 1, 0) are refused
+    sigma = np.ones(shape)
     with pytest.raises(ValueError):
-        SigmaProfile(sigma, p.lam.copy(), p.R)
+        SigmaProfile(sigma)
+    assert SigmaProfile(np.ones(3)).n == 3
 
 
-def test_profile_rejects_lam_of_another_length():
-    # a zero appended keeps every other relation true
-    p = sample_sigma_profile(4, 0, 5, FLOAT)
-    with pytest.raises(ValueError, match="lam has shape \\(5,\\), not \\(4,\\)"):
-        SigmaProfile(p.sigma.copy(), np.append(p.lam, 0.0), p.R)
+def test_profile_lam_and_R_are_the_eigenframes():
+    # the diagonal tensor of a profile has its frame as an eigenframe of
+    # oRic: traceless_ricci is diag(lam) and R = 2 tr(rhat), exactly
+    for n in range(3, 9):
+        for eps, seed in ((Fraction(0), 0), (Fraction(0), 1), (Fraction(-1, 10), 2)):
+            p = sample_sigma_profile(n, eps, seed, RATIONAL, "sparse")
+            Rm = profile_to_tensor(p)
+            oric = traceless_ricci(Rm).comp
+            assert (oric == np.diag(p.lam)).all(), (n, seed)
+            assert all(type(v) is Fraction for v in oric.flat)
+            assert 2 * np.trace(Rm.rhat) == p.R, (n, seed)
+            assert sum(p.lam) == 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_profile_rejects_non_finite_entries(bad):
     p = sample_sigma_profile(4, 0, 5, FLOAT)
     sigma = p.sigma.copy()
-    sigma[1, 3] = sigma[3, 1] = bad
-    with pytest.raises(ValueError, match="^sigma\\[1, 3\\] is non-finite"):
-        SigmaProfile(sigma, p.lam.copy(), p.R)
-    lam = p.lam.copy()
-    lam[2] = bad
-    with pytest.raises(ValueError, match="^lam\\[2\\] is non-finite"):
-        SigmaProfile(p.sigma.copy(), lam, p.R)
-    with pytest.raises(ValueError, match="^R is non-finite"):
-        SigmaProfile(p.sigma.copy(), p.lam.copy(), bad)
+    sigma[2] = sigma[4] = bad
+    with pytest.raises(ValueError, match="^sigma\\[2\\] is non-finite"):
+        SigmaProfile(sigma)
+    sigma[2] = 1.0
+    with pytest.raises(ValueError, match="^sigma\\[4\\] is non-finite"):
+        SigmaProfile(sigma)
 
 
 def test_equno_identity_exact_rational():
@@ -192,7 +198,7 @@ def test_rational_profile_at_float_params_is_checked_in_float():
 def test_uncertified_profile_raises():
     p = sample_sigma_profile(4, Fraction(0), 1, RATIONAL)  # only Sec >= 0
     big_eps = Fraction(1, 13)
-    assert p.min_sigma() < big_eps * p.R
+    assert p.sigma.min() < big_eps * p.R
     with pytest.raises(UncertifiedSourceError):
         check_estimates(p, PinchingParams(big_eps, 1))
 
@@ -216,13 +222,13 @@ def test_float_profile_gaps_nonnegative(seed, dist):
     assert rep.passed
 
 
-def test_batch_float_clean_and_corrupted():
+def test_batch_float_clean_and_corrupted(monkeypatch):
     clean = profile_batch_float(4, Fraction(1, 24), [0.0, 1.0], 2000, 42)
     assert not clean["violations"]
     assert clean["minGap1"] >= -1e-10
     assert clean["maxSlackResidual"] < 1e-9
-    corrupt = profile_batch_float(4, Fraction(1, 24), [1.0], 2000, 42,
-                                  coeff_delta=-1.0)
+    lower_estimate1(monkeypatch, 1)
+    corrupt = profile_batch_float(4, Fraction(1, 24), [1.0], 2000, 42)
     assert corrupt["violations"]
 
 
@@ -480,7 +486,7 @@ def test_batch_exact_numerators_match_rational_profiles():
         m = n * (n - 1) // 2
         draws = _combo_rng(seed, n, eps).integers(0, _EXACT_SB_MAX + 1, size=(count, m))
         reports = [check_estimates(
-            profile_from_sigma_bar(n, [Fraction(int(v)) for v in row], eps, RATIONAL),
+            profile_from_sigma_bar([Fraction(int(v)) for v in row], eps, RATIONAL),
             PinchingParams(eps, 1)) for row in draws]
         out = profile_batch_exact(n, eps, count, seed)
         assert out["minGap1Num"] == min(r.gap1 for r in reports) * n ** 3 * q * d ** 3
@@ -643,8 +649,7 @@ def test_rational_sampler_draws_as_the_exact_lane():
     for dist in ("half-normal", "sparse"):
         p = sample_sigma_profile(5, Fraction(0), 3, RATIONAL, dist)
         draws = profiles._integer_draws(np.random.default_rng(3), m, dist)
-        i, j = np.triu_indices(5, 1)
-        assert [int(v) for v in p.sigma[i, j]] == draws.tolist(), dist
+        assert [int(v) for v in p.sigma] == draws.tolist(), dist
 
 
 def test_mc_campaign_tensor_kind_n5_uses_the_dual():
@@ -700,7 +705,7 @@ def test_tensor_lane_slack_residual_is_rounding(monkeypatch):
 
 def test_tensor_certification_uses_the_dual_lower_bound(monkeypatch):
     from pinchlab import minsec
-    from pinchlab.curvature import random_curvature
+    from pinchlab.curvature import AlgCurvTensor, random_curvature
     exact_bracket, exact_shift = minsec.dual_bracket_stack, minsec.shift_by_stack
     shifts = []
 
@@ -718,7 +723,8 @@ def test_tensor_certification_uses_the_dual_lower_bound(monkeypatch):
         # shifted by its plane's curvature only, which the loose lower end
         # cannot certify
         Rm = random_curvature(n, 0, FLOAT)
-        Rm = minsec.shift_by(Rm, 0.0, minsec.min_sectional(Rm)[0], 0.1)
+        Rm = AlgCurvTensor(minsec.shift_by_stack(
+            Rm.rhat[None], 0.0, np.array([minsec.min_sectional(Rm)[0]]), 0.1)[0])
         with pytest.raises(UncertifiedSourceError, match="not certified"):
             check_estimates(Rm, PinchingParams(0.0, 1.0))
         # the recheck reads the loose lower end: it cannot certify the shift
