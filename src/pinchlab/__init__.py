@@ -38,12 +38,9 @@ from .ftensor import (  # noqa: F401
 )
 from .minsec import (  # noqa: F401
     DegenerateEpsError,
-    MinSectionalError,
-    SearchOptions,
     dual_bracket,
     dual_min_sectional,
     min_sectional,
-    sample_sectionals,
     shift_to_pinching,
     solve_dual,
 )

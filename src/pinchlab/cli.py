@@ -40,6 +40,16 @@ from .scalars import RATIONAL, FLOAT, parse_scalar, scalar_to_json
 
 EXIT_OK, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
 
+
+def _env_seed():
+    """The default seed: PINCHLAB_SEED, or 0 when it is unset."""
+    text = os.environ.get("PINCHLAB_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"PINCHLAB_SEED = {text!r}: not an integer") from None
+
+
 def build_parser(explicit_only=False):
     """The argument parser.  With explicit_only every default is SUPPRESS, so
     a parse yields just the flags given on the command line."""
@@ -50,8 +60,7 @@ def build_parser(explicit_only=False):
                                 description="curvature-pinching verification toolkit")
     p.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int,
-                        default=default(int(os.environ.get("PINCHLAB_SEED", "0"))))
+    common.add_argument("--seed", type=int, default=default(_env_seed()))
     common.add_argument("--out", default=default(None), help="report output directory")
     common.add_argument("--config", default=default(None),
                         help="JSON file mirroring flags; flags take precedence")
@@ -74,7 +83,7 @@ def build_parser(explicit_only=False):
                         help="exact global maximum of the Q2 functional")
     oq.add_argument("--eps", type=parse_scalar, action="append", default=default(None))
     # inert: the maximum is exact, no grid is searched; still parsed because
-    # the benchmark's tiny cli-exact command list passes --grid
+    # the benchmark's tiny cli-exact command list passes --grid (ROADMAP item 1)
     oq.add_argument("--grid", type=int, default=default(None), help=argparse.SUPPRESS)
 
     ef = sub.add_parser("expand-fsq", parents=[common],
@@ -103,6 +112,8 @@ def _apply_config_file(parser, args, argv):
         return args
     with open(args.config) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"config {args.config}: expected a JSON object")
     explicit = vars(build_parser(explicit_only=True).parse_args(argv))
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     flags = {a.dest: a for a in commands.choices[args.command]._actions
@@ -276,8 +287,8 @@ COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
+        parser = build_parser()
         args = parser.parse_args(argv)
         args = _apply_config_file(parser, args, argv)
         return COMMANDS[args.command](args)

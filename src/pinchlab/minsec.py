@@ -1,11 +1,10 @@
 """Minimal sectional curvature over the Grassmannian of 2-planes.
 
 Sectional curvature is the quadratic form Rhat, the stored curvature
-operator (pair_operator gives it in float), on unit bivectors, written in the
-basis curvature.pair_basis, and a bivector w is a plane exactly when
-w ^ w = 0.  Every 4-form omega acts on bivectors as a
-symmetric matrix with <w, omega w> a multiple of <w ^ w, omega>, which
-vanishes on planes, so
+operator, on unit bivectors, written in the basis curvature.pair_basis, and
+a bivector w is a plane exactly when w ^ w = 0.  Every 4-form omega acts on
+bivectors as a symmetric matrix with <w, omega w> a multiple of
+<w ^ w, omega>, which vanishes on planes, so
 
     lambda_min(Rhat + omega) <= min Sec    for every omega in Lambda^4,
 
@@ -28,10 +27,13 @@ bracket; pinched is the one test of Sec >= eps*R.  The *_stack functions
 take a stack rhat (k, m, m) of curvature operators; solve_dual,
 dual_bracket and shift_to_pinching are their stacks of one, and a
 tensor's numbers do not depend on the stack it sits in.  A shift by c adds
-c times constant_curvature(n, 1), the identity on bivectors.  The runtime
-needs only numpy.  The grid + L-BFGS search (search_min_sectional), on the
-n^4 components, is the tests' independent oracle only, and only it imports
-scipy.
+c times constant_curvature(n, 1), the identity on bivectors.
+
+The dual is the module's one min-Sec algorithm, and it needs only numpy.
+The tests check it against an independent grid + L-BFGS search on the n^4
+components (tests/reference.py).  SearchOptions, minimize and
+min_sectional's opts serve no runtime path: they stay while the benchmark
+reads them (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -55,10 +57,6 @@ from .curvature import (
 from .scalars import GAP_RTOL, is_rational, mode_of
 
 
-class MinSectionalError(RuntimeError):
-    """No refinement start converged; carries grid diagnostics."""
-
-
 class DegenerateEpsError(ValueError):
     """eps at or beyond 1/(n(n-1)): the modified scalar curvature
     (1 - n(n-1)*eps) * R degenerates and the shift equation has no solution."""
@@ -75,12 +73,9 @@ def require_subcritical(n, eps):
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Options of search_min_sectional, the grid + L-BFGS oracle.
-
-    The runtime path solves the dual and reads no options, its plane polish
-    included.  min_sectional's opts and CampaignConfig.search still accept
-    them, unused, because the benchmark's workloads pass them.
-    """
+    """Options of the tests' grid + L-BFGS oracle (tests/reference.py); no
+    runtime path reads them.  Kept here because the benchmark builds them
+    (ROADMAP item 1)."""
 
     grid_points: int | None = None   # default: min(20**(2(n-2)), 160000)
     refine_starts: int = 32
@@ -91,11 +86,6 @@ class SearchOptions:
         if self.grid_points is not None:
             return self.grid_points
         return min(20 ** (2 * (n - 2)), 160_000)
-
-
-def pair_operator(Rm: AlgCurvTensor) -> np.ndarray:
-    """Rhat[a, b] = R_{i_a j_a i_b j_b} over the bivector pair basis, in float."""
-    return np.asarray(Rm.rhat, dtype=float)
 
 
 def _float_stack(rhat):
@@ -118,115 +108,28 @@ def _orthonormal_pairs(z, n):
 
 
 def minimize(fun, x0, **options):
-    """scipy.optimize.minimize, imported on first use: scipy.optimize and
-    scipy.stats take most of pinchlab's import time and memory, and only the
-    search oracle (search_min_sectional) needs them."""
+    """scipy.optimize.minimize, imported on first use: the tests' oracle's
+    one route to scipy, so a test can forbid it.  No runtime path calls it;
+    kept because the benchmark's tracer wraps it (ROADMAP item 1)."""
     from scipy.optimize import minimize as scipy_minimize
     return scipy_minimize(fun, x0, **options)
 
 
-_GRID_CACHE = {}
-
-
-def _plane_grid(n, count):
-    """Deterministic stratified orthonormal pairs: Halton points in [0,1]^{2n}
-    pushed to Gaussians, then Gram-Schmidt.  Cached per (n, count)."""
-    key = (n, count)
-    if key not in _GRID_CACHE:
-        from scipy.stats import norm, qmc
-        h = qmc.Halton(d=2 * n, scramble=False)
-        h.fast_forward(1)  # skip the origin
-        _GRID_CACHE[key] = _orthonormal_pairs(norm.ppf(h.random(count)), n)
-    return _GRID_CACHE[key]
-
-
-def plane_sectionals(Rm: AlgCurvTensor, x, y):
-    """Sectional curvatures w^T Rhat w of the planes spanned by the
-    orthonormal rows of x and y, w = x ^ y in the pair basis."""
-    return plane_sectionals_stack(pair_operator(Rm)[None], x[None], y[None])[0]
-
-
 def plane_sectionals_stack(rhat, x, y):
-    """plane_sectionals over a stack: rhat (k, m, m) and the planes x, y
-    (k, p, n) of each tensor give (k, p), C-contiguous (einsum may lay its
-    output out otherwise, and numpy sums a strided row in another order)."""
+    """Sectional curvatures w^T Rhat w, w = x ^ y, of the planes spanned by
+    the orthonormal rows of x, y (k, p, n), for each operator of the stack
+    rhat (k, m, m): (k, p), C-contiguous (einsum may lay its output out
+    otherwise, and numpy sums a strided row in another order)."""
     w = bivector(x, y)
     return np.ascontiguousarray(np.einsum("kpa,kab,kpb->kp", w, rhat, w))
 
 
-def grid_sectionals(Rm: AlgCurvTensor, count):
-    """Sectional curvature on the deterministic grid; (values, x, y)."""
-    x, y = _plane_grid(Rm.n, count)
-    return plane_sectionals(Rm, x, y), x, y
-
-
-def sample_sectionals(Rm: AlgCurvTensor, count, seed):
-    """Independent dense-sampling oracle: seeded random planes, raw values."""
-    rng = np.random.default_rng(seed)
-    x, y = _orthonormal_pairs(rng.standard_normal((count, 2 * Rm.n)), Rm.n)
-    return plane_sectionals(Rm, x, y)
-
-
-def _quotient_and_grad(comp, z):
-    n = comp.shape[0]
-    u, v = z[:n], z[n:]
-    num = float(np.einsum("ijkl,i,j,k,l", comp, u, v, u, v))
-    uu, vv, uv = u @ u, v @ v, u @ v
-    den = uu * vv - uv * uv
-    dnum_u = 2.0 * np.einsum("ijkl,j,k,l->i", comp, v, u, v)
-    dnum_v = 2.0 * np.einsum("ijkl,i,k,l->j", comp, u, u, v)
-    dden_u = 2.0 * (vv * u - uv * v)
-    dden_v = 2.0 * (uu * v - uv * u)
-    f = num / den
-    grad = np.concatenate([(dnum_u - f * dden_u), (dnum_v - f * dden_v)]) / den
-    return f, grad
-
-
-def _descend(comp, z0, opts: SearchOptions):
-    """One L-BFGS descent of the sectional-curvature quotient from
-    z0 = (u, v); returns scipy's result."""
-    return minimize(lambda z: _quotient_and_grad(comp, z), z0, jac=True,
-                    method="L-BFGS-B",
-                    options={"maxiter": opts.max_iters, "gtol": opts.tol * 1e-2,
-                             "ftol": 1e-17})
-
-
-def min_sectional(Rm: AlgCurvTensor, opts: SearchOptions = SearchOptions()):
+def min_sectional(Rm: AlgCurvTensor, opts=None):
     """Minimal sectional curvature over all 2-planes; returns (value, Plane),
-    the upper end of dual_min_sectional.  opts is not used."""
+    the upper end of dual_min_sectional.  opts is ignored, kept because the
+    benchmark passes it (ROADMAP item 1)."""
     _, upper, plane = dual_min_sectional(Rm)
     return upper, plane
-
-
-def search_min_sectional(Rm: AlgCurvTensor, opts: SearchOptions = SearchOptions()):
-    """Grid + L-BFGS search for the minimal sectional curvature; returns
-    (value, Plane), an upper bound achieved by the plane.
-
-    Coarse deterministic grid, then local descent from the best cells.
-    Raises MinSectionalError if no start converges within opts.max_iters.
-    """
-    if Rm.n > 8:
-        raise ValueError("search supported for n <= 8 only")
-    count = opts.grid_for(Rm.n)
-    values, gx, gy = grid_sectionals(Rm, count)
-    order = np.argsort(values, kind="stable")[: opts.refine_starts]
-
-    comp = np.asarray(Rm.components(), dtype=float)
-    best_val, best_z, converged = np.inf, None, 0
-    for p in order:
-        res = _descend(comp, np.concatenate([gx[p], gy[p]]), opts)
-        if res.success or res.fun <= values[p] + opts.tol:
-            converged += 1
-            if res.fun < best_val:
-                best_val, best_z = res.fun, res.x
-    if best_z is None:
-        raise MinSectionalError(
-            f"no refinement start converged ({opts.refine_starts} starts, "
-            f"max_iters={opts.max_iters}); grid min {values.min()} over {count} planes")
-    x, y = _orthonormal_pairs(best_z[None, :], Rm.n)
-    plane = Plane(x[0], y[0])
-    w = bivector(x, y)[0]
-    return float(w @ pair_operator(Rm) @ w), plane
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +447,7 @@ def _best_partner(rhat, x):
 
 def _sectional_of(rhat, x, y):
     """The curvature of the plane of the rows x, y (each (1, n)) for the
-    pair operator rhat: plane_sectionals of one plane."""
+    pair operator rhat: plane_sectionals_stack of one plane."""
     return plane_sectionals_stack(rhat[None], x[None], y[None])[0, 0]
 
 

@@ -166,8 +166,9 @@ class ThresholdReport:
 
 def pinching_threshold(m: ModelGeometry, use_search=False) -> ThresholdReport:
     """minSec / R for the model; exact via the stored closed form by default,
-    and via min_sectional, the 4-form dual (exact at n = 4, not a numerical
-    search), when use_search is set."""
+    and via min_sectional, the 4-form dual (exact at n = 4), when use_search
+    is set.  The name use_search stays because the benchmark passes it
+    (ROADMAP item 1)."""
     R = scalar(m.Rm)
     if use_search:
         min_sec = min_sectional(m.Rm)[0]

@@ -15,7 +15,7 @@ gaps with it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
@@ -39,9 +39,8 @@ from .curvature import (
 from .minsec import (
     MAX_DUAL_N,
     DegenerateEpsError,
-    SearchOptions,
     dual_min_sectional,
-    min_sectional,  # noqa: F401  bench/test_bench.py checks that the tracer rebinds it here
+    min_sectional,  # noqa: F401  the benchmark's tracer rebinds it here (ROADMAP item 1)
     pinched,
     plane_sectionals_stack,
     require_subcritical,
@@ -232,10 +231,15 @@ def eigen_gap_lemma(lam, i, j):
         sum_{k != i,j} l_k^2  >=  (l_i + l_j)^2 / (n - 2),
 
     with equality iff l_k is constant over k not in {i, j}.
-    Returns (lhs, rhs, equality_flag).
+    Returns (lhs, rhs, equality_flag); ValueError unless n >= 3,
+    0 <= i, j < n and i != j.
     """
     lam = list(lam)
     n = len(lam)
+    if n < 3:
+        raise ValueError(f"n = {n}: the lemma needs n >= 3 eigenvalues")
+    if not (0 <= i < n and 0 <= j < n and i != j):
+        raise ValueError(f"(i, j) = ({i}, {j}): need 0 <= i, j < n = {n} and i != j")
     total = sum(lam)
     exact = all(is_rational(v) for v in lam)
     scale = max([1] + [abs(v) for v in lam])
@@ -594,10 +598,7 @@ class CampaignConfig:
     seed: int = 0
     mode: str = FLOAT
     distribution: str = "half-normal"
-    # not used: the tensor kind solves the min-Sec dual (shift_to_pinching),
-    # which takes no search options; kept because the benchmark passes it
-    search: SearchOptions = field(default_factory=lambda: SearchOptions(
-        grid_points=20_000, refine_starts=8))
+    search: object = None   # ignored; kept because the benchmark passes it (ROADMAP item 1)
 
     def __post_init__(self):
         _require("kind", self.kind, ("profile", "tensor"))

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from pinchlab.curvature import SymTensor2, pair_basis
-from pinchlab.minsec import sample_sectionals
+from pinchlab import minsec
+from pinchlab.curvature import AlgCurvTensor, Plane, SymTensor2, bivector, pair_basis
+from pinchlab.minsec import SearchOptions, _orthonormal_pairs, plane_sectionals_stack
 from pinchlab.models import ModelGeometry
 from pinchlab.scalars import RATIONAL, ArithmeticModeError, check_mode, mode_of
 
@@ -16,6 +17,110 @@ from pinchlab.scalars import RATIONAL, ArithmeticModeError, check_mode, mode_of
 def bianchi_constant(n):
     """Contracted second Bianchi: sum_i S_iji = ((n-2)/(2n)) w_j; 1/4 at n=4."""
     return Fraction(n - 2, 2 * n)
+
+
+# ---------------------------------------------------------------------------
+# The min-Sec oracle, independent of the 4-form dual that pinchlab solves: a
+# Halton grid scored on the operator, then L-BFGS on the n^4 components, and
+# dense sampling
+# ---------------------------------------------------------------------------
+
+class MinSectionalError(RuntimeError):
+    """No refinement start converged; carries grid diagnostics."""
+
+
+def pair_operator(Rm: AlgCurvTensor) -> np.ndarray:
+    """Rhat[a, b] = R_{i_a j_a i_b j_b} over the bivector pair basis, in float."""
+    return np.asarray(Rm.rhat, dtype=float)
+
+
+def plane_sectionals(Rm: AlgCurvTensor, x, y):
+    """Sectional curvatures w^T Rhat w of the planes spanned by the
+    orthonormal rows of x and y, w = x ^ y in the pair basis."""
+    return plane_sectionals_stack(pair_operator(Rm)[None], x[None], y[None])[0]
+
+
+_GRID_CACHE = {}
+
+
+def _plane_grid(n, count):
+    """Deterministic stratified orthonormal pairs: Halton points in [0,1]^{2n}
+    pushed to Gaussians, then Gram-Schmidt.  Cached per (n, count)."""
+    key = (n, count)
+    if key not in _GRID_CACHE:
+        from scipy.stats import norm, qmc
+        h = qmc.Halton(d=2 * n, scramble=False)
+        h.fast_forward(1)  # skip the origin
+        _GRID_CACHE[key] = _orthonormal_pairs(norm.ppf(h.random(count)), n)
+    return _GRID_CACHE[key]
+
+
+def grid_sectionals(Rm: AlgCurvTensor, count):
+    """Sectional curvature on the deterministic grid; (values, x, y)."""
+    x, y = _plane_grid(Rm.n, count)
+    return plane_sectionals(Rm, x, y), x, y
+
+
+def sample_sectionals(Rm: AlgCurvTensor, count, seed):
+    """Independent dense-sampling oracle: seeded random planes, raw values."""
+    rng = np.random.default_rng(seed)
+    x, y = _orthonormal_pairs(rng.standard_normal((count, 2 * Rm.n)), Rm.n)
+    return plane_sectionals(Rm, x, y)
+
+
+def _quotient_and_grad(comp, z):
+    n = comp.shape[0]
+    u, v = z[:n], z[n:]
+    num = float(np.einsum("ijkl,i,j,k,l", comp, u, v, u, v))
+    uu, vv, uv = u @ u, v @ v, u @ v
+    den = uu * vv - uv * uv
+    dnum_u = 2.0 * np.einsum("ijkl,j,k,l->i", comp, v, u, v)
+    dnum_v = 2.0 * np.einsum("ijkl,i,k,l->j", comp, u, u, v)
+    dden_u = 2.0 * (vv * u - uv * v)
+    dden_v = 2.0 * (uu * v - uv * u)
+    f = num / den
+    grad = np.concatenate([(dnum_u - f * dden_u), (dnum_v - f * dden_v)]) / den
+    return f, grad
+
+
+def _descend(comp, z0, opts: SearchOptions):
+    """One L-BFGS descent of the sectional-curvature quotient from
+    z0 = (u, v); returns scipy's result, reached through minsec.minimize."""
+    return minsec.minimize(lambda z: _quotient_and_grad(comp, z), z0, jac=True,
+                           method="L-BFGS-B",
+                           options={"maxiter": opts.max_iters, "gtol": opts.tol * 1e-2,
+                                    "ftol": 1e-17})
+
+
+def search_min_sectional(Rm: AlgCurvTensor, opts: SearchOptions = SearchOptions()):
+    """Grid + L-BFGS search for the minimal sectional curvature; returns
+    (value, Plane), an upper bound achieved by the plane.
+
+    Coarse deterministic grid, then local descent from the best cells.
+    Raises MinSectionalError if no start converges within opts.max_iters.
+    """
+    if Rm.n > 8:
+        raise ValueError("search supported for n <= 8 only")
+    count = opts.grid_for(Rm.n)
+    values, gx, gy = grid_sectionals(Rm, count)
+    order = np.argsort(values, kind="stable")[: opts.refine_starts]
+
+    comp = np.asarray(Rm.components(), dtype=float)
+    best_val, best_z, converged = np.inf, None, 0
+    for p in order:
+        res = _descend(comp, np.concatenate([gx[p], gy[p]]), opts)
+        if res.success or res.fun <= values[p] + opts.tol:
+            converged += 1
+            if res.fun < best_val:
+                best_val, best_z = res.fun, res.x
+    if best_z is None:
+        raise MinSectionalError(
+            f"no refinement start converged ({opts.refine_starts} starts, "
+            f"max_iters={opts.max_iters}); grid min {values.min()} over {count} planes")
+    x, y = _orthonormal_pairs(best_z[None, :], Rm.n)
+    plane = Plane(x[0], y[0])
+    w = bivector(x, y)[0]
+    return float(w @ pair_operator(Rm) @ w), plane
 
 
 def oracle_min_sectional(m: ModelGeometry, count=10 ** 6, seed=0):

@@ -25,7 +25,6 @@ from pinchlab.ftensor import (
     q2,
     q2_claimed_value,
 )
-from pinchlab.minsec import SearchOptions
 from pinchlab.models import (
     default_models,
     fubini_study_cp2,
@@ -143,8 +142,7 @@ def test_criterion_03_full_tensor_suite(capfd):
         config = CampaignConfig(
             kind="tensor", dims=(4,), eps_list=(eps,),
             s_list=(Fraction(0), Fraction(1, 2), Fraction(1)),
-            count=1000, seed=SEED, mode=FLOAT,
-            search=SearchOptions(grid_points=20_000, refine_starts=8))
+            count=1000, seed=SEED, mode=FLOAT)
         rep = mc_campaign(config)
         entry = rep["checks"][0]
         per_eps[eps] = entry

@@ -10,9 +10,9 @@ digests makes a change to any workload's output fail them too.
 Every name the bench/*.py files read from a pinchlab module must exist.  Two
 of them are read only by the benchmark's self-test (bench/test_bench.py),
 which these tests do not run: profiles.min_sectional, the import that the
-tracer rebinds, and minsec.minimize.  A change that moves the search helpers
-out of src (ROADMAP, "Only runtime code in src/") keeps both names until the
-benchmark stops reading them.
+tracer rebinds, and minsec.minimize.  The search oracle itself lives in
+tests/reference.py; these names stay in src until the benchmark stops
+reading them (ROADMAP items 1 and 7).
 """
 
 import ast

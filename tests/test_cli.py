@@ -84,6 +84,24 @@ def test_internal_error_exits_2(capsys, monkeypatch):
     assert captured.err == "error: internal error: RuntimeError: something inside broke\n"
 
 
+def test_bad_seed_variable_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("PINCHLAB_SEED", "abc")
+    assert main(["models"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: PINCHLAB_SEED = 'abc': not an integer\n"
+
+
+@pytest.mark.parametrize("data", [[1, 2], "count", 7, None])
+def test_config_that_is_not_an_object_is_usage_error(capsys, tmp_path, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["verify-estimates", "--config", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config {cfg}: expected a JSON object\n"
+
+
 def test_degenerate_eps_is_usage_error(capsys):
     code, _ = run(capsys, ["verify-estimates", "--n", "4", "--eps", "1/12"])
     assert code == EXIT_USAGE
@@ -315,7 +333,7 @@ def test_config_key_naming_no_flag_is_usage_error(capsys, tmp_path):
 
 
 def test_cli_and_the_tensor_campaign_never_import_scipy(tmp_path):
-    # only the tests' search oracle (search_min_sectional) imports scipy, on
+    # only the tests' min-Sec oracle (tests/reference.py) imports scipy, on
     # first use, so the runtime keeps its import time and memory out of the
     # process at every n the dual solves
     src = str(Path(__file__).resolve().parents[1] / "src")

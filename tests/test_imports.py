@@ -90,3 +90,43 @@ def test_profile_kernels_take_no_pow():
                if isinstance(node, ast.FunctionDef)}
     assert set(POW_FREE) <= defined
     assert pow_traps(source, POW_FREE) == []
+
+
+SCIPY_ROUTE = ("minsec.py", "minimize")   # the one function that may import scipy
+
+
+def scipy_imports(source):
+    """(line, enclosing function or None) of each import of scipy in source."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_check_finds_scipy_imports():
+    source = ("import scipy.linalg\n"
+              "def minimize():\n"
+              "    from scipy.optimize import minimize\n"
+              "def grid():\n"
+              "    from scipy.stats import qmc\n"
+              "    import numpy\n")
+    assert scipy_imports(source) == [(1, None), (3, "minimize"), (5, "grid")]
+
+
+def test_only_minsec_minimize_imports_scipy():
+    found = [(module, line, function) for module in MODULES + ["__init__.py"]
+             for line, function in scipy_imports((SRC / module).read_text())
+             if (module, function) != SCIPY_ROUTE]
+    assert found == []
+    assert [function for _, function in scipy_imports((SRC / "minsec.py").read_text())] \
+        == ["minimize"]

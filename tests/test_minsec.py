@@ -25,12 +25,8 @@ from pinchlab.minsec import (
     SearchOptions,
     dual_bracket,
     dual_min_sectional,
-    grid_sectionals,
     min_sectional,
-    pair_operator,
     pinched,
-    sample_sectionals,
-    search_min_sectional,
     shift_to_pinching,
     solve_dual,
 )
@@ -40,6 +36,13 @@ from pinchlab.models import (
     fubini_study_cp2,
     product_spheres,
     round_cylinder_s3xr,
+)
+from reference import (
+    grid_sectionals,
+    pair_operator,
+    plane_sectionals,
+    sample_sectionals,
+    search_min_sectional,
 )
 
 FAST = SearchOptions(grid_points=20_000, refine_starts=8)
@@ -370,8 +373,8 @@ def test_polish_never_raises_the_curvature(n, seed, steps):
     gram = np.array([[plane.x @ plane.x, plane.x @ plane.y],
                      [plane.y @ plane.x, plane.y @ plane.y]])
     assert np.abs(gram - np.eye(2)).max() <= 1e-12
-    curvature = minsec.plane_sectionals(Rm, plane.x[None, :], plane.y[None, :])[0]
-    before = minsec.plane_sectionals(Rm, start.x[None, :], start.y[None, :])[0]
+    curvature = plane_sectionals(Rm, plane.x[None, :], plane.y[None, :])[0]
+    before = plane_sectionals(Rm, start.x[None, :], start.y[None, :])[0]
     assert curvature <= before
     if steps is None:   # the default cap: a stationary plane, well below a random one
         assert curvature < before

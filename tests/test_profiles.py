@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pinchlab import profiles, scalars
 from pinchlab.curvature import FLOAT, RATIONAL, invariants, pair_dimension, traceless_ricci
-from pinchlab.minsec import DegenerateEpsError, SearchOptions
+from pinchlab.minsec import DegenerateEpsError
 from pinchlab.profiles import (
     CampaignConfig,
     PinchingParams,
@@ -32,8 +32,6 @@ from pinchlab.profiles import (
 )
 from pinchlab.reports import report_digest
 from reference import lower_estimate1
-
-FAST = SearchOptions(grid_points=20_000, refine_starts=8)
 
 
 def test_params_reject_bad_s():
@@ -170,6 +168,19 @@ def test_eigen_gap_lemma_equality_case():
 def test_eigen_gap_lemma_rejects_nontraceless():
     with pytest.raises(ValueError):
         eigen_gap_lemma([1, 1, 1], 0, 1)
+
+
+@pytest.mark.parametrize("lam, i, j", [
+    ([1, -1, 2, -2], 0, 0),    # the lemma is stated for i != j only
+    ([1, -1, 2, -2], 3, 3),
+    ([1, -1, 2, -2], 0, 4),    # out of range
+    ([1, -1, 2, -2], 4, 1),
+    ([1, -1, 2, -2], -1, 0),   # a negative index is not a Python alias here
+    ([1, -1], 0, 1),           # n - 2 = 0 leaves nothing off the pair
+])
+def test_eigen_gap_lemma_rejects_bad_indices(lam, i, j):
+    with pytest.raises(ValueError):
+        eigen_gap_lemma(lam, i, j)
 
 
 def test_profile_to_tensor_matches_invariants():
@@ -618,8 +629,7 @@ def test_mc_campaign_profile_skips_supercritical():
 
 def test_mc_campaign_tensor_kind():
     config = CampaignConfig(kind="tensor", dims=(4,), eps_list=(Fraction(0),),
-                            s_list=(0, 1), count=3, seed=5, mode=FLOAT,
-                            search=FAST)
+                            s_list=(0, 1), count=3, seed=5, mode=FLOAT)
     report = mc_campaign(config)
     entry = report["checks"][0]
     assert entry["minSecRecheckPassed"] == 3
@@ -654,8 +664,7 @@ def test_rational_sampler_draws_as_the_exact_lane():
 
 def test_mc_campaign_tensor_kind_n5_uses_the_dual():
     config = CampaignConfig(kind="tensor", dims=(5,), eps_list=(Fraction(0),),
-                            s_list=(0, 1), count=1, seed=5, mode=FLOAT,
-                            search=FAST)
+                            s_list=(0, 1), count=1, seed=5, mode=FLOAT)
     entry = mc_campaign(config)["checks"][0]
     assert entry["minSecRecheckPassed"] == 1
     assert entry["minSecMethod"] == "dual"
@@ -789,6 +798,7 @@ def test_shift_to_pinching_certifies_open_brackets(eps):
 
 
 def test_runtime_min_sec_never_searches(monkeypatch):
+    import reference
     from pinchlab import minsec
     from pinchlab.curvature import random_curvature
     from pinchlab.minsec import shift_to_pinching
@@ -796,8 +806,9 @@ def test_runtime_min_sec_never_searches(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the runtime path ran the grid + L-BFGS search")
 
-    for name in ("search_min_sectional", "grid_sectionals", "minimize"):
-        monkeypatch.setattr(minsec, name, forbidden)
+    for name in ("search_min_sectional", "grid_sectionals"):
+        monkeypatch.setattr(reference, name, forbidden)
+    monkeypatch.setattr(minsec, "minimize", forbidden)
     solves = []
 
     def counted(rhat):   # one entry per solved tensor: its n
