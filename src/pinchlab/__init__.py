@@ -6,14 +6,11 @@ __version__ = "0.1.0"
 from .curvature import (  # noqa: F401
     AlgCurvTensor,
     CurvatureInvariants,
-    ModifiedCurvature,
     Plane,
     SymTensor2,
     constant_curvature,
-    coordinate_plane,
     identity_metric,
     invariants,
-    modified_curvature,
     random_curvature,
     ricci,
     scalar,
@@ -38,11 +35,9 @@ from .ftensor import (  # noqa: F401
 )
 from .minsec import (  # noqa: F401
     DegenerateEpsError,
-    dual_bracket,
     dual_min_sectional,
     min_sectional,
     shift_to_pinching,
-    solve_dual,
 )
 from .models import (  # noqa: F401
     ModelGeometry,
@@ -64,7 +59,6 @@ from .profiles import (  # noqa: F401
     equno_identity,
     estimate_coefficients,
     mc_campaign,
-    profile_to_tensor,
     sample_sigma_profile,
 )
 from .scalars import FLOAT, RATIONAL, parse_scalar  # noqa: F401

@@ -41,13 +41,24 @@ from .scalars import RATIONAL, FLOAT, parse_scalar, scalar_to_json
 EXIT_OK, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
 
 
+def non_negative_int(text):
+    """A seed from its text: an integer >= 0, as numpy's generators take."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError("not an integer") from None
+    if value < 0:
+        raise ValueError("negative")
+    return value
+
+
 def _env_seed():
     """The default seed: PINCHLAB_SEED, or 0 when it is unset."""
     text = os.environ.get("PINCHLAB_SEED", "0")
     try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"PINCHLAB_SEED = {text!r}: not an integer") from None
+        return non_negative_int(text)
+    except ValueError as exc:
+        raise ValueError(f"PINCHLAB_SEED = {text!r}: {exc}") from None
 
 
 def build_parser(explicit_only=False):
@@ -60,7 +71,7 @@ def build_parser(explicit_only=False):
                                 description="curvature-pinching verification toolkit")
     p.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=default(_env_seed()))
+    common.add_argument("--seed", type=non_negative_int, default=default(_env_seed()))
     common.add_argument("--out", default=default(None), help="report output directory")
     common.add_argument("--config", default=default(None),
                         help="JSON file mirroring flags; flags take precedence")
@@ -150,11 +161,12 @@ def _config_scalar(key, flag, value):
 
 
 def _finish(report, args, stem):
+    """Print the report in args.format (JSON where a command has no
+    --format), persist it as JSON, and return the exit code."""
     payload = dict(report)
     payload["toolVersion"] = __version__
     payload["digest"] = report_digest(report)
-    out = emit(payload, "json")
-    sys.stdout.write(out.decode())
+    sys.stdout.write(emit(payload, getattr(args, "format", "json")).decode())
     if args.out:
         persist(payload, args.out, stem=stem)
     violated = bool(payload.get("violations"))
@@ -179,7 +191,8 @@ def cmd_verify_estimates(args):
 
 def _q2_result(eps):
     """(report entry, violated) for the exact maximum of Q2 at eps: violated
-    when it differs from the reference value or Q2 is not stationary there."""
+    when it differs from the reference value or Q2 is not stationary there.
+    ValueError if the report's floats cannot hold the maximum."""
     arg, value = found = optimize_q2(eps)
     claimed = q2_claimed_value(eps)
     gnorm = max(abs(g) for g in grad_q2(arg, eps))
@@ -188,11 +201,13 @@ def _q2_result(eps):
         "branch": found.branch,
         "crossover": scalar_to_json(Q2_CROSSOVER),
         "argmax": arg.as_dict(),
-        "value": float(value),
-        "gradNorm": float(gnorm),
         "claimedValue": scalar_to_json(claimed),
-        "delta": float(value - claimed),
     }
+    try:
+        entry.update(value=float(value), gradNorm=float(gnorm), delta=float(value - claimed))
+    except OverflowError:
+        raise ValueError(f"--eps {float(eps):g}: the maximum of Q2 is beyond the "
+                         "float range") from None
     return entry, value != claimed or gnorm != 0
 
 
@@ -230,12 +245,7 @@ def cmd_model(args):
 def cmd_models(args):
     table = literature_table()
     table["violations"] = []
-    if args.format == "json":
-        return _finish(table, args, "models")
-    sys.stdout.write(emit(table, args.format).decode())
-    if args.out:
-        persist(table, args.out, stem="models")
-    return EXIT_OK
+    return _finish(table, args, "models")
 
 
 def cmd_identities(args):

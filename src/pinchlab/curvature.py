@@ -211,10 +211,6 @@ class SymTensor2:
     def mode(self):
         return mode_of(self.comp)
 
-    @classmethod
-    def from_components(cls, values, mode):
-        return cls(as_mode_array(values, mode))
-
     def __post_init__(self):
         shape = self.comp.shape
         if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
@@ -408,11 +404,6 @@ class Plane:
         return self.x.shape[0]
 
 
-def coordinate_plane(n, i, j, mode=FLOAT) -> Plane:
-    e = eye(n, mode)
-    return Plane(e[i], e[j])
-
-
 def sectional(Rm: AlgCurvTensor, p: Plane):
     """R(x, y, x, y) = w^T rhat w, w = x ^ y; sigma_ij for the coordinate
     plane (e_i, e_j)."""
@@ -420,29 +411,6 @@ def sectional(Rm: AlgCurvTensor, p: Plane):
         raise ValueError("plane dimension mismatch")
     w = bivector(p.x, p.y)
     return w @ Rm.rhat @ w
-
-
-# ---------------------------------------------------------------------------
-# Modified curvature
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ModifiedCurvature:
-    """Curvature shifted by the pinching parameter: Rm - (eps/2) R g^g.
-
-    Its sectional curvatures are sigma(p) - eps*R, which the pinching
-    hypothesis makes non-negative.
-    """
-
-    rmBar: AlgCurvTensor
-    rBar: object
-
-
-def modified_curvature(Rm: AlgCurvTensor, eps) -> ModifiedCurvature:
-    n, R = Rm.n, scalar(Rm)
-    eps = Fraction(eps) if Rm.mode == RATIONAL else float(eps)
-    return ModifiedCurvature(AlgCurvTensor(Rm.rhat - eps * R * eye(len(Rm.rhat), Rm.mode)),
-                             (1 - n * (n - 1) * eps) * R)
 
 
 # ---------------------------------------------------------------------------

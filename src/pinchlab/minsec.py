@@ -24,10 +24,12 @@ dual_min_sectional returns the bracket (lower, upper, plane): lower from the
 multiplier, upper the curvature of a plane taken from the bottom eigenvectors
 at that multiplier.  shift_to_pinching returns tensors certified by that
 bracket; pinched is the one test of Sec >= eps*R.  The *_stack functions
-take a stack rhat (k, m, m) of curvature operators; solve_dual,
-dual_bracket and shift_to_pinching are their stacks of one, and a
-tensor's numbers do not depend on the stack it sits in.  A shift by c adds
-c times constant_curvature(n, 1), the identity on bivectors.
+take a stack rhat (k, m, m) of curvature operators and carry each plane as
+its orthonormal pair of arrays (x, y); dual_min_sectional and
+shift_to_pinching are their stacks of one, and a tensor's numbers do not
+depend on the stack it sits in.  A Plane is built only for the caller of
+dual_min_sectional and min_sectional.  A shift by c adds c times
+constant_curvature(n, 1), the identity on bivectors.
 
 The dual is the module's one min-Sec algorithm, and it needs only numpy.
 The tests check it against an independent grid + L-BFGS search on the n^4
@@ -162,23 +164,15 @@ def rounding_factor(m):
     return m + 30
 
 
-def dual_bracket(Rm: AlgCurvTensor, multiplier, plane: Plane):
-    """(lower, upper) <= min Sec <= curvature of plane, from one 4-form.
+def dual_bracket_stack(rhat, multipliers, x, y):
+    """(lower, upper) <= min Sec <= curvature of the plane, for each
+    operator of the stack rhat (k, m, m) at its multiplier (k, C(n, 4)) and
+    plane x, y (k, n): arrays (k,).
 
     lower is lambda_min(Rhat + sum_j multiplier_j M_j) over four_form_basis
     less the rounding padding, a weak-duality bound for any multiplier;
-    upper is the sectional curvature of plane.  A shift Rhat + c I moves
-    both ends by c and leaves the best multiplier unchanged.  The stack of
-    one of dual_bracket_stack.
-    """
-    lower, upper = dual_bracket_stack(Rm.rhat[None], np.asarray(multiplier)[None],
-                                      plane.x[None], plane.y[None])
-    return float(lower[0]), float(upper[0])
-
-
-def dual_bracket_stack(rhat, multipliers, x, y):
-    """dual_bracket of each operator of the stack rhat (k, m, m) at its
-    multiplier (k, C(n, 4)) and plane x, y (k, n): arrays (lower, upper).
+    upper is the sectional curvature of the plane.  A shift Rhat + c I moves
+    both ends by c and leaves the best multiplier unchanged.
 
     Each entry of sum_j multiplier_j M_j is a single +-multiplier_j, so A is
     formed exactly, and each norm is one dot product per tensor, as for a
@@ -198,26 +192,21 @@ def dual_bracket_stack(rhat, multipliers, x, y):
 
 def dual_min_sectional(Rm: AlgCurvTensor):
     """The bracket (lower, upper, plane) with lower <= min Sec <= upper and
-    upper the sectional curvature of plane, for every n <= 8: solve_dual's
-    multiplier and plane, bounded by dual_bracket.  Closed to roundoff for
-    n <= 4; for n >= 5 it may stay open where the 4-form relaxation is
-    inexact."""
-    multiplier, plane = solve_dual(Rm)
-    return (*dual_bracket(Rm, multiplier, plane), plane)
-
-
-def solve_dual(Rm: AlgCurvTensor):
-    """(multiplier, plane): a 4-form over four_form_basis(n) that maximizes
-    lambda_min(Rhat + omega), and a plane from the bottom eigenvectors there.
-    The stack of one of solve_dual_stack."""
-    multipliers, x, y = solve_dual_stack(Rm.rhat[None])
-    return multipliers[0], Plane(x[0], y[0])
+    upper the sectional curvature of plane, for every n <= 8: the stack of
+    one of solve_dual_stack, bounded by dual_bracket_stack.  Closed to
+    roundoff for n <= 4; for n >= 5 it may stay open where the 4-form
+    relaxation is inexact."""
+    rhat = Rm.rhat[None]
+    multipliers, x, y = solve_dual_stack(rhat)
+    lower, upper = dual_bracket_stack(rhat, multipliers, x, y)
+    return float(lower[0]), float(upper[0]), Plane(x[0], y[0])
 
 
 def solve_dual_stack(rhat):
-    """solve_dual of each operator of the stack rhat (k, m, m): arrays
-    (multipliers (k, C(n, 4)), x (k, n), y (k, n)), the planes' orthonormal
-    pairs.
+    """For each operator of the stack rhat (k, m, m), a 4-form over
+    four_form_basis(n) that maximizes lambda_min(Rhat + omega), and a plane
+    from the bottom eigenvectors there: arrays (multipliers (k, C(n, 4)),
+    x (k, n), y (k, n)), the planes' orthonormal pairs.
 
     n = 4 bisects on the Hodge star (exact), in lockstep over the stack
     (_bisect_star), and takes the least-curvature null bivector of the
@@ -237,26 +226,28 @@ def solve_dual_stack(rhat):
         x, y = _plane_of(_null_bivector(rhat, vecs), 4)
         return t[:, None], x, y
     solved = [_solve_barrier(r, n) for r in rhat]
-    multipliers = np.array([m for m, _ in solved]).reshape(len(rhat), len(four_form_basis(n)))
-    x = np.array([p.x for _, p in solved]).reshape(len(rhat), n)
-    y = np.array([p.y for _, p in solved]).reshape(len(rhat), n)
+    multipliers = np.array([m for m, _, _ in solved]).reshape(len(rhat), len(four_form_basis(n)))
+    x = np.array([x for _, x, _ in solved]).reshape(len(rhat), n)
+    y = np.array([y for _, _, y in solved]).reshape(len(rhat), n)
     return multipliers, x, y
 
 
 def _solve_barrier(rhat, n):
-    """solve_dual of one float operator rhat on the bivectors of R^n, n != 4."""
+    """solve_dual_stack of one float operator rhat on the bivectors of R^n,
+    n != 4: (multiplier, x, y), x and y of shape (n,)."""
     basis = four_form_basis(n)
     multiplier = _barrier_path(rhat, basis)
     lam, vecs = np.linalg.eigh(rhat + np.tensordot(multiplier, basis, 1))
     if n <= 3:   # every bivector is a plane
         x, y = _plane_of(vecs[:, 0][None], n)
-        return multiplier, Plane(x[0], y[0])
+        return multiplier, x[0], y[0]
     bottom = lam <= lam[0] + np.sqrt(np.finfo(float).eps) * max(1.0, lam[-1] - lam[0])
-    return multiplier, _bottom_plane(rhat, vecs[:, bottom])
+    return multiplier, *_bottom_plane(rhat, vecs[:, bottom])
 
 
 def _bottom_plane(rhat, V):
-    """The least-curvature plane polished (_polish) from the best plane
+    """The orthonormal pair (x, y), each of shape (n,), of the
+    least-curvature plane polished (_polish) from the best plane
     approximations of starts in span(V), V an orthonormal basis (columns) of
     the bottom eigenspace, of the float operator rhat.
 
@@ -269,10 +260,11 @@ def _bottom_plane(rhat, V):
     """
     a, b, _ = pair_basis(V.shape[1])
     starts = np.concatenate([V, V[:, a] + V[:, b], V[:, a] - V[:, b]], axis=1)
-    planes = [_polish(rhat, Plane(x, y))
-              for x, y in zip(*_plane_of(starts.T, pair_dimension(len(rhat))))]
-    values = [_sectional_of(rhat, p.x[None, :], p.y[None, :]) for p in planes]
-    return planes[int(np.argmin(values))]
+    polished = [_polish(rhat, x[None], y[None])
+                for x, y in zip(*_plane_of(starts.T, pair_dimension(len(rhat))))]
+    values = [plane_sectionals_stack(rhat[None], x[None], y[None])[0, 0] for x, y in polished]
+    x, y = polished[int(np.argmin(values))]
+    return x[0], y[0]
 
 
 # 2 * spread / 2**53 = eps * spread: the bisection's final width
@@ -445,19 +437,14 @@ def _best_partner(rhat, x):
     return vecs[:, 0]
 
 
-def _sectional_of(rhat, x, y):
-    """The curvature of the plane of the rows x, y (each (1, n)) for the
-    pair operator rhat: plane_sectionals_stack of one plane."""
-    return plane_sectionals_stack(rhat[None], x[None], y[None])[0, 0]
-
-
-def _polish(rhat, plane):
-    """Lower the curvature of plane, for the float operator rhat, by
-    alternating exact minimizations: with
-    x fixed the best y is _best_partner(x), then with that y fixed the best
-    x is _best_partner(y).  A plane is kept only if its curvature is below
-    the last one, so the result's curvature never exceeds plane's; the steps
-    stop at the first that does not lower it, or after POLISH_STEPS.
+def _polish(rhat, x, y):
+    """Lower the curvature of the plane of the orthonormal rows x, y (each
+    (1, n)), for the float operator rhat, by alternating exact
+    minimizations: with x fixed the best y is _best_partner(x), then with
+    that y fixed the best x is _best_partner(y).  A plane is kept only if
+    its curvature is below the last one, so the result's curvature never
+    exceeds the start's; the steps stop at the first that does not lower
+    it, or after POLISH_STEPS.  Returns the rows (x, y).
 
     Near a multiple bottom eigenvalue the vectors converge only linearly:
     on an open-bracket tensor at n = 6 with a 4-dimensional bottom
@@ -466,41 +453,41 @@ def _polish(rhat, plane):
     extrapolated (_extrapolated) to the limit of its moves as a geometric
     series, and the extrapolated plane is kept when its curvature is lower.
     """
-    n = plane.n
-    best = _sectional_of(rhat, plane.x[None, :], plane.y[None, :])
+    n = x.shape[1]
+    one = rhat[None]
+    best = plane_sectionals_stack(one, x[None], y[None])[0, 0]
     last = None   # the length of the last move, unless it was extrapolated
     for _ in range(POLISH_STEPS):
-        y = _best_partner(rhat, plane.x)
-        z = np.concatenate([_best_partner(rhat, y), y])
-        x, y = _orthonormal_pairs(z[None, :], n)
-        value = _sectional_of(rhat, x, y)
+        partner = _best_partner(rhat, x[0])
+        z = np.concatenate([_best_partner(rhat, partner), partner])
+        x1, y1 = _orthonormal_pairs(z[None, :], n)
+        value = plane_sectionals_stack(one, x1[None], y1[None])[0, 0]
         if not value < best:
             break
-        after = Plane(x[0], y[0])
-        move = _move(plane, after)
-        best, plane, length = value, after, np.linalg.norm(move)
+        move = _move(x, y, x1, y1)
+        x, y, best, length = x1, y1, value, np.linalg.norm(move)
         if last is not None and length < last:
-            x, y = _extrapolated(plane, move, length / last)
-            value = _sectional_of(rhat, x, y)
+            x1, y1 = _extrapolated(x, y, move, length / last)
+            value = plane_sectionals_stack(one, x1[None], y1[None])[0, 0]
             if value < best:
-                best, plane, length = value, Plane(x[0], y[0]), None
+                x, y, best, length = x1, y1, value, None
         last = length
-    return plane
+    return x, y
 
 
-def _move(before, after):
-    """after's vectors minus before's, each of before's signed to face its
-    counterpart in after, concatenated: (x' - x, y' - y)."""
-    return np.concatenate([after.x - before.x * np.sign(before.x @ after.x),
-                           after.y - before.y * np.sign(before.y @ after.y)])
+def _move(x, y, x1, y1):
+    """The rows x1, y1 minus x, y, each of x, y signed to face its
+    counterpart, concatenated: (x1 - x, y1 - y), of shape (1, 2n)."""
+    return np.concatenate([x1 - x * np.sign(x[0] @ x1[0]),
+                           y1 - y * np.sign(y[0] @ y1[0])], axis=1)
 
 
-def _extrapolated(after, move, ratio):
+def _extrapolated(x, y, move, ratio):
     """Orthonormal rows (x, y) of the plane at the limit of the moves if
     each later move is ratio times the last, move being the last (Aitken's
     delta-squared): (x, y) + move * ratio / (1 - ratio)."""
-    z = np.concatenate([after.x, after.y]) + move * (ratio / (1 - ratio))
-    return _orthonormal_pairs(z[None, :], after.n)
+    z = np.concatenate([x, y], axis=1) + move * (ratio / (1 - ratio))
+    return _orthonormal_pairs(z, x.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +522,10 @@ def shift_to_pinching_stack(rhat, eps, margin, solution):
     (shifted, lower, upper).
 
     Each tensor is shifted by the curvature of its plane (shift_by_stack):
-    that adds c I to Rhat and keeps the multiplier optimal, so dual_bracket
-    at it rechecks.  An open bracket wider than the slack, its plane still
-    pinched, is shifted on from lower and rechecked; one whose plane
-    violates the hypothesis is returned uncertified.
+    that adds c I to Rhat and keeps the multiplier optimal, so
+    dual_bracket_stack at it rechecks.  An open bracket wider than the
+    slack, its plane still pinched, is shifted on from lower and rechecked;
+    one whose plane violates the hypothesis is returned uncertified.
     """
     multipliers, x, y = solution
     upper = plane_sectionals_stack(_float_stack(rhat), x[:, None], y[:, None])[:, 0]

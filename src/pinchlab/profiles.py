@@ -27,7 +27,6 @@ from .curvature import (
     FLOAT,
     RATIONAL,
     as_mode_array,
-    diagonal_tensor,
     first_nonfinite,
     pair_basis,
     pair_dimension,
@@ -110,15 +109,6 @@ class SigmaProfile:
             raise ValueError(f"sigma{list(bad)} is non-finite: {self.sigma[bad]}")
         self.sigma.setflags(write=False)
 
-    def as_dict(self):
-        return {
-            "n": self.n,
-            "mode": self.mode,
-            "sigma": [scalar_to_json(v) for v in self.sigma.tolist()],
-            "lambda": [scalar_to_json(v) for v in self.lam.tolist()],
-            "R": scalar_to_json(self.R),
-        }
-
 
 def profile_from_sigma_bar(sb_pairs, eps, mode):
     """Assemble a SigmaProfile from non-negative shifted curvatures sb >= 0
@@ -184,11 +174,6 @@ def _integer_draws(rng, shape, distribution):
     if distribution == "sparse":
         sb *= rng.integers(0, 2, size=shape)
     return sb
-
-
-def profile_to_tensor(p: SigmaProfile) -> AlgCurvTensor:
-    """Diagonal curvature tensor realizing the profile: R_ijij = sigma_ij."""
-    return diagonal_tensor(p.sigma, p.n, p.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +254,6 @@ class EstimateReport:
     gapConvex: object
     slackResidual: object   # gap1 minus the estimate-1 slack (exact zero in rational mode)
     passed: bool
-
-    def as_dict(self):
-        return {k: scalar_to_json(getattr(self, k)) for k in
-                ("lhs", "rhs1", "rhs2", "rhsConvex", "gap1", "gap2",
-                 "gapConvex", "slackResidual", "passed")}
 
 
 def check_estimates(source, params: PinchingParams) -> EstimateReport:

@@ -32,7 +32,8 @@ def report_digest(report) -> str:
 
 
 def emit(report, fmt="json") -> bytes:
-    """Deterministic serialization of a report dict."""
+    """Deterministic serialization of a report dict; csv and text render the
+    literature table (models.literature_table)."""
     if fmt == "json":
         return (json.dumps(report, sort_keys=True, indent=2, default=str)
                 + "\n").encode()
@@ -44,42 +45,27 @@ def emit(report, fmt="json") -> bytes:
 
 
 def _emit_csv(report) -> str:
-    lines = []
-    if "models" in report:   # literature table
-        cols = list(report["models"][0]) if report["models"] else []
-        lines.append(",".join(cols))
-        for row in report["models"]:
-            lines.append(",".join(str(row[c]) for c in cols))
-    elif "checks" in report:
-        cols = ["n", "eps", "kind", "count", "minGap1", "minGap2"]
-        lines.append(",".join(cols))
-        for c in report["checks"]:
-            flat = dict(c)
-            flat.update(c.get("float", {}))
-            lines.append(",".join(str(flat.get(k, "")) for k in cols))
-    else:
-        for k, v in sorted(report.items()):
-            lines.append(f"{k},{v}")
+    """The literature table's rows, one line each, under a header line."""
+    cols = list(report["models"][0]) if report["models"] else []
+    lines = [",".join(cols)]
+    for row in report["models"]:
+        lines.append(",".join(str(row[c]) for c in cols))
     return "\n".join(lines) + "\n"
 
 
 def _emit_text(report) -> str:
-    lines = []
-    if "constants" in report:
-        lines.append(f"{'constant':<16}{'exact':<24}{'decimal':<12}")
-        for name, c in report["constants"].items():
-            lines.append(f"{name:<16}{c['exact']:<24}{c['value']:<12.6f}")
-        lines.append("")
-        if report.get("models"):
-            cols = list(report["models"][0])
-            widths = [max(len(str(r[c])) for r in report["models"] + [{c: c for c in cols}])
-                      + 2 for c in cols]
-            lines.append("".join(f"{c:<{w}}" for c, w in zip(cols, widths)))
-            for r in report["models"]:
-                lines.append("".join(f"{str(r[c]):<{w}}" for c, w in zip(cols, widths)))
-    else:
-        for k, v in sorted(report.items()):
-            lines.append(f"{k}: {json.dumps(v, sort_keys=True, default=str)}")
+    """The literature table: its constants, then its rows in aligned columns."""
+    lines = [f"{'constant':<16}{'exact':<24}{'decimal':<12}"]
+    for name, c in report["constants"].items():
+        lines.append(f"{name:<16}{c['exact']:<24}{c['value']:<12.6f}")
+    lines.append("")
+    if report["models"]:
+        cols = list(report["models"][0])
+        widths = [max(len(str(r[c])) for r in report["models"] + [{c: c for c in cols}])
+                  + 2 for c in cols]
+        lines.append("".join(f"{c:<{w}}" for c, w in zip(cols, widths)))
+        for r in report["models"]:
+            lines.append("".join(f"{str(r[c]):<{w}}" for c, w in zip(cols, widths)))
     return "\n".join(lines) + "\n"
 
 

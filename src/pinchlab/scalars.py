@@ -46,13 +46,16 @@ def parse_scalar(text):
     """Parse a CLI scalar: "p/q" or a decimal string, converted exactly.
 
     Decimal strings are decimal rationals, so the conversion is exact
-    ("0.125" -> 1/8, never a rounded binary float).
+    ("0.125" -> 1/8, never a rounded binary float).  Every scalar also
+    enters a float lane, so one beyond the float range is refused.
     """
     text = str(text).strip()
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        value = Fraction(text)
+        float(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"cannot parse scalar {text!r}: {exc}") from exc
+    return value
 
 
 def exact_div(num, den):

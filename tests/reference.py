@@ -106,13 +106,11 @@ def search_min_sectional(Rm: AlgCurvTensor, opts: SearchOptions = SearchOptions(
     order = np.argsort(values, kind="stable")[: opts.refine_starts]
 
     comp = np.asarray(Rm.components(), dtype=float)
-    best_val, best_z, converged = np.inf, None, 0
+    best_val, best_z = np.inf, None
     for p in order:
         res = _descend(comp, np.concatenate([gx[p], gy[p]]), opts)
-        if res.success or res.fun <= values[p] + opts.tol:
-            converged += 1
-            if res.fun < best_val:
-                best_val, best_z = res.fun, res.x
+        if (res.success or res.fun <= values[p] + opts.tol) and res.fun < best_val:
+            best_val, best_z = res.fun, res.x
     if best_z is None:
         raise MinSectionalError(
             f"no refinement start converged ({opts.refine_starts} starts, "

@@ -1,11 +1,17 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pinchlab import cli
 from pinchlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
@@ -16,6 +22,14 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def exit_code(argv):
+    """main's exit code, also where argparse exits on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_verify_estimates_clean(capsys, tmp_path):
@@ -92,6 +106,30 @@ def test_bad_seed_variable_is_usage_error(capsys, monkeypatch):
     assert captured.err == "error: PINCHLAB_SEED = 'abc': not an integer\n"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["verify-estimates", "--eps", "1e400", "--count", "2"], "--eps"),
+    (["optimize-q2", "--eps", "1e308"], "--eps"),
+    (["verify-estimates", "--seed", "-1", "--count", "2"], "--seed"),
+])
+def test_usage_error_names_the_flag(capsys, argv, flag):
+    # 1e400 has no float, Q2's maximum at 1e308 neither; numpy refuses seed -1
+    assert exit_code(argv) == EXIT_USAGE
+    (line,) = capsys.readouterr().err.splitlines()[-1:]
+    assert flag in line and "internal error" not in line, line
+
+
+def test_negative_seed_from_the_variable_or_a_config_is_usage_error(capsys, monkeypatch,
+                                                                   tmp_path):
+    monkeypatch.setenv("PINCHLAB_SEED", "-1")
+    assert main(["models"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: PINCHLAB_SEED = '-1': negative\n"
+    monkeypatch.delenv("PINCHLAB_SEED")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    assert main(["models", "--config", str(cfg)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: config 'seed': negative\n"
+
+
 @pytest.mark.parametrize("data", [[1, 2], "count", 7, None])
 def test_config_that_is_not_an_object_is_usage_error(capsys, tmp_path, data):
     cfg = tmp_path / "cfg.json"
@@ -119,9 +157,9 @@ def test_degenerate_eps_is_usage_error(capsys):
       "--n", "4", "--n", "9"], "n"),
 ])
 def test_out_of_domain_value_is_usage_error(capsys, monkeypatch, tmp_path, argv, name):
-    from pinchlab import minsec
+    from pinchlab import profiles
     solves = []
-    monkeypatch.setattr(minsec, "solve_dual", lambda Rm: solves.append(Rm))
+    monkeypatch.setattr(profiles, "solve_dual_stack", lambda rhat: solves.append(rhat))
     out = tmp_path / "reports"
     assert main([*argv, "--out", str(out)]) == EXIT_USAGE
     assert not solves   # rejected before any combo ran
@@ -199,13 +237,19 @@ def test_model_unknown_name_rejected():
         main(["model", "klein_bottle"])
 
 
-def test_models_table_formats(capsys):
-    code, out = run(capsys, ["models", "--format", "csv"])
+def test_models_table_formats(capsys, tmp_path):
+    code, out = run(capsys, ["models", "--format", "csv", "--out", str(tmp_path / "csv")])
     assert code == EXIT_OK
     assert out.splitlines()[0].startswith("model,")
-    code, out = run(capsys, ["models", "--format", "text"])
+    code, out = run(capsys, ["models", "--format", "text", "--out", str(tmp_path / "text")])
     assert code == EXIT_OK
     assert "soliton(1/24)" in out
+    # every format persists the payload that --format json prints
+    code, out = run(capsys, ["models", "--format", "json", "--out", str(tmp_path / "json")])
+    assert code == EXIT_OK
+    for fmt in ("csv", "text", "json"):
+        (report,) = (tmp_path / fmt).iterdir()
+        assert json.loads(report.read_text()) == json.loads(out), fmt
 
 
 def test_models_has_no_table_flag():
@@ -352,3 +396,75 @@ def test_cli_and_the_tensor_campaign_never_import_scipy(tmp_path):
                             env=env, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+# Hostile values for the generated-argv test, drawn besides ordinary ones.
+HOSTILE_SCALARS = ("0", "1/24", "-1/10", "1/2", "1", "7", "-7", "1e400", "-1e400",
+                   "1e308", "-1e308", "1e-400", "-1e-300", "1/100000000000000000000")
+HOSTILE_INTS = {"count": (-3, 0, 1, 2), "models": (-2, 0, 1, 3), "coeffs": (-2, 0, 1, 3),
+                "n": (-1, 0, 2, 3, 4, 5, 9, 40), "seed": (-1, 0, 7, 2 ** 64)}
+HOSTILE_JSON = st.one_of(st.none(), st.booleans(), st.integers(-5, 5),
+                         st.floats(allow_nan=True), st.text(max_size=4),
+                         st.sampled_from(HOSTILE_SCALARS),
+                         st.lists(st.sampled_from(HOSTILE_SCALARS), max_size=2),
+                         st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+def _value(action):
+    """A command-line value of one parser action, ordinary or hostile."""
+    if action.choices is not None:
+        return st.sampled_from([*action.choices, "bogus"])
+    if action.type is int:
+        return st.sampled_from(HOSTILE_INTS.get(action.dest, (-1, 0, 1, 2)))
+    return st.sampled_from(HOSTILE_SCALARS)
+
+
+@st.composite
+def _argv(draw):
+    """(argv, config data or None, PINCHLAB_SEED or None) for one subcommand,
+    drawn from its parser's own actions."""
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    name = draw(st.sampled_from(sorted(commands.choices)))
+    argv, config = [name], None
+    for action in commands.choices[name]._actions:
+        if not action.option_strings:   # the model name
+            argv.append(draw(_value(action)))
+        elif action.dest == "config":
+            if draw(st.booleans()):
+                config = draw(st.one_of(HOSTILE_JSON, st.dictionaries(
+                    st.sampled_from(["count", "seed", "n", "eps", "s", "models",
+                                     "coeffs", "kind", "format", "cont"]),
+                    HOSTILE_JSON, max_size=3)))
+        elif action.dest in HOSTILE_INTS and action.dest != "seed":
+            # sizes are always given, so that no default-sized campaign runs
+            argv.append(f"{action.option_strings[0]}={draw(_value(action))}")
+        elif action.dest not in ("help", "out") and draw(st.booleans()):
+            repeats = draw(st.integers(1, 2)) if isinstance(action, argparse._AppendAction) else 1
+            argv += [f"{action.option_strings[0]}={draw(_value(action))}"
+                     for _ in range(repeats)]
+    env_seed = draw(st.sampled_from([None, "5", "-1", "abc"]))
+    return argv, config, env_seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_argv())
+def test_generated_argv_keeps_the_exit_code_contract(case):
+    # 0 passed, 1 only with violations, 2 usage error; never an internal error
+    argv, config, env_seed = case
+    env = {} if env_seed is None else {"PINCHLAB_SEED": env_seed}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env):
+        if env_seed is None:
+            os.environ.pop("PINCHLAB_SEED", None)
+        if config is not None:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, f"--config={path}"]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = exit_code([*argv, f"--out={tmp}"])
+    assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE), (argv, config)
+    assert not any(line.startswith("error: internal error")
+                   for line in stderr.getvalue().splitlines()), (argv, config, stderr.getvalue())
+    if code == EXIT_VIOLATION:
+        assert json.loads(stdout.getvalue())["violations"], (argv, config)

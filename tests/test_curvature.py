@@ -16,14 +16,14 @@ from pinchlab.curvature import (
     Plane,
     SymmetryError,
     SymTensor2,
+    as_mode_array,
     bianchi_sums,
     check_curvature_operators,
     constant_curvature,
-    coordinate_plane,
+    eye,
     four_form_basis,
     identity_metric,
     invariants,
-    modified_curvature,
     pair_dimension,
     random_curvature,
     random_curvature_stack,
@@ -45,6 +45,11 @@ def random_plane(n, rng):
     y -= (y @ x) * x
     y /= np.linalg.norm(y)
     return Plane(x, y)
+
+
+def coordinate_plane(n, i, j, mode=FLOAT):
+    e = eye(n, mode)
+    return Plane(e[i], e[j])
 
 
 def test_constant_curvature_sectional_is_kappa_everywhere():
@@ -83,9 +88,9 @@ def test_constant_curvature_is_half_kulkarni_nomizu_of_the_metric(n):
 def test_kulkarni_nomizu_has_all_symmetries():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((4, 4))
-    h = SymTensor2.from_components((a + a.T) / 2, FLOAT)
+    h = SymTensor2((a + a.T) / 2)
     b = rng.standard_normal((4, 4))
-    k = SymTensor2.from_components((b + b.T) / 2, FLOAT)
+    k = SymTensor2((b + b.T) / 2)
     comp = kulkarni_nomizu(h, k)
     assert max(n4_residuals(comp).values()) < 1e-13
     AlgCurvTensor(operator_of(comp))   # the constructor enforces the symmetries
@@ -143,11 +148,11 @@ def test_operator_of_no_dimension_rejected(m):
 
 def test_symtensor_rejects_asymmetric():
     with pytest.raises(SymmetryError):
-        SymTensor2.from_components([[0.0, 1.0], [0.0, 0.0]], FLOAT)
+        SymTensor2(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(SymmetryError, match="^tensor 0: symmetry S_ij = S_ji"):
-        SymTensor2.from_components([[0, Fraction(1, 10 ** 30)], [0, 0]], RATIONAL)
+        SymTensor2(as_mode_array([[0, Fraction(1, 10 ** 30)], [0, 0]], RATIONAL))
     # float tolerance scales with the largest component: 1e-8 < 1e-14 * 1e9
-    SymTensor2.from_components([[1e9, 1e-6], [1e-6 + 1e-8, 0.0]], FLOAT)
+    SymTensor2(np.array([[1e9, 1e-6], [1e-6 + 1e-8, 0.0]]))
 
 
 def test_plane_rejects_non_orthonormal():
@@ -223,27 +228,6 @@ def test_invariants_lhs_matches_loop_oracle():
                     acc += comp[i, j, k, l] * t[i, k] * t[j, l]
     assert inv.lhs == pytest.approx(acc, rel=1e-12)
     assert inv.ricNormSq == pytest.approx(float((np.asarray(t) ** 2).sum()))
-
-
-def test_modified_curvature_shifts_sectional_by_eps_R():
-    rng = np.random.default_rng(2)
-    Rm = random_curvature(4, 9, FLOAT)
-    eps = 0.03
-    mod = modified_curvature(Rm, eps)
-    R = scalar(Rm)
-    for _ in range(10):
-        p = random_plane(4, rng)
-        assert sectional(mod.rmBar, p) == pytest.approx(
-            sectional(Rm, p) - eps * R, rel=1e-10, abs=1e-10)
-    assert mod.rBar == pytest.approx((1 - 12 * eps) * R)
-
-
-def test_modified_curvature_rational_exact():
-    Rm = constant_curvature(4, Fraction(1), RATIONAL)
-    mod = modified_curvature(Rm, Fraction(1, 24))
-    # sigma - eps*R = 1 - 12/24 = 1/2 on every coordinate plane
-    assert mod.rmBar.rhat[0, 0] == Fraction(1, 2)
-    assert mod.rBar == (1 - Fraction(12, 24)) * 12
 
 
 def test_symmetry_validator_names_the_corrupted_tensor():

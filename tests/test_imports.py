@@ -7,7 +7,10 @@ ast, and a name it imports must appear in its code.  An import on a line
 marked "# noqa" is exempt, for a name imported only so that others find it
 there.  The same parse guards the per-row kernels of profiles.py against a
 ** with a constant exponent of 3 or more, which numpy evaluates on a float
-array through libm pow, tens of times slower than products.
+array through libm pow, tens of times slower than products.  And every
+public top-level def and class of src/pinchlab is reached from module-level
+code (the CLI's entry point among it) or from bench/*.py, or is on KEEP
+with its reason.
 """
 
 import ast
@@ -16,6 +19,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pinchlab"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -130,3 +134,77 @@ def test_only_minsec_minimize_imports_scipy():
     assert found == []
     assert [function for _, function in scipy_imports((SRC / "minsec.py").read_text())] \
         == ["minimize"]
+
+
+# Public names that no runtime path reads, each kept for its reason.
+KEEP = {
+    "eigen_gap_lemma": "the paper's eigenvalue-gap lemma, criterion 10",
+    "equno_identity": "the paper's exact cross-term identity",
+    "s_coefficient": "the paper's cubic-term weight of the convex combination",
+    "f_norm_expansion": "the paper's |F|^2 expansion, criterion 4",
+    "q1": "the paper's Q1 functional, whose value at the reference point criterion 6 checks",
+    "sample_sigma_profile": "the scalar lane's sampler; ROADMAP item 9 makes it the "
+                            "replay path or deletes it",
+    "shift_to_pinching": "the one-tensor entry of shift_to_pinching_stack",
+    "sectional": "the one-plane entry of plane_sectionals_stack",
+}
+
+
+def names_read(node):
+    """The names the code of node reads: identifiers, attribute names, and
+    the names the benchmark's tracer wraps, Wrap(module, name, ...)."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif (isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "Wrap"
+              and len(sub.args) > 1 and isinstance(sub.args[1], ast.Constant)):
+            found.add(sub.args[1].value)
+    return found
+
+
+def unread_names(modules, roots):
+    """The public top-level defs and classes of modules ({name: source})
+    that nothing live reads.  Live are the names in roots and the names
+    module-level code reads, then, repeatedly, every def or class that a
+    live name reads.  Imports are not reads."""
+    defs, todo = {}, set(roots)
+    for source in modules.values():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                todo |= names_read(node)
+    live = set()
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in live:
+            live.add(name)
+            for node in defs[name]:
+                todo |= names_read(node)
+    return sorted(name for name in defs if name not in live and not name.startswith("_"))
+
+
+def test_the_check_finds_an_unread_name():
+    modules = {"a": ("def entry():\n    return helper()\n"
+                     "def helper():\n    return 1\n"
+                     "def dead():\n    return Used()\n"
+                     "class Used:\n    pass\n"
+                     "def _private():\n    pass\n"
+                     "TABLE = {'k': at_import}\n"
+                     "def at_import():\n    pass\n"),
+               "b": "from a import dead\ndef traced():\n    pass\n"}
+    assert unread_names(modules, {"entry"}) == ["Used", "dead", "traced"]
+    wraps = names_read(ast.parse('WRAPS = (Wrap("b", "traced", "b.traced"),)\n'))
+    assert unread_names(modules, {"entry"} | wraps) == ["Used", "dead"]
+
+
+def test_every_public_name_runs_or_is_kept():
+    modules = {p.name: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    bench = set().union(*(names_read(ast.parse(p.read_text())) for p in BENCH.glob("*.py")))
+    assert unread_names(modules, bench | set(KEEP)) == []
+    defined = {node.name for source in modules.values() for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert set(KEEP) <= defined

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pinchlab.curvature import (
     FLOAT,
     AlgCurvTensor,
+    Plane,
     RATIONAL,
     bianchi_sums,
     bivector,
@@ -23,12 +24,10 @@ from pinchlab.minsec import (
     HODGE_STAR,
     DegenerateEpsError,
     SearchOptions,
-    dual_bracket,
     dual_min_sectional,
     min_sectional,
     pinched,
     shift_to_pinching,
-    solve_dual,
 )
 from pinchlab import minsec
 from pinchlab.models import (
@@ -50,6 +49,20 @@ FAST = SearchOptions(grid_points=20_000, refine_starts=8)
 # min_sectional is exact at n = 4; the search it runs in other dimensions is
 # checked against the same closed forms and oracles at n = 4 too.
 FINDERS = (min_sectional, search_min_sectional)
+
+
+def _solve(Rm):
+    """(multiplier, plane) of Rm's dual: solve_dual_stack of a stack of one."""
+    multipliers, x, y = minsec.solve_dual_stack(Rm.rhat[None])
+    return multipliers[0], Plane(x[0], y[0])
+
+
+def _bracket(Rm, multiplier, plane):
+    """(lower, upper) of Rm at multiplier and plane: dual_bracket_stack of a
+    stack of one."""
+    lower, upper = minsec.dual_bracket_stack(Rm.rhat[None], multiplier[None],
+                                             plane.x[None], plane.y[None])
+    return float(lower[0]), float(upper[0])
 
 
 def test_grid_default_cap():
@@ -305,8 +318,8 @@ def test_dual_bracket_below_sampling_oracle(n):
     open_brackets = 0
     for seed in range(200):
         Rm = random_curvature(n, [37, n, seed], FLOAT)
-        multiplier, plane = solve_dual(Rm)
-        lower, upper = dual_bracket(Rm, multiplier, plane)
+        multiplier, plane = _solve(Rm)
+        lower, upper = _bracket(Rm, multiplier, plane)
         assert lower <= upper, seed
         assert lower <= sample_sectionals(Rm, 2_000, seed).min(), seed
         assert sectional(Rm, plane) == pytest.approx(upper, abs=1e-12 * _scale(Rm))
@@ -324,8 +337,8 @@ def test_dual_matches_search(n):
                    7: (8, SearchOptions(grid_points=10_000, refine_starts=8))}[n]
     for seed in range(count):
         Rm = random_curvature(n, [41, seed] if n == 5 else [41, n, seed], FLOAT)
-        multiplier, plane = solve_dual(Rm)
-        lower, upper = dual_bracket(Rm, multiplier, plane)
+        multiplier, plane = _solve(Rm)
+        lower, upper = _bracket(Rm, multiplier, plane)
         searched, _ = search_min_sectional(Rm, opts)
         assert upper <= searched + 1e-9, seed
         assert lower <= searched, seed
@@ -341,7 +354,7 @@ def test_bottom_plane_does_not_depend_on_the_eigenbasis():
     from pinchlab.minsec import _bottom_plane
     for seed in ([97, 7, 9], [66, 5, 0]):
         Rm = random_curvature(seed[1], seed, FLOAT)
-        multiplier, _ = solve_dual(Rm)
+        multiplier, _ = _solve(Rm)
         A = pair_operator(Rm) + np.tensordot(multiplier, four_form_basis(Rm.n), 1)
         lam, vecs = np.linalg.eigh(A)
         V = vecs[:, lam <= lam[0] + 1e-8 * max(1.0, lam[-1] - lam[0])]
@@ -350,7 +363,7 @@ def test_bottom_plane_does_not_depend_on_the_eigenbasis():
         rng = np.random.default_rng(53)
         for _ in range(12):
             Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-            plane = _bottom_plane(pair_operator(Rm), V @ Q)
+            plane = Plane(*_bottom_plane(pair_operator(Rm), V @ Q))
             assert sectional(Rm, plane) <= searched + 1e-9, seed
 
 
@@ -359,8 +372,6 @@ def test_bottom_plane_does_not_depend_on_the_eigenbasis():
        steps=st.sampled_from([0, 1, 2, None]))
 def test_polish_never_raises_the_curvature(n, seed, steps):
     # from random start planes, also when stopped at a lowered step cap
-    from pinchlab import minsec
-    from pinchlab.curvature import Plane
     rng = np.random.default_rng(seed)
     Rm = random_curvature(n, seed, FLOAT)
     x, y = minsec._orthonormal_pairs(rng.standard_normal((1, 2 * n)), n)
@@ -368,8 +379,9 @@ def test_polish_never_raises_the_curvature(n, seed, steps):
     with pytest.MonkeyPatch.context() as mp:
         if steps is not None:
             mp.setattr(minsec, "POLISH_STEPS", steps)
-        plane = minsec._polish(pair_operator(Rm), start)
-    assert isinstance(plane, Plane) and plane.n == n
+        x, y = minsec._polish(pair_operator(Rm), x, y)
+    assert x.shape == y.shape == (1, n)
+    plane = Plane(x[0], y[0])
     gram = np.array([[plane.x @ plane.x, plane.x @ plane.y],
                      [plane.y @ plane.x, plane.y @ plane.y]])
     assert np.abs(gram - np.eye(2)).max() <= 1e-12
@@ -383,8 +395,8 @@ def test_polish_never_raises_the_curvature(n, seed, steps):
 def test_inexact_relaxation_leaves_the_bracket_open():
     # one of the n = 5 tensors where no 4-form reaches min Sec
     Rm = random_curvature(5, [116, 5, 3], FLOAT)
-    multiplier, plane = solve_dual(Rm)
-    lower, upper = dual_bracket(Rm, multiplier, plane)
+    multiplier, plane = _solve(Rm)
+    lower, upper = _bracket(Rm, multiplier, plane)
     searched, _ = search_min_sectional(Rm, FAST)
     assert upper == pytest.approx(searched, abs=1e-9)
     assert _relative_width(lower, upper) > 1e-2
@@ -394,12 +406,12 @@ def test_inexact_relaxation_leaves_the_bracket_open():
 def test_dual_bracket_moves_with_a_shift():
     for n in (4, 5):
         Rm = random_curvature(n, [43, n], FLOAT)
-        multiplier, plane = solve_dual(Rm)
-        lower, upper = dual_bracket(Rm, multiplier, plane)
+        multiplier, plane = _solve(Rm)
+        lower, upper = _bracket(Rm, multiplier, plane)
         shifted, _, _ = shift_to_pinching(Rm, 0.0, margin=0.5)
         c = 0.5 - upper
         assert np.allclose(pair_operator(shifted), pair_operator(Rm) + c * np.eye(len(pair_operator(Rm))))
-        assert dual_bracket(shifted, multiplier, plane) == pytest.approx(
+        assert _bracket(shifted, multiplier, plane) == pytest.approx(
             (lower + c, upper + c), abs=1e-12 * _scale(Rm))
         assert dual_min_sectional(shifted)[0] == pytest.approx(lower + c, abs=1e-12 * _scale(Rm))
 
@@ -441,7 +453,7 @@ def test_lockstep_bisection_matches_one_at_a_time():
     for k, Rm in enumerate(tensors):
         t_one, vecs_one = _bisect_one(pair_operator(Rm))
         assert t[k] == t_one and np.array_equal(vecs[k], vecs_one), k
-        multiplier, plane = solve_dual(Rm)
+        multiplier, plane = _solve(Rm)
         assert np.array_equal(multipliers[k], multiplier), k
         assert np.array_equal(x[k], plane.x) and np.array_equal(y[k], plane.y), k
     # the same tensors in another order and stack size give the same numbers

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pinchlab import profiles, scalars
-from pinchlab.curvature import FLOAT, RATIONAL, invariants, pair_dimension, traceless_ricci
+from pinchlab.curvature import (FLOAT, RATIONAL, diagonal_tensor, invariants, pair_dimension,
+                                 traceless_ricci)
 from pinchlab.minsec import DegenerateEpsError
 from pinchlab.profiles import (
     CampaignConfig,
@@ -21,7 +22,6 @@ from pinchlab.profiles import (
     profile_batch_exact,
     profile_batch_float,
     profile_from_sigma_bar,
-    profile_to_tensor,
     sample_sigma_profile,
     PROFILE_BLOCK,
     _EXACT_SB_MAX,
@@ -55,7 +55,7 @@ def test_sampler_rejects_degenerate_eps():
 def test_profile_mode_is_read_from_sigma():
     for mode in (RATIONAL, FLOAT):
         p = sample_sigma_profile(4, 0, 5, mode)
-        assert (p.n, p.mode, p.as_dict()["mode"]) == (4, mode, mode)
+        assert (p.n, p.mode) == (4, mode)
     with pytest.raises(scalars.ArithmeticModeError):
         SigmaProfile(p.sigma.astype(np.float32))
 
@@ -75,7 +75,7 @@ def test_profile_lam_and_R_are_the_eigenframes():
     for n in range(3, 9):
         for eps, seed in ((Fraction(0), 0), (Fraction(0), 1), (Fraction(-1, 10), 2)):
             p = sample_sigma_profile(n, eps, seed, RATIONAL, "sparse")
-            Rm = profile_to_tensor(p)
+            Rm = diagonal_tensor(p.sigma, p.n, p.mode)
             oric = traceless_ricci(Rm).comp
             assert (oric == np.diag(p.lam)).all(), (n, seed)
             assert all(type(v) is Fraction for v in oric.flat)
@@ -185,7 +185,7 @@ def test_eigen_gap_lemma_rejects_bad_indices(lam, i, j):
 
 def test_profile_to_tensor_matches_invariants():
     p = sample_sigma_profile(4, Fraction(0), 7, RATIONAL)
-    Rm = profile_to_tensor(p)
+    Rm = diagonal_tensor(p.sigma, p.n, p.mode)
     inv = invariants(Rm)
     assert inv.R == p.R
     assert inv.ricNormSq == sum(v * v for v in p.lam)

@@ -1,5 +1,6 @@
 import json
 
+from pinchlab.models import literature_table
 from pinchlab.reports import canonical_json, emit, persist, report_digest
 
 
@@ -25,14 +26,14 @@ def test_emit_json_round_trips():
 
 
 def test_emit_csv_and_text_smoke():
-    rep = {"checks": [{"n": 4, "eps": "1/24", "kind": "profile", "count": 10,
-                       "float": {"minGap1": 0.5, "minGap2": 0.25}}]}
-    csv = emit(rep, "csv").decode()
-    assert csv.splitlines()[0] == "n,eps,kind,count,minGap1,minGap2"
-    assert "1/24" in csv
-    txt = emit({"constants": {"c": {"exact": "1/2", "value": 0.5}},
-                "models": []}, "text").decode()
-    assert "constant" in txt
+    table = literature_table()
+    csv = emit(table, "csv").decode().splitlines()
+    assert csv[0].startswith("model,ratio,einstein,")
+    assert len(csv) == 1 + len(table["models"])
+    assert "sphere(4,1),1/12," in csv[1]
+    txt = emit(table, "text").decode()
+    assert txt.startswith("constant") and "soliton(1/24)" in txt
+    assert "constant" in emit({"constants": {}, "models": []}, "text").decode()
 
 
 def test_persist_never_overwrites(tmp_path):
