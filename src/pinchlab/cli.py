@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -34,7 +35,7 @@ from .models import (
     pinching_threshold,
     soliton_identity_check,
 )
-from .profiles import DISTRIBUTIONS, CampaignConfig, mc_campaign
+from .profiles import DISTRIBUTIONS, CampaignConfig, estimate_coefficients, mc_campaign
 from .reports import emit, persist, report_digest
 from .scalars import RATIONAL, FLOAT, parse_scalar, scalar_to_json
 
@@ -178,13 +179,17 @@ def cmd_verify_estimates(args):
     eps_list = tuple(args.eps if args.eps is not None else [Fraction(1, 24)])
     s_list = tuple(args.s if args.s is not None else
                    [Fraction(0), Fraction(1, 2), Fraction(1)])
-    for n in dims:
-        for eps in eps_list:
-            require_subcritical(n, eps)
     config = CampaignConfig(
         kind=args.kind, dims=dims, eps_list=eps_list, s_list=s_list,
         count=args.count, seed=args.seed, mode=args.arithmetic,
         distribution=args.distribution)
+    for n in dims:
+        for eps in eps_list:
+            require_subcritical(n, eps)
+            if not all(math.isfinite(c) for estimate in estimate_coefficients(n, float(eps))
+                       for c in estimate):
+                raise ValueError(f"--eps {float(eps):g}: the estimates' coefficients at "
+                                 f"n = {n} are beyond the float range")
     report = mc_campaign(config)
     return _finish(report, args, "verify-estimates")
 

@@ -11,14 +11,16 @@ bivectors as a symmetric matrix with <w, omega w> a multiple of
 a weak-duality bound whose best omega is the "strongly nonnegative" bound
 (J. A. Thorpe, J. Differential Geom. 5, 1971; R. G. Bettiol and
 R. A. E. Mendes, arXiv:1708.09033).  In dimension four Lambda^4 is spanned
-by the Hodge star and the bound is exact (Finsler's lemma): a bisection in
-one variable solves it, run in lockstep over a stack of tensors, one batched
-eigh a step.  For 5 <= n <= 8 a log-barrier Newton path maximizes it over
-C(n, 4) multipliers, one tensor at a time; there it is not always exact
-(Zoltek's examples), so the bracket it closes may stay open; the plane is
-polished by alternating exact minimizations over one of its vectors, each a
-bottom eigenvector of an n x n matrix.  For n <= 3 there are no 4-forms and
-every bivector is a plane, so min Sec = lambda_min(Rhat).
+by the Hodge star and the bound is exact (Finsler's lemma): a safeguarded
+Newton iteration in one variable solves it, run in lockstep over a stack of
+tensors, one batched eigh a step, and each tensor stops once the concavity
+of the objective certifies its maximum.  For 5 <= n <= 8 a log-barrier
+Newton path maximizes it over C(n, 4) multipliers, one tensor at a time;
+there it is not always exact (Zoltek's examples), so the bracket it closes
+may stay open; the plane is polished by alternating exact minimizations over
+one of its vectors, each a bottom eigenvector of an n x n matrix.  For
+n <= 3 there are no 4-forms and every bivector is a plane, so
+min Sec = lambda_min(Rhat).
 
 dual_min_sectional returns the bracket (lower, upper, plane): lower from the
 multiplier, upper the curvature of a plane taken from the bottom eigenvectors
@@ -208,12 +210,13 @@ def solve_dual_stack(rhat):
     from the bottom eigenvectors there: arrays (multipliers (k, C(n, 4)),
     x (k, n), y (k, n)), the planes' orthonormal pairs.
 
-    n = 4 bisects on the Hodge star (exact), in lockstep over the stack
-    (_bisect_star), and takes the least-curvature null bivector of the
-    bottom eigenspace there (_null_bivector).  5 <= n <= 8 follows a
-    log-barrier path per tensor, then polishes best rank-2 approximations of
-    bottom eigenvectors by alternating exact minimizations over one vector
-    of the plane (_bottom_plane, _polish).  For n <= 3 the multiplier is
+    n = 4 maximizes over the Hodge star (exact) by a safeguarded Newton
+    iteration, in lockstep over the stack (_maximize_star), and takes the
+    least-curvature null bivector of the bottom eigenspace there
+    (_null_bivector).  5 <= n <= 8 follows a log-barrier path per tensor,
+    then polishes best rank-2 approximations of bottom eigenvectors by
+    alternating exact minimizations over one vector of the plane
+    (_bottom_plane, _polish).  For n <= 3 the multiplier is
     empty and the bottom eigenvector is already a plane, so nothing is
     polished.  A tensor's result does not depend on the stack it is in.
     """
@@ -222,7 +225,7 @@ def solve_dual_stack(rhat):
         raise ValueError(f"the dual solve needs 2 <= n <= {MAX_DUAL_N}, got n = {n}")
     rhat = _float_stack(rhat)
     if n == 4:
-        t, vecs = _bisect_star(rhat)
+        t, vecs = _maximize_star(rhat)
         x, y = _plane_of(_null_bivector(rhat, vecs), 4)
         return t[:, None], x, y
     solved = [_solve_barrier(r, n) for r in rhat]
@@ -267,43 +270,85 @@ def _bottom_plane(rhat, V):
     return x[0], y[0]
 
 
-# 2 * spread / 2**53 = eps * spread: the bisection's final width
-BISECTIONS = 53
+# Cap on _maximize_star's steps: twice the 53 halvings that take a
+# bisection from width 2 * spread to its final width eps * spread.
+STAR_STEPS = 106
+
+# A bottom eigenvalue within KINK_GAP * spread of the next one counts as
+# multiple: f may have a kink there, and f'' (which divides by that gap)
+# would shrink the Newton step to nothing.
+KINK_GAP = np.sqrt(np.finfo(float).eps)
 
 
-def _bisect_star(rhat):
+def _maximize_star(rhat):
     """Maximize the concave f(t) = lambda_min(Rhat + t *) of each Rhat of
-    the stack rhat (k, 6, 6) by bisection on the sign of its supergradient
-    v^T * v (v a bottom eigenvector); returns each best t and the
-    eigenvectors there, arrays (k,) and (k, 6, 6).
+    the stack rhat (k, 6, 6) by a safeguarded Newton iteration on its
+    supergradient s = v^T * v (v a bottom eigenvector); returns each best t
+    and the eigenvectors there, arrays (k,) and (k, 6, 6).
 
     The maximizer lies in |t| <= spread of Rhat's spectrum, because
-    f(t) <= lambda_max - |t| and f(0) = lambda_min; BISECTIONS halvings
-    leave an interval of width eps * spread, and f is 1-Lipschitz.  The
-    bisections run in lockstep over the stack, one batched eigh a step,
-    until every tensor has a zero slope or a closed interval.  A tensor that
-    has stopped repeats the same t, so every step of a tensor is computed as
-    for a stack of one and its result does not depend on the stack.
+    f(t) <= lambda_max - |t| and f(0) = lambda_min.  Each tensor keeps a
+    bracket [lo, hi] of it and, at each end, a line above f: the supporting
+    line f + s (t' - t) of the last point on that side (at first the lines
+    lambda_max + t and lambda_max - t).  The next point is
+    - where the bottom eigenvalue is simple, the Newton step t - s / f'',
+      f'' = 2 sum_{i>=1} (v_i^T * v_0)^2 / (lambda_0 - lambda_i), read from
+      the same eigh;
+    - where it is multiple (KINK_GAP), the meeting point of the two lines,
+      exact where f is piecewise linear;
+    - the bisection of [lo, hi] when that point leaves (lo, hi) or does not
+      halve the last move.
+    A tensor stops at a zero slope, at a bracket of width eps * spread (the
+    bisection's final width), or when the concavity bound closes: f lies
+    below both lines, so the value where they meet less the best f seen is
+    within eps * spread; else after STAR_STEPS steps.
+
+    The steps run in lockstep over the stack, one batched eigh a step.  A
+    tensor that has stopped repeats its state, so every step of a tensor is
+    computed as for a stack of one and its result does not depend on the
+    stack.
     """
+    count = len(rhat)
     spectrum = np.linalg.eigvalsh(rhat)
-    hi = spectrum[:, -1] - spectrum[:, 0]
-    lo = -hi
+    spread = spectrum[:, -1] - spectrum[:, 0]
+    tol = np.finfo(float).eps * spread
+    lo, hi = -spread, spread.copy()
+    f_lo, f_hi = spectrum[:, 0].copy(), spectrum[:, 0].copy()
+    s_lo, s_hi = np.ones(count), -np.ones(count)
+    t, move = np.zeros(count), 2 * spread
     # each tensor's best t, lambda_min and eigenvectors so far
-    best_t, best_lam = np.zeros(len(rhat)), np.full(len(rhat), -np.inf)
+    best_t, best_lam = np.zeros(count), np.full(count, -np.inf)
     best_vecs = np.zeros(rhat.shape)
-    for _ in range(BISECTIONS):
-        t = (lo + hi) / 2
+    stopped = np.zeros(count, dtype=bool)
+    for _ in range(STAR_STEPS):
         lam, vecs = np.linalg.eigh(rhat + t[:, None, None] * HODGE_STAR)
         better = lam[:, 0] > best_lam
         np.copyto(best_t, t, where=better)
         np.copyto(best_lam, lam[:, 0], where=better)
         np.copyto(best_vecs, vecs, where=better[:, None, None])
-        v = vecs[:, :, 0]
-        slope = np.vecdot(v @ HODGE_STAR, v)
-        np.copyto(lo, t, where=slope > 0)
-        np.copyto(hi, t, where=slope < 0)
-        if ((slope == 0) | (lo == hi)).all():
-            break
+        # v_i^T * v_0 for each eigenvector v_i; i = 0 is the slope
+        coupling = np.vecdot(vecs.transpose(0, 2, 1), (vecs[:, :, 0] @ HODGE_STAR)[:, None])
+        slope = coupling[:, 0]
+        for where, end, f_end, s_end in ((slope > 0, lo, f_lo, s_lo),
+                                         (slope < 0, hi, f_hi, s_hi)):
+            np.copyto(end, t, where=where)
+            np.copyto(f_end, lam[:, 0], where=where)
+            np.copyto(s_end, slope, where=where)
+        # s_lo > 0 > s_hi; a slope near 0 or a linear branch (f'' = 0) gives
+        # an infinite or nan point, which bisects
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            meet = (f_hi - f_lo + s_lo * lo - s_hi * hi) / (s_lo - s_hi)
+            stopped |= ((slope == 0) | (hi - lo <= tol)
+                        | (f_lo + s_lo * (meet - lo) - best_lam <= tol))
+            if stopped.all():
+                break
+            gaps = lam[:, 1:] - lam[:, :1]
+            newton = t + slope / (2 * (coupling[:, 1:] ** 2 / gaps).sum(axis=1))
+            point = np.where(gaps[:, 0] > KINK_GAP * spread, newton, meet)
+            bisect = ~((lo < point) & (point < hi) & (np.abs(point - t) <= move / 2))
+        point = np.where(bisect, (lo + hi) / 2, point)
+        np.copyto(move, np.abs(point - t), where=~stopped)
+        np.copyto(t, point, where=~stopped)
     return best_t, best_vecs
 
 

@@ -360,8 +360,8 @@ def estimate_gaps(lam, sig, sb, R, coefficients, s_list):
     numpy computes a float x ** 3 through libm pow, and the pair terms of
     lhs and of the slack share one buffer, which keeps few Python ints
     alive.  A float row is bad when a gap, for either estimate or any s, is
-    below -GAP_RTOL max(1, |lhs|, |rhs1|, |rhs2|); an exact row when a gap
-    is negative or the residual not zero.
+    nan or below -GAP_RTOL max(1, |lhs|, |rhs1|, |rhs2|); an exact row when
+    a gap is negative or the residual not zero.
     """
     exact = lam.dtype.kind != "f"
     i, j, _ = _incidence(len(lam))
@@ -384,9 +384,10 @@ def estimate_gaps(lam, sig, sb, R, coefficients, s_list):
     residual = gap1 - weight1 * slack
     tol = 0 if exact else GAP_RTOL * np.maximum(
         1.0, np.maximum(np.abs(lhs), np.maximum(np.abs(rhs1), np.abs(rhs2))))
-    bad = (gap1 < -tol) | (gap2 < -tol)
+    ok = (gap1 >= -tol) & (gap2 >= -tol)   # False on a nan gap, which is bad
     for gapc in convex:
-        bad |= gapc < -tol
+        ok &= gapc >= -tol
+    bad = ~ok
     if exact:
         bad |= residual != 0
     return GapRows(lhs, rhs1, rhs2, gap1, gap2, convex, residual, bad)

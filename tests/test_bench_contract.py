@@ -38,9 +38,9 @@ workloads = _load_workloads()
 # the seed-1 digest of each case's outputs: a change that moves an output
 # (a refactor that should not) fails here, not only in a benchmark comparison
 DIGESTS = {
-    ("full", "tensor-campaign"): "444f54b705ff0da937c439da453ee37d1f761329b2922c5cd3c5210b88c43ba6",
+    ("full", "tensor-campaign"): "4340a0ebbdceb9197ae75e75ff9bdc07f8fb7181f3d4af0114b4374bf27630c0",
     ("full", "cli-exact"): "73eb4b1f529243c52253a61d2798fdbc35574bf49ad79ec02f55356cad224dc0",
-    ("tiny", "tensor-campaign"): "e031d3a5508e866db4ae46d37ea7ff4bc54118c69a94af61249fb98d1d7056d2",
+    ("tiny", "tensor-campaign"): "2fc0195951a3a65f2b68b068764c82ac450963cb7af4682b9ed3b440cf2517f1",
     ("tiny", "profile-campaign"): "8d1d4e067c269a8e4c4309e6d47aa6730d9cfaf69fbce84cb66a41b221f4eaf1",
     ("tiny", "cli-exact"): "0fa84aedcffb148514225b7a2d27f6059a987ea8a0f613ffdc52d4b5e7ca9ed2",
 }

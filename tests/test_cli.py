@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -110,9 +111,12 @@ def test_bad_seed_variable_is_usage_error(capsys, monkeypatch):
     (["verify-estimates", "--eps", "1e400", "--count", "2"], "--eps"),
     (["optimize-q2", "--eps", "1e308"], "--eps"),
     (["verify-estimates", "--seed", "-1", "--count", "2"], "--seed"),
+    (["verify-estimates", "--eps=-1e307", "--count", "20", "--arithmetic", "float"], "--eps"),
 ])
 def test_usage_error_names_the_flag(capsys, argv, flag):
-    # 1e400 has no float, Q2's maximum at 1e308 neither; numpy refuses seed -1
+    # 1e400 has no float, Q2's maximum at 1e308 neither; numpy refuses seed
+    # -1; estimate 2's n = 4 coefficient (2 - 32 eps) / 8 at eps = -1e307
+    # has no float either, and gave an infinite minGap2 and exit 0
     assert exit_code(argv) == EXIT_USAGE
     (line,) = capsys.readouterr().err.splitlines()[-1:]
     assert flag in line and "internal error" not in line, line
@@ -468,3 +472,19 @@ def test_generated_argv_keeps_the_exit_code_contract(case):
                    for line in stderr.getvalue().splitlines()), (argv, config, stderr.getvalue())
     if code == EXIT_VIOLATION:
         assert json.loads(stdout.getvalue())["violations"], (argv, config)
+    if code == EXIT_OK and argv[0] != "models":   # a passing report has finite gaps
+        gaps = list(_gap_summaries(json.loads(stdout.getvalue())))
+        assert all(v is None or math.isfinite(v) for v in gaps), (argv, config, gaps)
+
+
+def _gap_summaries(report):
+    """Every value of a report's minGap* keys, at any depth."""
+    if isinstance(report, list):
+        for item in report:
+            yield from _gap_summaries(item)
+    elif isinstance(report, dict):
+        for key, value in report.items():
+            if key.startswith("minGap"):
+                yield from value.values() if isinstance(value, dict) else [value]
+            else:
+                yield from _gap_summaries(value)
