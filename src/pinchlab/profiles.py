@@ -46,8 +46,8 @@ from .minsec import (
     shift_to_pinching_stack,
     solve_dual_stack,
 )
-from .scalars import (GAP_RTOL, MODES, exact_div, exact_lane, is_rational, lane_array,
-                      mode_of, scalar_to_json)
+from .scalars import (GAP_RTOL, INT64_LANE, MODES, exact_div, exact_lane, is_rational,
+                      lane_array, mode_of, scalar_to_json)
 
 DISTRIBUTIONS = ("half-normal", "uniform", "sparse")   # of the shifted curvatures sb
 
@@ -155,7 +155,8 @@ def _float_draws(rng, shape, distribution):
     _require("distribution", distribution, DISTRIBUTIONS)
     if distribution == "uniform":
         return rng.uniform(0.0, 1.0, size=shape)
-    sb = np.abs(rng.standard_normal(shape))
+    sb = rng.standard_normal(shape)
+    np.abs(sb, out=sb)
     if distribution == "sparse":
         sb *= rng.integers(0, 2, size=shape)
     return sb
@@ -393,21 +394,45 @@ def estimate_gaps(lam, sig, sb, R, coefficients, s_list):
     return GapRows(lhs, rhs1, rhs2, gap1, gap2, convex, residual, bad)
 
 
-def _gap_summary(rows: GapRows, sb, s_list, limit=None):
-    """The minimum gaps (per s for the blend) and the largest slack residual
-    over the rows, as floats (None when there are no rows), and the first
-    `limit` bad rows as violations; sb holds the shifted curvatures row by
-    row (k, m)."""
-    some = len(rows.gap1) > 0
+def _reduce_gaps(blocks, limit=None):
+    """Reduce estimate_gaps results to what the lanes report, block by block
+    as blocks yields them, each block's rows following the previous one's,
+    so that no block is kept once it is reduced.  Returns (low, high, bad):
+    low, the minimum gap1, gap2 and convex gaps (one per s) as one array, and
+    high, the largest |residual|, both in the rows' arithmetic and None when
+    there are no rows; bad, the first `limit` bad rows as (index, gap1, gap2,
+    residual), index counted over all blocks.  Minima, maxima and the first
+    bad rows are exact, so the result does not depend on the blocks."""
+    lows, highs, bad, offset = [], [], [], 0
+    for rows in blocks:
+        if len(rows.gap1):
+            lows.append(np.concatenate([g.min(keepdims=True)
+                                        for g in (rows.gap1, rows.gap2, *rows.convex)]))
+            highs.append(np.abs(rows.residual).max(keepdims=True))
+        room = None if limit is None else limit - len(bad)
+        bad += [(offset + idx, rows.gap1[idx], rows.gap2[idx], rows.residual[idx])
+                for idx in np.nonzero(rows.bad)[0][:room]]
+        offset += len(rows.gap1)
+    if not lows:
+        return None, None, bad
+    return np.stack(lows).min(axis=0), np.concatenate(highs).max(), bad
+
+
+def _gap_summary(reduced, sb, s_list):
+    """The float report of a reduction (_reduce_gaps): the minimum gaps (per
+    s for the blend) and the largest slack residual, as floats (None when
+    there are no rows), and its bad rows as violations; sb holds the shifted
+    curvatures row by row (k, m)."""
+    low, high, bad = reduced
+    low = [None] * (2 + len(s_list)) if low is None else [float(v) for v in low]
     return {
-        "minGap1": float(rows.gap1.min()) if some else None,
-        "minGap2": float(rows.gap2.min()) if some else None,
-        "maxSlackResidual": float(np.abs(rows.residual).max()) if some else None,
-        "minGapConvex": {repr(float(s)): float(gapc.min()) if some else None
-                         for s, gapc in zip(s_list, rows.convex)},
+        "minGap1": low[0],
+        "minGap2": low[1],
+        "maxSlackResidual": None if high is None else float(high),
+        "minGapConvex": {repr(float(s)): gapc for s, gapc in zip(s_list, low[2:])},
         "violations": [{"index": int(idx), "sigmaBar": sb[idx].tolist(),
-                        "gap1": float(rows.gap1[idx]), "gap2": float(rows.gap2[idx])}
-                       for idx in np.nonzero(rows.bad)[0][:limit]],
+                        "gap1": float(gap1), "gap2": float(gap2)}
+                       for idx, gap1, gap2, _ in bad],
     }
 
 
@@ -433,32 +458,29 @@ def _combo_rng(seed, n, eps):
         [int(seed), n, f.numerator % (2 ** 32), f.denominator])
 
 
-# profiles per block of both batch lanes (_block_gaps).  Larger blocks run
-# the float and int64 lanes about 15% faster, but a Python-int block's
-# temporaries grow with it: at 1024 rows they stay below those of the
-# earlier, separately blocked exact lane.
-PROFILE_BLOCK = 1024
+# bytes of one (m, rows) operand of a batch lane's block (_blocks).  In a
+# sweep of 1024 to 32768 rows at n = 3..6, the float and int64 lanes ran
+# fastest near this size: about 11000 rows at n = 3 and 2200 at n = 6.
+BLOCK_BYTES = 2 ** 18
+# bytes of a Python-int entry: the object array's pointer and its int object
+PYTHON_INT_BYTES = 40
 
 
-def _block_gaps(draws, gaps_of_block):
-    """estimate_gaps over the rows of draws (count, m), PROFILE_BLOCK rows at
-    a time: each block is laid out pair-major, as the C-contiguous (m, rows)
-    transpose of its draws, and gaps_of_block assembles its profiles and
-    returns their estimate_gaps.  Returns the blocks' GapRows joined, one
-    entry per row; an empty draws gives one empty block."""
-    blocks = [gaps_of_block(np.ascontiguousarray(draws[lo:lo + PROFILE_BLOCK].T))
-              for lo in range(0, max(len(draws), 1), PROFILE_BLOCK)]
-    joined = {name: np.concatenate([getattr(b, name) for b in blocks])
-              for name in GapRows._fields if name != "convex"}
-    return GapRows(**joined, convex=[np.concatenate(parts)
-                                     for parts in zip(*(b.convex for b in blocks))])
+def _blocks(draws, entry_bytes):
+    """The rows of draws (count, m) in blocks of as many rows (at least one)
+    as BLOCK_BYTES holds of an (m, rows) operand whose entries take
+    entry_bytes each, each block laid out pair-major as the C-contiguous
+    (m, rows) transpose of its draws."""
+    rows = max(1, BLOCK_BYTES // (draws.shape[1] * entry_bytes))
+    for lo in range(0, len(draws), rows):
+        yield np.ascontiguousarray(draws[lo:lo + rows].T)
 
 
 def profile_batch_float(n, eps, s_list, count, seed, distribution="half-normal"):
     """Float-mode batch: min gaps and violation indices over `count` profiles,
-    assembled (_assemble) and checked block by block (_block_gaps).  timings
-    holds the seconds spent drawing the shifted curvatures and in the
-    kernel."""
+    assembled (_assemble), checked and reduced (_reduce_gaps) block by block
+    (_blocks).  timings holds the seconds spent drawing the shifted
+    curvatures and in the kernel."""
     require_subcritical(n, eps)
     eps = float(eps)
     started = time.perf_counter()
@@ -471,7 +493,8 @@ def profile_batch_float(n, eps, s_list, count, seed, distribution="half-normal")
         R, sig, lam = _assemble(n, block, eps)
         return estimate_gaps(lam, sig, block, R, coefficients, s_list)
 
-    summary = _gap_summary(_block_gaps(sb, gaps), sb, s_list, limit=10)
+    blocks = _blocks(sb, sb.itemsize)
+    summary = _gap_summary(_reduce_gaps(map(gaps, blocks), limit=10), sb, s_list)
     return {"count": count, **summary,
             "timings": {"draw": drawn - started, "kernel": time.perf_counter() - drawn}}
 
@@ -522,9 +545,10 @@ def profile_batch_exact(n, eps, count, seed, distribution="half-normal"):
     are decided exactly.
     exact_profile_bound bounds every intermediate before anything is
     computed; the kernel runs in int64 when the bound fits and in Python
-    ints otherwise, block by block (_block_gaps), and exactLane names the
-    lane that ran.  timings holds the seconds spent drawing and in the
-    kernel.
+    ints otherwise, block by block (_blocks, each converted to its lane as
+    it runs), and exactLane names the lane that ran.  Each violation states
+    the denominator of its numerators.  timings holds the seconds spent
+    drawing and in the kernel.
     """
     require_subcritical(n, eps)
     f = Fraction(eps) if not isinstance(eps, Fraction) else eps
@@ -533,7 +557,7 @@ def profile_batch_exact(n, eps, count, seed, distribution="half-normal"):
     lane = exact_lane(exact_profile_bound(n, f))
     started = time.perf_counter()
     rng = _combo_rng(seed, n, f)
-    sb = lane_array(_integer_draws(rng, (count, n * (n - 1) // 2), distribution), lane)
+    sb = _integer_draws(rng, (count, n * (n - 1) // 2), distribution)
     drawn = time.perf_counter()
     star = _incidence(n)[2]
     coefficients = _integer_coefficients(n, f)
@@ -546,17 +570,20 @@ def profile_batch_exact(n, eps, count, seed, distribution="half-normal"):
         lam = n * _leading_sum(sig[star]) - R_num   # lambda = lam / (n d)
         return estimate_gaps(lam, sig, sb_num, R_num, coefficients, [])
 
-    rows = _block_gaps(sb, gaps)
-    gap1, gap2, residual = rows.gap1, rows.gap2, rows.residual
+    blocks = _blocks(sb, sb.itemsize if lane == INT64_LANE else PYTHON_INT_BYTES)
+    low, high, bad = _reduce_gaps((gaps(lane_array(block, lane)) for block in blocks),
+                                  limit=10)
+    den = n ** 3 * q * d ** 3   # of gap1 and the slack; gap2's is 2 den
     return {
         "count": count,
-        "slackIdentityExact": bool((residual == 0).all()),
+        "slackIdentityExact": high is None or bool(high == 0),
         "violations": [{"index": int(idx), "sigmaBar": sb[idx].tolist(),
-                        "gap1Num": int(gap1[idx]), "gap2Num": int(gap2[idx]),
-                        "slackNum": int(gap1[idx] - residual[idx])}
-                       for idx in np.nonzero(rows.bad)[0][:10]],
-        "minGap1Num": int(gap1.min()) if count else None,
-        "minGap2Num": int(gap2.min()) if count else None,
+                        "gap1Num": int(gap1), "gap1Den": den,
+                        "gap2Num": int(gap2), "gap2Den": 2 * den,
+                        "slackNum": int(gap1 - residual), "slackDen": den}
+                       for idx, gap1, gap2, residual in bad],
+        "minGap1Num": None if low is None else int(low[0]),
+        "minGap2Num": None if low is None else int(low[1]),
         "exactLane": lane,
         "timings": {"draw": drawn - started, "kernel": time.perf_counter() - drawn},
     }
@@ -674,7 +701,7 @@ def _tensor_combo(n, eps, config: CampaignConfig):
     sb = sig - e * R[:, None]
     s_list = [float(s) for s in config.s_list]
     rows = estimate_gaps(lam.T, sig.T, sb.T, R, estimate_coefficients(n, e), s_list)
-    summary = _gap_summary(rows, sb, s_list)
+    summary = _gap_summary(_reduce_gaps([rows]), sb, s_list)
     lap("gaps")
     dumps = [dict(v, n=n, eps=scalar_to_json(Fraction(eps)), lane="tensor",
                   tensor=AlgCurvTensor(shifted[v["index"]].copy()).to_json())

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,6 @@ from pinchlab.profiles import (
     profile_batch_float,
     profile_from_sigma_bar,
     sample_sigma_profile,
-    PROFILE_BLOCK,
     _EXACT_SB_MAX,
     _assemble,
     _combo_rng,
@@ -446,16 +446,32 @@ def _run_lane(lane, n, eps, count, seed):
     return profile_batch_exact(n, eps, count, seed)
 
 
-@pytest.mark.parametrize("n, eps, count", [(5, Fraction(1, 48), 2500),
-                                           (6, Fraction(1, 1000), 1100)])
+def _lane_rows(lane, n):
+    """Rows per block of a lane ("float", "int64" or "python-int") at n: as
+    many as profiles.BLOCK_BYTES holds of an (m, rows) operand."""
+    entry_bytes = profiles.PYTHON_INT_BYTES if lane == "python-int" else 8
+    return profiles.BLOCK_BYTES // (n * (n - 1) // 2 * entry_bytes)
+
+
+def _block_sizes(count, rows):
+    return [rows] * (count // rows) + [count % rows] * (count % rows > 0)
+
+
+@pytest.mark.parametrize("n, eps, count", [(5, Fraction(1, 48), 7000),
+                                           (6, Fraction(1, 1000), 4500)])
 def test_every_exact_block_goes_through_estimate_gaps(monkeypatch, n, eps, count):
-    # both lanes, each over several blocks, the last one short
+    # both lanes, each over several blocks of its own size, the last one short
     calls = _spy_on_gaps(monkeypatch)
     for lane in ("float", "exact"):
         calls.clear()
         out = _run_lane(lane, n, eps, count, 2)
         sizes = [len(rows.gap1) for _, rows in calls]
-        assert sizes == [PROFILE_BLOCK] * (count // PROFILE_BLOCK) + [count % PROFILE_BLOCK]
+        block_rows = _lane_rows(out.get("exactLane", lane), n)
+        assert len(sizes) > 2 and sizes == _block_sizes(count, block_rows)
+        if out.get("exactLane") == "python-int":
+            # cli-exact's n = 6, eps = 1/1000: no more rows than the 1024
+            # that kept its peak memory low, as Python ints take more bytes
+            assert max(sizes) <= 1024 < _lane_rows("int64", n)
         if lane == "float":
             assert out["minGap1"] == min(rows.gap1.min() for _, rows in calls)
             assert not out["violations"]
@@ -477,8 +493,9 @@ def test_rows_are_independent_of_blocks(monkeypatch, lane, n, eps):
     # row's values are, bit for bit, those of the row evaluated alone: every
     # 16th row and the last of each block are checked
     calls = _spy_on_gaps(monkeypatch)
-    _run_lane(lane, n, eps, 2 * PROFILE_BLOCK + 7, 0)
-    assert [len(rows.gap1) for _, rows in calls] == [PROFILE_BLOCK, PROFILE_BLOCK, 7]
+    block_rows = _lane_rows("float" if lane == "float" else "int64", n)
+    _run_lane(lane, n, eps, 2 * block_rows + 7, 0)
+    assert [len(rows.gap1) for _, rows in calls] == [block_rows, block_rows, 7]
     m = n * (n - 1) // 2
     for (lam, sig, sb, R, coefficients, s_list), rows in calls:
         for block, height in ((lam, n), (sig, m), (sb, m)):
@@ -494,6 +511,29 @@ def test_rows_are_independent_of_blocks(monkeypatch, lane, n, eps):
                 one_R, one_sig, one_lam = _assemble(n, sb[:, r:r + 1], float(eps))
                 assert (one_R[0], *one_sig[:, 0], *one_lam[:, 0]) == (
                     R[r], *sig[:, r], *lam[:, r]), r
+
+
+@pytest.mark.parametrize("lane", ["float", "exact"])
+def test_lanes_keep_no_full_length_temporaries(lane):
+    # each block is reduced as soon as it is checked, and the float draws
+    # take abs in place: a lane's traced peak at n = 6 stays within 1.3
+    # times its (100 000, 15) draws array of 8-byte entries, 11.4 MB
+    tracemalloc.start()
+    try:
+        _run_lane(lane, 6, Fraction(1, 48), 100_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * 100_000 * 15 * 8, peak
+
+
+def test_empty_lanes():
+    assert _untimed(profile_batch_float(4, Fraction(1, 48), PINNED_S, 0, 1)) == {
+        "count": 0, "minGap1": None, "minGap2": None, "maxSlackResidual": None,
+        "minGapConvex": {repr(float(s)): None for s in PINNED_S}, "violations": []}
+    assert _untimed(profile_batch_exact(4, Fraction(1, 48), 0, 1)) == {
+        "count": 0, "slackIdentityExact": True, "violations": [], "minGap1Num": None,
+        "minGap2Num": None, "exactLane": "int64"}
 
 
 def test_batch_exact_numerators_match_rational_profiles():
@@ -580,6 +620,22 @@ def test_batch_exact_lanes_agree(monkeypatch, wrong):
         assert (int64.pop("exactLane"), python_int.pop("exactLane")) == ("int64", "python-int")
         assert _untimed(python_int) == _untimed(int64)
         assert bool(int64["violations"]) == wrong
+
+
+@pytest.mark.parametrize("n, eps", [(4, Fraction(1, 24)), (6, Fraction(1, 48)),
+                                    (6, Fraction(1, 1000))])
+def test_exact_violations_state_their_denominators(monkeypatch, n, eps):
+    # each numerator over its stated denominator is the gap that the exact
+    # profile of the violation's sigmaBar gives, in Fractions
+    lower_estimate1(monkeypatch, 1)
+    out = profile_batch_exact(n, eps, 300, 3)
+    assert out["violations"]
+    for v in out["violations"]:
+        profile = profile_from_sigma_bar([Fraction(x) for x in v["sigmaBar"]], eps, RATIONAL)
+        report = check_estimates(profile, PinchingParams(eps, 1))
+        assert Fraction(v["gap1Num"], v["gap1Den"]) == report.gap1
+        assert Fraction(v["gap2Num"], v["gap2Den"]) == report.gap2
+        assert Fraction(v["slackNum"], v["slackDen"]) == report.gap1 - report.slackResidual
 
 
 class _ExtremeDraws:
