@@ -50,15 +50,11 @@ from .models import (  # noqa: F401
 )
 from .profiles import (  # noqa: F401
     CampaignConfig,
-    EstimateReport,
-    PinchingParams,
-    SigmaProfile,
     UncertifiedSourceError,
     check_estimates,
     eigen_gap_lemma,
     equno_identity,
     estimate_coefficients,
     mc_campaign,
-    sample_sigma_profile,
 )
 from .scalars import FLOAT, RATIONAL, parse_scalar  # noqa: F401

@@ -1,15 +1,17 @@
-"""Pinching estimates, the eigenbasis sigma-profile model, and campaigns.
+"""Pinching estimates, the eigenbasis profile model, and campaigns.
 
-A sigma-profile is the data the eigenbasis proof of the estimates actually
+A profile is the data the eigenbasis proof of the estimates actually
 manipulates: the sectional curvatures sigma_ij of the coordinate 2-planes of
-a traceless-Ricci eigenbasis, which determine R and the eigenvalues
-lambda_i.  Both estimates, the convex combination, the exact cross-term
-identity and the eigenvalue-gap inequality live here, with seeded Monte
-Carlo campaigns over profiles and over full Bianchi-projected tensors.
-estimate_gaps is the one gap formula: the scalar lane (check_estimates),
-the float lane, the tensor lane (a tensor is checked, in float, as the
-profile of its eigenframe) and the exact integer lane all evaluate their
-gaps with it.
+a traceless-Ricci eigenframe, which determine R and the eigenvalues
+lambda_i.  Under Sec >= eps*R a profile is fixed by its shifted curvatures
+sb = sigma - eps R >= 0, which every lane draws and every violation dumps.
+Both estimates, the convex combination, the exact cross-term identity and
+the eigenvalue-gap inequality live here, with seeded Monte Carlo campaigns
+over profiles and over full Bianchi-projected tensors.  estimate_gaps is the
+one gap formula: the float lane and check_estimates share one row function
+(_profile_gaps), and the tensor lane (a tensor is checked, in float, as the
+profile of its eigenframe) and the exact integer lane evaluate their gaps
+with it too.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .curvature import (
     AlgCurvTensor,
     FLOAT,
     RATIONAL,
-    as_mode_array,
     first_nonfinite,
     pair_basis,
     pair_dimension,
@@ -61,104 +62,38 @@ class UncertifiedSourceError(ValueError):
     """Source does not (verifiably) satisfy Sec >= eps*R."""
 
 
-@dataclass(frozen=True)
-class PinchingParams:
-    """Pinching constant eps (any real) and convex-combination weight s."""
-
-    eps: object = 0
-    s: object = 1
-
-    def __post_init__(self):
-        if not 0 <= self.s <= 1:
-            raise ValueError(f"s = {self.s} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class SigmaProfile:
-    """Eigenbasis model: the sectional curvatures sigma (m,) of an eigenframe's
-    coordinate planes, one per pair i < j of pair_basis(n).  They determine
-    the rest, as in _assemble: R = sum_{i != j} sigma_ij and the traceless
-    eigenvalues lambda_k = sum_{i != k} sigma_ik - R/n.  Its dimension n is
-    read from m = n(n-1)/2 and its arithmetic mode from sigma's dtype."""
-
-    sigma: np.ndarray
-
-    @property
-    def n(self):
-        return pair_dimension(len(self.sigma))
-
-    @property
-    def mode(self):
-        return mode_of(self.sigma)
-
-    @property
-    def R(self):
-        return 2 * _leading_sum(self.sigma)
-
-    @property
-    def lam(self):
-        return _leading_sum(self.sigma[_incidence(self.n)[2]]) - self.R / self.n
-
-    def __post_init__(self):
-        shape = self.sigma.shape
-        if len(shape) != 1 or pair_dimension(shape[0]) < 3:
-            raise ValueError(f"sigma shape {shape} is not (m,), m = n(n-1)/2 with n >= 3")
-        mode_of(self.sigma)   # raises for a dtype of no arithmetic mode
-        bad = first_nonfinite(self.sigma)
-        if bad is not None:
-            raise ValueError(f"sigma{list(bad)} is non-finite: {self.sigma[bad]}")
-        self.sigma.setflags(write=False)
-
-
-def profile_from_sigma_bar(sb_pairs, eps, mode):
-    """Assemble a SigmaProfile from non-negative shifted curvatures sb >= 0
-    over the pairs i < j, whose number gives n.
-
-    Solves the scale equation R = 2 * sum(sb) / (1 - n(n-1) eps), then
-    sigma = sb + eps R on each pair (_assemble).  The pinching condition
-    sigma >= eps R holds by construction.
-    """
-    sb = as_mode_array(sb_pairs, mode)
-    n = pair_dimension(len(sb))
-    require_subcritical(n, eps)
-    eps = float(eps) if mode == FLOAT else eps
-    return SigmaProfile(_assemble(n, sb[:, None], eps)[1][:, 0])
-
-
 def _assemble(n, sb, eps):
     """(R, sigma, lambda) of the profiles whose shifted curvatures sb >= 0
     over the pairs i < j are the columns of sb (m, k), in the arithmetic of
     sb and eps: R (k,), sigma (m, k) and lambda (n, k), the pair-major
-    layout of estimate_gaps; see profile_from_sigma_bar."""
+    layout of estimate_gaps.  R solves the scale equation
+    R = 2 sum(sb) / (1 - n(n-1) eps), then sigma = sb + eps R on each pair,
+    so Sec >= eps*R holds by construction, and the traceless eigenvalues
+    are lambda_k = sum_{i != k} sigma_ik - R/n."""
     R = 2 * _leading_sum(sb) / (1 - n * (n - 1) * eps)
     sig = sb + eps * R
     return R, sig, _leading_sum(sig[_incidence(n)[2]]) - R / n
 
 
-def sample_sigma_profile(n, eps, seed, mode=FLOAT, distribution="half-normal"):
-    """Seeded random profile satisfying Sec >= eps*R by construction.
-
-    Float mode draws the shifted curvatures as the float lane does
-    (_float_draws), rational mode as the exact lane does (_integer_draws).
-    """
-    require_subcritical(n, eps)
-    _require("mode", mode, MODES)
-    draws = _integer_draws if mode == RATIONAL else _float_draws
-    sb = draws(np.random.default_rng(seed), n * (n - 1) // 2, distribution)
-    return profile_from_sigma_bar(sb, Fraction(eps) if mode == RATIONAL else eps, mode)
+def _profile_gaps(n, sb, eps, s_list):
+    """estimate_gaps of the profiles whose shifted curvatures are the columns
+    of sb (m, k), assembled by _assemble: the row function of the float lane
+    and of check_estimates."""
+    R, sig, lam = _assemble(n, sb, eps)
+    return estimate_gaps(lam, sig, sb, R, estimate_coefficients(n, eps), s_list)
 
 
 def _float_draws(rng, shape, distribution):
-    """Float shifted curvatures sb >= 0 of the given shape from rng:
-    half-normal, uniform on [0, 1), or half-normal with each entry zeroed
-    with probability 1/2 ("sparse")."""
+    """Float shifted curvatures sb >= 0 of the given shape (count, m) from
+    rng: half-normal, uniform on [0, 1), or half-normal with each entry
+    zeroed with probability 1/2 ("sparse", _sparsify)."""
     _require("distribution", distribution, DISTRIBUTIONS)
     if distribution == "uniform":
         return rng.uniform(0.0, 1.0, size=shape)
     sb = rng.standard_normal(shape)
     np.abs(sb, out=sb)
     if distribution == "sparse":
-        sb *= rng.integers(0, 2, size=shape)
+        _sparsify(rng, sb)
     return sb
 
 
@@ -166,15 +101,24 @@ _EXACT_SB_MAX = 9   # the exact lane draws shifted curvatures sb in [0, _EXACT_S
 
 
 def _integer_draws(rng, shape, distribution):
-    """Integer shifted curvatures sb of the given shape from rng: uniform on
-    [0, _EXACT_SB_MAX], each entry zeroed with probability 1/2 for "sparse",
-    which reaches the equality cases of the slack identity.  "half-normal"
-    and "uniform" draw alike."""
+    """Integer shifted curvatures sb of the given shape (count, m) from rng:
+    uniform on [0, _EXACT_SB_MAX], each entry zeroed with probability 1/2
+    for "sparse" (_sparsify), which reaches the equality cases of the slack
+    identity.  "half-normal" and "uniform" draw alike."""
     _require("distribution", distribution, DISTRIBUTIONS)
     sb = rng.integers(0, _EXACT_SB_MAX + 1, size=shape)
     if distribution == "sparse":
-        sb *= rng.integers(0, 2, size=shape)
+        _sparsify(rng, sb)
     return sb
+
+
+def _sparsify(rng, sb):
+    """Zero each entry of sb (count, m) with probability 1/2, in place.  The
+    0/1 mask is drawn block by block (_row_blocks), so no second full-length
+    array is drawn; the blocks continue rng's stream as one draw of the
+    whole mask would."""
+    for rows in _row_blocks(sb, sb.itemsize):
+        rows *= rng.integers(0, 2, size=rows.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -191,22 +135,19 @@ def estimate_coefficients(n, eps):
              -(n - 1) * one))
 
 
-def _blend(s, first, second):
-    """s * first + (1 - s) * second: s = 1 gives estimate 1, s = 0 estimate 2."""
-    return s * first + (1 - s) * second
-
-
-def equno_identity(p: SigmaProfile, eps):
-    """Both sides of the shifted cross-term identity, over the pairs i < j;
-    they agree exactly:
+def equno_identity(sb, eps):
+    """Both sides of the shifted cross-term identity of the profile with
+    shifted curvatures sb (m,) over the pairs i < j; they agree exactly:
 
         2 sum_{i<j} l_i l_j sb_ij - sum_k mub_k l_k^2
             = - sum_{i<j} (l_i - l_j)^2 sb_ij   (<= 0 when all sb >= 0)
 
-    with sb = sigma - eps R and mub_k = sum_{i != k} sb_ik: minus the slack.
+    with lambda from _assemble and mub_k = sum_{i != k} sb_ik: minus the
+    slack.
     """
-    lam, sb = p.lam, p.sigma - eps * p.R
-    i, j, star = _incidence(p.n)
+    n = pair_dimension(len(sb))
+    lam = _assemble(n, sb[:, None], eps)[2][:, 0]
+    i, j, star = _incidence(n)
     cross = 2 * (lam[i] * lam[j] * sb).sum() - (_leading_sum(sb[star]) * lam ** 2).sum()
     return cross, -((lam[i] - lam[j]) ** 2 * sb).sum()
 
@@ -244,44 +185,27 @@ def eigen_gap_lemma(lam, i, j):
 # Checking a single source
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EstimateReport:
-    lhs: object
-    rhs1: object
-    rhs2: object
-    rhsConvex: object
-    gap1: object
-    gap2: object
-    gapConvex: object
-    slackResidual: object   # gap1 minus the estimate-1 slack (exact zero in rational mode)
-    passed: bool
+def check_estimates(source, eps, s_list):
+    """Both estimates and their convex blends, one per s of s_list, on one
+    source: estimate_gaps' GapRows of one row, whose bad entry says whether
+    it fails.
 
-
-def check_estimates(source, params: PinchingParams) -> EstimateReport:
-    """Evaluate both estimates and the convex combination on one source.
-
-    The hypothesis Sec >= eps*R (decided by pinched) is a precondition:
-    profiles are checked directly on sigma, tensors through
-    dual_min_sectional.  A tensor passes when the bracket's lower end
-    certifies the hypothesis; the error says whether the bracket's plane
-    violates it or the 4-form dual cannot decide (an open bracket straddling
-    eps*R).  A certified tensor is then checked, in float, as the profile of
-    its eigenframe (_eigenframe): its gaps are that profile's gaps, and the
-    slack residual also tests that the eigenframe is consistent.  A profile
-    is checked in Fractions when it, eps and s are rational, else in float.
-    Both kinds of source go through estimate_gaps as one row.
+    A profile source is its shifted curvatures sb = sigma - eps R over the
+    pairs i < j, a 1-D array whose length m = n(n-1)/2 gives n >= 3.  It
+    is checked by the float lane's row function (_profile_gaps): in
+    Fractions when sb is an object array and eps and every s are rational,
+    else in float, so that a lane's violation replays alone from its
+    sigmaBar, bit for bit.  A negative sb violates Sec >= eps*R.
+    A tensor source must satisfy Sec >= eps*R (decided by pinched) through
+    dual_min_sectional: it passes when the bracket's lower end certifies the
+    hypothesis; the error says whether the bracket's plane violates it or
+    the 4-form dual cannot decide (an open bracket straddling eps*R).  A
+    certified tensor is then checked, in float, as the profile of its
+    eigenframe (_eigenframe_stack), and the slack residual also tests that
+    the eigenframe is consistent.
     """
-    eps, s = params.eps, params.s
-    if isinstance(source, SigmaProfile):
-        R, lam, sig = source.R, source.lam, source.sigma
-        if not pinched(sig.min(), eps, R):
-            raise UncertifiedSourceError(
-                f"profile violates Sec >= eps*R: min sigma {sig.min()}, eps*R = {eps * R}")
-        if not (source.mode == RATIONAL and is_rational(eps) and is_rational(s)):
-            eps, s, R = float(eps), float(s), float(R)
-            lam, sig = lam.astype(float), sig.astype(float)
-    elif isinstance(source, AlgCurvTensor):
-        eps, s, R = float(eps), float(s), float(scalar(source))
+    if isinstance(source, AlgCurvTensor):
+        eps, R = float(eps), float(scalar(source))
         lower, upper, _ = dual_min_sectional(source)
         if not pinched(upper, eps, R):
             raise UncertifiedSourceError(
@@ -291,30 +215,37 @@ def check_estimates(source, params: PinchingParams) -> EstimateReport:
             raise UncertifiedSourceError(
                 f"tensor not certified: min Sec lies in [{lower}, {upper}], "
                 f"which the 4-form dual cannot close above eps*R = {eps * R}")
-        lam, sig = _eigenframe(source)
-    else:
+        lam, sig = _eigenframe_stack(source.rhat[None])
+        return estimate_gaps(lam.T, sig.T, sig.T - eps * R, np.array([R]),
+                             estimate_coefficients(source.n, eps), [float(s) for s in s_list])
+    if not isinstance(source, np.ndarray):
         raise TypeError(f"unsupported source {type(source)!r}")
-    rows = estimate_gaps(lam[:, None], sig[:, None], (sig - eps * R)[:, None], np.array([R]),
-                         estimate_coefficients(source.n, eps), [s])
-    rhs1, rhs2 = rows.rhs1[0], rows.rhs2[0]
-    return EstimateReport(rows.lhs[0], rhs1, rhs2, _blend(s, rhs1, rhs2),
-                          rows.gap1[0], rows.gap2[0], rows.convex[0][0],
-                          rows.residual[0], not rows.bad[0])
-
-
-def _eigenframe(Rm: AlgCurvTensor):
-    """(lambda, sigma) of a tensor (float): oRic's eigenvalues and the
-    sectional curvatures of its eigenframe's coordinate planes i < j,
-    w^T Rhat w over the bivectors w = v_i ^ v_j of the eigenvectors.  The
-    stack of one of _eigenframe_stack."""
-    lam, sig = _eigenframe_stack(Rm.rhat[None])
-    return lam[0], sig[0]
+    sb = source
+    n = pair_dimension(len(sb)) if sb.ndim == 1 else 0
+    if n < 3:
+        raise ValueError(f"sb shape {sb.shape} is not (m,), m = n(n-1)/2 with n >= 3")
+    mode = mode_of(sb)   # raises for a dtype of no arithmetic mode
+    bad = first_nonfinite(sb)
+    if bad is not None:
+        raise ValueError(f"sb{list(bad)} is non-finite: {sb[bad]}")
+    require_subcritical(n, eps)
+    negative = np.flatnonzero(sb < 0)
+    if len(negative):
+        raise UncertifiedSourceError(
+            f"profile violates Sec >= eps*R: sb[{negative[0]}] = {sb[negative[0]]} < 0")
+    if mode == RATIONAL and is_rational(eps) and all(map(is_rational, s_list)):
+        eps = Fraction(eps)   # so that R is a Fraction over an object sb of ints too
+    else:
+        sb, eps, s_list = sb.astype(float), float(eps), [float(s) for s in s_list]
+    return _profile_gaps(n, sb[:, None], eps, s_list)
 
 
 def _eigenframe_stack(rhat):
-    """_eigenframe of each operator of the stack rhat (k, m, m): arrays
-    (k, n) and (k, m).  oRic is exact for a rational stack, then rounded to
-    float."""
+    """(lambda, sigma) of each operator of the stack rhat (k, m, m), in
+    float: oRic's eigenvalues (k, n) and the sectional curvatures (k, m) of
+    its eigenframe's coordinate planes i < j, w^T Rhat w over the bivectors
+    w = v_i ^ v_j of the eigenvectors.  oRic is exact for a rational stack,
+    then rounded to float."""
     lam, vecs = np.linalg.eigh(np.asarray(traceless_ricci_stack(rhat), dtype=float))
     i, j, _ = _incidence(lam.shape[-1])
     x, y = vecs[:, :, i].transpose(0, 2, 1), vecs[:, :, j].transpose(0, 2, 1)
@@ -381,7 +312,7 @@ def estimate_gaps(lam, sig, sb, R, coefficients, s_list):
     terms *= sb
     slack = _leading_sum(terms)
     gap1, gap2 = rhs1 - weight1 * lhs, rhs2 - weight2 * lhs
-    convex = [_blend(s, gap1, gap2) for s in s_list]
+    convex = [s * gap1 + (1 - s) * gap2 for s in s_list]   # s = 1: estimate 1
     residual = gap1 - weight1 * slack
     tol = 0 if exact else GAP_RTOL * np.maximum(
         1.0, np.maximum(np.abs(lhs), np.maximum(np.abs(rhs1), np.abs(rhs2))))
@@ -466,19 +397,23 @@ BLOCK_BYTES = 2 ** 18
 PYTHON_INT_BYTES = 40
 
 
-def _blocks(draws, entry_bytes):
-    """The rows of draws (count, m) in blocks of as many rows (at least one)
-    as BLOCK_BYTES holds of an (m, rows) operand whose entries take
-    entry_bytes each, each block laid out pair-major as the C-contiguous
-    (m, rows) transpose of its draws."""
+def _row_blocks(draws, entry_bytes):
+    """Views of the rows of draws (count, m) in blocks of as many rows (at
+    least one) as BLOCK_BYTES holds of an (m, rows) operand whose entries
+    take entry_bytes each."""
     rows = max(1, BLOCK_BYTES // (draws.shape[1] * entry_bytes))
-    for lo in range(0, len(draws), rows):
-        yield np.ascontiguousarray(draws[lo:lo + rows].T)
+    return (draws[lo:lo + rows] for lo in range(0, len(draws), rows))
+
+
+def _blocks(draws, entry_bytes):
+    """The blocks of _row_blocks, each laid out pair-major as the
+    C-contiguous (m, rows) transpose of its draws."""
+    return (np.ascontiguousarray(rows.T) for rows in _row_blocks(draws, entry_bytes))
 
 
 def profile_batch_float(n, eps, s_list, count, seed, distribution="half-normal"):
     """Float-mode batch: min gaps and violation indices over `count` profiles,
-    assembled (_assemble), checked and reduced (_reduce_gaps) block by block
+    checked (_profile_gaps) and reduced (_reduce_gaps) block by block
     (_blocks).  timings holds the seconds spent drawing the shifted
     curvatures and in the kernel."""
     require_subcritical(n, eps)
@@ -487,14 +422,8 @@ def profile_batch_float(n, eps, s_list, count, seed, distribution="half-normal")
     sb = _float_draws(_combo_rng(seed, n, eps), (count, n * (n - 1) // 2), distribution)
     drawn = time.perf_counter()
     s_list = [float(s) for s in s_list]
-    coefficients = estimate_coefficients(n, eps)
-
-    def gaps(block):
-        R, sig, lam = _assemble(n, block, eps)
-        return estimate_gaps(lam, sig, block, R, coefficients, s_list)
-
-    blocks = _blocks(sb, sb.itemsize)
-    summary = _gap_summary(_reduce_gaps(map(gaps, blocks), limit=10), sb, s_list)
+    rows = (_profile_gaps(n, block, eps, s_list) for block in _blocks(sb, sb.itemsize))
+    summary = _gap_summary(_reduce_gaps(rows, limit=10), sb, s_list)
     return {"count": count, **summary,
             "timings": {"draw": drawn - started, "kernel": time.perf_counter() - drawn}}
 
@@ -620,7 +549,8 @@ class CampaignConfig:
             raise ValueError(f"n = {max(self.dims)}: the tensor kind's min-Sec dual "
                              f"needs n <= {MAX_DUAL_N}")
         for s in self.s_list:
-            PinchingParams(s=s)   # rejects s outside [0, 1]
+            if not 0 <= s <= 1:
+                raise ValueError(f"s = {s} outside [0, 1]")
 
     def as_dict(self):
         return {

@@ -143,8 +143,7 @@ KEEP = {
     "s_coefficient": "the paper's cubic-term weight of the convex combination",
     "f_norm_expansion": "the paper's |F|^2 expansion, criterion 4",
     "q1": "the paper's Q1 functional, whose value at the reference point criterion 6 checks",
-    "sample_sigma_profile": "the scalar lane's sampler; ROADMAP item 9 makes it the "
-                            "replay path or deletes it",
+    "check_estimates": "replays any lane's violation alone (ROADMAP item 9)",
     "shift_to_pinching": "the one-tensor entry of shift_to_pinching_stack",
     "sectional": "the one-plane entry of plane_sectionals_stack",
 }

@@ -10,9 +10,8 @@ from pinchlab.curvature import (FLOAT, RATIONAL, diagonal_tensor, invariants, pa
                                  traceless_ricci)
 from pinchlab.minsec import DegenerateEpsError
 from pinchlab.profiles import (
+    DISTRIBUTIONS,
     CampaignConfig,
-    PinchingParams,
-    SigmaProfile,
     TENSOR_MARGIN,
     UncertifiedSourceError,
     check_estimates,
@@ -22,11 +21,10 @@ from pinchlab.profiles import (
     mc_campaign,
     profile_batch_exact,
     profile_batch_float,
-    profile_from_sigma_bar,
-    sample_sigma_profile,
     _EXACT_SB_MAX,
     _assemble,
     _combo_rng,
+    _eigenframe_stack,
     estimate_coefficients,
     estimate_gaps,
 )
@@ -34,39 +32,56 @@ from pinchlab.reports import report_digest
 from reference import lower_estimate1
 
 
+def draw_rows(n, count, seed, mode, distribution="half-normal"):
+    """Shifted curvatures (count, m) drawn as the float or the exact lane
+    draws them, the latter as an object array of Python ints."""
+    rng, shape = np.random.default_rng(seed), (count, n * (n - 1) // 2)
+    if mode == RATIONAL:
+        return profiles._integer_draws(rng, shape, distribution).astype(object)
+    return profiles._float_draws(rng, shape, distribution)
+
+
 def test_params_reject_bad_s():
-    with pytest.raises(ValueError):
-        PinchingParams(Fraction(1, 24), Fraction(3, 2))
+    for s in (Fraction(3, 2), -1, 1.5):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            CampaignConfig(s_list=(0, s))
 
 
 def test_sampler_satisfies_pinching_by_construction():
-    for mode in (RATIONAL, FLOAT):
-        p = sample_sigma_profile(4, Fraction(1, 24), 3, mode)
-        assert p.sigma.min() - Fraction(1, 24) * p.R >= 0 if mode == RATIONAL \
-            else p.sigma.min() - p.R / 24.0 >= -1e-12
-        assert abs(sum(p.lam)) <= (0 if mode == RATIONAL else 1e-10)
+    # the lanes' draws assemble into profiles with sigma - eps R = sb >= 0
+    # and traceless lambda: exactly in Fractions, to rounding in float
+    eps, sb = Fraction(1, 24), draw_rows(4, 20, 3, RATIONAL).T
+    R, sig, lam = _assemble(4, sb, eps)
+    assert (sig - eps * R == sb).all()
+    assert (profiles._leading_sum(lam) == 0).all()
+    R, sig, lam = _assemble(4, draw_rows(4, 20, 3, FLOAT).T, float(eps))
+    assert (sig.min(axis=0) - R / 24 >= -1e-12 * R).all()
+    assert (np.abs(lam.sum(axis=0)) <= 1e-10).all()
 
 
 def test_sampler_rejects_degenerate_eps():
     with pytest.raises(DegenerateEpsError):
-        sample_sigma_profile(4, Fraction(1, 12), 0, RATIONAL)
+        check_estimates(draw_rows(4, 1, 0, RATIONAL)[0], Fraction(1, 12), [1])
+    with pytest.raises(DegenerateEpsError):
+        profile_batch_exact(4, Fraction(1, 12), 10, 0)
 
 
 def test_profile_mode_is_read_from_sigma():
-    for mode in (RATIONAL, FLOAT):
-        p = sample_sigma_profile(4, 0, 5, mode)
-        assert (p.n, p.mode) == (4, mode)
-    with pytest.raises(scalars.ArithmeticModeError):
-        SigmaProfile(p.sigma.astype(np.float32))
+    # an object sb is checked in Fractions, a float64 one in float
+    for mode, kind in ((RATIONAL, Fraction), (FLOAT, float)):
+        rows = check_estimates(draw_rows(4, 1, 5, mode)[0], Fraction(0), [Fraction(1)])
+        assert isinstance(rows.gap1[0], kind) and isinstance(rows.convex[0][0], kind)
+    for dtype in (np.float32, np.int64):
+        with pytest.raises(scalars.ArithmeticModeError):
+            check_estimates(draw_rows(4, 1, 5, FLOAT)[0].astype(dtype), 0, [1])
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (6, 1), (4,), (2,), (1,), (0,)])
 def test_profile_shape_is_one_curvature_per_pair(shape):
-    # 2-D sigma, m = 4 or 2 (no n(n-1)/2) and n < 3 (m = 1, 0) are refused
-    sigma = np.ones(shape)
+    # 2-D sb, m = 4 or 2 (no n(n-1)/2) and n < 3 (m = 1, 0) are refused
     with pytest.raises(ValueError):
-        SigmaProfile(sigma)
-    assert SigmaProfile(np.ones(3)).n == 3
+        check_estimates(np.ones(shape), 0, [1])
+    assert not check_estimates(np.ones(3), 0, [1]).bad[0]
 
 
 def test_profile_lam_and_R_are_the_eigenframes():
@@ -74,42 +89,39 @@ def test_profile_lam_and_R_are_the_eigenframes():
     # oRic: traceless_ricci is diag(lam) and R = 2 tr(rhat), exactly
     for n in range(3, 9):
         for eps, seed in ((Fraction(0), 0), (Fraction(0), 1), (Fraction(-1, 10), 2)):
-            p = sample_sigma_profile(n, eps, seed, RATIONAL, "sparse")
-            Rm = diagonal_tensor(p.sigma, p.n, p.mode)
+            R, sig, lam = _assemble(n, draw_rows(n, 1, seed, RATIONAL, "sparse").T, eps)
+            Rm = diagonal_tensor(sig[:, 0], n, RATIONAL)
             oric = traceless_ricci(Rm).comp
-            assert (oric == np.diag(p.lam)).all(), (n, seed)
+            assert (oric == np.diag(lam[:, 0])).all(), (n, seed)
             assert all(type(v) is Fraction for v in oric.flat)
-            assert 2 * np.trace(Rm.rhat) == p.R, (n, seed)
-            assert sum(p.lam) == 0
+            assert 2 * np.trace(Rm.rhat) == R[0], (n, seed)
+            assert sum(lam[:, 0]) == 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_profile_rejects_non_finite_entries(bad):
-    p = sample_sigma_profile(4, 0, 5, FLOAT)
-    sigma = p.sigma.copy()
-    sigma[2] = sigma[4] = bad
-    with pytest.raises(ValueError, match="^sigma\\[2\\] is non-finite"):
-        SigmaProfile(sigma)
-    sigma[2] = 1.0
-    with pytest.raises(ValueError, match="^sigma\\[4\\] is non-finite"):
-        SigmaProfile(sigma)
+    sb = draw_rows(4, 1, 5, FLOAT)[0]
+    sb[2] = sb[4] = bad
+    with pytest.raises(ValueError, match="^sb\\[2\\] is non-finite"):
+        check_estimates(sb, 0, [1])
+    sb[2] = 1.0
+    with pytest.raises(ValueError, match="^sb\\[4\\] is non-finite"):
+        check_estimates(sb, 0, [1])
 
 
 def test_equno_identity_exact_rational():
     for seed in range(10):
-        p = sample_sigma_profile(5, Fraction(1, 48), seed, RATIONAL)
-        l, r = equno_identity(p, Fraction(1, 48))
-        assert l == r
+        l, r = equno_identity(draw_rows(5, 1, seed, RATIONAL)[0], Fraction(1, 48))
+        assert l == r and r <= 0 and type(r) is Fraction
 
 
 def test_slack_is_exact_gap1_rational():
     eps = Fraction(1, 48)
     for seed in range(10):
-        p = sample_sigma_profile(4, eps, seed, RATIONAL)
-        rep = check_estimates(p, PinchingParams(eps, Fraction(1)))
-        assert rep.slackResidual == 0
-        assert rep.gap1 >= 0 and rep.gap2 >= 0
-        assert rep.passed
+        rows = check_estimates(draw_rows(4, 1, seed, RATIONAL)[0], eps, [Fraction(1)])
+        assert rows.residual[0] == 0
+        assert rows.gap1[0] >= 0 and rows.gap2[0] >= 0
+        assert not rows.bad[0]
 
 
 def fraction_rows(n, count, seed):
@@ -184,43 +196,47 @@ def test_eigen_gap_lemma_rejects_bad_indices(lam, i, j):
 
 
 def test_profile_to_tensor_matches_invariants():
-    p = sample_sigma_profile(4, Fraction(0), 7, RATIONAL)
-    Rm = diagonal_tensor(p.sigma, p.n, p.mode)
-    inv = invariants(Rm)
-    assert inv.R == p.R
-    assert inv.ricNormSq == sum(v * v for v in p.lam)
-    assert inv.lhs == check_estimates(p, PinchingParams(Fraction(0), 1)).lhs
+    sb = draw_rows(4, 1, 7, RATIONAL)[0]
+    R, sig, lam = _assemble(4, sb[:, None], Fraction(0))
+    inv = invariants(diagonal_tensor(sig[:, 0], 4, RATIONAL))
+    assert inv.R == R[0]
+    assert inv.ricNormSq == sum(v * v for v in lam[:, 0])
+    assert inv.lhs == check_estimates(sb, Fraction(0), [1]).lhs[0]
 
 
 def test_rational_profile_at_float_params_is_checked_in_float():
     failed = []
     for seed in range(50):
-        p = sample_sigma_profile(5, Fraction(1, 48), seed, RATIONAL)
-        rep = check_estimates(p, PinchingParams(1 / 48, 0.5))
-        assert isinstance(rep.gap1, float) and isinstance(rep.gapConvex, float)
-        if not rep.passed:
-            failed.append(seed)
-        exact = check_estimates(p, PinchingParams(Fraction(1, 48), Fraction(1, 2)))
-        assert exact.passed and exact.slackResidual == 0
-        assert isinstance(exact.gapConvex, Fraction)
+        sb = draw_rows(5, 1, seed, RATIONAL)[0]
+        for eps, s in ((1 / 48, Fraction(1, 2)), (Fraction(1, 48), 0.5)):
+            rows = check_estimates(sb, eps, [s])
+            assert isinstance(rows.gap1[0], float) and isinstance(rows.convex[0][0], float)
+            if rows.bad[0]:
+                failed.append(seed)
+        exact = check_estimates(sb, Fraction(1, 48), [Fraction(1, 2)])
+        assert not exact.bad[0] and exact.residual[0] == 0
+        assert isinstance(exact.convex[0][0], Fraction)
     assert not failed
 
 
 def test_uncertified_profile_raises():
-    p = sample_sigma_profile(4, Fraction(0), 1, RATIONAL)  # only Sec >= 0
+    # a profile with only Sec >= 0, shifted by a larger eps R: a negative sb
+    R, sig, _ = _assemble(4, draw_rows(4, 1, 1, RATIONAL).T, Fraction(0))
     big_eps = Fraction(1, 13)
-    assert p.sigma.min() < big_eps * p.R
-    with pytest.raises(UncertifiedSourceError):
-        check_estimates(p, PinchingParams(big_eps, 1))
+    sb = (sig - big_eps * R)[:, 0]
+    first = int(np.flatnonzero(sb < 0)[0])
+    for source in (sb, sb.astype(float)):
+        with pytest.raises(UncertifiedSourceError, match=f"violates .* sb\\[{first}\\]"):
+            check_estimates(source, big_eps, [1])
 
 
 def test_tensor_source_certification_path():
     from pinchlab.curvature import random_curvature
     from pinchlab.minsec import shift_to_pinching
     Rm, _, _ = shift_to_pinching(random_curvature(4, 0, FLOAT), 0.0, margin=0.1)
-    rep = check_estimates(Rm, PinchingParams(0.0, 1.0))
-    assert rep.passed
-    assert abs(rep.slackResidual) < 1e-8 * max(1.0, abs(float(rep.lhs)))
+    rows = check_estimates(Rm, 0.0, [1.0])
+    assert not rows.bad[0]
+    assert abs(rows.residual[0]) < 1e-8 * max(1.0, abs(rows.lhs[0]))
 
 
 @given(seed=st.integers(0, 5000),
@@ -228,9 +244,7 @@ def test_tensor_source_certification_path():
 @settings(max_examples=30, deadline=None)
 def test_float_profile_gaps_nonnegative(seed, dist):
     eps = 1.0 / 48.0
-    p = sample_sigma_profile(4, eps, seed, FLOAT, dist)
-    rep = check_estimates(p, PinchingParams(eps, 0.5))
-    assert rep.passed
+    assert not check_estimates(draw_rows(4, 1, seed, FLOAT, dist)[0], eps, [0.5]).bad[0]
 
 
 def test_batch_float_clean_and_corrupted(monkeypatch):
@@ -265,11 +279,8 @@ def test_float_convex_endpoints_are_the_estimates_bit_for_bit():
                                  [1.0, 0.0])
             assert np.array_equal(rows.convex[0], rows.gap1)
             assert np.array_equal(rows.convex[1], rows.gap2)
-        p = sample_sigma_profile(n, 0.0, n, FLOAT)
-        one = check_estimates(p, PinchingParams(0.0, 1.0))
-        zero = check_estimates(p, PinchingParams(0.0, 0.0))
-        assert one.gapConvex == one.gap1 and one.rhsConvex == one.rhs1
-        assert zero.gapConvex == zero.gap2 and zero.rhsConvex == zero.rhs2
+        rows = check_estimates(draw_rows(n, 1, n, FLOAT)[0], 0.0, [1.0, 0.0])
+        assert rows.convex[0][0] == rows.gap1[0] and rows.convex[1][0] == rows.gap2[0]
 
 
 def test_a_nan_gap_makes_its_row_bad():
@@ -440,10 +451,10 @@ def _spy_on_gaps(monkeypatch):
     return calls
 
 
-def _run_lane(lane, n, eps, count, seed):
+def _run_lane(lane, n, eps, count, seed, distribution="half-normal"):
     if lane == "float":
-        return profile_batch_float(n, eps, PINNED_S, count, seed)
-    return profile_batch_exact(n, eps, count, seed)
+        return profile_batch_float(n, eps, PINNED_S, count, seed, distribution)
+    return profile_batch_exact(n, eps, count, seed, distribution)
 
 
 def _lane_rows(lane, n):
@@ -515,16 +526,18 @@ def test_rows_are_independent_of_blocks(monkeypatch, lane, n, eps):
 
 @pytest.mark.parametrize("lane", ["float", "exact"])
 def test_lanes_keep_no_full_length_temporaries(lane):
-    # each block is reduced as soon as it is checked, and the float draws
-    # take abs in place: a lane's traced peak at n = 6 stays within 1.3
-    # times its (100 000, 15) draws array of 8-byte entries, 11.4 MB
-    tracemalloc.start()
-    try:
-        _run_lane(lane, 6, Fraction(1, 48), 100_000, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.3 * 100_000 * 15 * 8, peak
+    # each block is reduced as soon as it is checked, the float draws take
+    # abs in place, and the sparse mask is drawn block by block: a lane's
+    # traced peak at n = 6 stays within 1.3 times its (100 000, 15) draws
+    # array of 8-byte entries, 11.4 MB
+    for distribution in ("half-normal", "sparse"):
+        tracemalloc.start()
+        try:
+            _run_lane(lane, 6, Fraction(1, 48), 100_000, 1, distribution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 100_000 * 15 * 8, (distribution, peak)
 
 
 def test_empty_lanes():
@@ -547,12 +560,10 @@ def test_batch_exact_numerators_match_rational_profiles():
         d = q - n * (n - 1) * p
         m = n * (n - 1) // 2
         draws = _combo_rng(seed, n, eps).integers(0, _EXACT_SB_MAX + 1, size=(count, m))
-        reports = [check_estimates(
-            profile_from_sigma_bar([Fraction(int(v)) for v in row], eps, RATIONAL),
-            PinchingParams(eps, 1)) for row in draws]
+        rows = [check_estimates(row, eps, []) for row in draws.astype(object)]
         out = profile_batch_exact(n, eps, count, seed)
-        assert out["minGap1Num"] == min(r.gap1 for r in reports) * n ** 3 * q * d ** 3
-        assert out["minGap2Num"] == min(r.gap2 for r in reports) * 2 * n ** 3 * q * d ** 3
+        assert out["minGap1Num"] == min(r.gap1[0] for r in rows) * n ** 3 * q * d ** 3
+        assert out["minGap2Num"] == min(r.gap2[0] for r in rows) * 2 * n ** 3 * q * d ** 3
 
 
 def test_batch_exact_identity_and_signs():
@@ -625,17 +636,38 @@ def test_batch_exact_lanes_agree(monkeypatch, wrong):
 @pytest.mark.parametrize("n, eps", [(4, Fraction(1, 24)), (6, Fraction(1, 48)),
                                     (6, Fraction(1, 1000))])
 def test_exact_violations_state_their_denominators(monkeypatch, n, eps):
-    # each numerator over its stated denominator is the gap that the exact
-    # profile of the violation's sigmaBar gives, in Fractions
+    # each violation of the int64 and the Python-int lane replays alone:
+    # each numerator over its stated denominator is the gap that
+    # check_estimates gives on the violation's sigmaBar, in Fractions
     lower_estimate1(monkeypatch, 1)
     out = profile_batch_exact(n, eps, 300, 3)
+    assert out["exactLane"] == ("python-int" if eps == Fraction(1, 1000) else "int64")
     assert out["violations"]
     for v in out["violations"]:
-        profile = profile_from_sigma_bar([Fraction(x) for x in v["sigmaBar"]], eps, RATIONAL)
-        report = check_estimates(profile, PinchingParams(eps, 1))
-        assert Fraction(v["gap1Num"], v["gap1Den"]) == report.gap1
-        assert Fraction(v["gap2Num"], v["gap2Den"]) == report.gap2
-        assert Fraction(v["slackNum"], v["slackDen"]) == report.gap1 - report.slackResidual
+        rows = check_estimates(np.array(v["sigmaBar"], dtype=object), eps, [])
+        assert rows.bad[0] and type(rows.gap1[0]) is Fraction
+        assert Fraction(v["gap1Num"], v["gap1Den"]) == rows.gap1[0]
+        assert Fraction(v["gap2Num"], v["gap2Den"]) == rows.gap2[0]
+        assert Fraction(v["slackNum"], v["slackDen"]) == rows.gap1[0] - rows.residual[0]
+
+
+def test_float_violations_replay_alone(monkeypatch):
+    # every float-lane violation of a corrupted estimate 1 replays alone:
+    # check_estimates on its sigmaBar runs the lane's row function and
+    # gives the lane's gap1 and gap2 bit for bit
+    lower_estimate1(monkeypatch, 1)
+    replayed = 0
+    for n in (4, 5, 6):
+        for eps in (Fraction(-1, 10), Fraction(0), Fraction(1, 48)):
+            for distribution in DISTRIBUTIONS:
+                out = profile_batch_float(n, eps, PINNED_S, 3000, 3, distribution)
+                for v in out["violations"]:
+                    rows = check_estimates(np.array(v["sigmaBar"]), eps, PINNED_S)
+                    assert rows.bad[0]
+                    assert [float(rows.gap1[0]).hex(), float(rows.gap2[0]).hex()] == [
+                        v["gap1"].hex(), v["gap2"].hex()], (n, eps, distribution, v["index"])
+                    replayed += 1
+    assert replayed == 270
 
 
 class _ExtremeDraws:
@@ -674,13 +706,27 @@ def test_campaign_config_rejects_unknown_names(kwargs):
 
 
 def test_samplers_reject_unknown_distributions_and_modes():
-    for mode in (FLOAT, RATIONAL):
-        with pytest.raises(ValueError, match="gaussian"):
-            sample_sigma_profile(4, 0, 1, mode, "gaussian")
-    with pytest.raises(ValueError, match="exact"):
-        sample_sigma_profile(4, 0, 1, "exact")
     with pytest.raises(ValueError, match="gaussian"):
         profile_batch_float(4, 0, [1], 10, 0, "gaussian")
+    with pytest.raises(ValueError, match="gaussian"):
+        profile_batch_exact(4, 0, 10, 0, "gaussian")
+
+
+@pytest.mark.parametrize("shape", [(100_000, 15), (7777, 10), (3, 3), (0, 6)])
+def test_sparse_masks_drawn_by_block_continue_the_stream(shape):
+    # the sparse mask, drawn block by block, is one full draw of the mask,
+    # and the generator goes on as after that draw
+    for lane in (FLOAT, RATIONAL):
+        rng, full = np.random.default_rng(5), np.random.default_rng(5)
+        if lane == FLOAT:
+            got, want = profiles._float_draws(rng, shape, "sparse"), full.standard_normal(shape)
+            np.abs(want, out=want)
+        else:
+            got = profiles._integer_draws(rng, shape, "sparse")
+            want = full.integers(0, _EXACT_SB_MAX + 1, size=shape)
+        want *= full.integers(0, 2, size=shape)
+        assert got.dtype == want.dtype and np.array_equal(got, want), lane
+        assert rng.integers(0, 2 ** 62) == full.integers(0, 2 ** 62), lane
 
 
 def test_mc_campaign_profile_skips_supercritical():
@@ -721,14 +767,6 @@ def test_sparse_exact_lane_reaches_the_equality_case():
         assert entry["exact"]["minGap1Num"] == 0, entry["n"]
 
 
-def test_rational_sampler_draws_as_the_exact_lane():
-    m = 10
-    for dist in ("half-normal", "sparse"):
-        p = sample_sigma_profile(5, Fraction(0), 3, RATIONAL, dist)
-        draws = profiles._integer_draws(np.random.default_rng(3), m, dist)
-        assert [int(v) for v in p.sigma] == draws.tolist(), dist
-
-
 def test_mc_campaign_tensor_kind_n5_uses_the_dual():
     config = CampaignConfig(kind="tensor", dims=(5,), eps_list=(Fraction(0),),
                             s_list=(0, 1), count=1, seed=5, mode=FLOAT)
@@ -749,14 +787,12 @@ def test_tensor_combo_matches_check_estimates():
     for idx in range(3):
         Rm = random_curvature(4, [9, 4, idx], FLOAT)
         shifted, _, _ = shift_to_pinching(Rm, float(eps), TENSOR_MARGIN)
-        reports += [check_estimates(shifted, PinchingParams(float(eps), float(s)))
-                    for s in s_list]
-    assert entry["minGap1"] == min(float(r.gap1) for r in reports)
-    assert entry["minGap2"] == min(float(r.gap2) for r in reports)
+        reports.append(check_estimates(shifted, eps, s_list))
+    assert entry["minGap1"] == min(r.gap1[0] for r in reports)
+    assert entry["minGap2"] == min(r.gap2[0] for r in reports)
     for k, s in enumerate(s_list):
-        assert entry["minGapConvex"][repr(float(s))] == min(
-            float(r.gapConvex) for r in reports[k::len(s_list)])
-    assert entry["maxSlackResidual"] == max(abs(float(r.slackResidual)) for r in reports)
+        assert entry["minGapConvex"][repr(float(s))] == min(r.convex[k][0] for r in reports)
+    assert entry["maxSlackResidual"] == max(abs(r.residual[0]) for r in reports)
 
 
 def test_tensor_lane_slack_residual_is_rounding(monkeypatch):
@@ -802,7 +838,7 @@ def test_tensor_certification_uses_the_dual_lower_bound(monkeypatch):
         Rm = AlgCurvTensor(minsec.shift_by_stack(
             Rm.rhat[None], 0.0, np.array([minsec.min_sectional(Rm)[0]]), 0.1)[0])
         with pytest.raises(UncertifiedSourceError, match="not certified"):
-            check_estimates(Rm, PinchingParams(0.0, 1.0))
+            check_estimates(Rm, 0.0, [1.0])
         # the recheck reads the loose lower end: it cannot certify the shift
         # by the plane's curvature, so each tensor is shifted on from the
         # lower end, which then certifies it
@@ -818,9 +854,8 @@ def test_tensor_certification_uses_the_dual_lower_bound(monkeypatch):
 def test_tensor_recheck_rejects_a_violating_plane(monkeypatch):
     from pinchlab import minsec
     from pinchlab.curvature import AlgCurvTensor, random_curvature
-    from pinchlab.profiles import _eigenframe
     with pytest.raises(UncertifiedSourceError, match="violates"):
-        check_estimates(random_curvature(4, 0, FLOAT), PinchingParams(0.0, 1.0))
+        check_estimates(random_curvature(4, 0, FLOAT), 0.0, [1.0])
     monkeypatch.setattr(minsec, "shift_by_stack", lambda rhat, eps, min_sec, margin=0: rhat)
     config = CampaignConfig(kind="tensor", dims=(4, 5), eps_list=(Fraction(0),),
                             s_list=(1,), count=2, seed=5, mode=FLOAT)
@@ -833,7 +868,7 @@ def test_tensor_recheck_rejects_a_violating_plane(monkeypatch):
         Rm = AlgCurvTensor.from_json(d["tensor"])
         drawn = random_curvature(d["n"], [5, d["n"], d["index"]], FLOAT)
         assert np.array_equal(Rm.rhat, drawn.rhat)
-        assert np.array_equal(d["sigmaBar"], _eigenframe(Rm)[1])   # eps = 0
+        assert np.array_equal(d["sigmaBar"], _eigenframe_stack(Rm.rhat[None])[1][0])   # eps = 0
         assert min(d["gap1"], d["gap2"]) < 0 and min(d["sigmaBar"]) < 0
 
 
@@ -860,8 +895,7 @@ def test_shift_to_pinching_certifies_open_brackets(eps):
             Rm = random_curvature(5, [seed, 5, idx], FLOAT)
             shifted, lower, _ = shift_to_pinching(Rm, eps, margin=0.1)
             assert pinched(lower, eps, scalar(shifted)), (seed, idx)
-            for s in (0, 0.5, 1):
-                assert check_estimates(shifted, PinchingParams(eps, s)).passed, (seed, idx, s)
+            assert not check_estimates(shifted, eps, [0, 0.5, 1]).bad[0], (seed, idx)
 
 
 def test_runtime_min_sec_never_searches(monkeypatch):
@@ -896,16 +930,15 @@ def test_runtime_min_sec_never_searches(monkeypatch):
         assert 0 <= entry["minSecBracketWidthMax"] <= 1e-12, entry["n"]
     for n in (3, 4, 5):
         Rm, _, _ = shift_to_pinching(random_curvature(n, 1, FLOAT), 1 / 48, margin=0.1)
-        assert check_estimates(Rm, PinchingParams(1 / 48, 0.5)).passed
+        assert not check_estimates(Rm, 1 / 48, [0.5]).bad[0]
 
 
 def test_eigenframe_curvatures_match_the_rotated_tensor():
     from pinchlab.curvature import random_curvature, traceless_ricci
-    from pinchlab.profiles import _eigenframe
     for n in range(3, 7):
         for seed in range(5):
             Rm = random_curvature(n, [47, n, seed], FLOAT)
-            lam, sigma = _eigenframe(Rm)
+            lam, sigma = (part[0] for part in _eigenframe_stack(Rm.rhat[None]))
             t = np.asarray(traceless_ricci(Rm).comp, dtype=float)
             ref_lam, vecs = np.linalg.eigh(t)
             comp = Rm.components()
@@ -919,10 +952,10 @@ def test_eigenframe_curvatures_match_the_rotated_tensor():
 @pytest.mark.parametrize("n", [4, 5])
 def test_tensor_combo_rows_replay_alone(monkeypatch, n):
     # every row is the tensor's own shift_to_pinching and eigenframe, bit
-    # for bit, whatever stack it was solved in
-    from pinchlab.curvature import random_curvature, scalar
+    # for bit, whatever stack it was solved in; with estimate 1 corrupted,
+    # every violation replays alone through check_estimates from its dump
+    from pinchlab.curvature import AlgCurvTensor, random_curvature, scalar
     from pinchlab.minsec import shift_to_pinching
-    from pinchlab.profiles import _eigenframe
     rows = []
 
     def spy(lam, sig, sb, R, *args):
@@ -938,10 +971,18 @@ def test_tensor_combo_rows_replay_alone(monkeypatch, n):
     for idx in range(count):
         shifted, _, _ = shift_to_pinching(random_curvature(n, [17, n, idx], FLOAT),
                                           1 / 48, TENSOR_MARGIN)
-        one_lam, one_sig = _eigenframe(shifted)
-        assert np.array_equal(lam[:, idx], one_lam), idx
-        assert np.array_equal(sig[:, idx], one_sig), idx
+        one_lam, one_sig = _eigenframe_stack(shifted.rhat[None])
+        assert np.array_equal(lam[:, idx], one_lam[0]), idx
+        assert np.array_equal(sig[:, idx], one_sig[0]), idx
         assert R[idx] == scalar(shifted), idx
+    lower_estimate1(monkeypatch, 1)
+    report = mc_campaign(config)
+    assert len(report["violations"]) == count
+    for d in report["violations"]:
+        replay = check_estimates(AlgCurvTensor.from_json(d["tensor"]), Fraction(1, 48), (0, 1))
+        assert replay.bad[0]
+        assert [float(replay.gap1[0]).hex(), float(replay.gap2[0]).hex()] == [
+            d["gap1"].hex(), d["gap2"].hex()], d["index"]
 
 
 def test_tensor_combo_batches_its_eigh_calls(monkeypatch):
