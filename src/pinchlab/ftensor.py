@@ -20,6 +20,7 @@ numerators over 1 + a1^2 + a2^2, and grad_q2 is derived from Q2's numerator.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -158,7 +159,10 @@ def sample_gradient_model(n, seed, mode=FLOAT) -> GradientModel:
 def f_basis(S, w):
     """The six tensors F combines, [S_ijk, S_ikj, S_jki, d_ij w_k, d_ik w_j,
     d_jk w_i], stacked on axis -4, for one model or a stack of models (the
-    leading axes of S and w), in the models' own arithmetic."""
+    leading axes of S and w), in the models' own arithmetic.  f_tensor takes
+    a combination of them; expansion_campaign only their Gram matrix, the
+    inner products of each pair, from which |F|^2 follows for any
+    coefficients."""
     eye = np.eye(S.shape[-1], dtype=np.int64)
     return np.stack([S, S.swapaxes(-2, -1), np.moveaxis(S, -1, -3),
                      eye[:, :, None] * w[..., None, None, :],
@@ -311,19 +315,36 @@ def random_coefficients(count, seed, den=12):
     return out
 
 
+def _direct_side(S, w, coeff_matrix):
+    """2 |c^T B|^2 for each model of the stack (S, w) (rows) and each row c
+    of coeff_matrix (columns), B = f_basis(S, w) flattened to 6 x 64.  With
+    G = B B^T its Gram matrix, |c^T B|^2 = c^T G c = sum_ij G_ij c_i c_j:
+    one matmul forms G, a second takes its 36 entries against the products
+    c_i c_j."""
+    basis = f_basis(S, w).reshape(len(S), 6, 64)
+    gram = (basis @ basis.swapaxes(1, 2)).reshape(len(S), 36)
+    pairs = (coeff_matrix[:, :, None] * coeff_matrix[:, None, :]).reshape(-1, 36)
+    return 2 * (gram @ pairs.T)
+
+
 def expansion_campaign(model_count, coeff_count, seed):
     """Exact |F|^2 direct-vs-formula check over a rational campaign.
 
     The models are the integer (S, w) of integer_gradient_models (n = 4; the
     rational projection's common denominator 2n (n^2 + n - 2)^2 = 2592 is
     already cleared) and the coefficients have denominator 12, so both
-    sides times 2 * 144 are integers, and zero residual is demanded.  The
-    check runs vectorized in int64 over coefficients and blocks of models.
+    sides times 2 * 144 are integers, and zero residual is demanded.  F is
+    never formed: with B the 6 x 64 matrix of f_basis(S, w) and c the
+    coefficient numerators (12, 12 a1, ..., 12 b3), 144 |F|^2 = |c^T B|^2
+    = c^T G c for the Gram matrix G = B B^T, exactly by bilinearity of the
+    inner product (_direct_side), two int64 matmuls per block of models.
     No input can overflow it: entries below 70 * 2592 in S and 9 * 2592 in
     w and coefficient numerators in [-24, 24] keep every intermediate below
-    4e16, whatever the seed and counts.  A Fraction-path spot check lives
+    2.3e16, whatever the seed and counts.  A Fraction-path spot check lives
     in the test suite.  model_count may be 0; coeff_count must be >= 1, the
     reference point CLAIMED_POINT being always the first coefficient vector.
+    timings holds the seconds spent drawing the coefficients and models and
+    in the kernel.
     """
     if model_count < 0:
         raise ValueError(f"model_count = {model_count} must be >= 0")
@@ -331,21 +352,21 @@ def expansion_campaign(model_count, coeff_count, seed):
         raise ValueError(f"coeff_count = {coeff_count} must be >= 1: the reference "
                          "point is always the first coefficient vector")
     den = 12
+    started = time.perf_counter()
     coeffs = random_coefficients(coeff_count, [seed, 999_331], den)
     a1, a2, b1, b2, b3 = np.array([[int(v * den) for v in c.astuple()] for c in coeffs],
                                   dtype=np.int64).reshape(-1, 5).T
     S, w = integer_gradient_models(4, [[seed, idx] for idx in range(model_count)])
+    drawn = time.perf_counter()
     coeff_matrix = np.stack([np.full_like(a1, den), a1, a2, b1, b2, b3], axis=1)
     # den^2 times each weight
     quadratic, mixing, bquad = expansion_weights(a1, a2, b1, b2, b3, one=den)
     worst, failures = 0, []
-    block = max(1, 1024 // len(coeffs))     # models per block: den F stays <= 512 kB
+    # models per block: the basis (3 kB a model) and each (models, coeffs) array stay <= 256 kB
+    block = max(1, min(80, 32_768 // len(coeffs)))
     for lo in range(0, model_count, block):
         Sb, wb = S[lo:lo + block], w[lo:lo + block]
-        # den F = coeff_matrix @ basis, the six tensors F combines, flattened
-        basis = f_basis(Sb, wb).reshape(len(Sb), 6, 64)
-        F = coeff_matrix @ basis
-        direct2 = 2 * np.einsum("mcx,mcx->mc", F, F)       # 2 den^2 |F|^2
+        direct2 = _direct_side(Sb, wb, coeff_matrix)       # 2 den^2 |F|^2
         formula2 = (2 * ((Sb * Sb).sum(axis=(1, 2, 3))[:, None] * quadratic
                          + (Sb * Sb.transpose(0, 1, 3, 2)).sum(axis=(1, 2, 3))[:, None] * mixing)
                     + (wb * wb).sum(axis=1)[:, None] * bquad)
@@ -362,6 +383,7 @@ def expansion_campaign(model_count, coeff_count, seed):
         "maxResidualNumerator": worst,
         "violations": failures,
         "exact": not failures,
+        "timings": {"draw": drawn - started, "kernel": time.perf_counter() - drawn},
     }
 
 

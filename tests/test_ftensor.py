@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -178,6 +179,13 @@ PINNED_EXPANSION_DIGESTS = {
     0: "592a2cd91a5baa8e6af1b33dd7bac9be1ae08e093c8ec3980d62fc3ab379f615",
     1: "20e43659e95e7ccc4d20b0743701280d4538d680549f150977168f9856024772",
 }
+# report_digest of expansion_campaign(models, coeffs, seed) before the Gram
+# matrix kernel: an empty campaign, a partial last block, the CLI default
+PINNED_CAMPAIGN_DIGESTS = {
+    (0, 1, 0): "b45ba72e204c45c69f1b1cbf550b8208a32076188db728acb7b74db10a73e7d4",
+    (65, 3, 2): "c3150cb1953fe0a5c514f9088da4fc5d9ce34ee99147449cfb3bcfef930d4734",
+    (1000, 100, 1): "5437a633ff90ce74f10a1350265abac2de088a3049233e1bf7e30b5fb9e94118",
+}
 
 
 @pytest.mark.parametrize("seed", sorted(PINNED_EXPANSION_DIGESTS))
@@ -185,12 +193,88 @@ def test_expansion_campaign_report_is_unchanged(seed):
     assert report_digest(expansion_campaign(100, 20, seed)) == PINNED_EXPANSION_DIGESTS[seed]
 
 
+@pytest.mark.parametrize("args", sorted(PINNED_CAMPAIGN_DIGESTS),
+                         ids=lambda args: "-".join(map(str, args)))
+def test_expansion_campaign_sizes_are_unchanged(args):
+    assert report_digest(expansion_campaign(*args)) == PINNED_CAMPAIGN_DIGESTS[args]
+
+
+def test_expansion_timings_stay_out_of_the_digest():
+    first, second = expansion_campaign(100, 20, 0), expansion_campaign(100, 20, 0)
+    for out in (first, second):
+        assert list(out["timings"]) == ["draw", "kernel"]
+        assert all(t >= 0 for t in out["timings"].values())
+    slower = dict(second, timings={k: t + 1.0 for k, t in second["timings"].items()})
+    assert first["timings"] != slower["timings"]
+    assert (report_digest(first) == report_digest(second) == report_digest(slower)
+            == PINNED_EXPANSION_DIGESTS[0])
+
+
+def campaign_coefficients(coeff_count, seed, den=12):
+    """expansion_campaign's coefficient vectors and their (den, den a1, ...,
+    den b3) numerator rows."""
+    coeffs = random_coefficients(coeff_count, [seed, 999_331], den)
+    return coeffs, np.array([[den, *(int(v * den) for v in c.astuple())] for c in coeffs],
+                            dtype=np.int64)
+
+
+def test_direct_side_is_twice_den_squared_sum_of_f_squared():
+    coeffs, coeff_matrix = campaign_coefficients(12, 5)
+    seeds = [[5, idx] for idx in range(7)]
+    S, w = integer_gradient_models(4, seeds)
+    direct2 = ftensor._direct_side(S, w, coeff_matrix)
+    assert direct2.dtype == np.int64 and direct2.shape == (7, 12)
+    for m, seed in enumerate(seeds):
+        model = sample_gradient_model(4, seed, RATIONAL)
+        for k, c in enumerate(coeffs):
+            F = f_tensor(model, c)
+            assert direct2[m, k] == 2 * 144 * np.einsum("ijk,ijk", F, F)
+
+
+def test_campaign_flags_exactly_what_the_f_path_flags(monkeypatch):
+    """A perturbed weight of the expansion: the campaign names the (model,
+    coeff) pairs whose brute-force 2 den^2 sum F_ijk^2, from f_tensor in
+    Fractions, misses the perturbed formula, and no others."""
+    real = ftensor.expansion_weights
+
+    def perturbed(*args, **kwargs):
+        quadratic, mixing, bquad = real(*args, **kwargs)
+        mixing = mixing.copy()
+        mixing[3] += 1                    # den^2 times the fourth vector's weight
+        return quadratic, mixing, bquad
+
+    monkeypatch.setattr(ftensor, "expansion_weights", perturbed)
+    model_count, coeff_count, seed = 9, 6, 4
+    coeffs, _ = campaign_coefficients(coeff_count, seed)
+    flagged = []
+    for idx in range(model_count):
+        m = sample_gradient_model(4, [seed, idx], RATIONAL)
+        s_sq = np.einsum("ijk,ijk", m.S, m.S)
+        mixed = np.einsum("ijk,ikj", m.S, m.S)
+        w_sq = np.einsum("j,j", m.w, m.w)
+        for k, c in enumerate(coeffs):
+            F = f_tensor(m, c)
+            quadratic, mixing, bquad = (144 * v for v in real(*c.astuple()))
+            mixing += k == 3
+            formula2 = 2 * (quadratic * s_sq + mixing * mixed) + bquad * w_sq
+            if 2 * 144 * np.einsum("ijk,ijk", F, F) != formula2:
+                flagged.append({"model": idx, "coeff": c.as_dict()})
+    out = expansion_campaign(model_count, coeff_count, seed)
+    assert flagged and out["violations"] == flagged and not out["exact"]
+
+
 def expansion_worst_case(n=4, den=12, draw=9, numerator=24):
     """(max|S|, max|w|, max intermediate) of expansion_campaign's int64
     kernel, each sum and product bounded by the sum and product of its
     terms' bounds: first through integer_gradient_models from draws in
     [-draw, draw], then through the kernel with coefficient numerators in
-    [-numerator, numerator]."""
+    [-numerator, numerator].  The kernel's direct side forms the Gram
+    matrix G = B B^T of the six rows of B = f_basis(S, w): three of S, with
+    n^3 entries up to max|S|, and three of d w, with n^2 nonzero entries up
+    to max|w|, so G_ij is at most the lesser count times the two rows'
+    bounds (64 max|S|^2 in the S block).  Then 2 c^T G c sums the products
+    c_i c_j G_ij; the formula side sums the weighted |S|^2, mixed and |w|^2
+    terms, and the residual is their difference."""
     h = n * n + n - 2
     X = 2 * n * h * h
     symmetric = n * h * h * 2 * draw + 2 * h * h * n * draw      # X (sym S - trace part)
@@ -198,17 +282,21 @@ def expansion_worst_case(n=4, den=12, draw=9, numerator=24):
     max_s, max_w = symmetric + (2 * n + 2) * t, X * draw
     a = b = numerator
     cells = n ** 3
-    f = (den + 2 * a) * max_s + 3 * b * max_w                     # |den F|
+    row_max, row_cells = [max_s] * 3 + [max_w] * 3, [cells] * 3 + [n * n] * 3
+    coeff = [den, a, a, b, b, b]
+    gram = [[min(row_cells[i], row_cells[j]) * row_max[i] * row_max[j] for j in range(6)]
+            for i in range(6)]
+    direct = 2 * sum(coeff[i] * coeff[j] * gram[i][j] for i in range(6) for j in range(6))
     bquad = 4 * a * b + 2 * den * b + 12 * b * b + 12 * b * b
     formula = ((2 * (den * den + 2 * a * a) + 4 * (2 * den * a + a * a)) * cells * max_s ** 2
                + bquad * n * max_w ** 2)
-    return max_s, max_w, 2 * cells * f * f + formula
+    return max_s, max_w, direct + formula
 
 
 def test_expansion_kernel_cannot_leave_int64():
     max_s, max_w, worst = expansion_worst_case()
     X = 2592    # 2n (n^2 + n - 2)^2 at n = 4
-    assert max_s < 70 * X and max_w == 9 * X and worst < 4e16 < 2 ** 63 - 1
+    assert max_s < 70 * X and max_w == 9 * X and worst < 2.3e16 < 2 ** 63 - 1
     # the premises hold for the campaign's draws
     coeffs = random_coefficients(2000, [0, 999_331])
     assert max(abs(v * 12) for c in coeffs for v in c.astuple()) == 24
@@ -226,10 +314,39 @@ def test_expansion_worst_case_covers_the_kernel(monkeypatch, recorded):
         S[-1], w[-1] = max_s, max_w
         return recorded.array(S), recorded.array(w)
 
+    real_direct, kinds = ftensor._direct_side, set()
+
+    def direct_side(S, w, coeff_matrix):
+        out = real_direct(S, w, coeff_matrix)
+        kinds.update(type(v) for v in out.reshape(-1))
+        return out
+
     monkeypatch.setattr(ftensor, "integer_gradient_models", models)
+    monkeypatch.setattr(ftensor, "_direct_side", direct_side)
     out = expansion_campaign(10, 40, 3)
+    assert kinds == {recorded}     # both matmuls ran on the recorded entries
     assert {v["model"] for v in out["violations"]} == {9}
     assert worst / 10 < recorded.peak <= worst
+
+
+def traced_peak(run):
+    """tracemalloc's peak over run(), after one untraced call warms it up."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_expansion_kernel_keeps_no_model_count_temporaries():
+    # the kernel works on blocks of at most 80 models: the CLI default
+    # campaign's traced peak stays within 1.2 times that of drawing its
+    # 1000 models alone
+    seeds = [[1, idx] for idx in range(1000)]
+    draw = traced_peak(lambda: integer_gradient_models(4, seeds))
+    assert traced_peak(lambda: expansion_campaign(1000, 100, 1)) <= 1.2 * draw
 
 
 def test_q_values_at_reference_point():
