@@ -7,9 +7,7 @@ from .curvature import (  # noqa: F401
     AlgCurvTensor,
     CurvatureInvariants,
     Plane,
-    SymTensor2,
     constant_curvature,
-    identity_metric,
     invariants,
     random_curvature,
     ricci,

@@ -193,47 +193,6 @@ def check_curvature_operators(rhat):
 
 
 # ---------------------------------------------------------------------------
-# Symmetric 2-tensors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SymTensor2:
-    """Symmetric n x n tensor (Ric, traceless Ric, the metric, Hessians),
-    whose dimension and mode are read from comp."""
-
-    comp: np.ndarray
-
-    @property
-    def n(self):
-        return self.comp.shape[0]
-
-    @property
-    def mode(self):
-        return mode_of(self.comp)
-
-    def __post_init__(self):
-        shape = self.comp.shape
-        if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
-            raise ValueError(f"component shape {shape} is not (n, n) with n >= 1")
-        bad = first_nonfinite(self.comp)
-        if bad is not None:
-            raise ValueError(f"component {bad} is non-finite: {self.comp[bad]}")
-        _require_small(self.comp[None], (self.comp - self.comp.T)[None], "symmetry S_ij = S_ji")
-        self.comp.setflags(write=False)
-
-    def trace(self):
-        return self.comp.trace()
-
-    def norm_sq(self):
-        return np.einsum("ij,ij", self.comp, self.comp)
-
-
-@cache   # immutable (frozen, read-only comp), so one instance serves every caller
-def identity_metric(n, mode):
-    return SymTensor2(eye(n, mode))
-
-
-# ---------------------------------------------------------------------------
 # Algebraic curvature tensors
 # ---------------------------------------------------------------------------
 
@@ -321,8 +280,8 @@ def ricci_stack(rhat):
     return (np.sign(j - i) * np.sign(j - k) * rhat[:, p[i, j], p[k, j]]).sum(axis=-1)
 
 
-def ricci(Rm: AlgCurvTensor) -> SymTensor2:
-    return SymTensor2(ricci_stack(Rm.rhat[None])[0])
+def ricci(Rm: AlgCurvTensor):
+    return ricci_stack(Rm.rhat[None])[0]
 
 
 def scalar_stack(rhat):
@@ -344,8 +303,8 @@ def traceless_ricci_stack(rhat):
     return oric
 
 
-def traceless_ricci(Rm: AlgCurvTensor) -> SymTensor2:
-    return SymTensor2(traceless_ricci_stack(Rm.rhat[None])[0])
+def traceless_ricci(Rm: AlgCurvTensor):
+    return traceless_ricci_stack(Rm.rhat[None])[0]
 
 
 def compound(S):
@@ -368,7 +327,7 @@ class CurvatureInvariants:
 def invariants(Rm: AlgCurvTensor) -> CurvatureInvariants:
     """R, |oRic|^2 and R_ijkl oR_ik oR_jl = 2 <rhat, compound(oRic)>: each
     unordered pair of the four-index sum appears in its two orders."""
-    t = traceless_ricci(Rm).comp
+    t = traceless_ricci(Rm)
     return CurvatureInvariants(
         R=scalar(Rm),
         ricNormSq=np.einsum("ij,ij", t, t),
@@ -404,13 +363,22 @@ class Plane:
         return self.x.shape[0]
 
 
+def plane_sectionals_stack(rhat, x, y):
+    """Sectional curvatures w^T Rhat w, w = x ^ y, of the planes spanned by
+    the orthonormal rows of x, y (k, p, n), for each operator of the stack
+    rhat (k, m, m): (k, p), C-contiguous (einsum may lay its output out
+    otherwise, and numpy sums a strided row in another order).  Exact on
+    Fraction operands."""
+    w = bivector(x, y)
+    return np.ascontiguousarray(np.einsum("kpa,kab,kpb->kp", w, rhat, w))
+
+
 def sectional(Rm: AlgCurvTensor, p: Plane):
-    """R(x, y, x, y) = w^T rhat w, w = x ^ y; sigma_ij for the coordinate
-    plane (e_i, e_j)."""
+    """R(x, y, x, y), sigma_ij for the coordinate plane (e_i, e_j): the
+    stack of one of plane_sectionals_stack."""
     if p.n != Rm.n:
         raise ValueError("plane dimension mismatch")
-    w = bivector(p.x, p.y)
-    return w @ Rm.rhat @ w
+    return plane_sectionals_stack(Rm.rhat[None], p.x[None, None], p.y[None, None])[0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ reads them (ROADMAP item 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,10 +52,10 @@ from .curvature import (
     AlgCurvTensor,
     Plane,
     RATIONAL,
-    bivector,
     four_form_basis,
     pair_basis,
     pair_dimension,
+    plane_sectionals_stack,
     scalar_stack,
     wedge_map,
 )
@@ -63,16 +64,26 @@ from .scalars import GAP_RTOL, is_rational, mode_of
 
 class DegenerateEpsError(ValueError):
     """eps at or beyond 1/(n(n-1)): the modified scalar curvature
-    (1 - n(n-1)*eps) * R degenerates and the shift equation has no solution."""
+    (1 - n(n-1)*eps) * R degenerates and the shift equation has no solution;
+    or so close below it that the float lanes' 1 - n(n-1)*float(eps) is 0."""
 
 
 def require_subcritical(n, eps):
-    """Raise DegenerateEpsError unless eps * n(n-1) < 1, the domain of the
-    pinching shift, the profile samplers and the campaigns."""
-    if float(eps) * n * (n - 1) >= 1:
+    """Raise DegenerateEpsError unless eps * n(n-1) < 1, decided exactly,
+    and the float lanes' denominator 1 - n(n-1)*float(eps) is positive: the
+    domain of the pinching shift, the profile samplers and the campaigns.
+    ValueError for a NaN or infinite eps."""
+    if isinstance(eps, float) and not math.isfinite(eps):
+        raise ValueError(f"eps = {eps} is not finite")
+    if Fraction(eps) * n * (n - 1) >= 1:
         raise DegenerateEpsError(
             f"eps = {eps} >= 1/(n(n-1)) = 1/{n * (n - 1)} for n = {n}: the "
             "modified scalar curvature (1 - n(n-1)*eps)*R degenerates")
+    if not 1 - n * (n - 1) * float(eps) > 0:
+        raise DegenerateEpsError(
+            f"eps = {eps} < 1/(n(n-1)) = 1/{n * (n - 1)} for n = {n}, but rounded "
+            f"to float it gives 1 - n(n-1)*eps = {1 - n * (n - 1) * float(eps)}, "
+            "and the float lanes divide by it")
 
 
 @dataclass(frozen=True)
@@ -117,15 +128,6 @@ def minimize(fun, x0, **options):
     kept because the benchmark's tracer wraps it (ROADMAP item 1)."""
     from scipy.optimize import minimize as scipy_minimize
     return scipy_minimize(fun, x0, **options)
-
-
-def plane_sectionals_stack(rhat, x, y):
-    """Sectional curvatures w^T Rhat w, w = x ^ y, of the planes spanned by
-    the orthonormal rows of x, y (k, p, n), for each operator of the stack
-    rhat (k, m, m): (k, p), C-contiguous (einsum may lay its output out
-    otherwise, and numpy sums a strided row in another order)."""
-    w = bivector(x, y)
-    return np.ascontiguousarray(np.einsum("kpa,kab,kpb->kp", w, rhat, w))
 
 
 def min_sectional(Rm: AlgCurvTensor, opts=None):

@@ -17,12 +17,10 @@ import numpy as np
 from .curvature import (
     AlgCurvTensor,
     RATIONAL,
-    SymTensor2,
     compound,
     constant_curvature,
     diagonal_tensor,
     eye,
-    identity_metric,
     invariants,
     pair_basis,
     ricci,
@@ -44,7 +42,7 @@ class ModelGeometry:
     Rm: AlgCurvTensor
     solitonConstant: object          # None when no closed-form potential exists
     potentialKind: str | None
-    hessian: SymTensor2 | None       # closed-form Hessian of the potential
+    hessian: np.ndarray | None       # closed-form (n, n) Hessian of the potential
     minSecClosedForm: object         # exact minimal sectional curvature
 
     @property
@@ -54,7 +52,7 @@ class ModelGeometry:
     @property
     def einstein(self):
         """Whether Rm is Einstein: its traceless Ricci tensor vanishes."""
-        return traceless_ricci(self.Rm).norm_sq() == 0
+        return not traceless_ricci(self.Rm).any()
 
 
 def sphere(n=4, kappa=Fraction(1)):
@@ -66,17 +64,16 @@ def sphere(n=4, kappa=Fraction(1)):
         name=f"sphere({n},{kappa})",
         Rm=constant_curvature(n, kappa, RATIONAL),
         solitonConstant=lam, potentialKind=CONSTANT,
-        hessian=SymTensor2(zeros((n, n), RATIONAL)), minSecClosedForm=kappa)
+        hessian=zeros((n, n), RATIONAL), minSecClosedForm=kappa)
 
 
 def flat(n=4, lam=Fraction(1, 2)):
     """Flat space with the Gaussian shrinker potential f = (lam/2)|x|^2."""
     lam = Fraction(lam)
-    hess = identity_metric(n, RATIONAL).comp * lam
     return ModelGeometry(
         name=f"flat({n})", Rm=constant_curvature(n, 0, RATIONAL),
         solitonConstant=lam, potentialKind=GAUSSIAN,
-        hessian=SymTensor2(hess), minSecClosedForm=Fraction(0))
+        hessian=lam * eye(n, RATIONAL), minSecClosedForm=Fraction(0))
 
 
 def product_spheres(kappa1=Fraction(1), kappa2=Fraction(1)):
@@ -92,7 +89,7 @@ def product_spheres(kappa1=Fraction(1), kappa2=Fraction(1)):
         Rm=diagonal_tensor([kappa1, 0, 0, 0, 0, kappa2], 4, RATIONAL),   # pairs 01 and 23
         solitonConstant=kappa1 if einstein else None,
         potentialKind=CONSTANT if einstein else None,
-        hessian=SymTensor2(zeros((4, 4), RATIONAL)) if einstein else None,
+        hessian=zeros((4, 4), RATIONAL) if einstein else None,
         minSecClosedForm=min(Fraction(0), kappa1, kappa2))  # mixed planes are flat
 
 
@@ -112,7 +109,7 @@ def fubini_study_cp2():
     return ModelGeometry(
         name="fubini_study_cp2", Rm=AlgCurvTensor(rhat),
         solitonConstant=Fraction(6), potentialKind=CONSTANT,
-        hessian=SymTensor2(zeros((4, 4), RATIONAL)), minSecClosedForm=Fraction(1))
+        hessian=zeros((4, 4), RATIONAL), minSecClosedForm=Fraction(1))
 
 
 def round_cylinder_s3xr():
@@ -123,7 +120,7 @@ def round_cylinder_s3xr():
         name="round_cylinder_s3xr",
         Rm=diagonal_tensor([1, 1, 0, 1, 0, 0], 4, RATIONAL),   # the planes 01, 02, 12 of S^3
         solitonConstant=Fraction(2), potentialKind=CYLINDRICAL,
-        hessian=SymTensor2(hess), minSecClosedForm=Fraction(0))
+        hessian=hess, minSecClosedForm=Fraction(0))
 
 
 _REGISTRY = {
@@ -205,15 +202,14 @@ def soliton_identity_check(m: ModelGeometry):
         raise ValueError(f"{m.name}: no closed-form potential")
     n, lam = m.n, m.solitonConstant
     ric = ricci(m.Rm)
-    g = identity_metric(n, RATIONAL)
     inv = invariants(m.Rm)
     R = inv.R
 
-    soliton_eq = ric.comp + m.hessian.comp - lam * g.comp
+    soliton_eq = ric + m.hessian - lam * eye(n, RATIONAL)
     laplacian_f = m.hessian.trace()
-    ric_norm_sq = np.einsum("ij,ij", ric.comp, ric.comp)
+    ric_norm_sq = np.einsum("ij,ij", ric, ric)
     drift_R = 2 * lam * R - 2 * ric_norm_sq
-    drift_ric = 2 * lam * ric.comp - 2 * np.einsum("ijkl,jl->ik", m.Rm.components(), ric.comp)
+    drift_ric = 2 * lam * ric - 2 * np.einsum("ijkl,jl->ik", m.Rm.components(), ric)
     # |grad oRic|^2 = 0 on every shipped model (parallel curvature)
     drift_oric = (2 * lam * inv.ricNormSq - 2 * inv.lhs
                   - Fraction(2, n) * R * inv.ricNormSq)

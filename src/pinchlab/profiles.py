@@ -31,6 +31,7 @@ from .curvature import (
     first_nonfinite,
     pair_basis,
     pair_dimension,
+    plane_sectionals_stack,
     random_curvature_stack,
     scalar,
     scalar_stack,
@@ -42,7 +43,6 @@ from .minsec import (
     dual_min_sectional,
     min_sectional,  # noqa: F401  the benchmark's tracer rebinds it here (ROADMAP item 1)
     pinched,
-    plane_sectionals_stack,
     require_subcritical,
     shift_to_pinching_stack,
     solve_dual_stack,
@@ -143,9 +143,12 @@ def equno_identity(sb, eps):
             = - sum_{i<j} (l_i - l_j)^2 sb_ij   (<= 0 when all sb >= 0)
 
     with lambda from _assemble and mub_k = sum_{i != k} sb_ik: minus the
-    slack.
+    slack.  sb is refused as in check_estimates (_require_profile), and eps
+    unless it is subcritical; a negative sb is allowed, since the identity is
+    algebraic.
     """
-    n = pair_dimension(len(sb))
+    n = _require_profile(sb)
+    require_subcritical(n, eps)
     lam = _assemble(n, sb[:, None], eps)[2][:, 0]
     i, j, star = _incidence(n)
     cross = 2 * (lam[i] * lam[j] * sb).sum() - (_leading_sum(sb[star]) * lam ** 2).sum()
@@ -201,7 +204,7 @@ def check_estimates(source, eps, s_list):
     hypothesis; the error says whether the bracket's plane violates it or
     the 4-form dual cannot decide (an open bracket straddling eps*R).  A
     certified tensor is then checked, in float, as the profile of its
-    eigenframe (_eigenframe_stack), and the slack residual also tests that
+    eigenframe (_eigenframe_gaps), and the slack residual also tests that
     the eigenframe is consistent.
     """
     if isinstance(source, AlgCurvTensor):
@@ -215,29 +218,50 @@ def check_estimates(source, eps, s_list):
             raise UncertifiedSourceError(
                 f"tensor not certified: min Sec lies in [{lower}, {upper}], "
                 f"which the 4-form dual cannot close above eps*R = {eps * R}")
-        lam, sig = _eigenframe_stack(source.rhat[None])
-        return estimate_gaps(lam.T, sig.T, sig.T - eps * R, np.array([R]),
-                             estimate_coefficients(source.n, eps), [float(s) for s in s_list])
-    if not isinstance(source, np.ndarray):
-        raise TypeError(f"unsupported source {type(source)!r}")
+        return _eigenframe_gaps(source.rhat[None], np.array([R]), eps,
+                                [float(s) for s in s_list])[0]
     sb = source
-    n = pair_dimension(len(sb)) if sb.ndim == 1 else 0
-    if n < 3:
-        raise ValueError(f"sb shape {sb.shape} is not (m,), m = n(n-1)/2 with n >= 3")
-    mode = mode_of(sb)   # raises for a dtype of no arithmetic mode
-    bad = first_nonfinite(sb)
-    if bad is not None:
-        raise ValueError(f"sb{list(bad)} is non-finite: {sb[bad]}")
+    n = _require_profile(sb)
     require_subcritical(n, eps)
     negative = np.flatnonzero(sb < 0)
     if len(negative):
         raise UncertifiedSourceError(
             f"profile violates Sec >= eps*R: sb[{negative[0]}] = {sb[negative[0]]} < 0")
-    if mode == RATIONAL and is_rational(eps) and all(map(is_rational, s_list)):
+    if mode_of(sb) == RATIONAL and is_rational(eps) and all(map(is_rational, s_list)):
         eps = Fraction(eps)   # so that R is a Fraction over an object sb of ints too
     else:
         sb, eps, s_list = sb.astype(float), float(eps), [float(s) for s in s_list]
     return _profile_gaps(n, sb[:, None], eps, s_list)
+
+
+def _require_profile(sb):
+    """The dimension n of the profile whose shifted curvatures are sb:
+    TypeError unless sb is an array, and ValueError unless it is 1-D with
+    m = n(n-1)/2 entries, n >= 3, of a dtype of an arithmetic mode, and
+    finite."""
+    if not isinstance(sb, np.ndarray):
+        raise TypeError(f"unsupported source {type(sb)!r}")
+    n = pair_dimension(len(sb)) if sb.ndim == 1 else 0
+    if n < 3:
+        raise ValueError(f"sb shape {sb.shape} is not (m,), m = n(n-1)/2 with n >= 3")
+    mode_of(sb)   # raises for a dtype of no arithmetic mode
+    bad = first_nonfinite(sb)
+    if bad is not None:
+        raise ValueError(f"sb{list(bad)} is non-finite: {sb[bad]}")
+    return n
+
+
+def _eigenframe_gaps(rhat, R, eps, s_list, lap=lambda stage: None):
+    """estimate_gaps of each operator of the stack rhat (k, m, m), whose
+    scalar curvatures R (k,) the caller gives, checked in float as the
+    profile of its eigenframe (_eigenframe_stack): (rows, sb), sb = sigma -
+    eps R the eigenframe's shifted curvatures (k, m).  lap("eigenframe") is
+    called once the eigenframe is found."""
+    lam, sig = _eigenframe_stack(rhat)
+    lap("eigenframe")
+    sb = sig - eps * R[:, None]
+    coefficients = estimate_coefficients(pair_dimension(rhat.shape[-1]), eps)
+    return estimate_gaps(lam.T, sig.T, sb.T, R, coefficients, s_list), sb
 
 
 def _eigenframe_stack(rhat):
@@ -626,11 +650,8 @@ def _tensor_combo(n, eps, config: CampaignConfig):
     shifted, lower, upper = shift_to_pinching_stack(rhat, e, TENSOR_MARGIN, solution)
     R = scalar_stack(shifted)
     lap("shift")
-    lam, sig = _eigenframe_stack(shifted)
-    lap("eigenframe")
-    sb = sig - e * R[:, None]
     s_list = [float(s) for s in config.s_list]
-    rows = estimate_gaps(lam.T, sig.T, sb.T, R, estimate_coefficients(n, e), s_list)
+    rows, sb = _eigenframe_gaps(shifted, R, e, s_list, lap)
     summary = _gap_summary(_reduce_gaps([rows]), sb, s_list)
     lap("gaps")
     dumps = [dict(v, n=n, eps=scalar_to_json(Fraction(eps)), lane="tensor",

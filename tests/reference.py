@@ -8,8 +8,8 @@ from fractions import Fraction
 import numpy as np
 
 from pinchlab import minsec
-from pinchlab.curvature import AlgCurvTensor, Plane, SymTensor2, bivector, pair_basis
-from pinchlab.minsec import SearchOptions, _orthonormal_pairs, plane_sectionals_stack
+from pinchlab.curvature import AlgCurvTensor, Plane, bivector, pair_basis, plane_sectionals_stack
+from pinchlab.minsec import SearchOptions, _orthonormal_pairs
 from pinchlab.models import ModelGeometry
 from pinchlab.scalars import RATIONAL, ArithmeticModeError, check_mode, mode_of
 
@@ -148,12 +148,12 @@ def join_modes(*modes):
     return modes.pop()
 
 
-def kulkarni_nomizu(h: SymTensor2, k: SymTensor2):
-    """The components (h ^ k)_ijkl = h_ik k_jl + h_jl k_ik - h_il k_jk - h_jk k_il."""
-    if h.n != k.n:
+def kulkarni_nomizu(a, b):
+    """The components (a ^ b)_ijkl = a_ik b_jl + a_jl b_ik - a_il b_jk - a_jk b_il
+    of two symmetric (n, n) arrays."""
+    if a.shape != b.shape:
         raise ValueError("dimension mismatch in Kulkarni-Nomizu product")
-    join_modes(h.mode, k.mode)
-    a, b = h.comp, k.comp
+    join_modes(mode_of(a), mode_of(b))
     return (np.einsum("ik,jl->ijkl", a, b) + np.einsum("jl,ik->ijkl", a, b)
             - np.einsum("il,jk->ijkl", a, b) - np.einsum("jk,il->ijkl", a, b))
 

@@ -402,11 +402,25 @@ def test_cli_and_the_tensor_campaign_never_import_scipy(tmp_path):
     assert result.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("n, eps, reason", [
+    ("11", "1/110", ">= 1/\\(n\\(n-1\\)\\) = 1/110 for n = 11"),
+    ("4", "0.0833333333333333333", "< 1/\\(n\\(n-1\\)\\) = 1/12 for n = 4, but rounded to float"),
+])
+def test_critical_eps_is_a_usage_error(capsys, n, eps, reason):
+    # eps = 1/110 is critical at n = 11; the other is below 1/12, but its
+    # float denominator 1 - 12 * float(eps) is 0
+    code = main(["verify-estimates", "--n", n, "--eps", eps, "--count", "20"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert re.fullmatch(f"error: eps = [^\n]*{reason}[^\n]*\n", captured.err), captured.err
+
+
 # Hostile values for the generated-argv test, drawn besides ordinary ones.
 HOSTILE_SCALARS = ("0", "1/24", "-1/10", "1/2", "1", "7", "-7", "1e400", "-1e400",
-                   "1e308", "-1e308", "1e-400", "-1e-300", "1/100000000000000000000")
+                   "1e308", "-1e308", "1e-400", "-1e-300", "1/100000000000000000000",
+                   "1/110")
 HOSTILE_INTS = {"count": (-3, 0, 1, 2), "models": (-2, 0, 1, 3), "coeffs": (-2, 0, 1, 3),
-                "n": (-1, 0, 2, 3, 4, 5, 9, 40), "seed": (-1, 0, 7, 2 ** 64)}
+                "n": (-1, 0, 2, 3, 4, 5, 9, 11, 40), "seed": (-1, 0, 7, 2 ** 64)}
 HOSTILE_JSON = st.one_of(st.none(), st.booleans(), st.integers(-5, 5),
                          st.floats(allow_nan=True), st.text(max_size=4),
                          st.sampled_from(HOSTILE_SCALARS),
@@ -470,8 +484,13 @@ def test_generated_argv_keeps_the_exit_code_contract(case):
     assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE), (argv, config)
     assert not any(line.startswith("error: internal error")
                    for line in stderr.getvalue().splitlines()), (argv, config, stderr.getvalue())
-    if code == EXIT_VIOLATION:
-        assert json.loads(stdout.getvalue())["violations"], (argv, config)
+    if code == EXIT_VIOLATION:   # real violations: finite gaps over nonzero denominators
+        violations = json.loads(stdout.getvalue())["violations"]
+        assert violations, (argv, config)
+        for v in violations:
+            if isinstance(v, dict):
+                assert all(math.isfinite(v[k]) for k in ("gap1", "gap2") if k in v), (argv, v)
+                assert all(v[k] != 0 for k in v if k.endswith("Den")), (argv, v)
     if code == EXIT_OK and argv[0] != "models":   # a passing report has finite gaps
         gaps = list(_gap_summaries(json.loads(stdout.getvalue())))
         assert all(v is None or math.isfinite(v) for v in gaps), (argv, config, gaps)

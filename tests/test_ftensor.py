@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pinchlab import ftensor
-from pinchlab.curvature import FLOAT, RATIONAL, identity_metric
+from pinchlab.curvature import FLOAT, RATIONAL, eye
 from pinchlab.ftensor import (
     FCoefficients,
     GradientModel,
@@ -136,12 +136,12 @@ def fraction_projection(n, seed):
     half, inv_n = Fraction(1, 2), Fraction(1, n)
     S = (S + S.transpose(1, 0, 2)) * half
     tr = np.einsum("iik->k", S)
-    eye = identity_metric(n, RATIONAL).comp
-    S = S - inv_n * np.einsum("ij,k->ijk", eye, tr)
+    g = eye(n, RATIONAL)
+    S = S - inv_n * np.einsum("ij,k->ijk", g, tr)
     u = bianchi_constant(n) * w - np.einsum("iji->j", S)
     v = u / Fraction(n * n + n - 2, n)
-    S = S + (np.einsum("ik,j->ijk", eye, v) + np.einsum("jk,i->ijk", eye, v)
-             - (2 * inv_n) * np.einsum("ij,k->ijk", eye, v))
+    S = S + (np.einsum("ik,j->ijk", g, v) + np.einsum("jk,i->ijk", g, v)
+             - (2 * inv_n) * np.einsum("ij,k->ijk", g, v))
     denoms = [x.denominator for x in S.reshape(-1)] + [x.denominator for x in w]
     scale = Fraction(int(np.lcm.reduce(denoms)))
     return S * scale, w * scale

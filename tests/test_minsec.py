@@ -27,6 +27,7 @@ from pinchlab.minsec import (
     dual_min_sectional,
     min_sectional,
     pinched,
+    require_subcritical,
     shift_to_pinching,
 )
 from pinchlab import minsec
@@ -137,6 +138,26 @@ def test_shift_rejects_degenerate_eps():
         shift_to_pinching(Rm, 1.0 / 12.0)
 
 
+def test_critical_eps_is_refused_in_every_dimension():
+    # decided exactly: float(1/110) * 11 * 10 rounds below 1
+    for n in range(3, 200):
+        critical = Fraction(1, n * (n - 1))
+        with pytest.raises(DegenerateEpsError, match=f">= 1/\\(n\\(n-1\\)\\) = 1/{n * (n - 1)} "):
+            require_subcritical(n, critical)
+        require_subcritical(n, critical - Fraction(1, 10 ** 6))
+
+
+def test_eps_whose_float_denominator_vanishes_is_refused():
+    # below 1/12 exactly, but 1 - 12 * float(eps) is 0
+    eps = Fraction("0.0833333333333333333")
+    assert eps < Fraction(1, 12) and 1 - 12 * float(eps) == 0
+    with pytest.raises(DegenerateEpsError, match="< 1/\\(n\\(n-1\\)\\) = 1/12 .* rounded to float"):
+        require_subcritical(4, eps)
+    for eps in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="is not finite"):
+            require_subcritical(4, eps)
+
+
 def test_shift_rational_mode_stays_rational():
     Rm = random_curvature(4, 2, RATIONAL, scale=3)
     shifted, _, _ = shift_to_pinching(Rm, Fraction(0), margin=0)
@@ -194,6 +215,16 @@ def test_dual_exact_on_models_with_degenerate_eigenspaces():
         assert lower <= closed <= lower + 1e-12 * _scale(m.Rm), m.name
         assert upper == pytest.approx(closed, abs=1e-12), m.name
         assert float(sectional(m.Rm, plane)) == pytest.approx(upper, abs=1e-12), m.name
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_sectional_is_the_brackets_kernel(n):
+    # the upper end is the curvature of the plane, computed by the same
+    # kernel as sectional, so the two agree bit for bit
+    for seed in range(12):
+        Rm = random_curvature(n, [7, n, seed], FLOAT)
+        _, upper, plane = dual_min_sectional(Rm)
+        assert sectional(Rm, plane) == upper, seed
 
 
 def test_dual_on_rational_tensor():

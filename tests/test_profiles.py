@@ -91,7 +91,7 @@ def test_profile_lam_and_R_are_the_eigenframes():
         for eps, seed in ((Fraction(0), 0), (Fraction(0), 1), (Fraction(-1, 10), 2)):
             R, sig, lam = _assemble(n, draw_rows(n, 1, seed, RATIONAL, "sparse").T, eps)
             Rm = diagonal_tensor(sig[:, 0], n, RATIONAL)
-            oric = traceless_ricci(Rm).comp
+            oric = traceless_ricci(Rm)
             assert (oric == np.diag(lam[:, 0])).all(), (n, seed)
             assert all(type(v) is Fraction for v in oric.flat)
             assert 2 * np.trace(Rm.rhat) == R[0], (n, seed)
@@ -113,6 +113,24 @@ def test_equno_identity_exact_rational():
     for seed in range(10):
         l, r = equno_identity(draw_rows(5, 1, seed, RATIONAL)[0], Fraction(1, 48))
         assert l == r and r <= 0 and type(r) is Fraction
+
+
+def test_equno_identity_refuses_what_check_estimates_refuses():
+    for shape in [(1,), (1, 3), (4,), (0,)]:
+        with pytest.raises(ValueError, match="is not \\(m,\\)|is not n\\(n-1\\)/2"):
+            equno_identity(np.ones(shape), 0.0)
+    with pytest.raises(scalars.ArithmeticModeError):
+        equno_identity(np.ones(6, dtype=np.int64), 0)
+    sb = np.ones(6)
+    sb[4] = np.nan
+    with pytest.raises(ValueError, match="^sb\\[4\\] is non-finite"):
+        equno_identity(sb, 0.0)
+    with pytest.raises(DegenerateEpsError):
+        equno_identity(np.ones(6), Fraction(1, 12))
+    # the identity is algebraic, so a negative sb is allowed
+    sb = draw_rows(4, 1, 3, RATIONAL)[0] - 5
+    l, r = equno_identity(sb, Fraction(1, 48))
+    assert l == r and min(sb) < 0
 
 
 def test_slack_is_exact_gap1_rational():
@@ -939,7 +957,7 @@ def test_eigenframe_curvatures_match_the_rotated_tensor():
         for seed in range(5):
             Rm = random_curvature(n, [47, n, seed], FLOAT)
             lam, sigma = (part[0] for part in _eigenframe_stack(Rm.rhat[None]))
-            t = np.asarray(traceless_ricci(Rm).comp, dtype=float)
+            t = np.asarray(traceless_ricci(Rm), dtype=float)
             ref_lam, vecs = np.linalg.eigh(t)
             comp = Rm.components()
             rot = np.einsum("ia,jb,kc,ld,ijkl->abcd", vecs, vecs, vecs, vecs, comp)
