@@ -16,6 +16,7 @@ with it too.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,44 +82,6 @@ def _profile_gaps(n, sb, eps, s_list):
     and of check_estimates."""
     R, sig, lam = _assemble(n, sb, eps)
     return estimate_gaps(lam, sig, sb, R, estimate_coefficients(n, eps), s_list)
-
-
-def _float_draws(rng, shape, distribution):
-    """Float shifted curvatures sb >= 0 of the given shape (count, m) from
-    rng: half-normal, uniform on [0, 1), or half-normal with each entry
-    zeroed with probability 1/2 ("sparse", _sparsify)."""
-    _require("distribution", distribution, DISTRIBUTIONS)
-    if distribution == "uniform":
-        return rng.uniform(0.0, 1.0, size=shape)
-    sb = rng.standard_normal(shape)
-    np.abs(sb, out=sb)
-    if distribution == "sparse":
-        _sparsify(rng, sb)
-    return sb
-
-
-_EXACT_SB_MAX = 9   # the exact lane draws shifted curvatures sb in [0, _EXACT_SB_MAX]
-
-
-def _integer_draws(rng, shape, distribution):
-    """Integer shifted curvatures sb of the given shape (count, m) from rng:
-    uniform on [0, _EXACT_SB_MAX], each entry zeroed with probability 1/2
-    for "sparse" (_sparsify), which reaches the equality cases of the slack
-    identity.  "half-normal" and "uniform" draw alike."""
-    _require("distribution", distribution, DISTRIBUTIONS)
-    sb = rng.integers(0, _EXACT_SB_MAX + 1, size=shape)
-    if distribution == "sparse":
-        _sparsify(rng, sb)
-    return sb
-
-
-def _sparsify(rng, sb):
-    """Zero each entry of sb (count, m) with probability 1/2, in place.  The
-    0/1 mask is drawn block by block (_row_blocks), so no second full-length
-    array is drawn; the blocks continue rng's stream as one draw of the
-    whole mask would."""
-    for rows in _row_blocks(sb, sb.itemsize):
-        rows *= rng.integers(0, 2, size=rows.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +376,7 @@ def _combo_rng(seed, n, eps):
         [int(seed), n, f.numerator % (2 ** 32), f.denominator])
 
 
-# bytes of one (m, rows) operand of a batch lane's block (_blocks).  In a
+# bytes of one (m, rows) operand of a batch lane's block (_row_blocks).  In a
 # sweep of 1024 to 32768 rows at n = 3..6, the float and int64 lanes ran
 # fastest near this size: about 11000 rows at n = 3 and 2200 at n = 6.
 BLOCK_BYTES = 2 ** 18
@@ -429,27 +392,110 @@ def _row_blocks(draws, entry_bytes):
     return (draws[lo:lo + rows] for lo in range(0, len(draws), rows))
 
 
-def _blocks(draws, entry_bytes):
-    """The blocks of _row_blocks, each laid out pair-major as the
-    C-contiguous (m, rows) transpose of its draws."""
-    return (np.ascontiguousarray(rows.T) for rows in _row_blocks(draws, entry_bytes))
+_EXACT_SB_MAX = 9   # the exact lane draws shifted curvatures sb in [0, _EXACT_SB_MAX]
+
+
+def _fill_blocks(rng, blocks, distribution):
+    """Draw shifted curvatures from rng into blocks, the consecutive row
+    blocks of one (count, m) array sb (_row_blocks), in place and in order,
+    and after each block's draw yield how many leading blocks hold their
+    final values.
+
+    A float sb is half-normal or uniform on [0, 1); an int64 sb is uniform
+    on [0, _EXACT_SB_MAX] for "half-normal" and "uniform" alike.  "sparse"
+    zeroes each such entry with probability 1/2, which in the exact lane
+    reaches the equality cases of the slack identity: every block's values
+    are drawn first, then every block's 0/1 mask.  So the draws come in the
+    order of one draw of the whole array (and one of the whole mask), and
+    since Generator fills continue the stream from one call to the next bit
+    for bit (PCG64 keeps its spare 32-bit half in its own state), sb does
+    not depend on the blocks."""
+    sparse = distribution == "sparse"
+    for done, rows in enumerate(blocks, 1):
+        if rows.dtype.kind != "f":
+            rows[...] = rng.integers(0, _EXACT_SB_MAX + 1, size=rows.shape)
+        elif distribution == "uniform":
+            rng.random(out=rows)   # rng.uniform(0.0, 1.0), bit for bit
+        else:
+            np.abs(rng.standard_normal(out=rows), out=rows)
+        yield 0 if sparse else done
+    if sparse:
+        for done, rows in enumerate(blocks, 1):
+            rows *= rng.integers(0, 2, size=rows.shape)
+            yield done
+
+
+def _check_blocks(rng, sb, distribution, entry_bytes, check):
+    """Draw sb (count, m) from rng (_fill_blocks) and check it block by
+    block (_row_blocks of entry_bytes): check maps a block, laid out
+    pair-major as the C-contiguous (m, rows) transpose of its rows, to its
+    GapRows, which are reduced at once (_reduce_gaps, the first 10 bad
+    rows).  Returns (reduced, timings).
+
+    When sb spans two or more blocks, a worker thread draws them ahead of
+    the checks and hands each over by an Event once it is final: the draws
+    release the GIL, so they run beside the kernel.  A single block is drawn
+    inline first, as there is nothing to overlap.  A fault of the draws is
+    raised here; the worker stops between blocks once the checks end, and
+    is joined before this returns or raises.  timings holds the seconds
+    spent drawing ("draw"), those the checks waited for blocks
+    ("drawWait"), and the checks' elapsed seconds ("kernel")."""
+    _require("distribution", distribution, DISTRIBUTIONS)
+    blocks = list(_row_blocks(sb, entry_bytes))
+    ready, stop, fault = [threading.Event() for _ in blocks], threading.Event(), []
+    timings = {"draw": 0.0, "drawWait": 0.0, "kernel": 0.0}
+
+    def draw():
+        started = time.perf_counter()
+        try:
+            for done in _fill_blocks(rng, blocks, distribution):
+                if done:
+                    ready[done - 1].set()
+                if stop.is_set():
+                    break
+        except BaseException as exc:   # raised again by the checks
+            fault.append(exc)
+        finally:
+            timings["draw"] = time.perf_counter() - started
+            for event in ready:   # wakes the checks after a fault
+                event.set()
+
+    def checked():
+        for event, rows in zip(ready, blocks):
+            waited = time.perf_counter()
+            event.wait()
+            timings["drawWait"] += time.perf_counter() - waited
+            if fault:
+                raise fault[0]
+            yield check(np.ascontiguousarray(rows.T))
+
+    worker = threading.Thread(target=draw) if len(blocks) > 1 else None
+    if worker is None:
+        draw()
+    else:
+        worker.start()
+    started = time.perf_counter()
+    try:
+        reduced = _reduce_gaps(checked(), limit=10)
+    finally:
+        stop.set()
+        if worker is not None:
+            worker.join()
+    timings["kernel"] = time.perf_counter() - started
+    return reduced, timings
 
 
 def profile_batch_float(n, eps, s_list, count, seed, distribution="half-normal"):
     """Float-mode batch: min gaps and violation indices over `count` profiles,
-    checked (_profile_gaps) and reduced (_reduce_gaps) block by block
-    (_blocks).  timings holds the seconds spent drawing the shifted
-    curvatures and in the kernel."""
+    drawn and checked (_profile_gaps) block by block, with their timings
+    (_check_blocks)."""
     require_subcritical(n, eps)
     eps = float(eps)
-    started = time.perf_counter()
-    sb = _float_draws(_combo_rng(seed, n, eps), (count, n * (n - 1) // 2), distribution)
-    drawn = time.perf_counter()
     s_list = [float(s) for s in s_list]
-    rows = (_profile_gaps(n, block, eps, s_list) for block in _blocks(sb, sb.itemsize))
-    summary = _gap_summary(_reduce_gaps(rows, limit=10), sb, s_list)
-    return {"count": count, **summary,
-            "timings": {"draw": drawn - started, "kernel": time.perf_counter() - drawn}}
+    sb = np.empty((count, n * (n - 1) // 2))
+    reduced, timings = _check_blocks(_combo_rng(seed, n, eps), sb, distribution, sb.itemsize,
+                                     lambda block: _profile_gaps(n, block, eps, s_list))
+    return {"count": count, **_gap_summary(reduced, sb, s_list), "timings": timings}
 
 
 def _integer_coefficients(n, f):
@@ -491,27 +537,24 @@ def profile_batch_exact(n, eps, count, seed, distribution="half-normal"):
     and the exact estimate-1 slack identity, vectorized.
 
     With eps = p/q, d = q - n(n-1)p and integer shifted curvatures sb in
-    [0, _EXACT_SB_MAX] (_integer_draws), sigma, sb and R are integers over d
+    [0, _EXACT_SB_MAX] (_fill_blocks), sigma, sb and R are integers over d
     and lambda over n d; estimate_gaps on these numerators, with
     _integer_coefficients, gives both gaps and the slack as integers over
     n^3 q d^3 (2 n^3 q d^3 for gap2), so inequality signs and the identity
     are decided exactly.
     exact_profile_bound bounds every intermediate before anything is
     computed; the kernel runs in int64 when the bound fits and in Python
-    ints otherwise, block by block (_blocks, each converted to its lane as
-    it runs), and exactLane names the lane that ran.  Each violation states
-    the denominator of its numerators.  timings holds the seconds spent
-    drawing and in the kernel.
+    ints otherwise, block by block (_check_blocks, each block converted to
+    its lane as it runs), and exactLane names the lane that ran.  Each
+    violation states the denominator of its numerators.  timings is
+    _check_blocks'.
     """
     require_subcritical(n, eps)
     f = Fraction(eps) if not isinstance(eps, Fraction) else eps
     p, q = f.numerator, f.denominator
     d = q - n * (n - 1) * p            # positive by the subcritical check
     lane = exact_lane(exact_profile_bound(n, f))
-    started = time.perf_counter()
-    rng = _combo_rng(seed, n, f)
-    sb = _integer_draws(rng, (count, n * (n - 1) // 2), distribution)
-    drawn = time.perf_counter()
+    sb = np.empty((count, n * (n - 1) // 2), np.int64)
     star = _incidence(n)[2]
     coefficients = _integer_coefficients(n, f)
 
@@ -523,9 +566,10 @@ def profile_batch_exact(n, eps, count, seed, distribution="half-normal"):
         lam = n * _leading_sum(sig[star]) - R_num   # lambda = lam / (n d)
         return estimate_gaps(lam, sig, sb_num, R_num, coefficients, [])
 
-    blocks = _blocks(sb, sb.itemsize if lane == INT64_LANE else PYTHON_INT_BYTES)
-    low, high, bad = _reduce_gaps((gaps(lane_array(block, lane)) for block in blocks),
-                                  limit=10)
+    (low, high, bad), timings = _check_blocks(
+        _combo_rng(seed, n, f), sb, distribution,
+        sb.itemsize if lane == INT64_LANE else PYTHON_INT_BYTES,
+        lambda block: gaps(lane_array(block, lane)))
     den = n ** 3 * q * d ** 3   # of gap1 and the slack; gap2's is 2 den
     return {
         "count": count,
@@ -538,7 +582,7 @@ def profile_batch_exact(n, eps, count, seed, distribution="half-normal"):
         "minGap1Num": None if low is None else int(low[0]),
         "minGap2Num": None if low is None else int(low[1]),
         "exactLane": lane,
-        "timings": {"draw": drawn - started, "kernel": time.perf_counter() - drawn},
+        "timings": timings,
     }
 
 

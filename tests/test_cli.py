@@ -8,13 +8,14 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pinchlab import cli
+from pinchlab import cli, profiles
 from pinchlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from reference import lower_estimate1
 
@@ -99,6 +100,28 @@ def test_internal_error_exits_2(capsys, monkeypatch):
     assert captured.err == "error: internal error: RuntimeError: something inside broke\n"
 
 
+@pytest.mark.parametrize("arithmetic", ["float", "rational"])
+def test_profile_lane_fault_exits_2(capsys, monkeypatch, arithmetic):
+    # a fault of a lane's kernel while its worker thread draws ahead is an
+    # internal error, never the violation code
+    gaps, calls = profiles.estimate_gaps, []
+
+    def broken(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("kernel broke on block 2")
+        return gaps(*args)
+
+    monkeypatch.setattr(profiles, "estimate_gaps", broken)
+    before = threading.active_count()
+    assert main(["verify-estimates", "--n", "5", "--eps", "1/48", "--count", "20000",
+                 "--arithmetic", arithmetic]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: RuntimeError: kernel broke on block 2\n"
+    assert threading.active_count() == before
+
+
 def test_bad_seed_variable_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("PINCHLAB_SEED", "abc")
     assert main(["models"]) == EXIT_USAGE
@@ -161,7 +184,6 @@ def test_degenerate_eps_is_usage_error(capsys):
       "--n", "4", "--n", "9"], "n"),
 ])
 def test_out_of_domain_value_is_usage_error(capsys, monkeypatch, tmp_path, argv, name):
-    from pinchlab import profiles
     solves = []
     monkeypatch.setattr(profiles, "solve_dual_stack", lambda rhat: solves.append(rhat))
     out = tmp_path / "reports"

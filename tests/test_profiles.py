@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -34,11 +35,19 @@ from reference import lower_estimate1
 
 def draw_rows(n, count, seed, mode, distribution="half-normal"):
     """Shifted curvatures (count, m) drawn as the float or the exact lane
-    draws them, the latter as an object array of Python ints."""
-    rng, shape = np.random.default_rng(seed), (count, n * (n - 1) // 2)
-    if mode == RATIONAL:
-        return profiles._integer_draws(rng, shape, distribution).astype(object)
-    return profiles._float_draws(rng, shape, distribution)
+    draws them (fill), the latter as an object array of Python ints."""
+    sb = fill(np.random.default_rng(seed), (count, n * (n - 1) // 2),
+              np.int64 if mode == RATIONAL else float, distribution)
+    return sb.astype(object) if mode == RATIONAL else sb
+
+
+def fill(rng, shape, dtype, distribution):
+    """A new array of the shape and dtype drawn from rng by the lanes' own
+    fill (profiles._fill_blocks), in blocks of 8-byte entries."""
+    sb = np.empty(shape, dtype)
+    for _ in profiles._fill_blocks(rng, list(profiles._row_blocks(sb, 8)), distribution):
+        pass
+    return sb
 
 
 def test_params_reject_bad_s():
@@ -730,21 +739,87 @@ def test_samplers_reject_unknown_distributions_and_modes():
         profile_batch_exact(4, 0, 10, 0, "gaussian")
 
 
-@pytest.mark.parametrize("shape", [(100_000, 15), (7777, 10), (3, 3), (0, 6)])
-def test_sparse_masks_drawn_by_block_continue_the_stream(shape):
-    # the sparse mask, drawn block by block, is one full draw of the mask,
-    # and the generator goes on as after that draw
-    for lane in (FLOAT, RATIONAL):
-        rng, full = np.random.default_rng(5), np.random.default_rng(5)
-        if lane == FLOAT:
-            got, want = profiles._float_draws(rng, shape, "sparse"), full.standard_normal(shape)
-            np.abs(want, out=want)
-        else:
-            got = profiles._integer_draws(rng, shape, "sparse")
-            want = full.integers(0, _EXACT_SB_MAX + 1, size=shape)
-        want *= full.integers(0, 2, size=shape)
-        assert got.dtype == want.dtype and np.array_equal(got, want), lane
-        assert rng.integers(0, 2 ** 62) == full.integers(0, 2 ** 62), lane
+@pytest.mark.parametrize("shape", [(20_000, 15), (7777, 10), (1000, 10), (0, 6)])
+def test_sparse_masks_drawn_by_block_continue_the_stream(monkeypatch, shape):
+    # a lane's shifted curvatures, of every distribution, drawn block by
+    # block (by the worker when there are several blocks, and the sparse
+    # masks after all values), are one full draw of them (and of the mask),
+    # and the generator goes on as after that draw; eps = 1/1000 gives the
+    # exact lane's Python-int blocks at n = 6
+    count, m = shape
+    n = pair_dimension(m)
+    drawn, check_blocks = [], profiles._check_blocks
+    monkeypatch.setattr(profiles, "_check_blocks",
+                        lambda rng, sb, *rest: drawn.append(sb) or check_blocks(rng, sb, *rest))
+    for lane, eps in (("float", Fraction(1, 48)), ("exact", Fraction(1, 48)),
+                      ("exact", Fraction(1, 1000))):
+        for distribution in DISTRIBUTIONS:
+            rng, full = np.random.default_rng(5), np.random.default_rng(5)
+            monkeypatch.setattr(profiles, "_combo_rng", lambda *args: rng)
+            _run_lane(lane, n, eps, count, 0, distribution)
+            if lane == "exact":
+                want = full.integers(0, _EXACT_SB_MAX + 1, size=shape)
+            elif distribution == "uniform":
+                want = full.uniform(0.0, 1.0, size=shape)
+            else:
+                want = np.abs(full.standard_normal(shape))
+            if distribution == "sparse":
+                want *= full.integers(0, 2, size=shape)
+            sb, case = drawn.pop(), (lane, eps, distribution)
+            assert sb.dtype == want.dtype and np.array_equal(sb, want), case
+            assert rng.integers(0, 2 ** 62) == full.integers(0, 2 ** 62), case
+
+
+def _fill_fault(monkeypatch, step):
+    """Make the lanes' fill raise in place of its step-th block draw (counted
+    from 1); the returned list collects the threads the draws ran on."""
+    fill_blocks, threads = profiles._fill_blocks, []
+
+    def failing(*args):
+        threads.append(threading.current_thread())
+        for k, done in enumerate(fill_blocks(*args), 1):
+            if k == step:
+                raise RuntimeError(f"draw fault on block {k}")
+            yield done
+    monkeypatch.setattr(profiles, "_fill_blocks", failing)
+    return threads
+
+
+def _kernel_fault(monkeypatch, call):
+    """Make estimate_gaps raise on its call-th call (counted from 1)."""
+    gaps, calls = profiles.estimate_gaps, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == call:
+            raise RuntimeError(f"kernel fault on block {call}")
+        return gaps(*args)
+    monkeypatch.setattr(profiles, "estimate_gaps", failing)
+
+
+@pytest.mark.parametrize("lane", ["float", "exact"])
+@pytest.mark.parametrize("fault", ["draw", "kernel"])
+def test_lane_faults_are_raised_and_leave_no_thread(monkeypatch, lane, fault):
+    # a fault of the worker's draws (on the 3rd block) or of the kernel (on
+    # the 2nd) is the lane's, and the worker is joined before the lane raises
+    threads = _fill_fault(monkeypatch, 3) if fault == "draw" else _kernel_fault(monkeypatch, 2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{fault} fault on block"):
+        _run_lane(lane, 5, Fraction(1, 48), 20_000, 1)
+    assert threading.active_count() == before
+    if fault == "draw":
+        assert threads and threading.main_thread() not in threads
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_one_block_lane_starts_no_thread(monkeypatch, n):
+    # cli-exact's `all` runs the float lane at count 1000, one block at
+    # n = 3..6: it is drawn inline, with no thread to start and join
+    started, thread = [], threading.Thread
+    monkeypatch.setattr(threading, "Thread", lambda *a, **k: started.append(k) or thread(*a, **k))
+    for count in (1000, 2 * _lane_rows("float", n)):   # one block, then two
+        out = profile_batch_float(n, Fraction(0), PINNED_S, count, 2)
+        assert out["count"] == count and len(started) == (count > _lane_rows("float", n))
 
 
 def test_mc_campaign_profile_skips_supercritical():
@@ -1021,7 +1096,7 @@ def test_tensor_combo_batches_its_eigh_calls(monkeypatch):
 def test_lane_timings_stay_out_of_the_digest(lane):
     first, second = (_run_lane(lane, 5, Fraction(1, 48), 3000, 4) for _ in range(2))
     for out in (first, second):
-        assert list(out["timings"]) == ["draw", "kernel"]
+        assert list(out["timings"]) == ["draw", "drawWait", "kernel"]
         assert all(t >= 0 for t in out["timings"].values())
     slower = dict(second, timings={k: t + 1.0 for k, t in second["timings"].items()})
     assert first["timings"] != slower["timings"]
