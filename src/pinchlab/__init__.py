@@ -17,7 +17,6 @@ from .curvature import (  # noqa: F401
 )
 from .ftensor import (  # noqa: F401
     FCoefficients,
-    GradientModel,
     CLAIMED_POINT,
     expansion_campaign,
     f_norm_expansion,

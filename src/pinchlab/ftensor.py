@@ -11,11 +11,11 @@ second-Bianchi relation sum_i S_iji = ((n-2)/(2n)) w_j.  Everything downstream
 is dimension-four: the 1/4 Bianchi constant and the coefficients 8 and 4 of
 the b-quadratic are specific to n = 4 and other dimensions are rejected.
 
-Each formula is written once.  The models are projected only in integers
-(integer_gradient_models); a rational model holds them as Fractions and a
-float model as float64.  F is (1, a1, a2, b1, b2, b3) times the six tensors
-of f_basis, for one model or a stack of them.  Q1 and Q2 are polynomial
-numerators over 1 + a1^2 + a2^2, and grad_q2 is derived from Q2's numerator.
+Each formula is written once.  A model is its arrays (S, w), projected only
+in integers (integer_gradient_models), held as int64, Fractions or float64
+and checked by check_gradient_constraints alone.  F is (1, a1, a2, b1, b2,
+b3) times the six tensors of f_basis, for one model or a stack.  Q1 and Q2
+are polynomial numerators over 1 + a1^2 + a2^2, and grad_q2 is derived from Q2's numerator.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curvature import FLOAT, RATIONAL, check_mode
-from .scalars import exact_div, mode_of, scalar_to_json
+from .curvature import FLOAT, as_mode_array
+from .scalars import ArithmeticModeError, exact_div, mode_of, scalar_to_json
 
 
 @dataclass(frozen=True)
@@ -59,42 +59,23 @@ CLAIMED_POINT = FCoefficients(Fraction(1), Fraction(1), Fraction(-1, 12),
 # with value 4 eps - 1/3, is higher; at eps = 1/36 Q2 is constant at -2/9)
 
 
-def check_gradient_constraints(S, w, tol=0):
+def check_gradient_constraints(S, w):
     """Raise ValueError unless S is symmetric and traceless in (i, j) and
-    satisfies the contracted Bianchi relation, written without a fraction as
-    2n sum_i S_iji = (n-2) w_j, up to tol.  Leading axes are a batch of
-    models; integer or Fraction input is checked exactly with tol = 0."""
-    n = S.shape[-1]
+    satisfies the contracted Bianchi relation 2n sum_i S_iji = (n-2) w_j, for
+    each model of the batch (the leading axes).  int64 and Fraction models are
+    checked exactly, float64 ones up to 1e-12 max(1, max|S|); any other dtype,
+    or a w of another dtype than S, raises ArithmeticModeError."""
+    if w.dtype != S.dtype:
+        raise ArithmeticModeError(f"S is {S.dtype} but w is {w.dtype}")
+    n, tol = S.shape[-1], 0
+    if S.dtype != np.int64 and mode_of(S) == FLOAT:
+        tol = 1e-12 * max(1.0, float(np.abs(S).max(initial=0)))
     if (abs(S - S.swapaxes(-3, -2)) > tol).any():
         raise ValueError("S must be symmetric in (i, j)")
     if (abs(np.einsum("...iik->...k", S)) > tol).any():
         raise ValueError("S must be (i, j)-traceless")
     if (abs(2 * n * np.einsum("...iji->...j", S) - (n - 2) * w) > 2 * n * tol).any():
         raise ValueError("S violates the contracted Bianchi relation")
-
-
-@dataclass(frozen=True)
-class GradientModel:
-    """Synthetic (S, w) pair: S_ijk models grad_k oRic_ij, w models grad R.
-    Its dimension n and arithmetic mode are those of S."""
-
-    S: np.ndarray
-    w: np.ndarray
-
-    @property
-    def n(self):
-        return len(self.S)
-
-    @property
-    def mode(self):
-        return mode_of(self.S)
-
-    def __post_init__(self):
-        tol = 0 if self.mode == RATIONAL else 1e-12 * max(
-            1.0, float(np.abs(np.asarray(self.S, dtype=float)).max()))
-        check_gradient_constraints(self.S, self.w, tol)
-        self.S.setflags(write=False)
-        self.w.setflags(write=False)
 
 
 def integer_gradient_models(n, seeds):
@@ -140,20 +121,12 @@ def integer_gradient_models(n, seeds):
     return S, w
 
 
-def _as_fractions(values):
-    return np.array([Fraction(v) for v in values.reshape(-1).tolist()],
-                    dtype=object).reshape(values.shape)
-
-
-def sample_gradient_model(n, seed, mode=FLOAT) -> GradientModel:
-    """Seeded random model satisfying all three constraints exactly: the
-    integer model of integer_gradient_models (the rational projection of
-    integer draws, scaled to clear its denominators), with Fraction entries
-    in rational mode and float64 entries in float mode."""
+def sample_gradient_model(n, seed, mode=FLOAT):
+    """Seeded random model (S, w), integer_gradient_models' model of the
+    seed (so all three constraints hold exactly), as Fractions in rational
+    mode and float64 in float mode (as_mode_array)."""
     S, w = integer_gradient_models(n, [seed])
-    if check_mode(mode) == RATIONAL:
-        return GradientModel(_as_fractions(S[0]), _as_fractions(w[0]))
-    return GradientModel(S[0].astype(float), w[0].astype(float))
+    return as_mode_array(S[0], mode), as_mode_array(w[0], mode)
 
 
 def f_basis(S, w):
@@ -170,10 +143,11 @@ def f_basis(S, w):
                      eye[None, :, :] * w[..., :, None, None]], axis=-4)
 
 
-def f_tensor(m: GradientModel, c: FCoefficients):
+def f_tensor(S, w, c: FCoefficients):
     """F_ijk = S_ijk + a1 S_ikj + a2 S_jki + b1 w_k d_ij + b2 w_j d_ik + b3 w_i d_jk,
-    the coefficients (1, a1, a2, b1, b2, b3) times f_basis(S, w)."""
-    return np.tensordot((1, *c.astuple()), f_basis(m.S, m.w), axes=1)
+    the coefficients (1, a1, a2, b1, b2, b3) times f_basis(S, w) of one checked model."""
+    check_gradient_constraints(S, w)
+    return np.tensordot((1, *c.astuple()), f_basis(S, w), axes=1)
 
 
 def expansion_weights(a1, a2, b1, b2, b3, one=1):
@@ -198,21 +172,22 @@ def b_quadratic(a1, a2, b1, b2, b3, one=1):
             + 4 * (b1 * b2 + b1 * b3 + b2 * b3))
 
 
-def f_norm_expansion(m: GradientModel, c: FCoefficients):
-    """(direct, formula) for |F|^2; they agree exactly in rational mode.
+def f_norm_expansion(S, w, c: FCoefficients):
+    """(direct, formula) for |F|^2 of a model (S, w) of dimension four; they
+    agree exactly in rational mode.
 
     direct is the brute-force contraction sum F_ijk^2; formula is the
     three-term expansion of expansion_weights,
         (1 + a1^2 + a2^2) |S|^2 + 2 (a1 + a2 + a1 a2) sum S_ijk S_ikj
         + (1/2) * b_quadratic * |w|^2.
     """
-    if m.n != 4:
+    if len(S) != 4:
         raise ValueError("the expansion constants are dimension-four only")
-    F = f_tensor(m, c)
+    F = f_tensor(S, w, c)
     direct = np.einsum("ijk,ijk", F, F)
-    s_sq = np.einsum("ijk,ijk", m.S, m.S)
-    mixed = np.einsum("ijk,ikj", m.S, m.S)
-    w_sq = np.einsum("j,j", m.w, m.w)
+    s_sq = np.einsum("ijk,ijk", S, S)
+    mixed = np.einsum("ijk,ikj", S, S)
+    w_sq = np.einsum("j,j", w, w)
     quadratic, mixing, bquad = expansion_weights(*c.astuple())
     formula = quadratic * s_sq + mixing * mixed + exact_div(bquad, 2) * w_sq
     return direct, formula

@@ -59,6 +59,18 @@ def _require(what, value, choices):
         raise ValueError(f"{what} = {value!r}: must be one of {', '.join(choices)}")
 
 
+def _require_inputs(dims=(), count=0, s_list=()):
+    """ValueError unless every n of dims is >= 3, count >= 0 and every s of
+    s_list lies in [0, 1]: the lanes', CampaignConfig's and check_estimates'."""
+    if count < 0:
+        raise ValueError(f"count = {count} must be >= 0")
+    if min(dims, default=3) < 3:
+        raise ValueError(f"n = {min(dims)}: dimension must be >= 3")
+    for s in s_list:
+        if not 0 <= s <= 1:
+            raise ValueError(f"s = {s} outside [0, 1]")
+
+
 class UncertifiedSourceError(ValueError):
     """Source does not (verifiably) satisfy Sec >= eps*R."""
 
@@ -124,8 +136,8 @@ def eigen_gap_lemma(lam, i, j):
         sum_{k != i,j} l_k^2  >=  (l_i + l_j)^2 / (n - 2),
 
     with equality iff l_k is constant over k not in {i, j}.
-    Returns (lhs, rhs, equality_flag); ValueError unless n >= 3,
-    0 <= i, j < n and i != j.
+    Returns (lhs, rhs, equality_flag); ValueError unless n >= 3, every
+    eigenvalue is finite, 0 <= i, j < n and i != j.
     """
     lam = list(lam)
     n = len(lam)
@@ -133,6 +145,8 @@ def eigen_gap_lemma(lam, i, j):
         raise ValueError(f"n = {n}: the lemma needs n >= 3 eigenvalues")
     if not (0 <= i < n and 0 <= j < n and i != j):
         raise ValueError(f"(i, j) = ({i}, {j}): need 0 <= i, j < n = {n} and i != j")
+    if not all(is_rational(v) or np.isfinite(v) for v in lam):
+        raise ValueError(f"eigenvalues must be finite, got {lam}")
     total = sum(lam)
     exact = all(is_rational(v) for v in lam)
     scale = max([1] + [abs(v) for v in lam])
@@ -168,8 +182,9 @@ def check_estimates(source, eps, s_list):
     the 4-form dual cannot decide (an open bracket straddling eps*R).  A
     certified tensor is then checked, in float, as the profile of its
     eigenframe (_eigenframe_gaps), and the slack residual also tests that
-    the eigenframe is consistent.
+    the eigenframe is consistent.  An s outside [0, 1] is refused.
     """
+    _require_inputs(s_list=s_list)
     if isinstance(source, AlgCurvTensor):
         eps, R = float(eps), float(scalar(source))
         lower, upper, _ = dual_min_sectional(source)
@@ -488,7 +503,8 @@ def _check_blocks(rng, sb, distribution, entry_bytes, check):
 def profile_batch_float(n, eps, s_list, count, seed, distribution="half-normal"):
     """Float-mode batch: min gaps and violation indices over `count` profiles,
     drawn and checked (_profile_gaps) block by block, with their timings
-    (_check_blocks)."""
+    (_check_blocks).  Inputs are refused by _require_inputs."""
+    _require_inputs((n,), count, s_list)
     require_subcritical(n, eps)
     eps = float(eps)
     s_list = [float(s) for s in s_list]
@@ -547,8 +563,9 @@ def profile_batch_exact(n, eps, count, seed, distribution="half-normal"):
     ints otherwise, block by block (_check_blocks, each block converted to
     its lane as it runs), and exactLane names the lane that ran.  Each
     violation states the denominator of its numerators.  timings is
-    _check_blocks'.
+    _check_blocks'.  Inputs are refused by _require_inputs.
     """
+    _require_inputs((n,), count)
     require_subcritical(n, eps)
     f = Fraction(eps) if not isinstance(eps, Fraction) else eps
     p, q = f.numerator, f.denominator
@@ -609,16 +626,10 @@ class CampaignConfig:
         _require("kind", self.kind, ("profile", "tensor"))
         _require("mode", self.mode, MODES)
         _require("distribution", self.distribution, DISTRIBUTIONS)
-        if self.count < 0:
-            raise ValueError(f"count = {self.count} must be >= 0")
-        if min(self.dims, default=3) < 3:
-            raise ValueError(f"n = {min(self.dims)}: dimension must be >= 3")
+        _require_inputs(self.dims, self.count, self.s_list)
         if self.kind == "tensor" and max(self.dims, default=3) > MAX_DUAL_N:
             raise ValueError(f"n = {max(self.dims)}: the tensor kind's min-Sec dual "
                              f"needs n <= {MAX_DUAL_N}")
-        for s in self.s_list:
-            if not 0 <= s <= 1:
-                raise ValueError(f"s = {s} outside [0, 1]")
 
     def as_dict(self):
         return {

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from pinchlab import ftensor
-from pinchlab.curvature import FLOAT, RATIONAL, eye
+from pinchlab.curvature import FLOAT, RATIONAL, as_mode_array, eye
 from pinchlab.ftensor import (
     FCoefficients,
-    GradientModel,
     CLAIMED_POINT,
     b_quadratic,
     check_gradient_constraints,
@@ -39,53 +38,88 @@ def test_bianchi_constant():
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
 def test_sample_gradient_model_constraints(mode):
-    m = sample_gradient_model(4, 13, mode)
+    S, w = sample_gradient_model(4, 13, mode)
     tol = 0 if mode == RATIONAL else 1e-12
-    assert (abs(m.S - m.S.transpose(1, 0, 2)) <= tol).all()
-    assert (abs(np.einsum("iik->k", m.S)) <= tol).all()
+    assert (abs(S - S.transpose(1, 0, 2)) <= tol).all()
+    assert (abs(np.einsum("iik->k", S)) <= tol).all()
     c = bianchi_constant(4) if mode == RATIONAL else 0.25
-    assert (abs(np.einsum("iji->j", m.S) - c * m.w) <= tol).all()
+    assert (abs(np.einsum("iji->j", S) - c * w) <= tol).all()
 
 
-def test_gradient_model_rejects_bad_contraction():
-    m = sample_gradient_model(4, 1, RATIONAL)
-    with pytest.raises(ValueError):
-        GradientModel(m.S.copy(), m.w + Fraction(1))
+def broken_models(S, w):
+    """(what, S, w): the n = 4 model (S, w) with each constraint broken
+    alone, its residual moved by one: S_012 by one off the trace and the
+    Bianchi contraction, S_002 by one in the trace, and w_0 by four, which
+    moves sum_i S_i0i - w_0 / 4 by one."""
+    one = np.zeros_like(S)
+    one[0, 1, 2] = 1
+    yield "symmetric", S + one, w
+    one = np.zeros_like(S)
+    one[0, 0, 2] = 1
+    yield "traceless", S + one, w
+    yield "Bianchi", S, w + 4 * np.eye(len(w), dtype=w.dtype)[0]
 
 
-def test_gradient_model_mode_is_read_from_S():
-    exact, floats = sample_gradient_model(4, 2, RATIONAL), sample_gradient_model(4, 2, FLOAT)
-    assert (exact.n, exact.mode) == (4, RATIONAL)
-    assert (floats.n, floats.mode) == (4, FLOAT)
-    with pytest.raises(ArithmeticModeError):
-        GradientModel(floats.S.astype(np.int64), floats.w.astype(np.int64))
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_f_entries_refuse_a_broken_model(mode):
+    S, w = sample_gradient_model(4, 1, mode)
+    for entry in (f_tensor, f_norm_expansion):
+        entry(S, w, FCoefficients())
+        for what, bad_S, bad_w in broken_models(S, w):
+            with pytest.raises(ValueError, match=what):
+                entry(bad_S, bad_w, FCoefficients())
+
+
+def test_f_entries_refuse_a_dtype_of_no_arithmetic_mode():
+    S, w = sample_gradient_model(4, 2, FLOAT)
+    for entry in (f_tensor, f_norm_expansion):
+        with pytest.raises(ArithmeticModeError):
+            entry(S.astype(np.float32), w.astype(np.float32), FCoefficients())
+        with pytest.raises(ArithmeticModeError):     # w in another arithmetic than S
+            entry(S, as_mode_array(w, RATIONAL), FCoefficients())
     with pytest.raises(ArithmeticModeError):
         sample_gradient_model(4, 2, "exact")
+    # an int64 model is checked exactly, as integer_gradient_models' are
+    S, w = integer_gradient_models(4, [2])
+    assert (f_tensor(S[0], w[0], FCoefficients()) == S[0]).all()
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+def test_float_tolerance_is_relative_to_max_s(scale):
+    # 1e-12 max(1, max|S|): a break of half of it passes, one of twice fails
+    S, w = sample_gradient_model(4, 3, FLOAT)
+    factor = scale / np.abs(S).max()
+    S, w = S * factor, w * factor
+    tol = 1e-12 * max(1.0, np.abs(S).max())
+    for what, bad_S, bad_w in broken_models(S, w):
+        near_S, near_w = S + (bad_S - S) * tol / 2, w + (bad_w - w) * tol / 2
+        check_gradient_constraints(near_S, near_w)
+        far_S, far_w = S + (bad_S - S) * tol * 2, w + (bad_w - w) * tol * 2
+        with pytest.raises(ValueError, match=what):
+            check_gradient_constraints(far_S, far_w)
 
 
 def test_rational_models_are_integer_valued():
-    m = sample_gradient_model(4, 99, RATIONAL)
-    assert all(v.denominator == 1 for v in m.S.reshape(-1))
-    assert all(v.denominator == 1 for v in m.w)
+    S, w = sample_gradient_model(4, 99, RATIONAL)
+    assert S.dtype == w.dtype == object
+    assert all(type(v) is Fraction and v.denominator == 1 for v in [*S.reshape(-1), *w])
 
 
 def test_f_tensor_zero_coefficients_is_S():
-    m = sample_gradient_model(4, 2, RATIONAL)
-    F = f_tensor(m, FCoefficients())
-    assert (F == m.S).all()
+    S, w = sample_gradient_model(4, 2, RATIONAL)
+    assert (f_tensor(S, w, FCoefficients()) == S).all()
 
 
 def test_f_tensor_is_the_six_term_formula():
     eye = np.eye(4, dtype=np.int64)
     for seed in range(5):
-        m = sample_gradient_model(4, seed, RATIONAL)
-        S, w = m.S, m.w
+        S, w = sample_gradient_model(4, seed, RATIONAL)
         for c in random_coefficients(4, seed + 200, den=7):
             F = (S + c.a1 * S.transpose(0, 2, 1) + c.a2 * S.transpose(2, 0, 1)
                  + c.b1 * np.einsum("ij,k->ijk", eye, w)
                  + c.b2 * np.einsum("ik,j->ijk", eye, w)
                  + c.b3 * np.einsum("jk,i->ijk", eye, w))
-            assert (f_tensor(m, c) == F).all()
+            assert (f_tensor(S, w, c) == F).all()
 
 
 def test_f_basis_of_a_stack_is_the_stack_of_bases():
@@ -93,29 +127,29 @@ def test_f_basis_of_a_stack_is_the_stack_of_bases():
     stacked = f_basis(S.reshape(2, 3, 4, 4, 4), w.reshape(2, 3, 4))
     assert stacked.shape == (2, 3, 6, 4, 4, 4) and stacked.dtype == np.int64
     for k in range(6):
-        m = sample_gradient_model(4, [5, k], RATIONAL)
-        assert (stacked.reshape(6, 6, 4, 4, 4)[k] == f_basis(m.S, m.w)).all()
+        assert (stacked.reshape(6, 6, 4, 4, 4)[k]
+                == f_basis(*sample_gradient_model(4, [5, k], RATIONAL))).all()
 
 
 def test_norm_expansion_exact_fraction_path():
     for seed in range(5):
-        m = sample_gradient_model(4, seed, RATIONAL)
+        S, w = sample_gradient_model(4, seed, RATIONAL)
         for c in random_coefficients(4, seed + 100):
-            direct, formula = f_norm_expansion(m, c)
+            direct, formula = f_norm_expansion(S, w, c)
             assert direct == formula
 
 
 def test_norm_expansion_float_path():
-    m = sample_gradient_model(4, 8, FLOAT)
+    S, w = sample_gradient_model(4, 8, FLOAT)
     c = FCoefficients(0.3, -1.2, 0.05, -0.4, 0.7)
-    direct, formula = f_norm_expansion(m, c)
+    direct, formula = f_norm_expansion(S, w, c)
     assert direct == pytest.approx(formula, rel=1e-12)
 
 
 def test_norm_expansion_rejects_other_dims():
-    m = sample_gradient_model(5, 0, RATIONAL)
-    with pytest.raises(ValueError):
-        f_norm_expansion(m, FCoefficients())
+    S, w = sample_gradient_model(5, 0, RATIONAL)
+    with pytest.raises(ValueError, match="dimension-four"):
+        f_norm_expansion(S, w, FCoefficients())
 
 
 def test_expansion_campaign_exact():
@@ -151,9 +185,9 @@ def fraction_projection(n, seed):
 def test_rational_sampler_matches_the_fraction_projection(n):
     for seed in [*range(50), *([7, idx] for idx in range(10))]:
         S, w = fraction_projection(n, seed)
-        m = sample_gradient_model(n, seed, RATIONAL)
-        assert m.S.shape == S.shape and (m.S == S).all() and (m.w == w).all()
-        assert all(type(v) is Fraction for v in [*m.S.reshape(-1), *m.w])
+        S_r, w_r = sample_gradient_model(n, seed, RATIONAL)
+        assert S_r.shape == S.shape and (S_r == S).all() and (w_r == w).all()
+        assert all(type(v) is Fraction for v in [*S_r.reshape(-1), *w_r])
 
 
 def test_integer_models_are_the_rational_models():
@@ -162,11 +196,10 @@ def test_integer_models_are_the_rational_models():
     assert S.dtype == w.dtype == np.int64 and S.shape == (20, 4, 4, 4)
     assert integer_gradient_models(4, [])[0].shape == (0, 4, 4, 4)
     for k, seed in enumerate(seeds):
-        m = sample_gradient_model(4, seed, RATIONAL)
-        assert (m.S == S[k]).all() and (m.w == w[k]).all()
-        m = sample_gradient_model(4, seed, FLOAT)
-        assert m.S.dtype == m.w.dtype == np.float64
-        assert (m.S == S[k]).all() and (m.w == w[k]).all()
+        for mode, dtype in ((RATIONAL, object), (FLOAT, np.float64)):
+            S_m, w_m = sample_gradient_model(4, seed, mode)
+            assert S_m.dtype == w_m.dtype == dtype
+            assert (S_m == S[k]).all() and (w_m == w[k]).all()
     check_gradient_constraints(S, w)
     with pytest.raises(ValueError, match="Bianchi"):
         check_gradient_constraints(S, w + 1)
@@ -227,7 +260,7 @@ def test_direct_side_is_twice_den_squared_sum_of_f_squared():
     for m, seed in enumerate(seeds):
         model = sample_gradient_model(4, seed, RATIONAL)
         for k, c in enumerate(coeffs):
-            F = f_tensor(model, c)
+            F = f_tensor(*model, c)
             assert direct2[m, k] == 2 * 144 * np.einsum("ijk,ijk", F, F)
 
 
@@ -248,12 +281,12 @@ def test_campaign_flags_exactly_what_the_f_path_flags(monkeypatch):
     coeffs, _ = campaign_coefficients(coeff_count, seed)
     flagged = []
     for idx in range(model_count):
-        m = sample_gradient_model(4, [seed, idx], RATIONAL)
-        s_sq = np.einsum("ijk,ijk", m.S, m.S)
-        mixed = np.einsum("ijk,ikj", m.S, m.S)
-        w_sq = np.einsum("j,j", m.w, m.w)
+        S, w = sample_gradient_model(4, [seed, idx], RATIONAL)
+        s_sq = np.einsum("ijk,ijk", S, S)
+        mixed = np.einsum("ijk,ikj", S, S)
+        w_sq = np.einsum("j,j", w, w)
         for k, c in enumerate(coeffs):
-            F = f_tensor(m, c)
+            F = f_tensor(S, w, c)
             quadratic, mixing, bquad = (144 * v for v in real(*c.astuple()))
             mixing += k == 3
             formula2 = 2 * (quadratic * s_sq + mixing * mixed) + bquad * w_sq

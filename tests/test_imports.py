@@ -10,16 +10,19 @@ there.  The same parse guards the per-row kernels of profiles.py against a
 array through libm pow, tens of times slower than products.  And every
 public top-level def and class of src/pinchlab is reached from module-level
 code (the CLI's entry point among it) or from bench/*.py, or is on KEEP
-with its reason.
+with its reason.  When a module reads np.vecdot, which NumPy has from 2.0
+on, pyproject.toml's numpy floor is at least 2.0.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pinchlab"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -207,3 +210,31 @@ def test_every_public_name_runs_or_is_kept():
     defined = {node.name for source in modules.values() for node in ast.parse(source).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert set(KEEP) <= defined
+
+
+def numpy_attributes(source):
+    """The attributes of np that source reads."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "np"}
+
+
+def numpy_floor(pyproject):
+    """The (major, minor) floor of pyproject's numpy dependency."""
+    major, minor = re.search(r'"numpy>=(\d+)\.(\d+)', pyproject).groups()
+    return int(major), int(minor)
+
+
+def test_the_check_reads_vecdot_and_the_numpy_floor():
+    source = "import numpy as np\nx = np.vecdot(a, b) + np.linalg.norm(a)\nnp = None\n"
+    assert numpy_attributes(source) == {"vecdot", "linalg"}
+    assert numpy_floor('dependencies = [\n    "numpy>=1.25",\n]\n') == (1, 25)
+
+
+def test_numpy_floor_has_every_numpy_function_the_package_reads():
+    # np.vecdot exists from NumPy 2.0 on: below it pinchlab imports, then
+    # the first dual solve raises AttributeError
+    readers = [module for module in MODULES + ["__init__.py"]
+               if "vecdot" in numpy_attributes((SRC / module).read_text())]
+    if readers:
+        assert numpy_floor(PYPROJECT.read_text()) >= (2, 0), readers

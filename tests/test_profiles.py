@@ -56,6 +56,38 @@ def test_params_reject_bad_s():
             CampaignConfig(s_list=(0, s))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_lanes_reject_small_dimensions(n):
+    # before, n = 2 raised IndexError and n = 1 ZeroDivisionError
+    for run in (lambda: profile_batch_float(n, 0, [1], 10, 0),
+                lambda: profile_batch_exact(n, 0, 10, 0),
+                lambda: CampaignConfig(dims=(4, n))):
+        with pytest.raises(ValueError, match=f"n = {n}: dimension must be >= 3"):
+            run()
+
+
+def test_lanes_reject_a_negative_count():
+    for run in (lambda: profile_batch_float(4, 0, [1], -1, 0),
+                lambda: profile_batch_exact(4, 0, -1, 0),
+                lambda: CampaignConfig(count=-1)):
+        with pytest.raises(ValueError, match="count = -1 must be >= 0"):
+            run()
+
+
+@pytest.mark.parametrize("s", [2.0, -1, Fraction(3, 2), np.nan])
+def test_lanes_and_check_estimates_reject_bad_s(s):
+    # before, profile_batch_float(4, 0, [2.0], 100, 0) reported 7 violations
+    # of a blend that is no estimate
+    from pinchlab.curvature import random_curvature
+    from pinchlab.minsec import shift_to_pinching
+    Rm, _, _ = shift_to_pinching(random_curvature(4, 0, FLOAT), 0.0, margin=0.1)
+    for run in (lambda: profile_batch_float(4, 0, [0, s], 100, 0),
+                lambda: check_estimates(draw_rows(4, 1, 0, FLOAT)[0], 0, [s]),
+                lambda: check_estimates(Rm, 0.0, [s])):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            run()
+
+
 def test_sampler_satisfies_pinching_by_construction():
     # the lanes' draws assemble into profiles with sigma - eps R = sb >= 0
     # and traceless lambda: exactly in Fractions, to rounding in float
@@ -207,6 +239,15 @@ def test_eigen_gap_lemma_equality_case():
 def test_eigen_gap_lemma_rejects_nontraceless():
     with pytest.raises(ValueError):
         eigen_gap_lemma([1, 1, 1], 0, 1)
+
+
+@pytest.mark.parametrize("lam", [[np.inf, -np.inf, 0.0, 0.0], [np.nan, 1.0, -1.0, 0.0],
+                                 [Fraction(1), -np.inf, 0, 0]])
+def test_eigen_gap_lemma_rejects_non_finite_eigenvalues(lam):
+    # before, [inf, -inf, 0, 0] gave (inf, 0.0, True): the tolerances scaled
+    # with |lambda| = inf, so an unequal rest passed as the equality case
+    with pytest.raises(ValueError, match="must be finite"):
+        eigen_gap_lemma(lam, 2, 3)
 
 
 @pytest.mark.parametrize("lam, i, j", [
