@@ -16,6 +16,7 @@ with it too.
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 from dataclasses import dataclass
@@ -329,33 +330,38 @@ def estimate_gaps(lam, sig, sb, R, coefficients, s_list):
 
 def _reduce_gaps(blocks, limit=None):
     """Reduce estimate_gaps results to what the lanes report, block by block
-    as blocks yields them, each block's rows following the previous one's,
-    so that no block is kept once it is reduced.  Returns (low, high, bad):
-    low, the minimum gap1, gap2 and convex gaps (one per s) as one array, and
-    high, the largest |residual|, both in the rows' arithmetic and None when
-    there are no rows; bad, the first `limit` bad rows as (index, gap1, gap2,
-    residual), index counted over all blocks.  Minima, maxima and the first
-    bad rows are exact, so the result does not depend on the blocks."""
-    lows, highs, bad, offset = [], [], [], 0
-    for rows in blocks:
+    as blocks yields them: pairs (rows, sb) of a block's GapRows and its
+    shifted curvatures sb (m, k), pair-major, each block's rows following
+    the previous one's, so that no block is kept once it is reduced and the
+    reduction takes the same memory for any number of blocks.  Returns
+    (low, high, bad): low, the minimum gap1, gap2 and convex gaps (one per
+    s) as one array, and high, the largest |residual|, both in the rows'
+    arithmetic and None when there are no rows; bad, the first `limit`
+    bad rows as (index, gap1, gap2, residual, sigmaBar), index counted over
+    all blocks and sigmaBar a copy of the row's shifted curvatures (m,).
+    Minima, maxima and the first bad rows are exact, so the result does not
+    depend on the blocks."""
+    low = high = None
+    bad, offset = [], 0
+    for rows, sb in blocks:
         if len(rows.gap1):
-            lows.append(np.concatenate([g.min(keepdims=True)
-                                        for g in (rows.gap1, rows.gap2, *rows.convex)]))
-            highs.append(np.abs(rows.residual).max(keepdims=True))
+            block_low = np.concatenate([g.min(keepdims=True)
+                                        for g in (rows.gap1, rows.gap2, *rows.convex)])
+            block_high = np.abs(rows.residual).max(keepdims=True)
+            low = block_low if low is None else np.minimum(low, block_low)
+            high = block_high if high is None else np.maximum(high, block_high)
         room = None if limit is None else limit - len(bad)
-        bad += [(offset + idx, rows.gap1[idx], rows.gap2[idx], rows.residual[idx])
+        bad += [(offset + idx, rows.gap1[idx], rows.gap2[idx], rows.residual[idx],
+                 sb[:, idx].copy())
                 for idx in np.nonzero(rows.bad)[0][:room]]
         offset += len(rows.gap1)
-    if not lows:
-        return None, None, bad
-    return np.stack(lows).min(axis=0), np.concatenate(highs).max(), bad
+    return low, None if high is None else high[0], bad
 
 
-def _gap_summary(reduced, sb, s_list):
+def _gap_summary(reduced, s_list):
     """The float report of a reduction (_reduce_gaps): the minimum gaps (per
     s for the blend) and the largest slack residual, as floats (None when
-    there are no rows), and its bad rows as violations; sb holds the shifted
-    curvatures row by row (k, m)."""
+    there are no rows), and its bad rows as violations."""
     low, high, bad = reduced
     low = [None] * (2 + len(s_list)) if low is None else [float(v) for v in low]
     return {
@@ -363,9 +369,9 @@ def _gap_summary(reduced, sb, s_list):
         "minGap2": low[1],
         "maxSlackResidual": None if high is None else float(high),
         "minGapConvex": {repr(float(s)): gapc for s, gapc in zip(s_list, low[2:])},
-        "violations": [{"index": int(idx), "sigmaBar": sb[idx].tolist(),
+        "violations": [{"index": int(idx), "sigmaBar": sigma_bar.tolist(),
                         "gap1": float(gap1), "gap2": float(gap2)}
-                       for idx, gap1, gap2, _ in bad],
+                       for idx, gap1, gap2, _, sigma_bar in bad],
     }
 
 
@@ -391,100 +397,142 @@ def _combo_rng(seed, n, eps):
         [int(seed), n, f.numerator % (2 ** 32), f.denominator])
 
 
-# bytes of one (m, rows) operand of a batch lane's block (_row_blocks).  In a
-# sweep of 1024 to 32768 rows at n = 3..6, the float and int64 lanes ran
+# bytes of one (m, rows) operand of a batch lane's block (_check_blocks).  In
+# a sweep of 1024 to 32768 rows at n = 3..6, the float and int64 lanes ran
 # fastest near this size: about 11000 rows at n = 3 and 2200 at n = 6.
 BLOCK_BYTES = 2 ** 18
 # bytes of a Python-int entry: the object array's pointer and its int object
 PYTHON_INT_BYTES = 40
-
-
-def _row_blocks(draws, entry_bytes):
-    """Views of the rows of draws (count, m) in blocks of as many rows (at
-    least one) as BLOCK_BYTES holds of an (m, rows) operand whose entries
-    take entry_bytes each."""
-    rows = max(1, BLOCK_BYTES // (draws.shape[1] * entry_bytes))
-    return (draws[lo:lo + rows] for lo in range(0, len(draws), rows))
-
+# blocks in a lane's ring of draw buffers (_check_blocks): four float or
+# int64 blocks take 1 MB, whatever the count
+RING_SLOTS = 4
 
 _EXACT_SB_MAX = 9   # the exact lane draws shifted curvatures sb in [0, _EXACT_SB_MAX]
 
 
-def _fill_blocks(rng, blocks, distribution):
-    """Draw shifted curvatures from rng into blocks, the consecutive row
-    blocks of one (count, m) array sb (_row_blocks), in place and in order,
-    and after each block's draw yield how many leading blocks hold their
-    final values.
+def _draw_values(rng, rows, distribution):
+    """Fill rows with shifted curvatures from rng: a float block half-normal
+    or uniform on [0, 1), an int64 block uniform on [0, _EXACT_SB_MAX] for
+    every distribution."""
+    if rows.dtype.kind != "f":
+        rows[...] = rng.integers(0, _EXACT_SB_MAX + 1, size=rows.shape)
+    elif distribution == "uniform":
+        rng.random(out=rows)   # rng.uniform(0.0, 1.0), bit for bit
+    else:
+        np.abs(rng.standard_normal(out=rows), out=rows)
+
+
+def _fill_blocks(rng, blocks, count, distribution):
+    """Draw the shifted curvatures of `count` profiles from rng into the
+    consecutive row blocks that blocks yields, in order, and yield after
+    each block's draw.
 
     A float sb is half-normal or uniform on [0, 1); an int64 sb is uniform
-    on [0, _EXACT_SB_MAX] for "half-normal" and "uniform" alike.  "sparse"
-    zeroes each such entry with probability 1/2, which in the exact lane
-    reaches the equality cases of the slack identity: every block's values
-    are drawn first, then every block's 0/1 mask.  So the draws come in the
-    order of one draw of the whole array (and one of the whole mask), and
-    since Generator fills continue the stream from one call to the next bit
-    for bit (PCG64 keeps its spare 32-bit half in its own state), sb does
-    not depend on the blocks."""
+    on [0, _EXACT_SB_MAX] for "half-normal" and "uniform" alike (_draw_values).
+    "sparse" zeroes each such entry with probability 1/2, which in the exact
+    lane reaches the equality cases of the slack identity.  Its stream holds
+    all values first, then all 0/1 masks, as one draw of the whole array and
+    one of the whole mask would: each block's values come from a copy of rng
+    taken at the start, and its mask from rng itself, which one throwaway
+    pass over all values (drawn into the first block) takes past them, so
+    rng ends where those two draws leave it.  The pass costs a second draw
+    of the values.  Since Generator fills continue the stream from one call
+    to the next bit for bit (PCG64 keeps its spare 32-bit half in its own
+    state), the values do not depend on the blocks."""
     sparse = distribution == "sparse"
-    for done, rows in enumerate(blocks, 1):
-        if rows.dtype.kind != "f":
-            rows[...] = rng.integers(0, _EXACT_SB_MAX + 1, size=rows.shape)
-        elif distribution == "uniform":
-            rng.random(out=rows)   # rng.uniform(0.0, 1.0), bit for bit
-        else:
-            np.abs(rng.standard_normal(out=rows), out=rows)
-        yield 0 if sparse else done
-    if sparse:
-        for done, rows in enumerate(blocks, 1):
+    values = copy.deepcopy(rng) if sparse else rng
+    for k, rows in enumerate(blocks):
+        if sparse and k == 0:
+            for lo in range(0, count, len(rows)):
+                _draw_values(rng, rows[:count - lo], distribution)
+        _draw_values(values, rows, distribution)
+        if sparse:
             rows *= rng.integers(0, 2, size=rows.shape)
-            yield done
+        yield
 
 
-def _check_blocks(rng, sb, distribution, entry_bytes, check):
-    """Draw sb (count, m) from rng (_fill_blocks) and check it block by
-    block (_row_blocks of entry_bytes): check maps a block, laid out
-    pair-major as the C-contiguous (m, rows) transpose of its rows, to its
-    GapRows, which are reduced at once (_reduce_gaps, the first 10 bad
-    rows).  Returns (reduced, timings).
+def _check_blocks(rng, shape, dtype, distribution, entry_bytes, check):
+    """Draw the shifted curvatures of shape (count, m) and dtype from rng
+    (_fill_blocks) and check them block by block: a block holds as many
+    rows (at least one) as BLOCK_BYTES holds of an (m, rows) operand whose
+    entries take entry_bytes each.  check maps a block, laid out pair-major
+    as the C-contiguous (m, rows) copy of its rows, to its GapRows, which
+    are reduced at once (_reduce_gaps, the first 10 bad rows, each with its
+    shifted curvatures).  Returns (reduced, timings).
 
-    When sb spans two or more blocks, a worker thread draws them ahead of
-    the checks and hands each over by an Event once it is final: the draws
-    release the GIL, so they run beside the kernel.  A single block is drawn
-    inline first, as there is nothing to overlap.  A fault of the draws is
-    raised here; the worker stops between blocks once the checks end, and
-    is joined before this returns or raises.  timings holds the seconds
-    spent drawing ("draw"), those the checks waited for blocks
+    The rows are drawn into a ring of at most RING_SLOTS (rows, m) buffers,
+    reused from block to block, so the lane's memory does not grow with
+    count.  When there are two or more blocks, a worker thread draws them
+    ahead of the checks: it fills slot b mod RING_SLOTS with block b once
+    the checks have copied block b - RING_SLOTS out of it into their own
+    pair-major block, and hands each block over by a semaphore.  When it
+    has to wait for a slot, it sleeps until the checks have copied all but
+    one of the ring's blocks, then fills the freed slots in a row: each
+    time the worker sleeps and wakes costs the kernel time (50 to 80 us on
+    a 2-vCPU guest), so it wakes once every RING_SLOTS - 1 blocks rather
+    than once a block.  The draws release the GIL, so they run beside the
+    kernel.  A single block is drawn inline first, as there is nothing to
+    overlap.  A fault of the draws is raised here; the worker stops between
+    blocks once the checks end, and is joined before this returns or
+    raises.  timings holds the seconds spent drawing ("draw", without the
+    worker's waits for free slots), those the checks waited for blocks
     ("drawWait"), and the checks' elapsed seconds ("kernel")."""
     _require("distribution", distribution, DISTRIBUTIONS)
-    blocks = list(_row_blocks(sb, entry_bytes))
-    ready, stop, fault = [threading.Event() for _ in blocks], threading.Event(), []
+    count, m = shape
+    rows = max(1, BLOCK_BYTES // (m * entry_bytes))
+    sizes = [min(rows, count - lo) for lo in range(0, count, rows)]
+    # one array, not one per slot: once freed, its 1 MB lifts glibc's mmap
+    # and trim thresholds, so the kernel's block temporaries stay on the heap
+    # instead of being trimmed and faulted back in on every block
+    ring = np.empty((min(RING_SLOTS, len(sizes)), min(rows, count), m), dtype)
+    ready, freed = threading.Semaphore(0), threading.Condition()
+    stop, fault = threading.Event(), []
+    copied = wanted = 0   # blocks copied out of the ring; the count the worker waits for
     timings = {"draw": 0.0, "drawWait": 0.0, "kernel": 0.0}
+
+    def slots():
+        nonlocal wanted
+        for k, size in enumerate(sizes):
+            if k - len(ring) >= copied:   # the slot still holds block k - len(ring)
+                waited = time.perf_counter()
+                with freed:
+                    # the slot's block and all but one of the ring's blocks copied out
+                    wanted = max(k - len(ring) + 1, k - 1)
+                    freed.wait_for(lambda: copied >= wanted or stop.is_set())
+                timings["draw"] -= time.perf_counter() - waited
+            if stop.is_set():
+                return
+            yield ring[k % len(ring)][:size]
 
     def draw():
         started = time.perf_counter()
         try:
-            for done in _fill_blocks(rng, blocks, distribution):
-                if done:
-                    ready[done - 1].set()
-                if stop.is_set():
-                    break
+            for _ in _fill_blocks(rng, slots(), count, distribution):
+                ready.release()
         except BaseException as exc:   # raised again by the checks
             fault.append(exc)
         finally:
-            timings["draw"] = time.perf_counter() - started
-            for event in ready:   # wakes the checks after a fault
-                event.set()
+            timings["draw"] += time.perf_counter() - started
+            ready.release()   # wakes the checks after a fault
 
     def checked():
-        for event, rows in zip(ready, blocks):
+        nonlocal copied
+        for k, size in enumerate(sizes):
             waited = time.perf_counter()
-            event.wait()
+            ready.acquire()
             timings["drawWait"] += time.perf_counter() - waited
             if fault:
                 raise fault[0]
-            yield check(np.ascontiguousarray(rows.T))
+            # a copy always: ascontiguousarray would return a one-row block's
+            # (m, 1) transpose as a view of the slot the worker refills
+            block = ring[k % len(ring)][:size].T.copy()
+            with freed:
+                copied += 1
+                if copied == wanted:
+                    freed.notify()
+            yield check(block), block
 
-    worker = threading.Thread(target=draw) if len(blocks) > 1 else None
+    worker = threading.Thread(target=draw) if len(sizes) > 1 else None
     if worker is None:
         draw()
     else:
@@ -494,6 +542,8 @@ def _check_blocks(rng, sb, distribution, entry_bytes, check):
         reduced = _reduce_gaps(checked(), limit=10)
     finally:
         stop.set()
+        with freed:
+            freed.notify()   # wakes a worker waiting for slots
         if worker is not None:
             worker.join()
     timings["kernel"] = time.perf_counter() - started
@@ -501,17 +551,18 @@ def _check_blocks(rng, sb, distribution, entry_bytes, check):
 
 
 def profile_batch_float(n, eps, s_list, count, seed, distribution="half-normal"):
-    """Float-mode batch: min gaps and violation indices over `count` profiles,
-    drawn and checked (_profile_gaps) block by block, with their timings
-    (_check_blocks).  Inputs are refused by _require_inputs."""
+    """Float-mode batch: min gaps and violations over `count` profiles,
+    drawn into a ring of reused blocks and checked (_profile_gaps) block by
+    block, with their timings (_check_blocks); each violation's sigmaBar is
+    copied out of its block.  Inputs are refused by _require_inputs."""
     _require_inputs((n,), count, s_list)
     require_subcritical(n, eps)
     eps = float(eps)
     s_list = [float(s) for s in s_list]
-    sb = np.empty((count, n * (n - 1) // 2))
-    reduced, timings = _check_blocks(_combo_rng(seed, n, eps), sb, distribution, sb.itemsize,
+    reduced, timings = _check_blocks(_combo_rng(seed, n, eps), (count, n * (n - 1) // 2),
+                                     np.float64, distribution, 8,
                                      lambda block: _profile_gaps(n, block, eps, s_list))
-    return {"count": count, **_gap_summary(reduced, sb, s_list), "timings": timings}
+    return {"count": count, **_gap_summary(reduced, s_list), "timings": timings}
 
 
 def _integer_coefficients(n, f):
@@ -560,10 +611,12 @@ def profile_batch_exact(n, eps, count, seed, distribution="half-normal"):
     are decided exactly.
     exact_profile_bound bounds every intermediate before anything is
     computed; the kernel runs in int64 when the bound fits and in Python
-    ints otherwise, block by block (_check_blocks, each block converted to
-    its lane as it runs), and exactLane names the lane that ran.  Each
-    violation states the denominator of its numerators.  timings is
-    _check_blocks'.  Inputs are refused by _require_inputs.
+    ints otherwise, block by block (_check_blocks: int64 draws into a ring
+    of reused blocks, each block converted to its lane as it runs), and
+    exactLane names the lane that ran.  Each violation states the
+    denominator of its numerators, and its sigmaBar is copied out of its
+    block.  timings is _check_blocks'.  Inputs are refused by
+    _require_inputs.
     """
     _require_inputs((n,), count)
     require_subcritical(n, eps)
@@ -571,7 +624,6 @@ def profile_batch_exact(n, eps, count, seed, distribution="half-normal"):
     p, q = f.numerator, f.denominator
     d = q - n * (n - 1) * p            # positive by the subcritical check
     lane = exact_lane(exact_profile_bound(n, f))
-    sb = np.empty((count, n * (n - 1) // 2), np.int64)
     star = _incidence(n)[2]
     coefficients = _integer_coefficients(n, f)
 
@@ -584,18 +636,18 @@ def profile_batch_exact(n, eps, count, seed, distribution="half-normal"):
         return estimate_gaps(lam, sig, sb_num, R_num, coefficients, [])
 
     (low, high, bad), timings = _check_blocks(
-        _combo_rng(seed, n, f), sb, distribution,
-        sb.itemsize if lane == INT64_LANE else PYTHON_INT_BYTES,
+        _combo_rng(seed, n, f), (count, n * (n - 1) // 2), np.int64, distribution,
+        8 if lane == INT64_LANE else PYTHON_INT_BYTES,
         lambda block: gaps(lane_array(block, lane)))
     den = n ** 3 * q * d ** 3   # of gap1 and the slack; gap2's is 2 den
     return {
         "count": count,
         "slackIdentityExact": high is None or bool(high == 0),
-        "violations": [{"index": int(idx), "sigmaBar": sb[idx].tolist(),
+        "violations": [{"index": int(idx), "sigmaBar": sigma_bar.tolist(),
                         "gap1Num": int(gap1), "gap1Den": den,
                         "gap2Num": int(gap2), "gap2Den": 2 * den,
                         "slackNum": int(gap1 - residual), "slackDen": den}
-                       for idx, gap1, gap2, residual in bad],
+                       for idx, gap1, gap2, residual, sigma_bar in bad],
         "minGap1Num": None if low is None else int(low[0]),
         "minGap2Num": None if low is None else int(low[1]),
         "exactLane": lane,
@@ -707,7 +759,7 @@ def _tensor_combo(n, eps, config: CampaignConfig):
     lap("shift")
     s_list = [float(s) for s in config.s_list]
     rows, sb = _eigenframe_gaps(shifted, R, e, s_list, lap)
-    summary = _gap_summary(_reduce_gaps([rows]), sb, s_list)
+    summary = _gap_summary(_reduce_gaps([(rows, sb.T)]), s_list)
     lap("gaps")
     dumps = [dict(v, n=n, eps=scalar_to_json(Fraction(eps)), lane="tensor",
                   tensor=AlgCurvTensor(shifted[v["index"]].copy()).to_json())

@@ -1,4 +1,5 @@
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -34,19 +35,40 @@ from reference import lower_estimate1
 
 
 def draw_rows(n, count, seed, mode, distribution="half-normal"):
-    """Shifted curvatures (count, m) drawn as the float or the exact lane
-    draws them (fill), the latter as an object array of Python ints."""
-    sb = fill(np.random.default_rng(seed), (count, n * (n - 1) // 2),
-              np.int64 if mode == RATIONAL else float, distribution)
+    """Shifted curvatures (count, m) as the float or the exact lane checks
+    them (checked_rows) when it draws from default_rng(seed), the latter as
+    an object array of Python ints."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(profiles, "_combo_rng", lambda *args: np.random.default_rng(seed))
+        checked = checked_rows(monkeypatch)
+        _run_lane("exact" if mode == RATIONAL else "float", n, 0, count, 0, distribution)
+    sb = np.concatenate(checked)
     return sb.astype(object) if mode == RATIONAL else sb
 
 
-def fill(rng, shape, dtype, distribution):
-    """A new array of the shape and dtype drawn from rng by the lanes' own
-    fill (profiles._fill_blocks), in blocks of 8-byte entries."""
-    sb = np.empty(shape, dtype)
-    for _ in profiles._fill_blocks(rng, list(profiles._row_blocks(sb, 8)), distribution):
-        pass
+def checked_rows(monkeypatch):
+    """Spy on the rows the lanes check: the returned list collects, row by
+    row (rows, m), each block that profiles._check_blocks hands its check."""
+    rows, check_blocks = [], profiles._check_blocks
+
+    def spy(*args):
+        *head, check = args
+        return check_blocks(*head, lambda block: rows.append(block.T) or check(block))
+    monkeypatch.setattr(profiles, "_check_blocks", spy)
+    return rows
+
+
+def full_draw(rng, lane, shape, distribution="half-normal"):
+    """A lane's shifted curvatures of the shape drawn from rng as one numpy
+    call draws them, and for "sparse" one more call's whole 0/1 mask."""
+    if lane == "exact":
+        sb = rng.integers(0, _EXACT_SB_MAX + 1, size=shape)
+    elif distribution == "uniform":
+        sb = rng.uniform(0.0, 1.0, size=shape)
+    else:
+        sb = np.abs(rng.standard_normal(shape))
+    if distribution == "sparse":
+        sb *= rng.integers(0, 2, size=shape)
     return sb
 
 
@@ -596,8 +618,8 @@ def test_rows_are_independent_of_blocks(monkeypatch, lane, n, eps):
 def test_lanes_keep_no_full_length_temporaries(lane):
     # each block is reduced as soon as it is checked, the float draws take
     # abs in place, and the sparse mask is drawn block by block: a lane's
-    # traced peak at n = 6 stays within 1.3 times its (100 000, 15) draws
-    # array of 8-byte entries, 11.4 MB
+    # traced peak at n = 6 stays within 1.3 times the 11.4 MB that its
+    # 100 000 draws would take as one (100 000, 15) array of 8-byte entries
     for distribution in ("half-normal", "sparse"):
         tracemalloc.start()
         try:
@@ -606,6 +628,111 @@ def test_lanes_keep_no_full_length_temporaries(lane):
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * 100_000 * 15 * 8, (distribution, peak)
+
+
+@pytest.mark.parametrize("lane", ["float", "exact"])
+def test_lane_memory_does_not_grow_with_the_count(lane):
+    # the draws go through a ring of profiles.RING_SLOTS reused blocks and
+    # the reduction keeps one running minimum: after one untraced warm-up
+    # call, a lane's traced peak at n = 6 and 10^6 profiles stays within
+    # 1.25 times its peak at 10^5
+    _run_lane(lane, 6, Fraction(1, 48), 100_000, 1)
+    peaks = []
+    for count in (100_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            _run_lane(lane, 6, Fraction(1, 48), count, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def _corrupt_rows(monkeypatch, marked):
+    """Lower estimate 1's quadratic coefficient by one, in its arithmetic
+    (the exact lane's integer coefficients by their scale), on the rows whose
+    shifted curvatures as estimate_gaps gets them (sb, or the exact lane's
+    numerators of sb) are a row of marked, and on no other row."""
+    gaps = profiles.estimate_gaps
+
+    def corrupted(lam, sig, sb, R, coefficients, s_list):
+        rows = gaps(lam, sig, sb, R, coefficients, s_list)
+        hit = np.zeros(len(R), bool)
+        for row in marked:
+            hit |= (sb == row[:, None]).all(axis=0)
+        (weight1, quadratic1, cubic1), second = coefficients
+        low = gaps(lam, sig, sb, R, ((weight1, quadratic1 - weight1, cubic1), second), s_list)
+
+        def pick(corrupt, true):
+            return np.where(hit, corrupt, true)
+        return profiles.GapRows(*map(pick, low[:5], rows[:5]),
+                                list(map(pick, low.convex, rows.convex)),
+                                pick(low.residual, rows.residual), pick(low.bad, rows.bad))
+    monkeypatch.setattr(profiles, "estimate_gaps", corrupted)
+
+
+@pytest.mark.parametrize("lane, eps", [("float", Fraction(1, 48)), ("int64", Fraction(1, 48)),
+                                       ("python-int", Fraction(1, 1000))])
+def test_violations_in_any_block_dump_their_row(monkeypatch, lane, eps):
+    # violations in the first and second blocks, in the fifth (whose ring
+    # slot the first one's rows held before) and in the last, partial block
+    # each dump the row of one full draw, copied out of its block, and replay
+    # alone through check_estimates: bit for bit in float, exactly in
+    # int64 and Python ints
+    n, block_rows = 6, _lane_rows(lane, 6)
+    count = 5 * block_rows + 77
+    exact = lane != "float"
+    want = full_draw(_combo_rng(1, n, eps if exact else float(eps)),
+                     "exact" if exact else "float", (count, 15))
+    targets = [3, block_rows + 17, 4 * block_rows + 5, count - 1]
+    d = eps.denominator - n * (n - 1) * eps.numerator
+    _corrupt_rows(monkeypatch, [want[idx] * scale for idx in targets for scale in (1, d)])
+    out = _run_lane("exact" if exact else "float", n, eps, count, 1)
+    assert out.get("exactLane", "float") == lane
+    assert [v["index"] for v in out["violations"]] == targets
+    for v in out["violations"]:
+        assert v["sigmaBar"] == want[v["index"]].tolist()
+        if not exact:
+            rows = check_estimates(np.array(v["sigmaBar"]), eps, PINNED_S)
+            assert rows.bad[0] and [float(rows.gap1[0]).hex(), float(rows.gap2[0]).hex()] == [
+                v["gap1"].hex(), v["gap2"].hex()]
+            continue
+        rows = check_estimates(np.array(v["sigmaBar"], dtype=object), eps, [])
+        assert rows.bad[0] and type(rows.gap1[0]) is Fraction
+        assert Fraction(v["gap1Num"], v["gap1Den"]) == rows.gap1[0]
+        assert Fraction(v["gap2Num"], v["gap2Den"]) == rows.gap2[0]
+        assert Fraction(v["slackNum"], v["slackDen"]) == rows.gap1[0] - rows.residual[0]
+
+
+@pytest.mark.parametrize("lane, eps", [("float", Fraction(1, 48)), ("int64", Fraction(1, 48)),
+                                       ("python-int", Fraction(1, 1000))])
+def test_one_row_blocks_are_copied_out_of_the_ring(monkeypatch, lane, eps):
+    # with one row a block (n >= 82 in Python ints, n >= 182 in float or
+    # int64), a slot's (m, 1) transpose is C-contiguous already; the checks
+    # still take a copy of it, so the rows they check and the violations'
+    # sigmaBar, in the first block and in the fifth (the first one's slot
+    # again) and later, are one full draw's, however long each check runs
+    # while the worker refills the ring
+    n, count = 6, 11
+    exact = lane != "float"
+    want = full_draw(_combo_rng(1, n, eps if exact else float(eps)),
+                     "exact" if exact else "float", (count, 15))
+    targets = [0, 4, 9]
+    d = eps.denominator - n * (n - 1) * eps.numerator
+    _corrupt_rows(monkeypatch, [want[idx] * scale for idx in targets for scale in (1, d)])
+    monkeypatch.setattr(profiles, "BLOCK_BYTES", 1)
+    checked, check_blocks = checked_rows(monkeypatch), profiles._check_blocks
+
+    def slow(*args):
+        *head, check = args
+        return check_blocks(*head, lambda block: time.sleep(0.002) or check(block))
+    monkeypatch.setattr(profiles, "_check_blocks", slow)
+    out = _run_lane("exact" if exact else "float", n, eps, count, 1)
+    assert out.get("exactLane", "float") == lane
+    assert [len(rows) for rows in checked] == [1] * count
+    assert np.array_equal(np.concatenate(checked), want)
+    assert [v["index"] for v in out["violations"]] == targets
+    assert [v["sigmaBar"] for v in out["violations"]] == [want[idx].tolist() for idx in targets]
 
 
 def test_empty_lanes():
@@ -782,32 +909,25 @@ def test_samplers_reject_unknown_distributions_and_modes():
 
 @pytest.mark.parametrize("shape", [(20_000, 15), (7777, 10), (1000, 10), (0, 6)])
 def test_sparse_masks_drawn_by_block_continue_the_stream(monkeypatch, shape):
-    # a lane's shifted curvatures, of every distribution, drawn block by
-    # block (by the worker when there are several blocks, and the sparse
-    # masks after all values), are one full draw of them (and of the mask),
+    # the rows a lane checks, of every distribution, drawn block by block
+    # into its ring (by the worker when there are several blocks, the sparse
+    # values from a copy of the generator and the masks after a throwaway
+    # pass over all values), are one full draw of them (and of the mask),
     # and the generator goes on as after that draw; eps = 1/1000 gives the
     # exact lane's Python-int blocks at n = 6
     count, m = shape
     n = pair_dimension(m)
-    drawn, check_blocks = [], profiles._check_blocks
-    monkeypatch.setattr(profiles, "_check_blocks",
-                        lambda rng, sb, *rest: drawn.append(sb) or check_blocks(rng, sb, *rest))
+    checked = checked_rows(monkeypatch)
     for lane, eps in (("float", Fraction(1, 48)), ("exact", Fraction(1, 48)),
                       ("exact", Fraction(1, 1000))):
         for distribution in DISTRIBUTIONS:
             rng, full = np.random.default_rng(5), np.random.default_rng(5)
             monkeypatch.setattr(profiles, "_combo_rng", lambda *args: rng)
+            checked.clear()
             _run_lane(lane, n, eps, count, 0, distribution)
-            if lane == "exact":
-                want = full.integers(0, _EXACT_SB_MAX + 1, size=shape)
-            elif distribution == "uniform":
-                want = full.uniform(0.0, 1.0, size=shape)
-            else:
-                want = np.abs(full.standard_normal(shape))
-            if distribution == "sparse":
-                want *= full.integers(0, 2, size=shape)
-            sb, case = drawn.pop(), (lane, eps, distribution)
-            assert sb.dtype == want.dtype and np.array_equal(sb, want), case
+            want, case = full_draw(full, lane, shape, distribution), (lane, eps, distribution)
+            got = np.concatenate(checked) if checked else np.empty((0, m), want.dtype)
+            assert got.dtype == want.dtype and np.array_equal(got, want), case
             assert rng.integers(0, 2 ** 62) == full.integers(0, 2 ** 62), case
 
 
@@ -842,14 +962,23 @@ def _kernel_fault(monkeypatch, call):
 @pytest.mark.parametrize("fault", ["draw", "kernel"])
 def test_lane_faults_are_raised_and_leave_no_thread(monkeypatch, lane, fault):
     # a fault of the worker's draws (on the 3rd block) or of the kernel (on
-    # the 2nd) is the lane's, and the worker is joined before the lane raises
+    # the 2nd) is the lane's, the rows checked before it are the leading
+    # rows of one full draw, and the worker is joined before the lane raises
     threads = _fill_fault(monkeypatch, 3) if fault == "draw" else _kernel_fault(monkeypatch, 2)
+    checked = checked_rows(monkeypatch)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"{fault} fault on block"):
         _run_lane(lane, 5, Fraction(1, 48), 20_000, 1)
     assert threading.active_count() == before
     if fault == "draw":
         assert threads and threading.main_thread() not in threads
+    block_rows = _lane_rows("float" if lane == "float" else "int64", 5)
+    assert [len(rows) for rows in checked] == [block_rows] * (
+        len(checked) if fault == "draw" else 2) and len(checked) <= 2
+    eps = Fraction(1, 48) if lane == "exact" else 1 / 48   # as the lane seeds its generator
+    want = full_draw(_combo_rng(1, 5, eps), lane, (20_000, 10))
+    for k, rows in enumerate(checked):
+        assert np.array_equal(rows, want[k * block_rows:(k + 1) * block_rows]), k
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
