@@ -16,7 +16,6 @@ with it too.
 
 from __future__ import annotations
 
-import copy
 import threading
 import time
 from dataclasses import dataclass
@@ -413,47 +412,31 @@ _EXACT_SB_MAX = 9   # the exact lane draws shifted curvatures sb in [0, _EXACT_S
 def _draw_values(rng, rows, distribution):
     """Fill rows with shifted curvatures from rng: a float block half-normal
     or uniform on [0, 1), an int64 block uniform on [0, _EXACT_SB_MAX] for
-    every distribution."""
+    "half-normal" and "uniform" alike.  "sparse", which in the exact lane
+    reaches the equality cases of the slack identity, is the positive part
+    of a standard normal or of an integer uniform on [-_EXACT_SB_MAX - 1,
+    _EXACT_SB_MAX]: an entry is 0 with probability 1/2 (11/20 in int64) and
+    otherwise half-normal (each of 1.._EXACT_SB_MAX with probability 1/20),
+    as a value times a fair 0/1 mask would be.  Generator fills continue the
+    stream bit for bit (PCG64 keeps its spare 32-bit half in its state), so
+    rows drawn block by block are one draw of them all."""
+    sparse = distribution == "sparse"
     if rows.dtype.kind != "f":
-        rows[...] = rng.integers(0, _EXACT_SB_MAX + 1, size=rows.shape)
+        low = -_EXACT_SB_MAX - 1 if sparse else 0
+        rows[...] = rng.integers(low, _EXACT_SB_MAX + 1, size=rows.shape)
     elif distribution == "uniform":
         rng.random(out=rows)   # rng.uniform(0.0, 1.0), bit for bit
     else:
-        np.abs(rng.standard_normal(out=rows), out=rows)
-
-
-def _fill_blocks(rng, blocks, count, distribution):
-    """Draw the shifted curvatures of `count` profiles from rng into the
-    consecutive row blocks that blocks yields, in order, and yield after
-    each block's draw.
-
-    A float sb is half-normal or uniform on [0, 1); an int64 sb is uniform
-    on [0, _EXACT_SB_MAX] for "half-normal" and "uniform" alike (_draw_values).
-    "sparse" zeroes each such entry with probability 1/2, which in the exact
-    lane reaches the equality cases of the slack identity.  Its stream holds
-    all values first, then all 0/1 masks, as one draw of the whole array and
-    one of the whole mask would: each block's values come from a copy of rng
-    taken at the start, and its mask from rng itself, which one throwaway
-    pass over all values (drawn into the first block) takes past them, so
-    rng ends where those two draws leave it.  The pass costs a second draw
-    of the values.  Since Generator fills continue the stream from one call
-    to the next bit for bit (PCG64 keeps its spare 32-bit half in its own
-    state), the values do not depend on the blocks."""
-    sparse = distribution == "sparse"
-    values = copy.deepcopy(rng) if sparse else rng
-    for k, rows in enumerate(blocks):
-        if sparse and k == 0:
-            for lo in range(0, count, len(rows)):
-                _draw_values(rng, rows[:count - lo], distribution)
-        _draw_values(values, rows, distribution)
-        if sparse:
-            rows *= rng.integers(0, 2, size=rows.shape)
-        yield
+        rng.standard_normal(out=rows)
+        if not sparse:
+            np.abs(rows, out=rows)
+    if sparse:
+        np.maximum(rows, 0, out=rows)
 
 
 def _check_blocks(rng, shape, dtype, distribution, entry_bytes, check):
     """Draw the shifted curvatures of shape (count, m) and dtype from rng
-    (_fill_blocks) and check them block by block: a block holds as many
+    (_draw_values) and check them block by block: a block holds as many
     rows (at least one) as BLOCK_BYTES holds of an (m, rows) operand whose
     entries take entry_bytes each.  check maps a block, laid out pair-major
     as the C-contiguous (m, rows) copy of its rows, to its GapRows, which
@@ -464,13 +447,13 @@ def _check_blocks(rng, shape, dtype, distribution, entry_bytes, check):
     reused from block to block, so the lane's memory does not grow with
     count.  When there are two or more blocks, a worker thread draws them
     ahead of the checks: it fills slot b mod RING_SLOTS with block b once
-    the checks have copied block b - RING_SLOTS out of it into their own
-    pair-major block, and hands each block over by a semaphore.  When it
-    has to wait for a slot, it sleeps until the checks have copied all but
-    one of the ring's blocks, then fills the freed slots in a row: each
-    time the worker sleeps and wakes costs the kernel time (50 to 80 us on
-    a 2-vCPU guest), so it wakes once every RING_SLOTS - 1 blocks rather
-    than once a block.  The draws release the GIL, so they run beside the
+    the checks have copied block b - RING_SLOTS out of it, which it reads
+    off their count without a lock, and hands each block over by a
+    semaphore.  When it has to wait for a slot, it sleeps until the checks
+    have copied all but one of the ring's blocks, then fills the freed
+    slots in a row: each sleep and wake costs the kernel 50 to 80 us on a
+    2-vCPU guest, so it wakes once every RING_SLOTS - 1 blocks rather than
+    once a block.  The draws release the GIL, so they run beside the
     kernel.  A single block is drawn inline first, as there is nothing to
     overlap.  A fault of the draws is raised here; the worker stops between
     blocks once the checks end, and is joined before this returns or
@@ -490,24 +473,21 @@ def _check_blocks(rng, shape, dtype, distribution, entry_bytes, check):
     copied = wanted = 0   # blocks copied out of the ring; the count the worker waits for
     timings = {"draw": 0.0, "drawWait": 0.0, "kernel": 0.0}
 
-    def slots():
-        nonlocal wanted
-        for k, size in enumerate(sizes):
-            if k - len(ring) >= copied:   # the slot still holds block k - len(ring)
-                waited = time.perf_counter()
-                with freed:
-                    # the slot's block and all but one of the ring's blocks copied out
-                    wanted = max(k - len(ring) + 1, k - 1)
-                    freed.wait_for(lambda: copied >= wanted or stop.is_set())
-                timings["draw"] -= time.perf_counter() - waited
-            if stop.is_set():
-                return
-            yield ring[k % len(ring)][:size]
-
     def draw():
+        nonlocal wanted
         started = time.perf_counter()
         try:
-            for _ in _fill_blocks(rng, slots(), count, distribution):
+            for k, size in enumerate(sizes):
+                if k - len(ring) >= copied:   # the slot still holds block k - len(ring)
+                    waited = time.perf_counter()
+                    with freed:
+                        # the slot's block and all but one of the ring's blocks copied out
+                        wanted = max(k - len(ring) + 1, k - 1)
+                        freed.wait_for(lambda: copied >= wanted or stop.is_set())
+                    timings["draw"] -= time.perf_counter() - waited
+                if stop.is_set():
+                    return
+                _draw_values(rng, ring[k % len(ring)][:size], distribution)
                 ready.release()
         except BaseException as exc:   # raised again by the checks
             fault.append(exc)
@@ -604,7 +584,7 @@ def profile_batch_exact(n, eps, count, seed, distribution="half-normal"):
     and the exact estimate-1 slack identity, vectorized.
 
     With eps = p/q, d = q - n(n-1)p and integer shifted curvatures sb in
-    [0, _EXACT_SB_MAX] (_fill_blocks), sigma, sb and R are integers over d
+    [0, _EXACT_SB_MAX] (_draw_values), sigma, sb and R are integers over d
     and lambda over n d; estimate_gaps on these numerators, with
     _integer_coefficients, gives both gaps and the slack as integers over
     n^3 q d^3 (2 n^3 q d^3 for gap2), so inequality signs and the identity

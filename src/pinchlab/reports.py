@@ -3,7 +3,9 @@ content digests (timing excluded), append-only output files."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import time
 from pathlib import Path
@@ -45,12 +47,13 @@ def emit(report, fmt="json") -> bytes:
 
 
 def _emit_csv(report) -> str:
-    """The literature table's rows, one line each, under a header line."""
+    """The literature table's rows, one line each, under a header line;
+    fields holding commas, such as the model names, are quoted."""
     cols = list(report["models"][0]) if report["models"] else []
-    lines = [",".join(cols)]
-    for row in report["models"]:
-        lines.append(",".join(str(row[c]) for c in cols))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        [cols] + [[str(row[c]) for c in cols] for row in report["models"]])
+    return out.getvalue()
 
 
 def _emit_text(report) -> str:
@@ -78,7 +81,10 @@ def persist(report, out_dir, stem="report") -> Path:
     for k in range(10_000):
         suffix = "" if k == 0 else f"-{k}"
         path = out / f"{stem}-{stamp}-{digest}{suffix}.json"
-        if not path.exists():
-            path.write_bytes(emit(report, "json"))
-            return path
+        try:
+            with open(path, "xb") as f:   # created here, or taken by another run
+                f.write(emit(report, "json"))
+        except FileExistsError:
+            continue
+        return path
     raise RuntimeError("could not find a free report filename")

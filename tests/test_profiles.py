@@ -60,16 +60,16 @@ def checked_rows(monkeypatch):
 
 def full_draw(rng, lane, shape, distribution="half-normal"):
     """A lane's shifted curvatures of the shape drawn from rng as one numpy
-    call draws them, and for "sparse" one more call's whole 0/1 mask."""
+    call draws them; "sparse" is the positive part of that draw."""
+    sparse = distribution == "sparse"
     if lane == "exact":
-        sb = rng.integers(0, _EXACT_SB_MAX + 1, size=shape)
+        sb = rng.integers(-_EXACT_SB_MAX - 1 if sparse else 0, _EXACT_SB_MAX + 1, size=shape)
     elif distribution == "uniform":
         sb = rng.uniform(0.0, 1.0, size=shape)
     else:
-        sb = np.abs(rng.standard_normal(shape))
-    if distribution == "sparse":
-        sb *= rng.integers(0, 2, size=shape)
-    return sb
+        sb = rng.standard_normal(shape)
+        sb = sb if sparse else np.abs(sb)
+    return np.maximum(sb, 0) if sparse else sb
 
 
 def test_params_reject_bad_s():
@@ -908,13 +908,11 @@ def test_samplers_reject_unknown_distributions_and_modes():
 
 
 @pytest.mark.parametrize("shape", [(20_000, 15), (7777, 10), (1000, 10), (0, 6)])
-def test_sparse_masks_drawn_by_block_continue_the_stream(monkeypatch, shape):
+def test_rows_drawn_by_block_continue_the_stream(monkeypatch, shape):
     # the rows a lane checks, of every distribution, drawn block by block
-    # into its ring (by the worker when there are several blocks, the sparse
-    # values from a copy of the generator and the masks after a throwaway
-    # pass over all values), are one full draw of them (and of the mask),
-    # and the generator goes on as after that draw; eps = 1/1000 gives the
-    # exact lane's Python-int blocks at n = 6
+    # into its ring (by the worker when there are several blocks), are one
+    # full draw of them, and the generator goes on as after that draw;
+    # eps = 1/1000 gives the exact lane's Python-int blocks at n = 6
     count, m = shape
     n = pair_dimension(m)
     checked = checked_rows(monkeypatch)
@@ -931,18 +929,69 @@ def test_sparse_masks_drawn_by_block_continue_the_stream(monkeypatch, shape):
             assert rng.integers(0, 2 ** 62) == full.integers(0, 2 ** 62), case
 
 
-def _fill_fault(monkeypatch, step):
-    """Make the lanes' fill raise in place of its step-th block draw (counted
-    from 1); the returned list collects the threads the draws ran on."""
-    fill_blocks, threads = profiles._fill_blocks, []
+@pytest.mark.parametrize("lane", ["float", "exact"])
+def test_sparse_draws_have_the_law_of_a_masked_value(lane):
+    # "sparse" is a value times an independent fair 0/1 mask in law: the
+    # rows a lane checks at n = 6 over 10^5 profiles (1.5 * 10^6 entries)
+    # are 0 with probability 1/2 and half-normal otherwise in float (mean
+    # sqrt(2/pi)), and 0 with probability 11/20 and each of 1..9 with
+    # probability 1/20 in the exact lane; each tolerance is over 8 standard
+    # errors, and a zero fraction of 10/19 (integers(-9, 10) clipped at 0)
+    # is 0.024 off
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        checked = checked_rows(monkeypatch)
+        _run_lane(lane, 6, Fraction(1, 48), 100_000, 3, "sparse")
+    sb = np.concatenate(checked)
+    assert sb.shape == (100_000, 15) and (sb >= 0).all()
+    zero = (sb == 0).mean()
+    if lane == "float":
+        assert abs(zero - 0.5) < 0.004, zero
+        assert abs(sb[sb > 0].mean() - np.sqrt(2 / np.pi)) < 0.006
+        return
+    frequencies = np.bincount(sb.ravel(), minlength=_EXACT_SB_MAX + 1) / sb.size
+    assert len(frequencies) == _EXACT_SB_MAX + 1, frequencies
+    assert abs(frequencies[0] - 11 / 20) < 0.004, frequencies
+    assert np.abs(frequencies[1:] - 1 / 20).max() < 0.0025, frequencies
+
+
+@pytest.mark.parametrize("lane", ["float", "exact"])
+def test_worker_waits_once_every_ring_slots_minus_one_blocks(monkeypatch, lane):
+    # with one row a block and each check slowed by 2 ms, the worker runs
+    # ahead and waits for free slots; it is woken once the checks have
+    # freed RING_SLOTS - 1 of them, so over 60 blocks it sleeps at most 20
+    # times, where waking it at every copy would make it sleep once a
+    # block, 56 times (every sleep of a thread on a Condition, a Semaphore
+    # or an Event goes through Condition.wait)
+    sleeps, wait = [], threading.Condition.wait
+
+    def counting(self, timeout=None):
+        sleeps.append(threading.current_thread() is not threading.main_thread())
+        return wait(self, timeout)
+    monkeypatch.setattr(threading.Condition, "wait", counting)
+    monkeypatch.setattr(profiles, "BLOCK_BYTES", 1)
+    check_blocks = profiles._check_blocks
+
+    def slow(*args):
+        *head, check = args
+        return check_blocks(*head, lambda block: time.sleep(0.002) or check(block))
+    monkeypatch.setattr(profiles, "_check_blocks", slow)
+    blocks = 60
+    assert _run_lane(lane, 6, Fraction(1, 48), blocks, 1)["count"] == blocks
+    assert 0 < sleeps.count(True) <= blocks / (profiles.RING_SLOTS - 1), sleeps.count(True)
+
+
+def _draw_fault(monkeypatch, step):
+    """Make the lanes' draws raise in place of their step-th block draw
+    (counted from 1); the returned list collects the threads the draws ran
+    on."""
+    draw_values, threads = profiles._draw_values, []
 
     def failing(*args):
         threads.append(threading.current_thread())
-        for k, done in enumerate(fill_blocks(*args), 1):
-            if k == step:
-                raise RuntimeError(f"draw fault on block {k}")
-            yield done
-    monkeypatch.setattr(profiles, "_fill_blocks", failing)
+        if len(threads) == step:
+            raise RuntimeError(f"draw fault on block {step}")
+        return draw_values(*args)
+    monkeypatch.setattr(profiles, "_draw_values", failing)
     return threads
 
 
@@ -964,7 +1013,7 @@ def test_lane_faults_are_raised_and_leave_no_thread(monkeypatch, lane, fault):
     # a fault of the worker's draws (on the 3rd block) or of the kernel (on
     # the 2nd) is the lane's, the rows checked before it are the leading
     # rows of one full draw, and the worker is joined before the lane raises
-    threads = _fill_fault(monkeypatch, 3) if fault == "draw" else _kernel_fault(monkeypatch, 2)
+    threads = _draw_fault(monkeypatch, 3) if fault == "draw" else _kernel_fault(monkeypatch, 2)
     checked = checked_rows(monkeypatch)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"{fault} fault on block"):

@@ -1,5 +1,8 @@
+import csv
 import json
+from pathlib import Path
 
+from pinchlab import reports
 from pinchlab.models import literature_table
 from pinchlab.reports import canonical_json, emit, persist, report_digest
 
@@ -26,11 +29,17 @@ def test_emit_json_round_trips():
 
 
 def test_emit_csv_and_text_smoke():
+    # model names such as sphere(4,1) hold commas: csv.reader reads every
+    # row back with the header's field count and its model name whole
     table = literature_table()
-    csv = emit(table, "csv").decode().splitlines()
-    assert csv[0].startswith("model,ratio,einstein,")
-    assert len(csv) == 1 + len(table["models"])
-    assert "sphere(4,1),1/12," in csv[1]
+    lines = emit(table, "csv").decode().splitlines()
+    assert lines[0].startswith("model,ratio,einstein,")
+    rows = list(csv.reader(lines))
+    assert len(rows) == 1 + len(table["models"])
+    assert [len(row) for row in rows] == [len(table["models"][0])] * len(rows)
+    assert [row[0] for row in rows[1:]] == [m["model"] for m in table["models"]]
+    assert rows[1][:2] == ["sphere(4,1)", "1/12"]
+    assert emit({"models": []}, "csv") == b"\n"
     txt = emit(table, "text").decode()
     assert txt.startswith("constant") and "soliton(1/24)" in txt
     assert "constant" in emit({"constants": {}, "models": []}, "text").decode()
@@ -43,6 +52,19 @@ def test_persist_never_overwrites(tmp_path):
     assert p1 != p2
     assert p1.exists() and p2.exists()
     assert json.loads(p1.read_text()) == rep
+
+
+def test_persist_never_overwrites_a_file_created_meanwhile(tmp_path, monkeypatch):
+    # a file that appears between a check and the write (another run, the
+    # same digest, the same second) is kept: each name is created exclusively
+    monkeypatch.setattr(reports.time, "strftime", lambda fmt: "20260101T000000")
+    rep = {"k": 1}
+    p1 = persist(rep, tmp_path, stem="r")
+    p1.write_text("taken")
+    monkeypatch.setattr(Path, "exists", lambda self: False)
+    p2 = persist(rep, tmp_path, stem="r")
+    assert p1 != p2 and p1.read_text() == "taken"
+    assert json.loads(p2.read_text()) == rep
 
 
 def test_digest_ignores_stage_timings():
