@@ -21,7 +21,6 @@ from .ftensor import (  # noqa: F401
     expansion_campaign,
     f_norm_expansion,
     f_tensor,
-    grad_q2,
     optimal_b,
     optimize_q2,
     q1,

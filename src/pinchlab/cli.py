@@ -22,7 +22,7 @@ from .ftensor import (
     CLAIMED_POINT,
     Q2_CROSSOVER,
     expansion_campaign,
-    grad_q2,
+    optimal_b,
     optimize_q2,
     q2_claimed_value,
 )
@@ -197,10 +197,20 @@ def cmd_verify_estimates(args):
 def _q2_result(eps):
     """(report entry, violated) for the exact maximum of Q2 at eps: violated
     when it differs from the reference value or Q2 is not stationary there.
-    ValueError if the report's floats cannot hold the maximum."""
+    Stationarity is certified exactly by the form N = alpha I + beta J of
+    q2_form: Q2 is stationary at the argmax when b = optimal_b(a1, a2), its
+    maximum over b, and z = (1, a1, a2) is an eigenvector, N z = value z,
+    so that the Rayleigh quotient z^T N z / |z|^2 is stationary in (a1, a2).
+    gradNorm is the largest residual of these equations.  ValueError if the
+    report's floats cannot hold the maximum."""
     arg, value = found = optimize_q2(eps)
     claimed = q2_claimed_value(eps)
-    gnorm = max(abs(g) for g in grad_q2(arg, eps))
+    alpha, beta = found.form
+    z = (1, arg.a1, arg.a2)
+    residuals = [alpha * zk + beta * sum(z) - value * zk for zk in z]
+    best_b = optimal_b(arg.a1, arg.a2)
+    residuals += [b - best for b, best in zip((arg.b1, arg.b2, arg.b3), best_b)]
+    gnorm = max(abs(r) for r in residuals)
     entry = {
         "eps": scalar_to_json(eps),
         "branch": found.branch,

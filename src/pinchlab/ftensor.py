@@ -15,7 +15,7 @@ Each formula is written once.  A model is its arrays (S, w), projected only
 in integers (integer_gradient_models), held as int64, Fractions or float64
 and checked by check_gradient_constraints alone.  F is (1, a1, a2, b1, b2,
 b3) times the six tensors of f_basis, for one model or a stack.  Q1 and Q2
-are polynomial numerators over 1 + a1^2 + a2^2, and grad_q2 is derived from Q2's numerator.
+are polynomial numerators over 1 + a1^2 + a2^2.
 """
 
 from __future__ import annotations
@@ -260,25 +260,6 @@ def optimal_b(a1, a2):
     return tuple(exact_div(r, 12) - exact_div(total, 72) for r in rhs)
 
 
-def grad_q2(c: FCoefficients, eps):
-    """Gradient of q2 in (a1, a2, b1, b2, b3), exact for rational input.
-
-    With den = 1 + a1^2 + a2^2 and v = q2(c, eps), the polynomial
-    G = q2_numerator - v * den vanishes at c and is quadratic, so its
-    partials are the central differences (G(c + e) - G(c - e)) / 2 along the
-    unit vectors e, exactly; by the quotient rule dq2/dx = (dG/dx) / den.
-    """
-    x = c.astuple()
-    value = q2(c, eps)
-
-    def g(k, step):
-        y = FCoefficients(*x[:k], x[k] + step, *x[k + 1:])
-        return q2_numerator(y, eps) - value * _den(y)
-
-    den = _den(c)
-    return tuple(exact_div(g(k, 1) - g(k, -1), 2) / den for k in range(5))
-
-
 def random_coefficients(count, seed, den=12):
     """Seeded rational coefficient vectors (denominator `den`), the reference
     point CLAIMED_POINT first."""
@@ -318,8 +299,10 @@ def expansion_campaign(model_count, coeff_count, seed):
     2.3e16, whatever the seed and counts.  A Fraction-path spot check lives
     in the test suite.  model_count may be 0; coeff_count must be >= 1, the
     reference point CLAIMED_POINT being always the first coefficient vector.
-    timings holds the seconds spent drawing the coefficients and models and
-    in the kernel.
+    The models are drawn block by block, at most 80 at a time, so the
+    campaign's memory does not grow with model_count.  timings holds the
+    seconds spent drawing the coefficients and models and in the kernel,
+    each summed over the blocks.
     """
     if model_count < 0:
         raise ValueError(f"model_count = {model_count} must be >= 0")
@@ -331,8 +314,7 @@ def expansion_campaign(model_count, coeff_count, seed):
     coeffs = random_coefficients(coeff_count, [seed, 999_331], den)
     a1, a2, b1, b2, b3 = np.array([[int(v * den) for v in c.astuple()] for c in coeffs],
                                   dtype=np.int64).reshape(-1, 5).T
-    S, w = integer_gradient_models(4, [[seed, idx] for idx in range(model_count)])
-    drawn = time.perf_counter()
+    timings = {"draw": time.perf_counter() - started, "kernel": 0.0}
     coeff_matrix = np.stack([np.full_like(a1, den), a1, a2, b1, b2, b3], axis=1)
     # den^2 times each weight
     quadratic, mixing, bquad = expansion_weights(a1, a2, b1, b2, b3, one=den)
@@ -340,7 +322,11 @@ def expansion_campaign(model_count, coeff_count, seed):
     # models per block: the basis (3 kB a model) and each (models, coeffs) array stay <= 256 kB
     block = max(1, min(80, 32_768 // len(coeffs)))
     for lo in range(0, model_count, block):
-        Sb, wb = S[lo:lo + block], w[lo:lo + block]
+        started = time.perf_counter()
+        Sb, wb = integer_gradient_models(
+            4, [[seed, idx] for idx in range(lo, min(lo + block, model_count))])
+        drawn = time.perf_counter()
+        timings["draw"] += drawn - started
         direct2 = _direct_side(Sb, wb, coeff_matrix)       # 2 den^2 |F|^2
         formula2 = (2 * ((Sb * Sb).sum(axis=(1, 2, 3))[:, None] * quadratic
                          + (Sb * Sb.transpose(0, 1, 3, 2)).sum(axis=(1, 2, 3))[:, None] * mixing)
@@ -351,6 +337,7 @@ def expansion_campaign(model_count, coeff_count, seed):
         failures += [{"model": lo + int(idx), "coeff": coeffs[b].as_dict()}
                      for idx in np.nonzero(bad.any(axis=1))[0]
                      for b in np.nonzero(bad[idx])[0][:5]]
+        timings["kernel"] += time.perf_counter() - drawn
     return {
         "modelCount": model_count,
         "coeffCount": coeff_count,
@@ -358,7 +345,7 @@ def expansion_campaign(model_count, coeff_count, seed):
         "maxResidualNumerator": worst,
         "violations": failures,
         "exact": not failures,
-        "timings": {"draw": drawn - started, "kernel": time.perf_counter() - drawn},
+        "timings": timings,
     }
 
 
@@ -389,11 +376,12 @@ def q2_form(eps):
 
 class Q2Maximum(tuple):
     """(argmax, value), with `branch` naming where the maximum is attained:
-    "point", "line" or "constant" (at eps = Q2_CROSSOVER)."""
+    "point", "line" or "constant" (at eps = Q2_CROSSOVER), and `form` the
+    (alpha, beta) of q2_form it was read off."""
 
-    def __new__(cls, argmax, value, branch):
+    def __new__(cls, argmax, value, branch, form):
         self = super().__new__(cls, (argmax, value))
-        self.branch = branch
+        self.branch, self.form = branch, form
         return self
 
 
@@ -406,9 +394,10 @@ def optimize_q2(eps) -> Q2Maximum:
     on 1.z = 0, the line a1 + a2 = -1 (represented by a1 = a2 = -1/2), if
     beta < 0; and everywhere if beta = 0 (represented by the reference point).
     """
-    alpha, beta = q2_form(eps)
+    alpha, beta = form = q2_form(eps)
     value = alpha + 3 * max(beta, 0)
     if beta < 0:
         half = Fraction(-1, 2)
-        return Q2Maximum(FCoefficients(half, half, *optimal_b(half, half)), value, "line")
-    return Q2Maximum(CLAIMED_POINT, value, "point" if beta > 0 else "constant")
+        return Q2Maximum(FCoefficients(half, half, *optimal_b(half, half)), value, "line",
+                         form)
+    return Q2Maximum(CLAIMED_POINT, value, "point" if beta > 0 else "constant", form)

@@ -277,7 +277,7 @@ def _leading_sum(x):
     return total
 
 
-def estimate_gaps(lam, sig, sb, R, coefficients, s_list):
+def estimate_gaps(lam, sig, sb, R, coefficients, s_list, lane=None):
     """Both estimates' gaps on rows of eigenframe data: the one gap formula
     of every lane.
 
@@ -296,6 +296,14 @@ def estimate_gaps(lam, sig, sb, R, coefficients, s_list):
     alive.  A float row is bad when a gap, for either estimate or any s, is
     nan or below -GAP_RTOL max(1, |lhs|, |rhs1|, |rhs2|); an exact row when
     a gap is negative or the residual not zero.
+
+    The work runs in two stages: the per-row sums lhs, P2, P3 and the slack,
+    in the arithmetic of the rows, then the gaps, which combine them and R
+    with the coefficients.  profile_batch_exact passes the gaps' lane as
+    lane, and the sums and R are converted to it (lane_array) between the
+    stages, so that the sums can run in int64 where only the gaps need
+    Python ints; the conversion is the identity when both stages share a
+    lane, and lane=None, as in the float and Fraction lanes, skips it.
     """
     exact = lam.dtype.kind != "f"
     i, j, _ = _incidence(len(lam))
@@ -306,13 +314,15 @@ def estimate_gaps(lam, sig, sb, R, coefficients, s_list):
     lam2 = lam * lam
     P2 = _leading_sum(lam2)
     P3 = _leading_sum(lam2 * lam)
-    (weight1, quadratic1, cubic1), (weight2, quadratic2, cubic2) = coefficients
-    rhs1 = quadratic1 * R * P2 + cubic1 * P3
-    rhs2 = quadratic2 * R * P2 + cubic2 * P3
     np.subtract(li, lj, out=terms)
     terms *= terms
     terms *= sb
     slack = _leading_sum(terms)
+    if lane is not None:
+        lhs, P2, P3, slack, R = (lane_array(x, lane) for x in (lhs, P2, P3, slack, R))
+    (weight1, quadratic1, cubic1), (weight2, quadratic2, cubic2) = coefficients
+    rhs1 = quadratic1 * R * P2 + cubic1 * P3
+    rhs2 = quadratic2 * R * P2 + cubic2 * P3
     gap1, gap2 = rhs1 - weight1 * lhs, rhs2 - weight2 * lhs
     convex = [s * gap1 + (1 - s) * gap2 for s in s_list]   # s = 1: estimate 1
     residual = gap1 - weight1 * slack
@@ -354,6 +364,9 @@ def _reduce_gaps(blocks, limit=None):
                  sb[:, idx].copy())
                 for idx in np.nonzero(rows.bad)[0][:room]]
         offset += len(rows.gap1)
+        # the block is not kept while the next one is checked; its rows are:
+        # freeing them as early made the n = 3 lanes twice as slow
+        del sb
     return low, None if high is None else high[0], bad
 
 
@@ -443,23 +456,25 @@ def _check_blocks(rng, shape, dtype, distribution, entry_bytes, check):
     are reduced at once (_reduce_gaps, the first 10 bad rows, each with its
     shifted curvatures).  Returns (reduced, timings).
 
-    The rows are drawn into a ring of at most RING_SLOTS (rows, m) buffers,
-    reused from block to block, so the lane's memory does not grow with
-    count.  When there are two or more blocks, a worker thread draws them
-    ahead of the checks: it fills slot b mod RING_SLOTS with block b once
-    the checks have copied block b - RING_SLOTS out of it, which it reads
-    off their count without a lock, and hands each block over by a
-    semaphore.  When it has to wait for a slot, it sleeps until the checks
-    have copied all but one of the ring's blocks, then fills the freed
-    slots in a row: each sleep and wake costs the kernel 50 to 80 us on a
-    2-vCPU guest, so it wakes once every RING_SLOTS - 1 blocks rather than
-    once a block.  The draws release the GIL, so they run beside the
-    kernel.  A single block is drawn inline first, as there is nothing to
-    overlap.  A fault of the draws is raised here; the worker stops between
-    blocks once the checks end, and is joined before this returns or
-    raises.  timings holds the seconds spent drawing ("draw", without the
-    worker's waits for free slots), those the checks waited for blocks
-    ("drawWait"), and the checks' elapsed seconds ("kernel")."""
+    The rows are drawn into a ring of RING_SLOTS (rows, m) buffers, or of
+    one fewer than the blocks when that is fewer (the last block then takes
+    the first one's slot, copied out as soon as it was drawn), reused from
+    block to block, so the lane's memory does not grow with count.  When
+    there are two or more blocks, a worker thread draws them ahead of the
+    checks: it fills a slot with block b once the checks have copied out
+    the block it held, which it reads off their count without a lock, and
+    hands each block over by a semaphore.  When it has to wait for a slot,
+    it sleeps until the checks have copied all but one of the ring's
+    blocks, then fills the freed slots in a row: each sleep and wake costs
+    the kernel 50 to 80 us on a 2-vCPU guest, so it wakes once every
+    RING_SLOTS - 1 blocks rather than once a block.  The draws release the
+    GIL, so they run beside the kernel.  A single block is drawn inline
+    first, as there is nothing to overlap.  A fault of the draws is raised
+    here; the worker stops between blocks once the checks end, and is
+    joined before this returns or raises.  timings holds the seconds spent
+    drawing ("draw", without the worker's waits for free slots), those the
+    checks waited for blocks ("drawWait"), and the checks' elapsed seconds
+    ("kernel")."""
     _require("distribution", distribution, DISTRIBUTIONS)
     count, m = shape
     rows = max(1, BLOCK_BYTES // (m * entry_bytes))
@@ -467,7 +482,8 @@ def _check_blocks(rng, shape, dtype, distribution, entry_bytes, check):
     # one array, not one per slot: once freed, its 1 MB lifts glibc's mmap
     # and trim thresholds, so the kernel's block temporaries stay on the heap
     # instead of being trimmed and faulted back in on every block
-    ring = np.empty((min(RING_SLOTS, len(sizes)), min(rows, count), m), dtype)
+    slots = min(RING_SLOTS, max(1, len(sizes) - 1))
+    ring = np.empty((slots, min(rows, count), m), dtype)
     ready, freed = threading.Semaphore(0), threading.Condition()
     stop, fault = threading.Event(), []
     copied = wanted = 0   # blocks copied out of the ring; the count the worker waits for
@@ -559,10 +575,16 @@ def _integer_coefficients(n, f):
     return out
 
 
-def exact_profile_bound(n, eps):
-    """Largest magnitude any intermediate of profile_batch_exact can reach at
-    (n, eps), in Python ints: each sum and product is bounded by the sum and
-    product of its terms' bounds, starting from draws sb <= _EXACT_SB_MAX."""
+def exact_profile_bounds(n, eps):
+    """(sums, gaps): the largest magnitude any intermediate of each stage of
+    profile_batch_exact can reach at (n, eps), in Python ints.  sums covers
+    the block's numerators (R, sigma, lambda) and the per-row sums of
+    estimate_gaps (lhs, P2, P3, the slack), gaps the gaps, the residual and
+    their products with the coefficients, and with them the sums they are
+    formed from.  Each sum and product is bounded by the sum and product of
+    its terms' bounds, starting from draws sb <= _EXACT_SB_MAX; the residual
+    gap1 - weight_1 slack is zero by the identity, so that gap1 and
+    weight_1 slack bound it."""
     f = Fraction(eps)
     p, q = f.numerator, f.denominator
     d = q - n * (n - 1) * p
@@ -571,12 +593,14 @@ def exact_profile_bound(n, eps):
     r = 2 * total * q                        # R_num
     sig = _EXACT_SB_MAX * d + 2 * total * abs(p)
     lam = n * (n - 1) * sig + r
-    l3 = 2 * pairs * lam * lam * sig
-    bounds = [n * q * d * pairs * 4 * lam * lam * _EXACT_SB_MAX]    # slack
+    l3 = 2 * pairs * lam * lam * sig         # lhs
+    slack = d * pairs * 4 * lam * lam * _EXACT_SB_MAX
+    sums = max(r, lam, l3, n * lam ** 3, slack)
+    gaps = [sums, n * q * slack]             # weight_1 = n q times the slack
     for scale, quadratic, cubic in _integer_coefficients(n, f):
-        bounds.append(abs(quadratic) * r * n * lam ** 2 + abs(cubic) * n * lam ** 3
-                      + scale * l3)
-    return max(bounds)
+        gaps.append(abs(quadratic) * r * n * lam ** 2 + abs(cubic) * n * lam ** 3
+                    + scale * l3)
+    return sums, max(gaps)
 
 
 def profile_batch_exact(n, eps, count, seed, distribution="half-normal"):
@@ -589,21 +613,22 @@ def profile_batch_exact(n, eps, count, seed, distribution="half-normal"):
     _integer_coefficients, gives both gaps and the slack as integers over
     n^3 q d^3 (2 n^3 q d^3 for gap2), so inequality signs and the identity
     are decided exactly.
-    exact_profile_bound bounds every intermediate before anything is
-    computed; the kernel runs in int64 when the bound fits and in Python
-    ints otherwise, block by block (_check_blocks: int64 draws into a ring
-    of reused blocks, each block converted to its lane as it runs), and
-    exactLane names the lane that ran.  Each violation states the
-    denominator of its numerators, and its sigmaBar is copied out of its
-    block.  timings is _check_blocks'.  Inputs are refused by
-    _require_inputs.
+    exact_profile_bounds bounds every intermediate of each of estimate_gaps'
+    two stages before anything is computed; each stage runs in int64 when
+    its own bound fits and in Python ints otherwise, block by block
+    (_check_blocks: int64 draws into a ring of reused blocks, each block
+    converted to the sums' lane as it runs, and its sums to the gaps'
+    lane).  A block is sized by the gaps' lane, and exactLane names it: the
+    lane of the widest numbers.  Each violation states the denominator of
+    its numerators, and its sigmaBar is copied out of its block.  timings
+    is _check_blocks'.  Inputs are refused by _require_inputs.
     """
     _require_inputs((n,), count)
     require_subcritical(n, eps)
     f = Fraction(eps) if not isinstance(eps, Fraction) else eps
     p, q = f.numerator, f.denominator
     d = q - n * (n - 1) * p            # positive by the subcritical check
-    lane = exact_lane(exact_profile_bound(n, f))
+    sums_lane, gaps_lane = (exact_lane(bound) for bound in exact_profile_bounds(n, f))
     star = _incidence(n)[2]
     coefficients = _integer_coefficients(n, f)
 
@@ -613,12 +638,12 @@ def profile_batch_exact(n, eps, count, seed, distribution="half-normal"):
         sb_num = block * d                          # sb = sb_num / d
         sig = sb_num + 2 * S * p                    # sigma = sig / d
         lam = n * _leading_sum(sig[star]) - R_num   # lambda = lam / (n d)
-        return estimate_gaps(lam, sig, sb_num, R_num, coefficients, [])
+        return estimate_gaps(lam, sig, sb_num, R_num, coefficients, [], gaps_lane)
 
     (low, high, bad), timings = _check_blocks(
         _combo_rng(seed, n, f), (count, n * (n - 1) // 2), np.int64, distribution,
-        8 if lane == INT64_LANE else PYTHON_INT_BYTES,
-        lambda block: gaps(lane_array(block, lane)))
+        8 if gaps_lane == INT64_LANE else PYTHON_INT_BYTES,
+        lambda block: gaps(lane_array(block, sums_lane)))
     den = n ** 3 * q * d ** 3   # of gap1 and the slack; gap2's is 2 den
     return {
         "count": count,
@@ -630,7 +655,7 @@ def profile_batch_exact(n, eps, count, seed, distribution="half-normal"):
                        for idx, gap1, gap2, residual, sigma_bar in bad],
         "minGap1Num": None if low is None else int(low[0]),
         "minGap2Num": None if low is None else int(low[1]),
-        "exactLane": lane,
+        "exactLane": gaps_lane,
         "timings": timings,
     }
 

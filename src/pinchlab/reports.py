@@ -52,7 +52,7 @@ def _emit_csv(report) -> str:
     cols = list(report["models"][0]) if report["models"] else []
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(
-        [cols] + [[str(row[c]) for c in cols] for row in report["models"]])
+        [cols] + [[row[c] for c in cols] for row in report["models"]])
     return out.getvalue()
 
 

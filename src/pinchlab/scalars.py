@@ -80,7 +80,8 @@ def scalar_to_json(x):
 # The exact integer lanes.  A kernel bounds the magnitude of every
 # intermediate it will form before computing anything, then runs in int64
 # when the bound fits and in Python ints (object arrays, exact at any size,
-# still vectorized) when it does not.
+# still vectorized) when it does not; a kernel in stages bounds each stage
+# apart and runs each in its own lane.
 INT64_LANE, PYTHON_INT_LANE = "int64", "python-int"
 INT64_MAX = 2 ** 63 - 1
 
@@ -92,8 +93,13 @@ def exact_lane(bound):
 
 
 def lane_array(values, lane):
-    """Integer values as an array of the lane.  Every input goes through
-    int64 first, so that no float (say, a 0/1 matrix built in float64)
-    reaches the Python-int lane, where it would make the arithmetic inexact."""
-    values = np.asarray(values).astype(np.int64, copy=False)
+    """Integer values as an array of the lane.  Every input but an object
+    array goes through int64 first, so that no float (say, a 0/1 matrix
+    built in float64) reaches the Python-int lane, where it would make the
+    arithmetic inexact.  An object array holds a Python-int lane's results
+    already and is returned as it is for that lane."""
+    values = np.asarray(values)
+    if values.dtype == object and lane == PYTHON_INT_LANE:
+        return values
+    values = values.astype(np.int64, copy=False)
     return values if lane == INT64_LANE else values.astype(object)

@@ -9,9 +9,10 @@ import numpy as np
 
 from pinchlab import minsec
 from pinchlab.curvature import AlgCurvTensor, Plane, bivector, pair_basis, plane_sectionals_stack
+from pinchlab.ftensor import FCoefficients, _den, q2, q2_numerator
 from pinchlab.minsec import SearchOptions, _orthonormal_pairs
 from pinchlab.models import ModelGeometry
-from pinchlab.scalars import RATIONAL, ArithmeticModeError, check_mode, mode_of
+from pinchlab.scalars import RATIONAL, ArithmeticModeError, check_mode, exact_div, mode_of
 
 
 def bianchi_constant(n):
@@ -198,3 +199,22 @@ def n4_bianchi_projection(M, n):
     cyc = T + T.transpose(0, 1, 3, 4, 2) + T.transpose(0, 1, 4, 2, 3)
     comp = T - (cyc * Fraction(1, 3) if mode_of(M) == RATIONAL else cyc / 3.0)
     return operator_of(from_pairs(operator_of(comp), n))
+
+
+def grad_q2(c: FCoefficients, eps):
+    """Gradient of q2 in (a1, a2, b1, b2, b3), exact for rational input.
+
+    With den = 1 + a1^2 + a2^2 and v = q2(c, eps), the polynomial
+    G = q2_numerator - v * den vanishes at c and is quadratic, so its
+    partials are the central differences (G(c + e) - G(c - e)) / 2 along the
+    unit vectors e, exactly; by the quotient rule dq2/dx = (dG/dx) / den.
+    """
+    x = c.astuple()
+    value = q2(c, eps)
+
+    def g(k, step):
+        y = FCoefficients(*x[:k], x[k] + step, *x[k + 1:])
+        return q2_numerator(y, eps) - value * _den(y)
+
+    den = _den(c)
+    return tuple(exact_div(g(k, 1) - g(k, -1), 2) / den for k in range(5))

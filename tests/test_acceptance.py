@@ -18,7 +18,6 @@ from pinchlab.ftensor import (
     FCoefficients,
     CLAIMED_POINT,
     expansion_campaign,
-    grad_q2,
     optimal_b,
     optimize_q2,
     q1,
@@ -45,7 +44,7 @@ from pinchlab.profiles import (
 )
 from pinchlab.reports import report_digest
 from pinchlab.scalars import FLOAT, RATIONAL
-from reference import lower_estimate1, oracle_min_sectional
+from reference import grad_q2, lower_estimate1, oracle_min_sectional
 
 SEED = 2024
 DIMS = (3, 4, 5, 6)

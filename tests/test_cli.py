@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -276,6 +277,19 @@ def test_models_table_formats(capsys, tmp_path):
     for fmt in ("csv", "text", "json"):
         (report,) = (tmp_path / fmt).iterdir()
         assert json.loads(report.read_text()) == json.loads(out), fmt
+
+
+def test_models_csv_writes_a_missing_value_as_an_empty_field(capsys, tmp_path):
+    # flat(4) has no pinching ratio: null in the persisted JSON report and an
+    # empty field, not the text "None", in the CSV
+    code, out = run(capsys, ["models", "--format", "csv", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    header, *rows = csv.reader(out.splitlines())
+    flat = dict(zip(header, next(row for row in rows if row[0] == "flat(4)")))
+    assert flat["ratio"] == "" and flat["einstein"] == "True"
+    (report,) = tmp_path.iterdir()
+    persisted = json.loads(report.read_text())["models"]
+    assert next(row for row in persisted if row["model"] == "flat(4)")["ratio"] is None
 
 
 def test_models_has_no_table_flag():

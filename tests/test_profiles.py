@@ -19,7 +19,7 @@ from pinchlab.profiles import (
     check_estimates,
     eigen_gap_lemma,
     equno_identity,
-    exact_profile_bound,
+    exact_profile_bounds,
     mc_campaign,
     profile_batch_exact,
     profile_batch_float,
@@ -598,12 +598,12 @@ def test_rows_are_independent_of_blocks(monkeypatch, lane, n, eps):
     _run_lane(lane, n, eps, 2 * block_rows + 7, 0)
     assert [len(rows.gap1) for _, rows in calls] == [block_rows, block_rows, 7]
     m = n * (n - 1) // 2
-    for (lam, sig, sb, R, coefficients, s_list), rows in calls:
+    for (lam, sig, sb, R, coefficients, s_list, *lane), rows in calls:
         for block, height in ((lam, n), (sig, m), (sb, m)):
             assert block.flags.c_contiguous and block.shape == (height, len(R))
         for r in {*range(0, len(R), 16), len(R) - 1}:
             one = estimate_gaps(lam[:, r:r + 1], sig[:, r:r + 1], sb[:, r:r + 1], R[r:r + 1],
-                                coefficients, s_list)
+                                coefficients, s_list, *lane)
             for got, alone in zip([rows.gap1, rows.gap2, rows.residual, *rows.convex],
                                   [one.gap1, one.gap2, one.residual, *one.convex]):
                 assert got[r:r + 1].tobytes() == alone.tobytes(), r
@@ -655,13 +655,14 @@ def _corrupt_rows(monkeypatch, marked):
     numerators of sb) are a row of marked, and on no other row."""
     gaps = profiles.estimate_gaps
 
-    def corrupted(lam, sig, sb, R, coefficients, s_list):
-        rows = gaps(lam, sig, sb, R, coefficients, s_list)
+    def corrupted(lam, sig, sb, R, coefficients, s_list, lane=None):
+        rows = gaps(lam, sig, sb, R, coefficients, s_list, lane)
         hit = np.zeros(len(R), bool)
         for row in marked:
             hit |= (sb == row[:, None]).all(axis=0)
         (weight1, quadratic1, cubic1), second = coefficients
-        low = gaps(lam, sig, sb, R, ((weight1, quadratic1 - weight1, cubic1), second), s_list)
+        low = gaps(lam, sig, sb, R, ((weight1, quadratic1 - weight1, cubic1), second), s_list,
+                   lane)
 
         def pick(corrupt, true):
             return np.where(hit, corrupt, true)
@@ -780,10 +781,33 @@ SUBCRITICAL = [(n, eps) for n in (3, 4, 5, 6)
 
 def test_exact_bound_picks_int64_on_every_subcritical_combo():
     assert len(SUBCRITICAL) == 15
-    bounds = {combo: exact_profile_bound(*combo) for combo in SUBCRITICAL}
-    assert all(scalars.exact_lane(b) == "int64" for b in bounds.values())
-    worst = max(bounds, key=bounds.get)
-    assert worst == (6, Fraction(1, 48)) and 6e16 < bounds[worst] < 7e16
+    bounds = {combo: exact_profile_bounds(*combo) for combo in SUBCRITICAL}
+    assert all(scalars.exact_lane(b) == "int64" for pair in bounds.values() for b in pair)
+    gaps = {combo: pair[1] for combo, pair in bounds.items()}
+    worst = max(gaps, key=gaps.get)
+    assert worst == (6, Fraction(1, 48)) and 6e16 < gaps[worst] < 7e16
+
+
+def _int64_limit(n, stage):
+    """The largest q for which stage (0: the sums, 1: the gaps) of
+    profile_batch_exact at eps = 1/q runs in int64, by bisection: the bounds
+    grow with q, from q = n(n-1) + 1, the smallest subcritical one."""
+    def fits(q):
+        return scalars.exact_lane(exact_profile_bounds(n, Fraction(1, q))[stage]) == "int64"
+
+    low, high = n * (n - 1) + 1, 2 ** 20
+    assert fits(low) and not fits(high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if fits(mid) else (low, mid)
+    return low
+
+
+def test_each_stage_has_its_own_int64_limit():
+    # eps = 1/q: the sums stay in int64 far beyond the gaps (README's table)
+    limits = {n: (_int64_limit(n, 0), _int64_limit(n, 1)) for n in range(3, 9)}
+    assert limits == {3: (13463, 816), 4: (6116, 411), 5: (3406, 238),
+                      6: (2137, 155), 7: (1450, 111), 8: (1040, 85)}
 
 
 @pytest.mark.parametrize("n, eps, count", [
@@ -791,7 +815,7 @@ def test_exact_bound_picks_int64_on_every_subcritical_combo():
     (4, Fraction(1, 10 ** 20), 10),               # a denominator beyond int64
 ])
 def test_batch_exact_runs_python_ints_beyond_int64(n, eps, count):
-    assert scalars.exact_lane(exact_profile_bound(n, eps)) == "python-int"
+    assert scalars.exact_lane(exact_profile_bounds(n, eps)[1]) == "python-int"
     out = profile_batch_exact(n, eps, count, 0)
     assert out["exactLane"] == "python-int"
     assert out["slackIdentityExact"] and not out["violations"]
@@ -878,13 +902,55 @@ class _ExtremeDraws:
 
 @pytest.mark.parametrize("n, eps", [(3, Fraction(-1, 10)), (6, Fraction(1, 48)),
                                     (6, Fraction(1, 1000)), (4, Fraction(1, 10 ** 20))])
-def test_exact_bound_covers_the_kernel(monkeypatch, recorded, n, eps):
+def test_exact_bound_covers_the_kernel(monkeypatch, recorded_kinds, n, eps):
+    # each stage's numbers are a recorded kind of their own: the block's, as
+    # the sums' lane takes it, and the sums', as the gaps' lane takes them
+    sums, gaps = recorded_kinds(), recorded_kinds()
     monkeypatch.setattr(profiles, "_combo_rng", lambda *args: _ExtremeDraws())
-    monkeypatch.setattr(profiles, "lane_array", lambda values, lane: recorded.array(values))
+    monkeypatch.setattr(profiles, "lane_array", lambda values, lane: (
+        sums if values.dtype == np.int64 else gaps).array(values))
     out = profile_batch_exact(n, eps, 100, 0)
     assert out["slackIdentityExact"] and not out["violations"]
-    bound = exact_profile_bound(n, eps)
-    assert recorded.peak <= bound
+    sums_bound, gaps_bound = exact_profile_bounds(n, eps)
+    assert 0 < sums.peak <= sums_bound and 0 < gaps.peak <= gaps_bound
+
+
+def _stage_lanes(calls):
+    """The (sums, gaps) dtypes of every estimate_gaps call spied on."""
+    return {(str(args[0].dtype), str(rows.gap1.dtype)) for args, rows in calls}
+
+
+def test_each_stage_runs_in_its_own_lane(monkeypatch):
+    calls = _spy_on_gaps(monkeypatch)
+    for (n, eps), lanes in [((6, Fraction(1, 1000)), ("int64", "object")),
+                            ((4, Fraction(1, 10 ** 20)), ("object", "object"))] + [
+            (combo, ("int64", "int64")) for combo in SUBCRITICAL]:
+        calls.clear()
+        out = profile_batch_exact(n, eps, 1000, 1)
+        assert _stage_lanes(calls) == {lanes}, (n, eps)
+        assert out["exactLane"] == ("int64" if lanes[1] == "int64" else "python-int")
+
+
+@pytest.mark.parametrize("wrong", [False, True])
+def test_mixed_lane_equals_the_python_int_lane(monkeypatch, wrong):
+    # int64 sums and Python-int gaps give the report of Python ints
+    # throughout, violations included, for every n and distribution
+    if wrong:
+        _wrong_estimate1(monkeypatch)
+    calls = _spy_on_gaps(monkeypatch)
+    eps = Fraction(1, 1000)
+    for n in (3, 4, 5, 6):
+        for distribution in DISTRIBUTIONS:
+            calls.clear()
+            monkeypatch.setattr(scalars, "INT64_MAX", 2 ** 63 - 1)
+            mixed = profile_batch_exact(n, eps, 1000, 5, distribution)
+            assert _stage_lanes(calls) == {("int64", "object")}
+            calls.clear()
+            monkeypatch.setattr(scalars, "INT64_MAX", 0)
+            python_int = profile_batch_exact(n, eps, 1000, 5, distribution)
+            assert _stage_lanes(calls) == {("object", "object")}
+            assert _untimed(mixed) == _untimed(python_int), (n, distribution)
+            assert bool(mixed["violations"]) == wrong
 
 
 def test_python_int_lane_gets_no_floats():
