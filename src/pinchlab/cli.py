@@ -163,13 +163,14 @@ def _config_scalar(key, flag, value):
 
 def _finish(report, args, stem):
     """Print the report in args.format (JSON where a command has no
-    --format), persist it as JSON, and return the exit code."""
+    --format), persist it as JSON under the digest it prints, and return
+    the exit code."""
     payload = dict(report)
     payload["toolVersion"] = __version__
     payload["digest"] = report_digest(report)
     sys.stdout.write(emit(payload, getattr(args, "format", "json")).decode())
     if args.out:
-        persist(payload, args.out, stem=stem)
+        persist(payload, args.out, stem=stem, digest=payload["digest"])
     violated = bool(payload.get("violations"))
     return EXIT_VIOLATION if violated else EXIT_OK
 

@@ -221,16 +221,6 @@ class AlgCurvTensor:
         check_curvature_operators(self.rhat[None])
         self.rhat.setflags(write=False)
 
-    def components(self):
-        """The n^4 components R_ijkl = s_ij s_kl rhat[p_ij, p_kl] in the
-        tensor's arithmetic, with p = pair_basis(n)[2] and s_ij = sign(j - i),
-        for the contractions over all four indices: the soliton drift
-        R_ijkl Ric_jl, the search oracle and the tests."""
-        _, _, p = pair_basis(self.n)
-        r = np.arange(self.n)
-        s = np.sign(r - r[:, None])
-        return s[:, :, None, None] * s * self.rhat[p[:, :, None, None], p]
-
     def to_json(self):
         """The generating entries [i, j, k, l, R_ijkl]: the nonzero operator
         entries on and above the diagonal, with i < j, k < l."""
@@ -243,7 +233,8 @@ class AlgCurvTensor:
     def from_json(cls, text):
         """The tensor of to_json's generating entries, each of which fills an
         operator entry and its transpose.  Raises ValueError naming an entry
-        whose pairs are not i < j and k < l within 0..n-1."""
+        whose pairs are not i < j and k < l within 0..n-1, or whose value is
+        not a number or a numeric string of the tensor's mode."""
         data = json.loads(text)
         n, mode = data["n"], check_mode(data["mode"])
         first, _, position = pair_basis(n)
@@ -255,8 +246,21 @@ class AlgCurvTensor:
                 raise ValueError(f"entry {entry}: its index pairs must be i < j and "
                                  f"k < l within 0..{n - 1}")
             a, b = position[i, j], position[k, l]
-            rhat[a, b] = rhat[b, a] = Fraction(raw) if mode == RATIONAL else float(raw)
+            rhat[a, b] = rhat[b, a] = _entry_value(entry, raw, mode)
         return cls(rhat)
+
+
+def _entry_value(entry, raw, mode):
+    """The value raw of a generating entry in mode's arithmetic: a JSON
+    number or a numeric string, never a bool; ValueError naming the entry
+    for anything else."""
+    if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
+        try:
+            return Fraction(raw) if mode == RATIONAL else float(raw)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise ValueError(f"entry {entry}: its value {json.dumps(raw)} is not a number "
+                     "or a numeric string")
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +276,8 @@ def constant_curvature(n, kappa, mode) -> AlgCurvTensor:
 
 def ricci_stack(rhat):
     """R_ik = sum_j R_ijkj = sum_j s_ij s_kj rhat[p_ij, p_kj] (orthonormal
-    frame, AlgCurvTensor.components) of each operator of the stack rhat
-    (k, m, m): an array (k, n, n), summed over j in order."""
+    frame; p = pair_basis(n)[2] and s_ij = sign(j - i)) of each operator of
+    the stack rhat (k, m, m): an array (k, n, n), summed over j in order."""
     n = pair_dimension(rhat.shape[-1])
     _, _, p = pair_basis(n)
     i, k, j = np.indices((n,) * 3)

@@ -72,12 +72,13 @@ def _emit_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def persist(report, out_dir, stem="report") -> Path:
-    """Write a timestamped JSON report; never overwrites existing files."""
+def persist(report, out_dir, stem="report", digest=None) -> Path:
+    """Write a timestamped JSON report, named by digest (report_digest of
+    the report by default); never overwrites existing files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stamp = time.strftime("%Y%m%dT%H%M%S")
-    digest = report_digest(report)[:12]
+    digest = (digest or report_digest(report))[:12]
     for k in range(10_000):
         suffix = "" if k == 0 else f"-{k}"
         path = out / f"{stem}-{stamp}-{digest}{suffix}.json"

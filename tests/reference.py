@@ -20,6 +20,16 @@ def bianchi_constant(n):
     return Fraction(n - 2, 2 * n)
 
 
+def components(Rm: AlgCurvTensor):
+    """The n^4 components R_ijkl = s_ij s_kl rhat[p_ij, p_kl] in the
+    tensor's arithmetic, with p = pair_basis(n)[2] and s_ij = sign(j - i):
+    what the reference implementations contract over all four indices."""
+    _, _, p = pair_basis(Rm.n)
+    r = np.arange(Rm.n)
+    s = np.sign(r - r[:, None])
+    return s[:, :, None, None] * s * Rm.rhat[p[:, :, None, None], p]
+
+
 # ---------------------------------------------------------------------------
 # The min-Sec oracle, independent of the 4-form dual that pinchlab solves: a
 # Halton grid scored on the operator, then L-BFGS on the n^4 components, and
@@ -106,7 +116,7 @@ def search_min_sectional(Rm: AlgCurvTensor, opts: SearchOptions = SearchOptions(
     values, gx, gy = grid_sectionals(Rm, count)
     order = np.argsort(values, kind="stable")[: opts.refine_starts]
 
-    comp = np.asarray(Rm.components(), dtype=float)
+    comp = np.asarray(components(Rm), dtype=float)
     best_val, best_z = np.inf, None
     for p in order:
         res = _descend(comp, np.concatenate([gx[p], gy[p]]), opts)

@@ -46,6 +46,15 @@ def test_verify_estimates_clean(capsys, tmp_path):
     assert len(list(tmp_path.iterdir())) == 1
 
 
+def test_persisted_report_is_named_by_the_printed_digest(capsys, tmp_path):
+    code, out = run(capsys, ["model", "sphere", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    [path] = tmp_path.iterdir()
+    digest = json.loads(out)["digest"]
+    assert path.name.startswith("model-sphere-") and path.stem.endswith(digest[:12])
+    assert json.loads(path.read_text())["digest"] == digest
+
+
 def test_verify_estimates_corrupted_coefficient_exits_1(capsys, monkeypatch):
     lower_estimate1(monkeypatch, 1)
     code, out = run(capsys, ["verify-estimates", "--count", "300",

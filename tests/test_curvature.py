@@ -32,7 +32,13 @@ from pinchlab.curvature import (
 )
 from pinchlab.models import default_models
 from pinchlab.scalars import ArithmeticModeError, mode_of
-from reference import kulkarni_nomizu, n4_bianchi_projection, n4_residuals, operator_of
+from reference import (
+    components,
+    kulkarni_nomizu,
+    n4_bianchi_projection,
+    n4_residuals,
+    operator_of,
+)
 
 
 def random_plane(n, rng):
@@ -147,14 +153,14 @@ def test_sectional_on_coordinate_plane_reads_component():
         for j in range(4):
             if i != j:
                 p = coordinate_plane(4, i, j)
-                assert sectional(Rm, p) == pytest.approx(Rm.components()[i, j, i, j])
+                assert sectional(Rm, p) == pytest.approx(components(Rm)[i, j, i, j])
 
 
 @given(seed=st.integers(0, 10_000), n=st.sampled_from([3, 4, 5]))
 @settings(max_examples=25, deadline=None)
 def test_random_curvature_rational_bianchi_exact(seed, n):
     Rm = random_curvature(n, seed, RATIONAL, scale=5)
-    assert n4_residuals(Rm.components())["first Bianchi identity"] == 0
+    assert n4_residuals(components(Rm))["first Bianchi identity"] == 0
     assert not bianchi_sums(Rm.rhat[None]).any()
 
 
@@ -198,7 +204,7 @@ def test_invariants_lhs_matches_loop_oracle():
     Rm = random_curvature(4, 21, FLOAT)
     inv = invariants(Rm)
     t = traceless_ricci(Rm)
-    comp = Rm.components()
+    comp = components(Rm)
     acc = 0.0
     for i in range(4):
         for j in range(4):
@@ -252,6 +258,15 @@ def test_from_json_rejects_a_non_finite_entry(bad):
         AlgCurvTensor.from_json(text)
 
 
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("bad", ["1/0", "abc", True, [1]])
+def test_from_json_rejects_a_value_that_is_not_a_number(mode, bad):
+    entry = [0, 2, 0, 2, bad]   # true would be a valid tensor, read as 1
+    text = json.dumps({"n": 4, "mode": mode, "entries": [[0, 1, 0, 1, "2"], entry]})
+    with pytest.raises(ValueError, match=re.escape(f"entry {entry}: its value")):
+        AlgCurvTensor.from_json(text)
+
+
 def test_symmetry_validator_is_exact_in_rational_mode():
     rhat = np.stack([random_curvature(4, seed, RATIONAL).rhat for seed in range(3)])
     check_curvature_operators(rhat)
@@ -292,20 +307,20 @@ def test_operator_with_a_lambda4_component_rejected(n):
 @pytest.mark.parametrize("n", range(3, 9))
 def test_components_have_every_symmetry(n):
     exact = random_curvature(n, [n, 1], RATIONAL, scale=5)
-    assert set(n4_residuals(exact.components()).values()) == {0}
+    assert set(n4_residuals(components(exact)).values()) == {0}
     Rm = random_curvature(n, [n, 1], FLOAT)
-    comp = Rm.components()
+    comp = components(Rm)
     residuals = n4_residuals(comp)
     assert residuals.pop("first Bianchi identity") <= 1e-14 * np.abs(comp).max()
     assert set(residuals.values()) == {0.0}
     for T in (Rm, exact):
-        assert np.array_equal(operator_of(T.components()), T.rhat)
+        assert np.array_equal(operator_of(components(T)), T.rhat)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_ricci_and_scalar_match_the_components(n):
     Rm = random_curvature(n, [n, 2], RATIONAL, scale=5)
-    ric = np.einsum("ijkj->ik", Rm.components())
+    ric = np.einsum("ijkj->ik", components(Rm))
     assert (ricci(Rm) == ric).all()
     assert scalar(Rm) == np.trace(ric)
 
@@ -318,7 +333,7 @@ def test_wedge_map_gives_the_partner_matrix(n):
     x = np.array([Fraction(int(v), 7) for v in rng.integers(-9, 10, n)], dtype=object)
     y = np.array([Fraction(int(v), 5) for v in rng.integers(-9, 10, n)], dtype=object)
     A = wedge_map(x)
-    assert (A.T @ Rm.rhat @ A == np.einsum("ijkl,i,k->jl", Rm.components(), x, x)).all()
+    assert (A.T @ Rm.rhat @ A == np.einsum("ijkl,i,k->jl", components(Rm), x, x)).all()
     assert (A @ y == curvature.bivector(x, y)).all()
 
 

@@ -4,7 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pinchlab.curvature import invariants, ricci, scalar, traceless_ricci
+from pinchlab import models
+from pinchlab.curvature import (
+    RATIONAL,
+    invariants,
+    random_curvature,
+    ricci,
+    scalar,
+    traceless_ricci,
+)
 from pinchlab.models import (
     default_models,
     flat,
@@ -19,7 +27,7 @@ from pinchlab.models import (
     soliton_identity_check,
     sphere,
 )
-from reference import oracle_min_sectional
+from reference import components, oracle_min_sectional
 
 
 def test_registry():
@@ -44,8 +52,8 @@ def test_cp2_invariants():
     assert all(ric[i, i] == 6 for i in range(4))
     assert not traceless_ricci(m.Rm).any()
     # holomorphic plane has curvature 4, the totally real one curvature 1
-    assert m.Rm.components()[0, 1, 0, 1] == 4
-    assert m.Rm.components()[0, 2, 0, 2] == 1
+    assert components(m.Rm)[0, 1, 0, 1] == 4
+    assert components(m.Rm)[0, 2, 0, 2] == 1
 
 
 def test_product_spheres_invariants():
@@ -95,6 +103,31 @@ def test_soliton_identities_all_models():
         rep = soliton_identity_check(m)
         assert rep["allZero"], rep
         assert all(v in ("0", 0) for v in rep["residuals"].values())
+
+
+def reference_curvature_on_ricci(Rm, ric):
+    return np.einsum("ijkl,jl->ik", components(Rm), ric)
+
+
+def test_drift_contraction_equals_the_n4_einsum():
+    # R_ijkl Ric_jl read off the operator's nonzero entries is the n^4 sum
+    # exactly, also on a matrix with no symmetry at all
+    tensors = [m.Rm for m in default_models()] + [product_spheres(1, 2).Rm]
+    tensors += [random_curvature(n, seed, RATIONAL) for n in range(3, 7) for seed in range(3)]
+    rng = np.random.default_rng(7)
+    for Rm in tensors:
+        generic = np.vectorize(Fraction, otypes=[object])(
+            rng.integers(-9, 10, (Rm.n, Rm.n)), rng.integers(1, 5, (Rm.n, Rm.n)))
+        for ric in (ricci(Rm), generic):
+            x = models._curvature_on_ricci(Rm, ric)
+            assert x.dtype == object and all(type(v) is Fraction for v in x.flat)
+            assert (x == reference_curvature_on_ricci(Rm, ric)).all(), Rm
+
+
+def test_soliton_reports_equal_those_of_the_n4_einsum(monkeypatch):
+    fast = [soliton_identity_check(m) for m in default_models()]
+    monkeypatch.setattr(models, "_curvature_on_ricci", reference_curvature_on_ricci)
+    assert fast == [soliton_identity_check(m) for m in default_models()]
 
 
 def test_cylinder_identity_is_nontrivial():

@@ -31,7 +31,7 @@ from pinchlab.profiles import (
     estimate_gaps,
 )
 from pinchlab.reports import report_digest
-from reference import lower_estimate1
+from reference import components, lower_estimate1
 
 
 def draw_rows(n, count, seed, mode, distribution="half-normal"):
@@ -1319,7 +1319,7 @@ def test_eigenframe_curvatures_match_the_rotated_tensor():
             lam, sigma = (part[0] for part in _eigenframe_stack(Rm.rhat[None]))
             t = np.asarray(traceless_ricci(Rm), dtype=float)
             ref_lam, vecs = np.linalg.eigh(t)
-            comp = Rm.components()
+            comp = components(Rm)
             rot = np.einsum("ia,jb,kc,ld,ijkl->abcd", vecs, vecs, vecs, vecs, comp)
             ref = np.array([rot[i, j, i, j] for i, j in zip(*np.triu_indices(n, 1))])
             tol = 1e-12 * max(1.0, np.linalg.norm(comp))
