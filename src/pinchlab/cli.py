@@ -170,7 +170,7 @@ def _finish(report, args, stem):
     payload["digest"] = report_digest(report)
     sys.stdout.write(emit(payload, getattr(args, "format", "json")).decode())
     if args.out:
-        persist(payload, args.out, stem=stem, digest=payload["digest"])
+        persist(payload, args.out, stem=stem)
     violated = bool(payload.get("violations"))
     return EXIT_VIOLATION if violated else EXIT_OK
 

@@ -72,13 +72,14 @@ def _emit_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def persist(report, out_dir, stem="report", digest=None) -> Path:
-    """Write a timestamped JSON report, named by digest (report_digest of
-    the report by default); never overwrites existing files."""
+def persist(report, out_dir, stem="report") -> Path:
+    """Write a timestamped JSON report, named by its own "digest" field when
+    it carries one (the digest the CLI prints) and by report_digest of it
+    otherwise; never overwrites existing files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stamp = time.strftime("%Y%m%dT%H%M%S")
-    digest = (digest or report_digest(report))[:12]
+    digest = (report.get("digest") or report_digest(report))[:12]
     for k in range(10_000):
         suffix = "" if k == 0 else f"-{k}"
         path = out / f"{stem}-{stamp}-{digest}{suffix}.json"

@@ -54,6 +54,13 @@ def test_persist_never_overwrites(tmp_path):
     assert json.loads(p1.read_text()) == rep
 
 
+def test_persist_names_a_report_by_its_own_digest_field(tmp_path):
+    rep = {"k": 1}
+    assert persist(rep, tmp_path, stem="r").stem.endswith(report_digest(rep)[:12])
+    signed = {"k": 1, "digest": report_digest(rep)}
+    assert persist(signed, tmp_path, stem="s").stem.endswith(report_digest(rep)[:12])
+
+
 def test_persist_never_overwrites_a_file_created_meanwhile(tmp_path, monkeypatch):
     # a file that appears between a check and the write (another run, the
     # same digest, the same second) is kept: each name is created exclusively
