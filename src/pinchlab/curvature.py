@@ -300,11 +300,16 @@ def scalar(Rm: AlgCurvTensor):
 def traceless_ricci_stack(rhat):
     """Ric - (tr Ric / n) g of each operator of the stack rhat (k, m, m),
     exact for a rational stack: an array (k, n, n)."""
-    oric = ricci_stack(rhat)
-    n = oric.shape[-1]
+    return _remove_trace(ricci_stack(rhat))
+
+
+def _remove_trace(ric):
+    """ric - (tr ric / n) g of each matrix of the stack ric (k, n, n), in
+    place: the stack itself."""
+    n = ric.shape[-1]
     d = np.arange(n)
-    oric[:, d, d] -= (np.trace(oric, axis1=1, axis2=2) / n)[:, None]
-    return oric
+    ric[:, d, d] -= (np.trace(ric, axis1=1, axis2=2) / n)[:, None]
+    return ric
 
 
 def traceless_ricci(Rm: AlgCurvTensor):
@@ -331,7 +336,12 @@ class CurvatureInvariants:
 def invariants(Rm: AlgCurvTensor) -> CurvatureInvariants:
     """R, |oRic|^2 and R_ijkl oR_ik oR_jl = 2 <rhat, compound(oRic)>: each
     unordered pair of the four-index sum appears in its two orders."""
-    t = traceless_ricci(Rm)
+    return _invariants_on_ricci(Rm, ricci(Rm))
+
+
+def _invariants_on_ricci(Rm: AlgCurvTensor, ric) -> CurvatureInvariants:
+    """invariants(Rm), read off its Ricci tensor ric, which is left as it is."""
+    t = _remove_trace(ric[None].copy())[0]
     return CurvatureInvariants(
         R=scalar(Rm),
         ricNormSq=np.einsum("ij,ij", t, t),

@@ -81,7 +81,8 @@ def check_gradient_constraints(S, w):
 def integer_gradient_models(n, seeds):
     """Integer models (S, w), one per seed, as int64 stacks of shapes
     (len(seeds), n, n, n) and (len(seeds), n): the rational projection of
-    integer draws in [-9, 9] (S first, then w), with its denominators cleared.
+    one draw of n^3 + n integers in [-9, 9] per seed (S its first n^3
+    entries, w the rest), with its denominators cleared.
 
     The projection runs in integers over the fixed common denominator
     X = 2n (n^2 + n - 2)^2: it forms X times each step of symmetrizing in
@@ -95,12 +96,11 @@ def integer_gradient_models(n, seeds):
     the constraints are checked exactly afterwards.
     """
     count = len(seeds)
-    S0 = np.empty((count, n, n, n), dtype=np.int64)
-    w0 = np.empty((count, n), dtype=np.int64)
+    draws = np.empty((count, n ** 3 + n), dtype=np.int64)
     for k, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        S0[k] = rng.integers(-9, 10, size=n ** 3).reshape(n, n, n)
-        w0[k] = rng.integers(-9, 10, size=n)
+        draws[k] = np.random.default_rng(seed).integers(-9, 10, size=n ** 3 + n)
+    S0 = draws[:, :n ** 3].reshape(count, n, n, n)
+    w0 = draws[:, n ** 3:]
     h = n * n + n - 2
     X = 2 * n * h * h
     eye = np.eye(n, dtype=np.int64)

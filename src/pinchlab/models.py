@@ -17,11 +17,11 @@ import numpy as np
 from .curvature import (
     AlgCurvTensor,
     RATIONAL,
+    _invariants_on_ricci,
     compound,
     constant_curvature,
     diagonal_tensor,
     eye,
-    invariants,
     pair_basis,
     ricci,
     scalar,
@@ -214,12 +214,15 @@ def soliton_identity_check(m: ModelGeometry):
 
     The dimension-four integral identity (|grad R|^2 vs R |oRic|^2) reduces to
     0 = 0 on Einstein/flat models and is reported as trivially satisfied.
+
+    The Ricci tensor is computed once: R, |oRic|^2 and R_ijkl oR_ik oR_jl
+    are read off it as curvature.invariants reads them.
     """
     if m.solitonConstant is None or m.potentialKind is None:
         raise ValueError(f"{m.name}: no closed-form potential")
     n, lam = m.n, m.solitonConstant
     ric = ricci(m.Rm)
-    inv = invariants(m.Rm)
+    inv = _invariants_on_ricci(m.Rm, ric)
     R = inv.R
 
     soliton_eq = ric + m.hessian - lam * eye(n, RATIONAL)
@@ -230,7 +233,6 @@ def soliton_identity_check(m: ModelGeometry):
     # |grad oRic|^2 = 0 on every shipped model (parallel curvature)
     drift_oric = (2 * lam * inv.ricNormSq - 2 * inv.lhs
                   - Fraction(2, n) * R * inv.ricNormSq)
-    trivially_einstein = m.einstein or R == 0
     residuals = {
         "solitonEquation": max(abs(v) for v in soliton_eq.reshape(-1)),
         "traceEquation": abs(laplacian_f - (n * lam - R)),
@@ -244,7 +246,7 @@ def soliton_identity_check(m: ModelGeometry):
         "potentialKind": m.potentialKind,
         "residuals": {k: scalar_to_json(v) for k, v in residuals.items()},
         "allZero": all(v == 0 for v in residuals.values()),
-        "integralIdentityTrivial": trivially_einstein,
+        "integralIdentityTrivial": inv.ricNormSq == 0 or R == 0,   # Einstein or flat
     }
 
 

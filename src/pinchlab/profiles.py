@@ -449,11 +449,15 @@ def _draw_values(rng, rows, distribution):
 
 def _check_blocks(rng, shape, dtype, distribution, entry_bytes, check):
     """Draw the shifted curvatures of shape (count, m) and dtype from rng
-    (_draw_values) and check them block by block: a block holds as many
-    rows (at least one) as BLOCK_BYTES holds of an (m, rows) operand whose
-    entries take entry_bytes each.  check maps a block, laid out pair-major
-    as the C-contiguous (m, rows) copy of its rows, to its GapRows, which
-    are reduced at once (_reduce_gaps, the first 10 bad rows, each with its
+    (_draw_values) and check them block by block: count is split into the
+    fewest blocks whose (m, rows) operands, of entries of entry_bytes each,
+    fit BLOCK_BYTES (blocks of one row when no row fits), with sizes that
+    differ by at most one row, the larger ones first.  A count just above a
+    whole number of blocks thus runs in smaller blocks, not in full ones and
+    a short last one, and the lane's transient memory is that of the
+    smaller blocks.  check maps a block, laid out pair-major as the
+    C-contiguous (m, rows) copy of its rows, to its GapRows, which are
+    reduced at once (_reduce_gaps, the first 10 bad rows, each with its
     shifted curvatures).  Returns (reduced, timings).
 
     The rows are drawn into a ring of RING_SLOTS (rows, m) buffers, or of
@@ -477,13 +481,13 @@ def _check_blocks(rng, shape, dtype, distribution, entry_bytes, check):
     ("kernel")."""
     _require("distribution", distribution, DISTRIBUTIONS)
     count, m = shape
-    rows = max(1, BLOCK_BYTES // (m * entry_bytes))
-    sizes = [min(rows, count - lo) for lo in range(0, count, rows)]
+    blocks = -(-count // max(1, BLOCK_BYTES // (m * entry_bytes)))
+    sizes = [count // blocks + (k < count % blocks) for k in range(blocks)]
     # one array, not one per slot: once freed, its 1 MB lifts glibc's mmap
     # and trim thresholds, so the kernel's block temporaries stay on the heap
     # instead of being trimmed and faulted back in on every block
     slots = min(RING_SLOTS, max(1, len(sizes) - 1))
-    ring = np.empty((slots, min(rows, count), m), dtype)
+    ring = np.empty((slots, sizes[0] if sizes else 0, m), dtype)
     ready, freed = threading.Semaphore(0), threading.Condition()
     stop, fault = threading.Event(), []
     copied = wanted = 0   # blocks copied out of the ring; the count the worker waits for

@@ -12,7 +12,8 @@ from pinchlab.curvature import AlgCurvTensor, Plane, bivector, pair_basis, plane
 from pinchlab.ftensor import FCoefficients, _den, q2, q2_numerator
 from pinchlab.minsec import SearchOptions, _orthonormal_pairs
 from pinchlab.models import ModelGeometry
-from pinchlab.scalars import RATIONAL, ArithmeticModeError, check_mode, exact_div, mode_of
+from pinchlab.scalars import (RATIONAL, ArithmeticModeError, check_mode, exact_div, mode_of,
+                              scalar_to_json)
 
 
 def bianchi_constant(n):
@@ -28,6 +29,55 @@ def components(Rm: AlgCurvTensor):
     r = np.arange(Rm.n)
     s = np.sign(r - r[:, None])
     return s[:, :, None, None] * s * Rm.rhat[p[:, :, None, None], p]
+
+
+def ricci_n4(Rm: AlgCurvTensor):
+    """Ric_ik = sum_j R_ijkj over the n^4 components."""
+    return np.einsum("ijkj->ik", components(Rm))
+
+
+def traceless_ricci_n4(Rm: AlgCurvTensor):
+    """Ric - (R / n) g, with Ricci and R = tr Ric read off the n^4 components."""
+    oric = ricci_n4(Rm)
+    R = np.trace(oric)
+    for i in range(Rm.n):
+        oric[i, i] -= R / Rm.n
+    return oric
+
+
+def soliton_identity_check_n4(m: ModelGeometry):
+    """pinchlab.models.soliton_identity_check as it was first written, with
+    the Ricci tensor computed three times (for the soliton equation, for
+    the invariants and for Einstein), here each on the n^4 components."""
+    n, lam = m.n, m.solitonConstant
+    comp = components(m.Rm)
+    ric = ricci_n4(m.Rm)
+    oric = traceless_ricci_n4(m.Rm)
+    R = np.trace(ric)
+    ric_norm_sq = np.einsum("ij,ij", oric, oric)
+    lhs = np.einsum("ijkl,ik,jl", comp, oric, oric)
+
+    soliton_eq = ric + m.hessian - lam * np.identity(n, dtype=object)
+    laplacian_f = m.hessian.trace()
+    drift_R = 2 * lam * R - 2 * np.einsum("ij,ij", ric, ric)
+    drift_ric = 2 * lam * ric - 2 * np.einsum("ijkl,jl->ik", comp, ric)
+    drift_oric = 2 * lam * ric_norm_sq - 2 * lhs - Fraction(2, n) * R * ric_norm_sq
+    einstein = not traceless_ricci_n4(m.Rm).any()
+    residuals = {
+        "solitonEquation": max(abs(v) for v in soliton_eq.reshape(-1)),
+        "traceEquation": abs(laplacian_f - (n * lam - R)),
+        "driftScalar": abs(drift_R),
+        "driftRicci": max(abs(v) for v in drift_ric.reshape(-1)),
+        "driftTracelessNormSq": abs(drift_oric),
+    }
+    return {
+        "name": m.name,
+        "lambda": scalar_to_json(lam),
+        "potentialKind": m.potentialKind,
+        "residuals": {k: scalar_to_json(v) for k, v in residuals.items()},
+        "allZero": all(v == 0 for v in residuals.values()),
+        "integralIdentityTrivial": einstein or R == 0,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -180,8 +180,10 @@ def fraction_projection(n, seed):
     return S * scale, w * scale
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_rational_sampler_matches_the_fraction_projection(n):
+    # fraction_projection draws S, then w, in two calls; the sampler takes
+    # both from one draw of n^3 + n integers, S first, for the same bits
     for seed in [*range(50), *([7, idx] for idx in range(10))]:
         S, w = fraction_projection(n, seed)
         S_r, w_r = sample_gradient_model(n, seed, RATIONAL)

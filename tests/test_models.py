@@ -27,7 +27,7 @@ from pinchlab.models import (
     soliton_identity_check,
     sphere,
 )
-from reference import components, oracle_min_sectional
+from reference import components, oracle_min_sectional, soliton_identity_check_n4
 
 
 def test_registry():
@@ -128,6 +128,39 @@ def test_soliton_reports_equal_those_of_the_n4_einsum(monkeypatch):
     fast = [soliton_identity_check(m) for m in default_models()]
     monkeypatch.setattr(models, "_curvature_on_ricci", reference_curvature_on_ricci)
     assert fast == [soliton_identity_check(m) for m in default_models()]
+
+
+def perturbed_models():
+    """Models whose soliton identities fail: the shipped ones with lambda
+    moved by 1, the sphere with the cylinder's Hessian, spheres of other
+    dimensions with a wrong lambda, and random tensors with a constant
+    potential."""
+    out = [dataclasses.replace(m, solitonConstant=m.solitonConstant + 1)
+           for m in default_models()]
+    out.append(dataclasses.replace(sphere(4, 1), hessian=round_cylinder_s3xr().hessian))
+    for n, kappa in ((3, Fraction(1)), (5, Fraction(2, 3)), (6, Fraction(-1, 2))):
+        m = sphere(n, kappa)
+        out.append(dataclasses.replace(m, solitonConstant=m.solitonConstant + Fraction(1, 3)))
+    for n, seed in ((4, 0), (5, 1)):
+        out.append(dataclasses.replace(sphere(n, 1), name=f"random({n},{seed})",
+                                       Rm=random_curvature(n, seed, RATIONAL)))
+    return out
+
+
+def test_soliton_reports_equal_the_three_ricci_reference():
+    # the one-Ricci reports equal, exactly, those of the three-Ricci path
+    # on the n^4 components, on the shipped models and on perturbed ones,
+    # whose residuals are nonzero
+    for m in default_models():
+        assert soliton_identity_check(m) == soliton_identity_check_n4(m)
+    reports = [soliton_identity_check(m) for m in perturbed_models()]
+    assert reports == [soliton_identity_check_n4(m) for m in perturbed_models()]
+    assert not any(rep["allZero"] for rep in reports)
+    for key in ("solitonEquation", "traceEquation", "driftScalar", "driftRicci",
+                "driftTracelessNormSq"):
+        assert any(rep["residuals"][key] != "0" for rep in reports), key
+    trivial = [rep["integralIdentityTrivial"] for rep in reports]
+    assert trivial == [True] * 4 + [False] + [True] * 4 + [False] * 2
 
 
 def test_cylinder_identity_is_nontrivial():

@@ -548,20 +548,25 @@ def _run_lane(lane, n, eps, count, seed, distribution="half-normal"):
 
 
 def _lane_rows(lane, n):
-    """Rows per block of a lane ("float", "int64" or "python-int") at n: as
-    many as profiles.BLOCK_BYTES holds of an (m, rows) operand."""
+    """The most rows a block of a lane ("float", "int64" or "python-int") at
+    n holds: as many as profiles.BLOCK_BYTES holds of an (m, rows) operand."""
     entry_bytes = profiles.PYTHON_INT_BYTES if lane == "python-int" else 8
     return profiles.BLOCK_BYTES // (n * (n - 1) // 2 * entry_bytes)
 
 
 def _block_sizes(count, rows):
-    return [rows] * (count // rows) + [count % rows] * (count % rows > 0)
+    """The sizes of the fewest blocks of at most rows rows that hold count
+    rows, within one row of each other, the larger ones first."""
+    blocks = -(-count // rows)
+    small, larger = divmod(count, blocks) if blocks else (0, 0)
+    return [small + 1] * larger + [small] * (blocks - larger)
 
 
 @pytest.mark.parametrize("n, eps, count", [(5, Fraction(1, 48), 7000),
                                            (6, Fraction(1, 1000), 4500)])
 def test_every_exact_block_goes_through_estimate_gaps(monkeypatch, n, eps, count):
-    # both lanes, each over several blocks of its own size, the last one short
+    # both lanes, each over several blocks of its own size, of equal sizes
+    # (within one row), none of them short
     calls = _spy_on_gaps(monkeypatch)
     for lane in ("float", "exact"):
         calls.clear()
@@ -592,11 +597,14 @@ def test_every_exact_block_goes_through_estimate_gaps(monkeypatch, n, eps, count
 def test_rows_are_independent_of_blocks(monkeypatch, lane, n, eps):
     # each block reaches estimate_gaps C-contiguous and pair-major, and a
     # row's values are, bit for bit, those of the row evaluated alone: every
-    # 16th row and the last of each block are checked
+    # 16th row and the last of each block are checked, over three blocks of
+    # sizes within one row of each other
     calls = _spy_on_gaps(monkeypatch)
     block_rows = _lane_rows("float" if lane == "float" else "int64", n)
-    _run_lane(lane, n, eps, 2 * block_rows + 7, 0)
-    assert [len(rows.gap1) for _, rows in calls] == [block_rows, block_rows, 7]
+    count = 2 * block_rows + 7
+    _run_lane(lane, n, eps, count, 0)
+    sizes = [len(rows.gap1) for _, rows in calls]
+    assert sizes == _block_sizes(count, block_rows) and len(sizes) == 3
     m = n * (n - 1) // 2
     for (lam, sig, sb, R, coefficients, s_list, *lane), rows in calls:
         for block, height in ((lam, n), (sig, m), (sb, m)):
@@ -612,6 +620,46 @@ def test_rows_are_independent_of_blocks(monkeypatch, lane, n, eps):
                 one_R, one_sig, one_lam = _assemble(n, sb[:, r:r + 1], float(eps))
                 assert (one_R[0], *one_sig[:, 0], *one_lam[:, 0]) == (
                     R[r], *sig[:, r], *lam[:, r]), r
+
+
+@pytest.mark.parametrize("lane, eps", [("float", Fraction(1, 48)), ("int64", Fraction(1, 48)),
+                                       ("python-int", Fraction(1, 1000))])
+def test_blocks_are_the_fewest_that_fit_and_differ_by_at_most_one_row(monkeypatch, lane, eps):
+    # no block for count 0, one for a count up to one block's rows, and past
+    # that the fewest blocks that fit the byte budget, within one row of
+    # each other, so no count ends in a short last block
+    checked = checked_rows(monkeypatch)
+    n, block_rows = 6, _lane_rows(lane, 6)
+    entry_bytes = profiles.PYTHON_INT_BYTES if lane == "python-int" else 8
+    for count in (0, 1, block_rows - 1, block_rows, block_rows + 1, 2 * block_rows + 1,
+                  3 * block_rows):
+        checked.clear()
+        out = _run_lane("float" if lane == "float" else "exact", n, eps, count, 1)
+        assert out["count"] == count and out.get("exactLane", "float") == lane
+        sizes = [len(rows) for rows in checked]
+        assert sum(sizes) == count and len(sizes) == -(-count // block_rows), count
+        if count:
+            assert max(sizes) - min(sizes) <= 1, (count, sizes)
+            assert max(sizes) * 15 * entry_bytes <= profiles.BLOCK_BYTES
+    if lane == "float":   # verify-estimates --n 6 --count 5000
+        checked.clear()
+        _run_lane("float", n, eps, 5000, 1)
+        assert [len(rows) for rows in checked] == [1667, 1667, 1666]
+
+
+def test_equal_blocks_hold_the_lane_peak():
+    # verify-estimates --n 6 --count 5000 runs three blocks of about 1667
+    # rows: after one untraced warm-up call, the float lane's traced peak
+    # stays within 2.1e6 bytes (1879 KiB when measured), where blocks of
+    # 2184 + 2184 + 632 rows took 2457 KiB
+    profile_batch_float(6, 1 / 1000, [0, 1 / 2, 1], 5000, 1)
+    tracemalloc.start()
+    try:
+        profile_batch_float(6, 1 / 1000, [0, 1 / 2, 1], 5000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_100_000, peak
 
 
 @pytest.mark.parametrize("lane", ["float", "exact"])
@@ -676,7 +724,7 @@ def _corrupt_rows(monkeypatch, marked):
                                        ("python-int", Fraction(1, 1000))])
 def test_violations_in_any_block_dump_their_row(monkeypatch, lane, eps):
     # violations in the first and second blocks, in the fifth (whose ring
-    # slot the first one's rows held before) and in the last, partial block
+    # slot the first one's rows held before) and in the last block
     # each dump the row of one full draw, copied out of its block, and replay
     # alone through check_estimates: bit for bit in float, exactly in
     # int64 and Python ints
@@ -1077,8 +1125,9 @@ def _kernel_fault(monkeypatch, call):
 @pytest.mark.parametrize("fault", ["draw", "kernel"])
 def test_lane_faults_are_raised_and_leave_no_thread(monkeypatch, lane, fault):
     # a fault of the worker's draws (on the 3rd block) or of the kernel (on
-    # the 2nd) is the lane's, the rows checked before it are the leading
-    # rows of one full draw, and the worker is joined before the lane raises
+    # the 2nd) is the lane's, the rows checked before it, in blocks of the
+    # lane's equal sizes, are the leading rows of one full draw, and the
+    # worker is joined before the lane raises
     threads = _draw_fault(monkeypatch, 3) if fault == "draw" else _kernel_fault(monkeypatch, 2)
     checked = checked_rows(monkeypatch)
     before = threading.active_count()
@@ -1087,13 +1136,14 @@ def test_lane_faults_are_raised_and_leave_no_thread(monkeypatch, lane, fault):
     assert threading.active_count() == before
     if fault == "draw":
         assert threads and threading.main_thread() not in threads
-    block_rows = _lane_rows("float" if lane == "float" else "int64", 5)
-    assert [len(rows) for rows in checked] == [block_rows] * (
-        len(checked) if fault == "draw" else 2) and len(checked) <= 2
+    sizes = _block_sizes(20_000, _lane_rows("float" if lane == "float" else "int64", 5))
+    assert [len(rows) for rows in checked] == sizes[:len(checked) if fault == "draw" else 2]
+    assert len(checked) <= 2
     eps = Fraction(1, 48) if lane == "exact" else 1 / 48   # as the lane seeds its generator
     want = full_draw(_combo_rng(1, 5, eps), lane, (20_000, 10))
+    starts = np.cumsum([0, *sizes])
     for k, rows in enumerate(checked):
-        assert np.array_equal(rows, want[k * block_rows:(k + 1) * block_rows]), k
+        assert np.array_equal(rows, want[starts[k]:starts[k + 1]]), k
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
